@@ -151,10 +151,10 @@ inline Pipeline RunPipeline(DatasetKind kind, uint64_t seed = 42,
   p.serd_report = p.synth->report();
   p.serd_manifest = p.synth->RunManifestJson();
 
-  p.synth->set_enable_rejection(false);
-  p.serd_minus = std::move(p.synth->Synthesize()).value();
-  p.serd_minus_report = p.synth->report();
-  p.synth->set_enable_rejection(true);
+  RunOptions minus = p.synth->DefaultRunOptions();
+  minus.enable_rejection = false;
+  p.serd_minus =
+      std::move(p.synth->Synthesize(minus, &p.serd_minus_report)).value();
 
   p.embench = SynthesizeEmbench(p.real, {.seed = seed * 13 + 5});
   return p;

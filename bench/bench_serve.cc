@@ -1,11 +1,10 @@
 // Serving-layer benchmark: warm-pool job throughput and latency of the
 // scheduler + model-pool core at 1/4/8 workers. Eight tenants share one
 // trained artifact on disk; each tenant gets its own warm pool entry
-// (tenant isolation is part of the pool key), so distinct tenants' jobs
-// run concurrently while each entry stays single-writer. All entries are
-// pre-warmed before timing, so the numbers isolate steady-state serving
-// cost — scheduling, per-job re-seeding, and the synthesis loop — from
-// the one-time artifact load.
+// (tenant isolation is part of the pool key); jobs run concurrently on
+// distinct entries and on one entry alike. All entries are pre-warmed
+// before timing, so the numbers isolate steady-state serving cost —
+// scheduling and the synthesis loop — from the one-time artifact load.
 //
 // Writes BENCH_serve.json: per worker count, jobs/sec plus p50/p99
 // end-to-end job latency (queue wait + run), and the speedup over the
@@ -14,7 +13,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,9 +125,9 @@ BenchRow RunConfig(const std::string& artifact_dir, int workers) {
         [&pool, &loader, &key_for, tenant](const JobContext& ctx) -> Status {
           auto lease = pool.Acquire(key_for(tenant), loader);
           if (!lease.ok()) return lease.status();
-          std::lock_guard<std::mutex> run(lease->run_mutex());
-          lease->synth()->set_seed(ctx.seed);
-          auto result = lease->synth()->Synthesize();
+          RunOptions run = lease->synth()->DefaultRunOptions();
+          run.seed = ctx.seed;
+          auto result = lease->synth()->Synthesize(run, nullptr);
           return result.ok() ? Status::OK() : result.status();
         });
   };
@@ -184,10 +182,11 @@ CancelRow RunCancelConfig(const std::string& artifact_dir, int workers) {
         [&pool, &loader, &key_for, tenant](const JobContext& ctx) -> Status {
           auto lease = pool.Acquire(key_for(tenant), loader);
           if (!lease.ok()) return lease.status();
-          std::lock_guard<std::mutex> run(lease->run_mutex());
           if (ctx.cancel->cancelled()) return ctx.cancel->cause();
-          lease->synth()->set_seed(ctx.seed);
-          auto result = lease->synth()->Synthesize(ctx.cancel);
+          RunOptions run = lease->synth()->DefaultRunOptions();
+          run.seed = ctx.seed;
+          run.cancel = ctx.cancel;
+          auto result = lease->synth()->Synthesize(run, nullptr);
           return result.ok() ? Status::OK() : result.status();
         });
   };

@@ -53,9 +53,10 @@ int main() {
   ERDataset with_rejection = std::move(synthesizer.Synthesize()).value();
   auto report_on = synthesizer.report();
 
-  synthesizer.set_enable_rejection(false);
-  ERDataset without_rejection = std::move(synthesizer.Synthesize()).value();
-  auto report_off = synthesizer.report();
+  RunOptions no_rejection = synthesizer.DefaultRunOptions();
+  no_rejection.enable_rejection = false;
+  ERDataset without_rejection =
+      std::move(synthesizer.Synthesize(no_rejection, nullptr)).value();
 
   std::printf("\nSERD  (rejection on):  |A|=%zu |B|=%zu matches=%zu, "
               "rejected disc=%d dist=%d, JSD=%.4f\n",

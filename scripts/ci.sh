@@ -16,6 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
+CONCURRENCY_TESTS='CoreConcurrencyTest|ServeConcurrencyTest|SameTenantNoWaitJobs|RunOptionsFuzz'
 
 echo "==> configure + build (plain)"
 cmake -B build -S . >/dev/null
@@ -31,6 +32,12 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
 
   echo "==> ctest -L tsan (ThreadSanitizer suite)"
   ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L tsan
+
+  echo "==> ctest (concurrent runs on one synthesizer under TSan)"
+  # Runs overlapping on one fitted synthesizer or warm pool entry, and the
+  # RunOptions fuzzer; run by name so a label change can't drop them.
+  ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+    -R "$CONCURRENCY_TESTS"
 fi
 
 if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
@@ -48,6 +55,10 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   # label change can't silently drop them.
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
     -R 'KvCacheFuzzSweep|KvCacheTest|BatchedDecodeTest|BatchedBankTest'
+
+  echo "==> ctest (concurrent runs on one synthesizer under ASan)"
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
+    -R "$CONCURRENCY_TESTS"
 
   echo "==> ctest (quantized decode quality gate under ASan)"
   # The int8/bf16 kernel tolerance sweeps, the quantized-artifact codec
@@ -225,6 +236,31 @@ if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
   grep -q '"pool.hits": 1' "$SERVE_DIR/stats.json"
   grep -q '"pool.misses": 1' "$SERVE_DIR/stats.json"
 
+  echo "==> smoke: two no-wait jobs run together on one warm entry"
+  # Both are queued before either is waited for, so the two workers run
+  # them on the tenant's one entry at once; each must still byte-match
+  # the serd_cli release of its seed, and the entry is never reloaded.
+  for n in 1 2; do
+    "$SUBMIT" --port-file "$SERVE_DIR/port" --verb synthesize "${JOB[@]}" \
+      --no-wait --out "$SERVE_DIR/shared$n" > "$SERVE_DIR/shared$n.json"
+  done
+  for n in 1 2; do
+    ID="$(python3 -c 'import json, sys; print(json.load(sys.stdin)["job"])' \
+      < "$SERVE_DIR/shared$n.json")"
+    for _ in $(seq 1 600); do
+      "$SUBMIT" --port-file "$SERVE_DIR/port" --verb job --id "$ID" \
+        > "$SERVE_DIR/shared$n.status.json" || true
+      grep -q '"state": "\(done\|failed\)"' "$SERVE_DIR/shared$n.status.json" \
+        && break
+      sleep 0.1
+    done
+    grep -q '"state": "done"' "$SERVE_DIR/shared$n.status.json"
+    diff -r "$SERVE_DIR/cli_ref" "$SERVE_DIR/shared$n"
+  done
+  "$SUBMIT" --port-file "$SERVE_DIR/port" --verb stats \
+    > "$SERVE_DIR/stats_shared.json"
+  grep -q '"pool.misses": 1' "$SERVE_DIR/stats_shared.json"
+
   echo "==> smoke: kill -9 a client mid-request; server keeps serving"
   # The abandoned job must still run to completion server-side (its seed
   # is content-keyed, the client is irrelevant once the frame landed) and
@@ -240,10 +276,10 @@ if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
   for _ in $(seq 1 100); do
     "$SUBMIT" --port-file "$SERVE_DIR/port" --verb stats \
       > "$SERVE_DIR/stats_fault.json"
-    grep -q '"scheduler.completed": 3' "$SERVE_DIR/stats_fault.json" && break
+    grep -q '"scheduler.completed": 5' "$SERVE_DIR/stats_fault.json" && break
     sleep 0.1
   done
-  grep -q '"scheduler.completed": 3' "$SERVE_DIR/stats_fault.json"
+  grep -q '"scheduler.completed": 5' "$SERVE_DIR/stats_fault.json"
   grep -q '"pool.pinned": 0' "$SERVE_DIR/stats_fault.json"
 
   echo "==> smoke: a 1 ms deadline trips and exits with code 7"

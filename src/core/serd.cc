@@ -229,6 +229,7 @@ Status SerdSynthesizer::Fit(
     report_.offline_seconds = timer.Seconds();
     source_offline_seconds_ = report_.offline_seconds;
     report_.warm_started = false;
+    report_ = OfflineReportLocked();
     fitted_ = true;
   }
 
@@ -239,7 +240,7 @@ Status SerdSynthesizer::Fit(
 }
 
 Entity SerdSynthesizer::SynthesizeFrom(const Entity& e, const Vec& x,
-                                       Rng* rng) const {
+                                       Rng* rng, BankRun* bank_run) const {
   const Schema& schema = spec_.schema();
   Entity out;
   out.values.resize(schema.num_columns());
@@ -306,7 +307,8 @@ Entity SerdSynthesizer::SynthesizeFrom(const Entity& e, const Vec& x,
       }
       case ColumnType::kText: {
         SERD_CHECK(banks_[c] != nullptr);
-        out.values[c] = banks_[c]->Synthesize(e.values[c], target, rng);
+        out.values[c] =
+            banks_[c]->Synthesize(e.values[c], target, rng, bank_run);
         break;
       }
     }
@@ -328,14 +330,44 @@ bool SerdSynthesizer::RejectedByDiscriminator(const Entity& e) const {
   return score < options_.beta;
 }
 
+SerdReport SerdSynthesizer::OfflineReportLocked() const {
+  SerdReport report;
+  report.offline_seconds = report_.offline_seconds;
+  report.mean_bank_epsilon = report_.mean_bank_epsilon;
+  report.m_components = report_.m_components;
+  report.n_components = report_.n_components;
+  report.warm_started = report_.warm_started;
+  report.threads_used = static_cast<int>(resolved_threads_);
+  return report;
+}
+
+RunOptions SerdSynthesizer::DefaultRunOptions() const {
+  RunOptions run;
+  run.enable_rejection = options_.enable_rejection;
+  run.blocking = options_.blocking;
+  run.batched_decode = options_.string_bank.batched_decode;
+  std::lock_guard<std::mutex> lock(state_mu_);
+  run.seed = options_.seed;
+  return run;
+}
+
 Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
-  // The run accumulates into a local report and commits it under
-  // state_mu_ at the end, so a concurrent RunManifestJson() snapshot sees
-  // either the previous run's report or this one, never a half-updated
-  // mix (class thread-safety contract). The same locals-then-commit shape
-  // is what makes cancellation state-safe: every `return cancel_status()`
-  // below drops the locals and leaves report_/models untouched, so a
-  // re-run of the job is byte-identical to one that was never cancelled.
+  RunOptions run = DefaultRunOptions();
+  run.cancel = cancel;
+  SerdReport report;
+  Result<ERDataset> syn = Synthesize(run, &report);
+  if (syn.ok()) {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    report_ = report;
+  }
+  return syn;
+}
+
+Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
+                                              SerdReport* report_out) const {
+  // Every piece of run state — report, bank accounting, O_syn trackers,
+  // the dataset — lives in this frame, so concurrent runs never interact
+  // and every `return cancel_status()` below leaves nothing behind.
   SerdReport report;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -343,51 +375,23 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       return Status::FailedPrecondition(
           "Fit() must succeed before Synthesize()");
     }
-    report = report_;
+    report = OfflineReportLocked();
   }
+  const CancelToken* cancel = run.cancel;
   auto cancel_status = [cancel]() -> Status {
     Status cause = cancel->cause();
     return cause.ok() ? Status::Cancelled("synthesis cancelled") : cause;
   };
-  // Fold the token into the string banks' decode early-stop callbacks for
-  // the duration of the run (cleared on every exit path), so a trip also
-  // interrupts a candidate decode already in flight, not just the next
-  // loop iteration.
-  struct BankCancelGuard {
-    std::vector<std::unique_ptr<StringSynthesisBank>>* banks;
-    ~BankCancelGuard() {
-      for (auto& bank : *banks) {
-        if (bank != nullptr) bank->set_cancel_token(nullptr);
-      }
-    }
-  } bank_cancel_guard{&banks_};
-  for (auto& bank : banks_) {
-    if (bank != nullptr) bank->set_cancel_token(cancel);
-  }
+  // The token also reaches the string banks' decode early-stop callbacks,
+  // so a trip interrupts a candidate decode already in flight, not just
+  // the next loop iteration.
+  BankRun bank_run;
+  bank_run.batched_decode = run.batched_decode;
+  bank_run.cancel = cancel;
   WallTimer timer;
-  if (pool_ != nullptr) pool_->ResetStats();
-  report.threads_used = static_cast<int>(resolved_threads_);
-  Rng rng(options_.seed ^ 0x51e2d5ULL);
-
-  // Bank decode stats accumulate across runs; snapshot them so the report
-  // carries this run's delta.
-  struct BankDecodeTotals {
-    long steps = 0, cached = 0, quantized = 0, hits = 0, misses = 0;
-  };
-  auto bank_decode_totals = [this] {
-    BankDecodeTotals t;
-    for (const auto& bank : banks_) {
-      if (bank == nullptr) continue;
-      const StringBankStats& s = bank->stats();
-      t.steps += s.decode_steps;
-      t.cached += s.decode_cached_steps;
-      t.quantized += s.decode_quantized_steps;
-      t.hits += s.encoder_cache_hits;
-      t.misses += s.encoder_cache_misses;
-    }
-    return t;
-  };
-  const BankDecodeTotals decode_before = bank_decode_totals();
+  const runtime::ThreadPool::Stats pool_before =
+      pool_ != nullptr ? pool_->stats() : runtime::ThreadPool::Stats();
+  Rng rng(run.seed ^ 0x51e2d5ULL);
 
   // Metric handles resolved once, outside the loop (all null when
   // observability is off; recording through them is then one pointer test
@@ -419,8 +423,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   SERD_CHECK(na > 0 && nb > 0);
 
   ERDataset syn;
-  syn.name = real_->name + "-SERD" +
-             (options_.enable_rejection ? "" : "-");
+  syn.name = real_->name + "-SERD" + (run.enable_rejection ? "" : "-");
   syn.a = Table(spec_.schema());
   syn.b = Table(spec_.schema());
 
@@ -448,7 +451,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   std::unique_ptr<IncrementalGmm> m_syn, n_syn;
   size_t syn_pos_count = 0, syn_neg_count = 0;
   double current_jsd = 0.0;
-  const uint64_t jsd_seed = options_.seed ^ 0x15d0ULL;
+  const uint64_t jsd_seed = run.seed ^ 0x15d0ULL;
   // All JSD estimates during the run go through this wrapper so the
   // evaluation count and (when observability is on) the per-call wall time
   // are accounted in one place.
@@ -543,10 +546,10 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       if (cancel != nullptr && cancel->cancelled()) return cancel_status();
       const bool last_attempt = attempt == options_.max_reject_retries;
       auto sample = sample_vector(&rng);
-      Entity candidate = SynthesizeFrom(e, sample.x, &rng);
+      Entity candidate = SynthesizeFrom(e, sample.x, &rng, &bank_run);
 
       bool forced_disc = false;
-      if (options_.enable_rejection && RejectedByDiscriminator(candidate)) {
+      if (run.enable_rejection && RejectedByDiscriminator(candidate)) {
         ++report.rejected_by_discriminator;
         obs::Inc(c_rej_disc);
         if (!last_attempt) continue;
@@ -587,8 +590,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       }
 
       bool forced_dist = false;
-      if (options_.enable_rejection && m_syn != nullptr &&
-          n_syn != nullptr) {
+      if (run.enable_rejection && m_syn != nullptr && n_syn != nullptr) {
         // Preview the updated O_syn and apply the paper's Eq. 10 test.
         auto dp = m_syn->ComputeDelta(delta_pos);
         auto dn = n_syn->ComputeDelta(delta_neg);
@@ -653,7 +655,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
     }
 
     // Initialize the O_syn trackers once warmed up.
-    if (options_.enable_rejection && m_syn == nullptr &&
+    if (run.enable_rejection && m_syn == nullptr &&
         static_cast<size_t>(report.accepted_entities) >=
             options_.o_syn_warmup &&
         warm_pos.size() >= 4 && warm_neg.size() >= 4) {
@@ -710,8 +712,8 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   const std::vector<size_t> gram_cols = cached_sim_->GramColumns();
   const bool blocked =
       total_pairs > 0 && !gram_cols.empty() &&
-      (options_.blocking == SerdOptions::BlockingMode::kQgram ||
-       (options_.blocking == SerdOptions::BlockingMode::kAuto &&
+      (run.blocking == SerdOptions::BlockingMode::kQgram ||
+       (run.blocking == SerdOptions::BlockingMode::kAuto &&
         total_pairs >= options_.blocking_auto_min_pairs));
 
   // Blocked enumeration: index B's q-gram profiles, generate candidate
@@ -755,7 +757,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   std::vector<size_t> subsample;
   if (scan_count < stream_size) {
     subsample = block::SampleDistinctSorted(stream_size, scan_count,
-                                            options_.seed ^ 0x5e3b10cULL);
+                                            run.seed ^ 0x5e3b10cULL);
   }
   auto pair_at = [&](size_t k) -> std::pair<size_t, size_t> {
     const size_t pos = subsample.empty() ? k : subsample[k];
@@ -803,7 +805,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
       cand.num_pairs() < total_pairs) {
     block_recall_estimated = true;
     obs::TraceSpan recall_span(metrics_.get(), "s3.block_recall_estimate");
-    Rng recall_rng(options_.seed ^ 0xb10c4ec5ULL);
+    Rng recall_rng(run.seed ^ 0xb10c4ec5ULL);
     const size_t samples = std::min<size_t>(
         static_cast<size_t>(options_.block_recall_samples), total_pairs);
     size_t outside = 0, missed = 0;
@@ -857,17 +859,16 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
     report.jsd_real_vs_syn = estimate_jsd(current_o_syn());
   }
   if (pool_ != nullptr) {
-    report.parallel_speedup = pool_->stats().Speedup();
-  } else {
-    report.parallel_speedup = 1.0;
+    runtime::ThreadPool::Stats delta = pool_->stats();
+    delta.busy_seconds -= pool_before.busy_seconds;
+    delta.wall_seconds -= pool_before.wall_seconds;
+    report.parallel_speedup = delta.Speedup();
   }
-  const BankDecodeTotals decode_after = bank_decode_totals();
-  report.decode_steps = decode_after.steps - decode_before.steps;
-  report.decode_cached_steps = decode_after.cached - decode_before.cached;
-  report.decode_quantized_steps =
-      decode_after.quantized - decode_before.quantized;
-  report.encoder_cache_hits = decode_after.hits - decode_before.hits;
-  report.encoder_cache_misses = decode_after.misses - decode_before.misses;
+  report.decode_steps = bank_run.decode_steps;
+  report.decode_cached_steps = bank_run.decode_cached_steps;
+  report.decode_quantized_steps = bank_run.decode_quantized_steps;
+  report.encoder_cache_hits = bank_run.encoder_cache_hits;
+  report.encoder_cache_misses = bank_run.encoder_cache_misses;
   report.online_seconds = timer.Seconds();
   if (metrics_ != nullptr) {
     metrics_->gauge("run.online_seconds")->Set(report.online_seconds);
@@ -880,10 +881,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
                     << " forced=" << report.forced_accepts
                     << " jsd=" << report.jsd_real_vs_syn;
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    report_ = report;
-  }
+  if (report_out != nullptr) *report_out = report;
   return syn;
 }
 
@@ -977,6 +975,8 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   root.Set("report", std::move(rep));
 
   if (pool_ != nullptr) {
+    // Cumulative over the synthesizer's life: runs share the pool and
+    // never reset it (each report carries its own run's delta).
     runtime::ThreadPool::Stats stats = pool_->stats();
     obs::Json pool = obs::Json::Object();
     pool.Set("workers", pool_->num_threads());

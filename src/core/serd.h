@@ -200,51 +200,35 @@ struct SerdReport {
   int m_components = 0;          ///< AIC-selected component counts
   int n_components = 0;
   /// True when Fit() restored the offline models from an artifact instead
-  /// of training them (offline_seconds is then the load time). An offline
-  /// field: ResetOnlineStats keeps it.
+  /// of training them (offline_seconds is then the load time).
   bool warm_started = false;
   int threads_used = 1;          ///< resolved SerdOptions::threads
-  /// Achieved parallel speedup of the last Synthesize(): total busy time
-  /// across executors / wall time inside parallel regions. 1.0 when serial.
+  /// Achieved parallel speedup of the run: total busy time across
+  /// executors / wall time inside parallel regions, over the run's
+  /// interval of the synthesizer's thread pool. 1.0 when serial. Runs that
+  /// overlap on one synthesizer share its pool, so each reports the
+  /// pool's figure over its own interval, which includes the other's work.
   double parallel_speedup = 1.0;
+};
 
-  /// Resets the per-run (online) statistics in place, keeping everything
-  /// the offline Fit() phase computed. New online fields must be added
-  /// here; resetting field-by-field (instead of copying the keepers into a
-  /// fresh struct) means a forgotten field surfaces as stale data rather
-  /// than being silently zeroed along with the offline numbers.
-  void ResetOnlineStats() {
-    online_seconds = 0.0;
-    accepted_entities = 0;
-    rejected_by_discriminator = 0;
-    rejected_by_distribution = 0;
-    forced_accepts = 0;
-    forced_accepts_discriminator = 0;
-    forced_accepts_distribution = 0;
-    tracked_pairs_pos = 0;
-    tracked_pairs_neg = 0;
-    jsd_evaluations = 0;
-    decode_steps = 0;
-    decode_cached_steps = 0;
-    decode_quantized_steps = 0;
-    encoder_cache_hits = 0;
-    encoder_cache_misses = 0;
-    s3_blocked = false;
-    s3_total_pairs = 0;
-    s3_candidate_pairs = 0;
-    s3_pruned_pairs = 0;
-    s3_scanned_pairs = 0;
-    s3_scored_pairs = 0;
-    s3_posterior_matches = 0;
-    s3_block_recall = 1.0;
-    s3_block_recall_estimated = false;
-    guard_exhausted = false;
-    shortfall_a = 0;
-    shortfall_b = 0;
-    jsd_real_vs_syn = 0.0;
-    threads_used = 1;
-    parallel_speedup = 1.0;
-  }
+/// Per-run inputs of SerdSynthesizer::Synthesize: everything one run may
+/// vary on a fitted synthesizer. The offline models, the sizes and every
+/// other knob stay fixed by the constructor's SerdOptions.
+struct RunOptions {
+  uint64_t seed = 2024;          ///< online-phase seed (SerdOptions::seed)
+  bool enable_rejection = true;  ///< false reproduces the SERD- baseline
+  /// S3 enumeration strategy (affects only which pairs S3 scores).
+  SerdOptions::BlockingMode blocking = SerdOptions::BlockingMode::kOff;
+  /// Lane-batched candidate decode on per-candidate RNG streams; changes
+  /// released bytes vs the shared-stream path (DESIGN.md §5k).
+  bool batched_decode = false;
+  /// Polled cooperatively (not owned; nullptr = never cancelled): once per
+  /// S2 guard-loop iteration, once per rejection attempt, before the S3
+  /// labeling scan, and inside the string banks' candidate-decode
+  /// early-stop callbacks, so a run stops within one loop iteration of
+  /// the token tripping and returns the token's cause
+  /// (kCancelled/kDeadlineExceeded).
+  const CancelToken* cancel = nullptr;
 };
 
 /// The SERD synthesizer (paper Algorithm overview, Section III):
@@ -261,15 +245,19 @@ struct SerdReport {
 /// as in the paper, is the categorical value domain (paper Section IV-B1
 /// iterates e'[C_i] over the existing categorical values).
 ///
-/// Thread-safety: one synthesizer is a single-writer object — at most one
-/// thread may be inside Fit(), Synthesize(), LoadModels(), set_seed(), or
-/// set_enable_rejection() at a time (the serving model pool serializes
-/// runs with a per-entry lease mutex). Snapshot reads are safe against
-/// that writer: RunManifestJson() may be called from any thread at any
-/// time, because every mutator commits its state (models, report) under
-/// an internal mutex after a validate/compute phase on locals, and
+/// Thread-safety: Fit() and LoadModels() are writers — at most one thread
+/// may be inside them, and no run may overlap them. Once fitted, a run is
+/// read-only: the const Synthesize(const RunOptions&, SerdReport*) writes
+/// nothing to the synthesizer (per-run state lives on the run's stack, the
+/// shared metrics registry and thread pool are thread-safe), so any number
+/// of threads may run it at once, each byte-identical to its solo run.
+/// The single-run facade (set_seed() + Synthesize(const CancelToken*))
+/// additionally commits its report into report(); at most one thread may
+/// use the facade at a time. RunManifestJson() may be called from any
+/// thread at any time: every writer commits its state (models, report)
+/// under an internal mutex after a validate/compute phase on locals, and
 /// RunManifestJson() reads under the same mutex. report() returns an
-/// unsynchronized reference and is only meaningful between runs.
+/// unsynchronized reference and is only meaningful between facade runs.
 class SerdSynthesizer {
  public:
   SerdSynthesizer(const ERDataset& real, SerdOptions options);
@@ -282,18 +270,26 @@ class SerdSynthesizer {
                  background_text_corpora,
              const Table& background_entities);
 
-  /// S2 + S3. Requires Fit() to have succeeded.
+  /// S2 + S3 over the fitted models. Requires Fit() to have succeeded.
   ///
-  /// `cancel` (optional) is polled cooperatively: once per S2 guard-loop
-  /// iteration, once per rejection attempt, before the S3 labeling scan,
-  /// and inside the string banks' candidate-decode early-stop callbacks —
-  /// so a running job stops within one loop iteration of the token
-  /// tripping. A cancelled run returns the token's cause
-  /// (kCancelled/kDeadlineExceeded) and mutates nothing: the run
-  /// accumulates into locals and commits the report only on success, so a
-  /// re-run of the same job afterwards is byte-identical to a run that
-  /// was never cancelled.
+  /// Read-only: the run builds its report fresh from the fitted state's
+  /// offline fields into `*report` (optional) and writes nothing to the
+  /// synthesizer, so concurrent runs on one synthesizer never interact
+  /// and a cancelled run (RunOptions::cancel) leaves nothing behind — a
+  /// re-run of the same options is byte-identical to a run that was never
+  /// cancelled. Output depends only on the fitted models, the
+  /// constructor's SerdOptions and `run`.
+  Result<ERDataset> Synthesize(const RunOptions& run,
+                               SerdReport* report) const;
+
+  /// Single-run facade: runs DefaultRunOptions() with `cancel` and, on
+  /// success, commits the run's report into report(). Not for concurrent
+  /// use (see the class thread-safety contract).
   Result<ERDataset> Synthesize(const CancelToken* cancel = nullptr);
+
+  /// The run options of the facade: the constructor's SerdOptions with the
+  /// seed of the last set_seed().
+  RunOptions DefaultRunOptions() const;
 
   /// File name of the model artifact inside SerdOptions::model_dir.
   static constexpr char kModelFileName[] = "serd_models.bin";
@@ -335,68 +331,14 @@ class SerdSynthesizer {
   /// bench harnesses.
   obs::Json RunManifestJson() const;
 
-  /// Toggles rejection (paper Section V) without refitting the offline
-  /// models, so SERD and the SERD- baseline share one Fit() (their offline
-  /// phase is identical by construction). Resets the run statistics.
-  void set_enable_rejection(bool enabled) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    options_.enable_rejection = enabled;
-    report_.ResetOnlineStats();
-  }
-
-  /// Switches the S3 enumeration strategy for the next Synthesize() (the
-  /// offline models are untouched; blocking only affects which pairs S3
-  /// scores). Lets the serving pool honor per-job blocking requests on a
-  /// warm entry, and lets the agreement tests run exact-vs-blocked from
-  /// one Fit(). Resets the run statistics.
-  void set_blocking(SerdOptions::BlockingMode mode) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    options_.blocking = mode;
-    report_.ResetOnlineStats();
-  }
-
-  /// Switches the candidate-decode mode of every trained string bank for
-  /// the next Synthesize() (serve jobs toggle it per request on a warm
-  /// entry). Lane-batched decode draws from per-candidate RNG streams, so
-  /// flipping it changes released bytes — callers opt in per job
-  /// (DESIGN.md §5k). Resets the run statistics.
-  void set_batched_decode(bool enabled) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    options_.string_bank.batched_decode = enabled;
-    for (auto& bank : banks_) {
-      if (bank != nullptr) bank->set_batched_decode(enabled);
-    }
-    report_.ResetOnlineStats();
-  }
-
-  /// Switches the decode precision of every trained string bank for the
-  /// next Synthesize() (serve jobs request it per job on a warm entry; the
-  /// ModelPool keys entries by precision so fp32 and int8 tenants never
-  /// share one). Quantizing is cheap and idempotent — models restored from
-  /// a pre-quantized artifact at the same precision keep their attached
-  /// weights. int8/bf16 logits differ from fp32, so released bytes change;
-  /// quality is gated e2e (F1/JSD delta bounds, DESIGN.md §5m). Resets the
-  /// run statistics.
-  void set_decode_precision(nn::DecodePrecision precision) {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    options_.string_bank.decode_precision = precision;
-    for (auto& bank : banks_) {
-      if (bank != nullptr) bank->set_decode_precision(precision);
-    }
-    report_.ResetOnlineStats();
-  }
-
-  /// Re-seeds the *online* phase for the next Synthesize() and resets the
-  /// run statistics, leaving the fitted offline models untouched. This is
-  /// what lets the serving model pool reuse one warm synthesizer across
-  /// jobs: Synthesize() after set_seed(s) is bit-identical to a fresh
-  /// synthesizer built with SerdOptions::seed = s over the same loaded
-  /// artifact (training seeds are derived from the seed too, but they are
-  /// only consumed by Fit(), never by the decode path).
+  /// Re-seeds the facade's next Synthesize(), leaving the fitted offline
+  /// models untouched: Synthesize() after set_seed(s) is bit-identical to
+  /// a fresh synthesizer built with SerdOptions::seed = s over the same
+  /// loaded artifact (training seeds are derived from the seed too, but
+  /// they are only consumed by Fit(), never by the decode path).
   void set_seed(uint64_t seed) {
     std::lock_guard<std::mutex> lock(state_mu_);
     options_.seed = seed;
-    report_.ResetOnlineStats();
   }
 
   /// Offline models (for the Exp-1 user-study harness; null before Fit).
@@ -437,7 +379,8 @@ class SerdSynthesizer {
   };
 
   /// Synthesizes e' from e so that sim(e, e') ≈ x (paper Section IV-B1).
-  Entity SynthesizeFrom(const Entity& e, const Vec& x, Rng* rng) const;
+  Entity SynthesizeFrom(const Entity& e, const Vec& x, Rng* rng,
+                        BankRun* bank_run) const;
 
   /// Cold start (paper Section IV-B2): GAN features decoded against the
   /// background pools.
@@ -445,6 +388,10 @@ class SerdSynthesizer {
 
   /// Case-1 rejection: discriminator score < beta.
   bool RejectedByDiscriminator(const Entity& e) const;
+
+  /// A run's starting report: the fitted state's offline fields, every
+  /// online field at its default. Caller holds state_mu_.
+  SerdReport OfflineReportLocked() const;
 
   const ERDataset* real_;
   SerdOptions options_;
@@ -476,9 +423,9 @@ class SerdSynthesizer {
   /// offline_seconds becomes the load time after a warm start).
   double source_offline_seconds_ = 0.0;
   SerdReport report_;
-  /// Guards the commit of mutator results (models, options_.seed,
-  /// report_, fitted_) and every RunManifestJson() read — see the class
-  /// thread-safety contract.
+  /// Guards the commit of writer results (models, options_.seed,
+  /// report_, fitted_), every run's read of the fitted state, and every
+  /// RunManifestJson() read — see the class thread-safety contract.
   mutable std::mutex state_mu_;
 };
 

@@ -401,6 +401,7 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
     report_.mean_bank_epsilon = src_epsilon;  // budget spent at training time
     report_.warm_started = true;
     report_.offline_seconds = timer.Seconds();  // load, not training cost
+    report_ = OfflineReportLocked();  // a prior run's figures are stale now
     source_offline_seconds_ = src_offline_seconds;
     fitted_ = true;
   }

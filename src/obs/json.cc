@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace serd::obs {
 
@@ -135,10 +136,20 @@ class Parser {
         break;
       default: {
         if (c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
+          // strtod also takes "-inf", "-nan" and hex, and overflows
+          // "1e400" to inf; JSON has none of these, so the consumed text
+          // must be plain decimal and the value finite.
+          const char* begin = text_.c_str() + pos_;
           char* end = nullptr;
-          double v = std::strtod(text_.c_str() + pos_, &end);
-          if (end == text_.c_str() + pos_) {
+          double v = std::strtod(begin, &end);
+          if (end == begin ||
+              std::string_view(begin, end - begin)
+                      .find_first_not_of("0123456789+-.eE") !=
+                  std::string_view::npos) {
             return Status::InvalidArgument("malformed JSON number");
+          }
+          if (!std::isfinite(v)) {
+            return Status::InvalidArgument("JSON number out of range");
           }
           pos_ = end - text_.c_str();
           return Json::Number(v);

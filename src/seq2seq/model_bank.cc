@@ -248,7 +248,8 @@ thread_local EncoderMemoryCache t_encoder_cache;
 std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
                                                      const std::string& s,
                                                      double target_sim,
-                                                     Rng* rng) const {
+                                                     Rng* rng,
+                                                     BankRun* run) const {
   const auto& model = models_[bucket];
   auto src_ids = vocab_.Encode(s);
   std::string best;
@@ -270,7 +271,7 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
   // returns, so cancellation never changes released bytes.
   auto keep_going = [&] {
     return min_err > kGoodEnough &&
-           (cancel_ == nullptr || !cancel_->cancelled());
+           (run->cancel == nullptr || !run->cancel->cancelled());
   };
   // Scores one decoded candidate; returns whether to keep drawing more.
   auto consider = [&](const std::vector<int>& out_ids) {
@@ -301,13 +302,13 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
     if (memory == nullptr) {
       memory = model->EncodeMemory(src_ids);
       t_encoder_cache.Insert(model->uid(), s, memory);
-      ++stats_.encoder_cache_misses;
+      ++run->encoder_cache_misses;
       obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_misses"));
     } else {
-      ++stats_.encoder_cache_hits;
+      ++run->encoder_cache_hits;
       obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_hits"));
     }
-    if (options_.batched_decode) {
+    if (run->batched_decode) {
       // One draw from the shared stream seeds the per-candidate streams;
       // the caller's RNG advances by exactly one draw per synthesis call,
       // independent of how many candidates or tokens get decoded.
@@ -335,9 +336,9 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
       consider(out_ids);
     }
   }
-  stats_.decode_steps += gstats.steps;
-  stats_.decode_cached_steps += gstats.cached_steps;
-  stats_.decode_quantized_steps += gstats.quantized_steps;
+  run->decode_steps += gstats.steps;
+  run->decode_cached_steps += gstats.cached_steps;
+  run->decode_quantized_steps += gstats.quantized_steps;
   obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_steps"),
            static_cast<uint64_t>(gstats.steps));
   obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_cached_steps"),
@@ -348,7 +349,6 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
   if (best_err > options_.refine_threshold) {
     // The decoder missed the target: refine the candidate and also try a
     // pure perturbation-search synthesis, keeping whichever scores better.
-    ++stats_.refined_calls;
     obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_refined_calls"));
     std::string refined =
         HillClimbToSimilarity(s, best, target_sim, sim_, word_pool_, rng);
@@ -377,10 +377,14 @@ std::string StringSynthesisBank::FallbackSynthesize(const std::string& s,
 }
 
 std::string StringSynthesisBank::Synthesize(const std::string& s,
-                                            double target_sim,
-                                            Rng* rng) const {
+                                            double target_sim, Rng* rng,
+                                            BankRun* run) const {
   SERD_CHECK(rng != nullptr);
-  ++stats_.synth_calls;
+  BankRun local;
+  if (run == nullptr) {
+    local.batched_decode = options_.batched_decode;
+    run = &local;
+  }
   obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_synth_calls"));
   double target = std::clamp(target_sim, 0.0, 1.0);
   int bucket = trained_ ? BucketOf(target) : -1;
@@ -401,18 +405,21 @@ std::string StringSynthesisBank::Synthesize(const std::string& s,
     }
   }
   if (used < 0) {
-    ++stats_.fallback_calls;
+    ++run->fallback_calls;
     obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_fallback_calls"));
     return FallbackSynthesize(s, target, rng);
   }
-  ++stats_.bucket_hits[used];
+  if (run->bucket_hits.size() < static_cast<size_t>(options_.num_buckets)) {
+    run->bucket_hits.resize(options_.num_buckets, 0);
+  }
+  ++run->bucket_hits[used];
   obs::Observe(
       obs::GetHistogram(options_.metrics, "s2.bank_bucket",
                         obs::LinearBounds(
                             0.0, static_cast<double>(options_.num_buckets - 1),
                             options_.num_buckets)),
       static_cast<double>(used));
-  return SynthesizeWithModel(used, s, target, rng);
+  return SynthesizeWithModel(used, s, target, rng, run);
 }
 
 }  // namespace serd

@@ -60,7 +60,8 @@ struct StringBankOptions {
   /// per-candidate streams draw differently from the shared-stream path,
   /// so released bytes change when this flips (DESIGN.md §5k) — quality is
   /// gated e2e instead (F1 delta vs --reference-decode). Only consulted
-  /// when incremental_decode is on.
+  /// when incremental_decode is on, and only by calls without a BankRun
+  /// (a run passes its own route in BankRun::batched_decode).
   bool batched_decode = false;
 
   /// With batched_decode: true = token-lockstep matrix batching, false =
@@ -88,21 +89,40 @@ struct StringBankOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Per-bucket training/inference statistics for reports and ablations.
+/// Per-bucket training statistics, serialized by the artifact store.
 struct StringBankStats {
   std::vector<int> pairs_per_bucket;
   std::vector<bool> bucket_trained;
   double train_seconds = 0.0;
   double mean_epsilon = 0.0;  ///< mean DP epsilon across trained buckets
+  // Call counters of the artifact format. Runs never write them (a run's
+  // accounting lives in its BankRun), so they hold what training left (0)
+  // or what an older artifact recorded; they round-trip byte for byte.
   int synth_calls = 0;
-  int refined_calls = 0;      ///< how often hill-climb refinement kicked in
-  /// Synthesize calls served by each bucket's model (after the nearest-
-  /// trained-bucket redirect); length num_buckets once trained.
-  std::vector<long> bucket_hits;
+  int refined_calls = 0;
+  std::vector<long> bucket_hits;  ///< length num_buckets once trained
+  long fallback_calls = 0;
+};
+
+/// One run's controls and accounting for StringSynthesisBank::Synthesize.
+/// The bank keeps no run state, so concurrent runs on one bank each pass
+/// their own (SerdSynthesizer passes one per run to all its text columns'
+/// banks, which then sum into it).
+struct BankRun {
+  /// Decode route of these calls; overrides StringBankOptions::
+  /// batched_decode.
+  bool batched_decode = false;
+  /// Cooperative cancellation (not owned; nullptr = never cancelled). A
+  /// tripped token is folded into the decoder's early-stop callbacks, so a
+  /// call abandons its remaining candidates within one decode step and
+  /// returns its best-so-far; the caller observes the token at its next
+  /// poll and discards the truncated string, so it is never released.
+  const CancelToken* cancel = nullptr;
+
   long fallback_calls = 0;    ///< calls served by hill-climb search alone
-  // Decode-path accounting (not serialized by the artifact store — the
-  // model codec writes the fields above only, so adding these keeps old
-  // artifacts loadable and save→load→save byte-identical).
+  /// Calls served by each bucket's model (after the nearest-trained-bucket
+  /// redirect); grows to the bank's bucket count on first use.
+  std::vector<long> bucket_hits;
   long decode_steps = 0;         ///< next-token logits rows computed
   long decode_cached_steps = 0;  ///< of those, served by the KV cache
   long decode_quantized_steps = 0;  ///< of those, int8/bf16 projections
@@ -134,39 +154,27 @@ class StringSynthesisBank {
 
   /// Synthesizes s' with sim(s, s') ≈ target_sim. Falls back to
   /// hill-climbing from s (high targets) or from a random background
-  /// string (low targets) for untrained buckets.
-  std::string Synthesize(const std::string& s, double target_sim,
-                         Rng* rng) const;
+  /// string (low targets) for untrained buckets. `run` (optional) supplies
+  /// the decode route and cancel token and collects the accounting; null
+  /// decodes by StringBankOptions::batched_decode with no cancel token.
+  /// Writes nothing to the bank, so any number of threads may call it.
+  std::string Synthesize(const std::string& s, double target_sim, Rng* rng,
+                         BankRun* run = nullptr) const;
 
   bool trained() const { return trained_; }
   const StringBankStats& stats() const { return stats_; }
   const CharVocab& vocab() const { return vocab_; }
 
-  /// Flips the candidate-decode mode after training/restore (serve jobs
-  /// toggle it per request on a warm bank). Affects only how future
-  /// Synthesize calls decode, never the trained weights.
-  void set_batched_decode(bool enabled) { options_.batched_decode = enabled; }
-  bool batched_decode() const { return options_.batched_decode; }
-
-  /// Switches the decode precision on a trained/restored bank (serve jobs
-  /// toggle it per request on a warm bank). Quantizes every trained
-  /// model's decoder projections to `precision` (a no-op for models
-  /// already carrying that precision, including pre-quantized artifact
-  /// loads) or clears them back to the exact fp32 path. The trained fp32
-  /// weights are never modified.
+  /// Sets the decode precision of a trained/restored bank, before it
+  /// serves any run (training, restore and the artifact load call it).
+  /// Quantizes every trained model's decoder projections to `precision`
+  /// (a no-op for models already carrying that precision, including
+  /// pre-quantized artifact loads) or clears them back to the exact fp32
+  /// path. The trained fp32 weights are never modified.
   void set_decode_precision(nn::DecodePrecision precision);
   nn::DecodePrecision decode_precision() const {
     return options_.decode_precision;
   }
-
-  /// Cooperative cancellation for candidate decode (not owned; nullptr =
-  /// never cancelled). A tripped token is folded into the decoder's
-  /// early-stop callbacks, so a Synthesize call abandons remaining
-  /// candidates within one decode step and returns its best-so-far — the
-  /// caller (SerdSynthesizer::Synthesize) then observes the token at its
-  /// next poll and aborts the run, so the truncated string is discarded,
-  /// never released. Set per run by the synthesizer; clear with nullptr.
-  void set_cancel_token(const CancelToken* cancel) { cancel_ = cancel; }
 
   /// The bucket index whose interval contains `sim`.
   int BucketOf(double sim) const;
@@ -200,7 +208,8 @@ class StringSynthesisBank {
 
  private:
   std::string SynthesizeWithModel(int bucket, const std::string& s,
-                                  double target_sim, Rng* rng) const;
+                                  double target_sim, Rng* rng,
+                                  BankRun* run) const;
   std::string FallbackSynthesize(const std::string& s, double target_sim,
                                  Rng* rng) const;
 
@@ -211,8 +220,7 @@ class StringSynthesisBank {
   std::vector<std::string> word_pool_;  // background words for refinement
   std::vector<std::string> corpus_;     // background strings (fallback seeds)
   bool trained_ = false;
-  const CancelToken* cancel_ = nullptr;  // not owned; see set_cancel_token
-  mutable StringBankStats stats_;
+  StringBankStats stats_;
 };
 
 }  // namespace serd

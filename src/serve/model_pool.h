@@ -45,13 +45,11 @@ struct PoolKey {
 
 /// One warm entry: the real dataset the synthesizer was built over (the
 /// synthesizer borrows a pointer to it, so the entry must own it) plus
-/// the fitted synthesizer and a run mutex. The pool serializes *runs* per
-/// entry with `run_mu` — SerdSynthesizer is a single-writer object — while
-/// distinct entries run fully in parallel.
+/// the fitted synthesizer. Runs are read-only over the fitted models, so
+/// any number of jobs run on one entry at once.
 struct PoolEntry {
   ERDataset real;
   std::unique_ptr<SerdSynthesizer> synth;
-  std::mutex run_mu;
 };
 
 struct ModelPoolOptions {
@@ -104,8 +102,10 @@ class ModelPool {
   using EntryLoader = std::function<Result<std::unique_ptr<PoolEntry>>()>;
 
   /// RAII pin on a ready entry. While any Lease is alive the entry cannot
-  /// be evicted. Callers run jobs as:
-  ///   lock lease.run_mutex(); synth->set_seed(job); Synthesize().
+  /// be evicted. Callers run jobs as
+  ///   lease.synth()->Synthesize(run_options, &report);
+  /// without any lock: the const run writes nothing to the entry, so
+  /// leases on one entry run concurrently.
   class Lease {
    public:
     Lease() = default;
@@ -116,9 +116,8 @@ class ModelPool {
     ~Lease() { Release(); }
 
     bool valid() const { return entry_ != nullptr; }
-    SerdSynthesizer* synth() const { return entry_->synth.get(); }
+    const SerdSynthesizer* synth() const { return entry_->synth.get(); }
     const ERDataset& real() const { return entry_->real; }
-    std::mutex& run_mutex() const { return entry_->run_mu; }
 
     /// Drops the pin early (idempotent; the destructor calls it).
     void Release();

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "data/dataset_io.h"
@@ -38,6 +40,26 @@ double GetNumber(const obs::Json& j, const std::string& key, double fallback) {
 
 bool GetBool(const obs::Json& j, const std::string& key, bool fallback) {
   return j.Has(key) ? j.at(key).AsBool(fallback) : fallback;
+}
+
+/// Largest integer a JSON number (a double) carries exactly: 2^53.
+constexpr double kMaxExactInteger = 9007199254740992.0;
+
+/// Reads an integral field into `*out`, whose value on entry is the
+/// fallback for an absent key. A fraction or a value outside [lo, hi] is
+/// InvalidArgument: casting it to an integer type would be undefined.
+template <typename T>
+Status GetInteger(const obs::Json& j, const std::string& key, double lo,
+                  double hi, T* out) {
+  const double v = GetNumber(j, key, static_cast<double>(*out));
+  if (!(v >= lo && v <= hi) || v != std::floor(v)) {
+    return Status::InvalidArgument(
+        "'" + key + "' must be an integer in [" +
+        std::to_string(static_cast<int64_t>(lo)) + ", " +
+        std::to_string(static_cast<int64_t>(hi)) + "]");
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
 }
 
 /// Schemas are static per dataset kind; a minimal generation exposes one
@@ -91,17 +113,15 @@ struct SerdServer::JobParams {
   int priority = 0;
   std::string seed_key;
   bool enable_rejection = true;
-  /// Per-job S3 blocking mode; defaults to the server's job options so a
-  /// reused warm entry is always reset to a known mode.
+  /// Per-job S3 blocking mode (a RunOptions field); defaults to the
+  /// server's job options.
   SerdOptions::BlockingMode blocking = DefaultJobOptions().blocking;
-  /// Per-job candidate-decode mode (lane-batched per-candidate streams);
-  /// defaults to the server's job options and is re-applied to the warm
-  /// entry on every job, like `blocking`.
+  /// Per-job candidate-decode mode (lane-batched per-candidate streams; a
+  /// RunOptions field); defaults to the server's job options.
   bool batched_decode = DefaultJobOptions().string_bank.batched_decode;
   /// Per-job decode precision. Unlike `blocking`/`batched_decode` this is
   /// part of the pool key (fp32 and int8 jobs never share a warm entry),
-  /// so the loader bakes it in and the per-job set_decode_precision is a
-  /// no-op reaffirmation.
+  /// so the loader fixes it when it loads the entry.
   nn::DecodePrecision decode_precision =
       DefaultJobOptions().string_bank.decode_precision;
   /// Wall-clock budget in milliseconds from admission (0 = none); maps to
@@ -208,14 +228,15 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
                                    params->dataset_name + "'");
   }
   params->scale = GetNumber(request, "scale", 0.04);
-  if (params->scale <= 0.0) {
-    return Status::InvalidArgument("'scale' must be positive");
+  if (!std::isfinite(params->scale) || params->scale <= 0.0) {
+    return Status::InvalidArgument("'scale' must be positive and finite");
   }
-  params->data_seed =
-      static_cast<uint64_t>(GetNumber(request, "data_seed", 42));
+  SERD_RETURN_IF_ERROR(GetInteger(request, "data_seed", 0.0,
+                                  kMaxExactInteger, &params->data_seed));
   if (request.Has("seed")) {
     params->has_seed = true;
-    params->seed = static_cast<uint64_t>(request.at("seed").AsNumber());
+    SERD_RETURN_IF_ERROR(
+        GetInteger(request, "seed", 0.0, kMaxExactInteger, &params->seed));
   }
   params->tenant = GetString(request, "tenant", "default");
   params->model_dir = GetString(request, "model_dir", "");
@@ -236,7 +257,10 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
         "artifact_mode 'load' requires 'model_dir'");
   }
   params->out_dir = GetString(request, "out", "");
-  params->priority = static_cast<int>(GetNumber(request, "priority", 0));
+  SERD_RETURN_IF_ERROR(GetInteger(request, "priority",
+                                  std::numeric_limits<int>::min(),
+                                  std::numeric_limits<int>::max(),
+                                  &params->priority));
   params->seed_key = GetString(request, "seed_key", "");
   params->enable_rejection = !GetBool(request, "no_rejection", false);
   params->blocking = options_.job_options.blocking;
@@ -255,11 +279,8 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
     return Status::InvalidArgument("unknown decode_precision '" + precision +
                                    "' (fp32|bf16|int8)");
   }
-  params->deadline_ms =
-      static_cast<int64_t>(GetNumber(request, "deadline_ms", 0));
-  if (params->deadline_ms < 0) {
-    return Status::InvalidArgument("'deadline_ms' must be non-negative");
-  }
+  SERD_RETURN_IF_ERROR(GetInteger(request, "deadline_ms", 0.0,
+                                  kMaxExactInteger, &params->deadline_ms));
   params->wait = GetBool(request, "wait", true);
   return Status::OK();
 }
@@ -323,8 +344,13 @@ obs::Json SerdServer::HandleSynthesize(const obs::Json& request) {
   spec.priority = params.priority;
   spec.seed_key = params.seed_key;
   datagen::PaperStats sizes = datagen::PaperSizes(params.kind);
-  spec.entities = static_cast<size_t>(
-      static_cast<double>(sizes.a_size + sizes.b_size) * params.scale);
+  // Saturated, so an absurd scale reaches admission control as oversize
+  // instead of an undefined float-to-integer cast.
+  const double entities =
+      static_cast<double>(sizes.a_size + sizes.b_size) * params.scale;
+  spec.entities = entities < kMaxExactInteger
+                      ? static_cast<size_t>(entities)
+                      : std::numeric_limits<size_t>::max();
   spec.deadline_ms = params.deadline_ms;
 
   auto work = [this, params](const JobContext& ctx) -> Status {
@@ -332,20 +358,20 @@ obs::Json SerdServer::HandleSynthesize(const obs::Json& request) {
     Result<ModelPool::Lease> lease =
         pool_.Acquire(KeyFor(params), LoaderFor(params));
     if (!lease.ok()) return lease.status();
-    // One entry runs one job at a time (the synthesizer is single-writer);
-    // parallel throughput comes from jobs on distinct entries.
-    std::lock_guard<std::mutex> run_lock(lease->run_mutex());
     // A cancel/deadline that tripped while this job waited for the pool
-    // lease or the entry's run mutex stops it before any synthesis work
-    // (and before the out_dir is touched).
+    // lease stops it before any synthesis work (and before the out_dir is
+    // touched).
     if (ctx.cancel->cancelled()) return ctx.cancel->cause();
-    SerdSynthesizer* synth = lease->synth();
-    synth->set_enable_rejection(params.enable_rejection);
-    synth->set_blocking(params.blocking);
-    synth->set_batched_decode(params.batched_decode);
-    synth->set_decode_precision(params.decode_precision);
-    synth->set_seed(job_seed);
-    Result<ERDataset> result = synth->Synthesize(ctx.cancel);
+    // The run is read-only over the entry's fitted models, so jobs on one
+    // warm entry run in parallel, each with its own options and report.
+    RunOptions run;
+    run.seed = job_seed;
+    run.enable_rejection = params.enable_rejection;
+    run.blocking = params.blocking;
+    run.batched_decode = params.batched_decode;
+    run.cancel = ctx.cancel;
+    SerdReport report;
+    Result<ERDataset> result = lease->synth()->Synthesize(run, &report);
     if (!result.ok()) return result.status();
     if (!params.out_dir.empty()) {
       SERD_RETURN_IF_ERROR(SaveDataset(result.value(), params.out_dir));
@@ -355,9 +381,9 @@ obs::Json SerdServer::HandleSynthesize(const obs::Json& request) {
     info.a = result->a.size();
     info.b = result->b.size();
     info.matches = result->matches.size();
-    info.offline_seconds = synth->report().offline_seconds;
-    info.online_seconds = synth->report().online_seconds;
-    info.warm_started = synth->report().warm_started;
+    info.offline_seconds = report.offline_seconds;
+    info.online_seconds = report.online_seconds;
+    info.warm_started = report.warm_started;
     info.out_dir = params.out_dir;
     std::lock_guard<std::mutex> lock(info_mu_);
     job_info_[ctx.id] = info;
@@ -382,7 +408,9 @@ obs::Json SerdServer::HandleJob(const obs::Json& request) {
   if (!request.Has("id")) {
     return ErrorJson(Status::InvalidArgument("request is missing 'id'"));
   }
-  JobId id = static_cast<JobId>(request.at("id").AsNumber());
+  JobId id = 0;
+  Status parsed = GetInteger(request, "id", 0.0, kMaxExactInteger, &id);
+  if (!parsed.ok()) return ErrorJson(parsed);
   Result<JobStatus> status = GetBool(request, "wait", false)
                                  ? scheduler_.Wait(id)
                                  : scheduler_.Query(id);
@@ -394,7 +422,9 @@ obs::Json SerdServer::HandleCancel(const obs::Json& request) {
   if (!request.Has("id")) {
     return ErrorJson(Status::InvalidArgument("request is missing 'id'"));
   }
-  JobId id = static_cast<JobId>(request.at("id").AsNumber());
+  JobId id = 0;
+  Status parsed = GetInteger(request, "id", 0.0, kMaxExactInteger, &id);
+  if (!parsed.ok()) return ErrorJson(parsed);
   Result<JobStatus> status = scheduler_.Cancel(id);
   if (!status.ok()) return ErrorJson(status.status());
   // The post-cancel snapshot, with "ok" reporting whether the *cancel*
@@ -493,9 +523,8 @@ obs::Json SerdServer::HandleManifest(const obs::Json& request) {
   Result<ModelPool::Lease> lease =
       pool_.Acquire(KeyFor(params), LoaderFor(params));
   if (!lease.ok()) return ErrorJson(lease.status());
-  // Deliberately no run_mutex here: RunManifestJson() is a snapshot read
-  // that is safe against a concurrently running job on the same entry
-  // (the synthesizer's internal state mutex guards the commit points).
+  // RunManifestJson() is a snapshot read, safe against jobs running on
+  // the entry; its metrics sum every job the entry has run.
   obs::Json out = obs::Json::Object();
   out.Set("ok", true);
   out.Set("manifest", lease->synth()->RunManifestJson());

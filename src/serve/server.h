@@ -70,7 +70,10 @@ struct ServerOptions {
 ///                  one synthesis loop iteration. Returns the post-cancel
 ///                  job status (a no-op on already-terminal jobs).
 ///   manifest    -> run manifest of the warm entry for a (tenant,dataset,
-///                  model_dir) triple — loads it if cold
+///                  model_dir) triple — loads it if cold. Jobs run
+///                  concurrently on an entry, so its metrics sum every
+///                  job it has run; each job's own figures come back in
+///                  the job's response.
 ///   reload      -> hot-swap the warm entry for a (tenant,dataset,
 ///                  model_dir) triple against the artifact currently on
 ///                  disk: fingerprints the artifact, single-flight loads

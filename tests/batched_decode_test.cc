@@ -186,12 +186,16 @@ TEST(BatchedBankTest, BatchedAndOracleBanksSynthesizeIdentically) {
   ASSERT_TRUE(oracle.Train(kCorpus, &t2).ok());
 
   Rng s1(82), s2(82);
+  BankRun batched_run, oracle_run;
+  batched_run.batched_decode = oracle_run.batched_decode = true;
   for (double target : {0.1, 0.35, 0.6, 0.85}) {
-    EXPECT_EQ(batched.Synthesize("entity resolution at scale", target, &s1),
-              oracle.Synthesize("entity resolution at scale", target, &s2))
+    EXPECT_EQ(batched.Synthesize("entity resolution at scale", target, &s1,
+                                 &batched_run),
+              oracle.Synthesize("entity resolution at scale", target, &s2,
+                                &oracle_run))
         << "target " << target;
   }
-  EXPECT_EQ(batched.stats().decode_steps, oracle.stats().decode_steps);
+  EXPECT_EQ(batched_run.decode_steps, oracle_run.decode_steps);
 }
 
 // --------------------------------------------- encoder-memory LRU eviction
@@ -246,26 +250,28 @@ TEST(BatchedBankTest, EncoderMemoryCacheEvictsLruAtNinthSource) {
 
   // Prime: eight distinct sources fill the cache (and flush whatever
   // earlier tests on this thread left in it) — all misses.
-  const auto& stats = bank->stats();
-  for (int i = 0; i < 8; ++i) bank->Synthesize(sources[i], target, &rng);
+  BankRun stats;
+  for (int i = 0; i < 8; ++i) {
+    bank->Synthesize(sources[i], target, &rng, &stats);
+  }
   const long hits_primed = stats.encoder_cache_hits;
   const long misses_primed = stats.encoder_cache_misses;
   EXPECT_GE(misses_primed, 8);
 
   // s1 again: cache hit, and its stamp is refreshed (s2 becomes LRU).
-  bank->Synthesize(sources[0], target, &rng);
+  bank->Synthesize(sources[0], target, &rng, &stats);
   EXPECT_EQ(stats.encoder_cache_hits, hits_primed + 1);
   EXPECT_EQ(stats.encoder_cache_misses, misses_primed);
 
   // The ninth distinct source misses and evicts exactly the LRU entry.
-  bank->Synthesize(sources[8], target, &rng);
+  bank->Synthesize(sources[8], target, &rng, &stats);
   EXPECT_EQ(stats.encoder_cache_hits, hits_primed + 1);
   EXPECT_EQ(stats.encoder_cache_misses, misses_primed + 1);
 
   // s2 was the LRU victim: miss. s1 survived: hit.
-  bank->Synthesize(sources[1], target, &rng);
+  bank->Synthesize(sources[1], target, &rng, &stats);
   EXPECT_EQ(stats.encoder_cache_misses, misses_primed + 2);
-  bank->Synthesize(sources[0], target, &rng);
+  bank->Synthesize(sources[0], target, &rng, &stats);
   EXPECT_EQ(stats.encoder_cache_hits, hits_primed + 2);
 }
 
@@ -361,8 +367,9 @@ TEST(BatchedPipelineTest, QualityGateF1WithinBoundOfReferenceDecode) {
   // incremental/reference equivalence is proven elsewhere).
   auto reference = synth.Synthesize();
   ASSERT_TRUE(reference.ok());
-  synth.set_batched_decode(true);
-  auto batched = synth.Synthesize();
+  RunOptions batched_run = synth.DefaultRunOptions();
+  batched_run.batched_decode = true;
+  auto batched = synth.Synthesize(batched_run, nullptr);
   ASSERT_TRUE(batched.ok());
 
   auto spec = SimilaritySpec::FromTables(f.real.schema(),

@@ -426,10 +426,11 @@ TEST(BlockingPipelineTest, ExactVsBlockedAgreementFuzz) {
     // Exact scans measure recall; the flag must say so.
     EXPECT_FALSE(exact_report.s3_block_recall_estimated);
 
-    f.synth->set_blocking(SerdOptions::BlockingMode::kQgram);
-    auto blocked = f.synth->Synthesize();
+    RunOptions qgram = f.synth->DefaultRunOptions();
+    qgram.blocking = SerdOptions::BlockingMode::kQgram;
+    SerdReport report;
+    auto blocked = f.synth->Synthesize(qgram, &report);
     ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
-    const SerdReport& report = f.synth->report();
     EXPECT_TRUE(report.s3_blocked);
     EXPECT_GT(report.s3_candidate_pairs, 0);
     EXPECT_EQ(report.s3_candidate_pairs + report.s3_pruned_pairs,
@@ -525,10 +526,10 @@ TEST(BlockingPipelineTest, BlockedLabelingIsThreadCountInvariant) {
   EXPECT_EQ(f1.synth->report().s3_scanned_pairs, 400);
 
   // The exact path's Floyd-sampled cap is thread-invariant too.
-  f1.synth->set_blocking(SerdOptions::BlockingMode::kOff);
-  f3.synth->set_blocking(SerdOptions::BlockingMode::kOff);
-  auto cap1 = f1.synth->Synthesize();
-  auto cap3 = f3.synth->Synthesize();
+  RunOptions exact = f1.synth->DefaultRunOptions();
+  exact.blocking = SerdOptions::BlockingMode::kOff;
+  auto cap1 = f1.synth->Synthesize(exact, nullptr);
+  auto cap3 = f3.synth->Synthesize(exact, nullptr);
   ASSERT_TRUE(cap1.ok() && cap3.ok());
   ASSERT_EQ(cap1->matches.size(), cap3->matches.size());
   for (size_t i = 0; i < cap1->matches.size(); ++i) {

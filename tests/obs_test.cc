@@ -217,6 +217,22 @@ TEST(JsonTest, ParseRejectsMalformedInput) {
   EXPECT_TRUE(Json::Parse("  [1, 2, 3]  ").ok());
 }
 
+TEST(JsonTest, ParseRejectsNumbersJsonDoesNotHave) {
+  // strtod takes all of these; JSON has no infinities, NaNs or hex, and
+  // an overflowing exponent must not turn into inf.
+  for (const char* text : {"-nan", "-inf", "-infinity", "1e400", "-1e400",
+                           "0x10", "-0x1p3", "[1, -nan]",
+                           "{\"scale\": 1e400}"}) {
+    EXPECT_FALSE(Json::Parse(text).ok()) << text;
+  }
+  auto tiny = Json::Parse("1e-400");  // underflows to 0: finite, accepted
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_EQ(tiny->AsNumber(), 0.0);
+  auto big = Json::Parse("-1.5e300");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big->AsNumber(), -1.5e300);
+}
+
 TEST(ManifestTest, SnapshotToJsonCarriesAllSections) {
   MetricsRegistry reg;
   reg.counter("c.one")->Add(3);

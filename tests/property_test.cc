@@ -3,10 +3,15 @@
 // per-module unit tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <map>
+#include <set>
+#include <thread>
 
 #include "core/cached_sim.h"
+#include "core/serd.h"
 #include "data/dataset_io.h"
 #include "datagen/generators.h"
 #include "gmm/o_distribution.h"
@@ -442,6 +447,208 @@ TEST(JsdPropertyTest, SymmetricUnderSwap) {
   double qp = EstimateJsd(q, p, 4000, 5);
   EXPECT_NEAR(pq, qp, 0.05);
 }
+
+// ------------------------------------------------ RunOptions fuzz (core)
+
+/// One fitted model set, loaded into two synthesizers that differ only in
+/// thread count; every fuzz case runs small jobs on them under random
+/// RunOptions and checks the run contracts.
+class RunOptionsFuzz : public testing::TestWithParam<uint64_t> {
+ protected:
+  static void SetUpTestSuite() {
+    const DatasetKind kind = DatasetKind::kDblpAcm;
+    real_ = new ERDataset(datagen::Generate(kind, {.seed = 3, .scale = 0.02}));
+    std::vector<std::vector<std::string>> corpora;
+    size_t idx = 0;
+    for (const auto& col : real_->schema().columns()) {
+      if (col.type != ColumnType::kText) continue;
+      corpora.push_back(
+          datagen::BackgroundCorpus(kind, col.name, 60, 100 + idx++));
+    }
+    SerdOptions opts;
+    opts.seed = 77;
+    opts.string_bank.num_buckets = 4;
+    opts.string_bank.num_candidates = 2;
+    opts.string_bank.transformer.d_model = 16;
+    opts.string_bank.transformer.num_heads = 2;
+    opts.string_bank.transformer.num_layers = 1;
+    opts.string_bank.transformer.ffn_dim = 24;
+    opts.string_bank.transformer.max_len = 32;
+    opts.string_bank.train.epochs = 1;
+    opts.string_bank.train.batch_size = 16;
+    opts.string_bank.max_pairs_per_bucket = 16;
+    opts.string_bank.random_pair_samples = 120;
+    opts.gan.epochs = 4;
+    opts.gan.batch_size = 16;
+    opts.jsd_samples = 48;
+    opts.rejection_partner_sample = 8;
+    opts.max_reject_retries = 2;
+    opts.target_a = 24;
+    opts.target_b = 24;
+    opts.observability = true;
+    opts.threads = 1;
+    opts.model_dir = testing::TempDir() + "/serd_run_options_fuzz";
+    opts.artifact_mode = SerdOptions::ArtifactMode::kSave;
+    serial_ = new SerdSynthesizer(*real_, opts);
+    SERD_CHECK(serial_->Fit(corpora,
+                            datagen::BackgroundEntities(kind, 50, 11))
+                   .ok());
+    opts.threads = 3;
+    opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
+    parallel_ = new SerdSynthesizer(*real_, opts);
+    SERD_CHECK(parallel_->Fit({}, Table()).ok());
+  }
+  static void TearDownTestSuite() {
+    delete parallel_;
+    delete serial_;
+    delete real_;
+  }
+
+  static ERDataset* real_;
+  static SerdSynthesizer* serial_;
+  static SerdSynthesizer* parallel_;
+};
+
+ERDataset* RunOptionsFuzz::real_ = nullptr;
+SerdSynthesizer* RunOptionsFuzz::serial_ = nullptr;
+SerdSynthesizer* RunOptionsFuzz::parallel_ = nullptr;
+
+std::string ReleaseBytes(const ERDataset& data) {
+  std::string out;
+  for (const Table* t : {&data.a, &data.b}) {
+    for (const Entity& e : t->rows()) {
+      out += e.id;
+      for (const auto& v : e.values) out += "\x1f" + v;
+      out += "\x1e";
+    }
+    out += "\x1d";
+  }
+  for (const auto& m : data.matches) {
+    out += std::to_string(m.a_idx) + "," + std::to_string(m.b_idx) + ";";
+  }
+  return out;
+}
+
+/// The manifest's counters, by name (0 when absent).
+std::map<std::string, double> ManifestCounters(const SerdSynthesizer& s) {
+  const obs::Json manifest = s.RunManifestJson();
+  std::map<std::string, double> out;
+  for (const auto& [name, value] :
+       manifest.at("metrics").at("counters").members()) {
+    out[name] = value.AsNumber();
+  }
+  return out;
+}
+
+TEST_P(RunOptionsFuzz, RunContractsHoldUnderRandomOptions) {
+  Rng rng(0xf022ULL + GetParam());
+  RunOptions run;
+  run.seed = rng.Next() & ((uint64_t{1} << 48) - 1);
+  run.enable_rejection = rng.Bernoulli(0.7);
+  const SerdOptions::BlockingMode modes[] = {
+      SerdOptions::BlockingMode::kOff, SerdOptions::BlockingMode::kQgram,
+      SerdOptions::BlockingMode::kAuto};
+  run.blocking = modes[rng.UniformInt(3)];
+  run.batched_decode = rng.Bernoulli(0.5);
+  SCOPED_TRACE("seed " + std::to_string(run.seed) + " rejection " +
+               std::to_string(run.enable_rejection) + " blocking " +
+               BlockingModeName(run.blocking) + " batched " +
+               std::to_string(run.batched_decode));
+
+  // Report == manifest: the run's report fields equal the deltas of the
+  // manifest's counters over the run.
+  const auto before = ManifestCounters(*serial_);
+  SerdReport report;
+  auto out = serial_->Synthesize(run, &report);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  const std::string bytes = ReleaseBytes(*out);
+  auto after = ManifestCounters(*serial_);
+  for (auto& [name, value] : after) {
+    value -= before.count(name) ? before.at(name) : 0.0;
+  }
+  EXPECT_EQ(after["s2.accepted"], report.accepted_entities);
+  EXPECT_EQ(after["s2.rejected_discriminator"],
+            report.rejected_by_discriminator);
+  EXPECT_EQ(after["s2.rejected_distribution"],
+            report.rejected_by_distribution);
+  EXPECT_EQ(after["s2.forced_accepts_discriminator"],
+            report.forced_accepts_discriminator);
+  EXPECT_EQ(after["s2.forced_accepts_distribution"],
+            report.forced_accepts_distribution);
+  EXPECT_EQ(after["s2.tracked_pairs_pos"], report.tracked_pairs_pos);
+  EXPECT_EQ(after["s2.tracked_pairs_neg"], report.tracked_pairs_neg);
+  EXPECT_EQ(after["s2.jsd_evaluations"], report.jsd_evaluations);
+  EXPECT_EQ(after["s2.decode_steps"], report.decode_steps);
+  EXPECT_EQ(after["s2.decode_cached_steps"], report.decode_cached_steps);
+  EXPECT_EQ(after["s2.encoder_cache_hits"] + after["s2.encoder_cache_misses"],
+            report.encoder_cache_hits + report.encoder_cache_misses);
+  EXPECT_EQ(after["s3.scanned_pairs"], report.s3_scanned_pairs);
+  EXPECT_EQ(after["s3.scored_pairs"], report.s3_scored_pairs);
+  EXPECT_EQ(after["s3.candidates"], report.s3_candidate_pairs);
+  EXPECT_EQ(after["s3.posterior_matches"], report.s3_posterior_matches);
+  if (!run.enable_rejection) {
+    EXPECT_EQ(report.rejected_by_discriminator +
+                  report.rejected_by_distribution,
+              0);
+  }
+
+  // Thread-count invariance: the same options at 3 threads.
+  SerdReport parallel_report;
+  auto parallel_out = parallel_->Synthesize(run, &parallel_report);
+  ASSERT_TRUE(parallel_out.ok());
+  EXPECT_EQ(ReleaseBytes(*parallel_out), bytes);
+  EXPECT_EQ(parallel_report.decode_steps, report.decode_steps);
+  EXPECT_EQ(parallel_report.s3_scored_pairs, report.s3_scored_pairs);
+
+  // Blocked matches are a subset of the exact ones, over identical
+  // entities.
+  RunOptions exact = run, blocked = run;
+  exact.blocking = SerdOptions::BlockingMode::kOff;
+  blocked.blocking = SerdOptions::BlockingMode::kQgram;
+  auto exact_out = serial_->Synthesize(exact, nullptr);
+  auto blocked_out = serial_->Synthesize(blocked, nullptr);
+  ASSERT_TRUE(exact_out.ok() && blocked_out.ok());
+  ERDataset exact_entities = *exact_out, blocked_entities = *blocked_out;
+  exact_entities.matches.clear();
+  blocked_entities.matches.clear();
+  EXPECT_EQ(ReleaseBytes(exact_entities), ReleaseBytes(blocked_entities));
+  std::set<std::pair<size_t, size_t>> exact_matches;
+  for (const auto& m : exact_out->matches) {
+    exact_matches.insert({m.a_idx, m.b_idx});
+  }
+  for (const auto& m : blocked_out->matches) {
+    EXPECT_TRUE(exact_matches.count({m.a_idx, m.b_idx}))
+        << "blocked-only match " << m.a_idx << "," << m.b_idx;
+  }
+
+  // Cancel mid-run, then rerun: the same bytes as the uncancelled run.
+  CancelToken token;
+  RunOptions cancelled = run;
+  cancelled.cancel = &token;
+  obs::Counter* accepted = serial_->metrics()->counter("s2.accepted");
+  const uint64_t trip_at = accepted->value() + 1 + rng.UniformInt(16);
+  std::atomic<bool> finished{false};
+  std::thread watcher([&] {
+    while (!finished.load() && accepted->value() < trip_at) {
+      std::this_thread::yield();
+    }
+    token.Cancel(Status::Cancelled("fuzz cancel"));
+  });
+  auto aborted = serial_->Synthesize(cancelled, nullptr);
+  finished.store(true);
+  watcher.join();
+  if (aborted.ok()) {
+    EXPECT_EQ(ReleaseBytes(*aborted), bytes);  // finished before the trip
+  } else {
+    EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
+  }
+  auto rerun = serial_->Synthesize(run, nullptr);
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_EQ(ReleaseBytes(*rerun), bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunOptionsFuzz,
+                         testing::Range<uint64_t>(0, 4));
 
 }  // namespace
 }  // namespace serd

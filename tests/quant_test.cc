@@ -321,15 +321,16 @@ TEST(QuantModelTest, QuantizedStepsCounterTracksPrecision) {
   ASSERT_TRUE(bank.TrainFromPairs(TinyPairs(), &rng).ok());
 
   Rng srng(5);
-  bank.Synthesize("index table", 0.6, &srng);
-  EXPECT_GT(bank.stats().decode_quantized_steps, 0);
-  long quantized = bank.stats().decode_quantized_steps;
-  EXPECT_LE(quantized, bank.stats().decode_steps);
+  BankRun run;
+  bank.Synthesize("index table", 0.6, &srng, &run);
+  EXPECT_GT(run.decode_quantized_steps, 0);
+  long quantized = run.decode_quantized_steps;
+  EXPECT_LE(quantized, run.decode_steps);
 
   // Back to fp32: the counter stops moving.
   bank.set_decode_precision(DecodePrecision::kFp32);
-  bank.Synthesize("index table", 0.6, &srng);
-  EXPECT_EQ(bank.stats().decode_quantized_steps, quantized);
+  bank.Synthesize("index table", 0.6, &srng, &run);
+  EXPECT_EQ(run.decode_quantized_steps, quantized);
 }
 
 // --------------------------------------------------------- codec round-trip
@@ -423,7 +424,7 @@ SerdOptions GatePipelineOptions() {
 
 TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   // The acceptance gate: one trained dblp-acm pipeline, decoded at fp32
-  // and again at int8 on the same warm models. Released bytes may differ
+  // and again at int8 on the same trained models. Released bytes may differ
   // (perturbed logits flip occasional sampled tokens), so the gate is
   // statistical: matcher F1 within 0.01 and JSD within 0.005 of fp32.
   auto real = datagen::Generate(DatasetKind::kDblpAcm,
@@ -438,7 +439,13 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   Table background = datagen::BackgroundEntities(DatasetKind::kDblpAcm, 50,
                                                  11);
 
-  SerdSynthesizer synth(real, GatePipelineOptions());
+  // The precision is fixed when models are loaded, so the int8 run loads
+  // the fp32 run's saved models at int8.
+  const std::string model_dir = testing::TempDir() + "/serd_quant_gate";
+  SerdOptions fp32_opts = GatePipelineOptions();
+  fp32_opts.model_dir = model_dir;
+  fp32_opts.artifact_mode = SerdOptions::ArtifactMode::kSave;
+  SerdSynthesizer synth(real, fp32_opts);
   ASSERT_TRUE(synth.Fit(corpora, background).ok());
 
   auto fp32 = synth.Synthesize();
@@ -446,11 +453,15 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   const double fp32_jsd = synth.report().jsd_real_vs_syn;
   EXPECT_EQ(synth.report().decode_quantized_steps, 0);
 
-  synth.set_decode_precision(nn::DecodePrecision::kInt8);
-  auto int8 = synth.Synthesize();
+  SerdOptions int8_opts = fp32_opts;
+  int8_opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
+  int8_opts.string_bank.decode_precision = nn::DecodePrecision::kInt8;
+  SerdSynthesizer int8_synth(real, int8_opts);
+  ASSERT_TRUE(int8_synth.Fit({}, Table()).ok());
+  auto int8 = int8_synth.Synthesize();
   ASSERT_TRUE(int8.ok()) << int8.status().ToString();
-  const double int8_jsd = synth.report().jsd_real_vs_syn;
-  EXPECT_GT(synth.report().decode_quantized_steps, 0);
+  const double int8_jsd = int8_synth.report().jsd_real_vs_syn;
+  EXPECT_GT(int8_synth.report().decode_quantized_steps, 0);
 
   // JSD bound note: the S2 loop conditions every entity on the release
   // prefix, so one flipped token early on cascades and the int8 release is

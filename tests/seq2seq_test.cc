@@ -429,9 +429,10 @@ TEST(StringBankFallbackTest, ExactBucketServesItsOwnTargets) {
   auto bank = BankWithTrainedBuckets({false, false, true, false},
                                      kRoutingCorpus);
   Rng rng(51);
-  bank->Synthesize("adaptive query optimization", 0.6, &rng);
-  EXPECT_EQ(bank->stats().bucket_hits[2], 1);
-  EXPECT_EQ(bank->stats().fallback_calls, 0);
+  BankRun run;
+  bank->Synthesize("adaptive query optimization", 0.6, &rng, &run);
+  EXPECT_EQ(run.bucket_hits[2], 1);
+  EXPECT_EQ(run.fallback_calls, 0);
 }
 
 TEST(StringBankFallbackTest, NearestSearchPrefersLowerBucketAtEqualDistance) {
@@ -440,9 +441,10 @@ TEST(StringBankFallbackTest, NearestSearchPrefersLowerBucketAtEqualDistance) {
   auto bank = BankWithTrainedBuckets({false, true, false, true},
                                      kRoutingCorpus);
   Rng rng(52);
-  bank->Synthesize("temporal middleware systems", 0.6, &rng);
-  EXPECT_EQ(bank->stats().bucket_hits[1], 1);
-  EXPECT_EQ(bank->stats().bucket_hits[3], 0);
+  BankRun run;
+  bank->Synthesize("temporal middleware systems", 0.6, &rng, &run);
+  EXPECT_EQ(run.bucket_hits[1], 1);
+  EXPECT_EQ(run.bucket_hits[3], 0);
 }
 
 TEST(StringBankFallbackTest, NearestSearchReachesUpward) {
@@ -451,9 +453,10 @@ TEST(StringBankFallbackTest, NearestSearchReachesUpward) {
   auto bank = BankWithTrainedBuckets({false, false, false, true},
                                      kRoutingCorpus);
   Rng rng(53);
-  bank->Synthesize("generalised hash teams", 0.0, &rng);
-  EXPECT_EQ(bank->stats().bucket_hits[3], 1);
-  EXPECT_EQ(bank->stats().fallback_calls, 0);
+  BankRun run;
+  bank->Synthesize("generalised hash teams", 0.0, &rng, &run);
+  EXPECT_EQ(run.bucket_hits[3], 1);
+  EXPECT_EQ(run.fallback_calls, 0);
 }
 
 TEST(StringBankFallbackTest, NearestSearchReachesDownward) {
@@ -462,18 +465,21 @@ TEST(StringBankFallbackTest, NearestSearchReachesDownward) {
   auto bank = BankWithTrainedBuckets({true, false, false, false},
                                      kRoutingCorpus);
   Rng rng(54);
-  bank->Synthesize("entity resolution at scale", 1.0, &rng);
-  EXPECT_EQ(bank->stats().bucket_hits[0], 1);
+  BankRun run;
+  bank->Synthesize("entity resolution at scale", 1.0, &rng, &run);
+  EXPECT_EQ(run.bucket_hits[0], 1);
 }
 
 TEST(StringBankFallbackTest, NoTrainedBucketsFallsBackToHillClimb) {
   auto bank = BankWithTrainedBuckets({false, false, false, false},
                                      kRoutingCorpus);
   Rng rng(55);
-  std::string out = bank->Synthesize("adaptive query optimization", 0.5, &rng);
+  BankRun run;
+  std::string out =
+      bank->Synthesize("adaptive query optimization", 0.5, &rng, &run);
   EXPECT_FALSE(out.empty());
-  EXPECT_EQ(bank->stats().fallback_calls, 1);
-  for (long h : bank->stats().bucket_hits) EXPECT_EQ(h, 0);
+  EXPECT_EQ(run.fallback_calls, 1);
+  for (long h : run.bucket_hits) EXPECT_EQ(h, 0);
 }
 
 TEST(StringBankFallbackTest, BoundaryTargetsRouteToEdgeBuckets) {
@@ -482,10 +488,11 @@ TEST(StringBankFallbackTest, BoundaryTargetsRouteToEdgeBuckets) {
   auto bank =
       BankWithTrainedBuckets({true, true, true, true}, kRoutingCorpus);
   Rng rng(56);
-  bank->Synthesize("temporal middleware systems", 0.0, &rng);
-  EXPECT_EQ(bank->stats().bucket_hits[0], 1);
-  bank->Synthesize("temporal middleware systems", 1.0, &rng);
-  EXPECT_EQ(bank->stats().bucket_hits[3], 1);
+  BankRun run;
+  bank->Synthesize("temporal middleware systems", 0.0, &rng, &run);
+  EXPECT_EQ(run.bucket_hits[0], 1);
+  bank->Synthesize("temporal middleware systems", 1.0, &rng, &run);
+  EXPECT_EQ(run.bucket_hits[3], 1);
 }
 
 // ------------------------------------- decode counters & path equivalence
@@ -501,16 +508,17 @@ TEST_F(StringBankFixture, IncrementalDecodeRecordsStatsAndCacheTraffic) {
   const double target = (trained_bucket + 0.5) / stats.bucket_trained.size();
 
   Rng rng(57);
+  BankRun run;
   const std::string s = "similarity search indexes";
-  bank_->Synthesize(s, target, &rng);
-  EXPECT_GT(stats.decode_steps, 0);
-  EXPECT_EQ(stats.decode_steps, stats.decode_cached_steps);
-  EXPECT_GT(stats.encoder_cache_misses, 0);
+  bank_->Synthesize(s, target, &rng, &run);
+  EXPECT_GT(run.decode_steps, 0);
+  EXPECT_EQ(run.decode_steps, run.decode_cached_steps);
+  EXPECT_GT(run.encoder_cache_misses, 0);
 
   // Same (model, source) again: the per-thread encoder cache must hit.
-  const long hits_before = stats.encoder_cache_hits;
-  bank_->Synthesize(s, target, &rng);
-  EXPECT_GT(stats.encoder_cache_hits, hits_before);
+  const long hits_before = run.encoder_cache_hits;
+  bank_->Synthesize(s, target, &rng, &run);
+  EXPECT_GT(run.encoder_cache_hits, hits_before);
 }
 
 TEST(StringBankTest, IncrementalAndReferenceDecodeSynthesizeIdentically) {
@@ -529,14 +537,17 @@ TEST(StringBankTest, IncrementalAndReferenceDecodeSynthesizeIdentically) {
   ASSERT_TRUE(reference.Train(corpus, &t2).ok());
 
   Rng s1(59), s2(59);
+  BankRun cached_run, reference_run;
   for (double target : {0.1, 0.35, 0.6, 0.85}) {
-    EXPECT_EQ(cached.Synthesize("entity resolution at scale", target, &s1),
-              reference.Synthesize("entity resolution at scale", target, &s2))
+    EXPECT_EQ(cached.Synthesize("entity resolution at scale", target, &s1,
+                                &cached_run),
+              reference.Synthesize("entity resolution at scale", target, &s2,
+                                   &reference_run))
         << "target " << target;
   }
-  EXPECT_EQ(cached.stats().decode_steps, reference.stats().decode_steps);
-  EXPECT_GT(cached.stats().decode_cached_steps, 0);
-  EXPECT_EQ(reference.stats().decode_cached_steps, 0);
+  EXPECT_EQ(cached_run.decode_steps, reference_run.decode_steps);
+  EXPECT_GT(cached_run.decode_cached_steps, 0);
+  EXPECT_EQ(reference_run.decode_cached_steps, 0);
 }
 
 TEST(StringBankTest, UntrainedFallsBackToHillClimb) {

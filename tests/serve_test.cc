@@ -1,16 +1,19 @@
 // Serving-layer tests: scheduler admission/priority/drain semantics,
 // model-pool single-flight and LRU/pinning behavior, wire framing,
 // artifact load-failure exit codes, thread-safety of LoadModels /
-// RunManifestJson against concurrent snapshot readers, arrival-order- and
-// worker-count-independence of per-job outputs, and a full server
-// round trip over a loopback socket. The suite runs under the tsan and
-// asan CTest labels.
+// RunManifestJson against concurrent snapshot readers, concurrent runs on
+// one synthesizer and one warm pool entry (each equal to its solo run),
+// arrival-order- and worker-count-independence of per-job outputs, and a
+// full server round trip over a loopback socket. The suite runs under the
+// tsan and asan CTest labels.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "core/serd.h"
+#include "data/dataset_io.h"
 #include "datagen/generators.h"
 #include "obs/json.h"
 #include "obs/manifest.h"
@@ -1001,6 +1005,106 @@ TEST(CoreCancellationTest, CancelledRunLeavesSynthesizerStateUntouched) {
   EXPECT_EQ(DatasetDigest(*with_token), ref_digest);
 }
 
+// ------------------------------------- concurrent runs (core, tsan+asan)
+
+/// A synthesizer warm-loaded from a freshly trained artifact, with
+/// observability on so tests can watch a run's progress.
+std::unique_ptr<SerdSynthesizer> LoadedSynthesizer(const Fixture& f,
+                                                   const std::string& dir) {
+  SerdOptions opts = FastOptions();
+  opts.model_dir = dir;
+  opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
+  opts.observability = true;
+  auto synth = std::make_unique<SerdSynthesizer>(f.real, opts);
+  EXPECT_TRUE(synth->Fit({}, Table()).ok());
+  return synth;
+}
+
+/// Two run configurations differing in every RunOptions field.
+std::pair<RunOptions, RunOptions> TwoRunOptions(const SerdSynthesizer& s) {
+  RunOptions a = s.DefaultRunOptions();
+  a.seed = 5;
+  RunOptions b = a;
+  b.seed = 6;
+  b.enable_rejection = false;
+  b.blocking = SerdOptions::BlockingMode::kQgram;
+  b.batched_decode = true;
+  return {a, b};
+}
+
+std::string DigestOf(const Result<ERDataset>& result) {
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? DatasetDigest(*result) : std::string();
+}
+
+TEST(CoreConcurrencyTest, ConcurrentRunsMatchTheirSoloRuns) {
+  std::string dir = MakeTempDir("concurrent_runs");
+  ASSERT_TRUE(TrainArtifact(dir).ok());
+  Fixture f = MakeFixture();
+  auto synth = LoadedSynthesizer(f, dir);
+  const auto [a, b] = TwoRunOptions(*synth);
+
+  SerdReport solo_a_report, solo_b_report;
+  const std::string solo_a = DigestOf(synth->Synthesize(a, &solo_a_report));
+  const std::string solo_b = DigestOf(synth->Synthesize(b, &solo_b_report));
+  ASSERT_NE(solo_a, solo_b);
+
+  // Both at once on the one synthesizer, each with its own options and
+  // report; tsan checks that the runs share nothing they write.
+  std::string got_a, got_b;
+  SerdReport report_a, report_b;
+  std::thread ta([&] { got_a = DigestOf(synth->Synthesize(a, &report_a)); });
+  std::thread tb([&] { got_b = DigestOf(synth->Synthesize(b, &report_b)); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(got_a, solo_a);
+  EXPECT_EQ(got_b, solo_b);
+  for (auto [got, solo] : {std::pair{&report_a, &solo_a_report},
+                           std::pair{&report_b, &solo_b_report}}) {
+    EXPECT_EQ(got->accepted_entities, solo->accepted_entities);
+    EXPECT_EQ(got->rejected_by_discriminator,
+              solo->rejected_by_discriminator);
+    EXPECT_EQ(got->decode_steps, solo->decode_steps);
+    EXPECT_EQ(got->s3_scored_pairs, solo->s3_scored_pairs);
+    EXPECT_EQ(got->s3_blocked, solo->s3_blocked);
+    EXPECT_TRUE(got->warm_started);
+  }
+  EXPECT_EQ(report_b.rejected_by_discriminator, 0);  // rejection off
+  EXPECT_TRUE(report_b.s3_blocked);
+}
+
+TEST(CoreConcurrencyTest, CancellingOneRunLeavesTheOtherIntact) {
+  std::string dir = MakeTempDir("concurrent_cancel");
+  ASSERT_TRUE(TrainArtifact(dir).ok());
+  Fixture f = MakeFixture();
+  auto synth = LoadedSynthesizer(f, dir);
+  const auto [a, b] = TwoRunOptions(*synth);
+  const std::string solo_a = DigestOf(synth->Synthesize(a, nullptr));
+  const std::string solo_b = DigestOf(synth->Synthesize(b, nullptr));
+
+  // The victim runs alone until it has accepted a few entities, the
+  // survivor starts, and the victim's token trips mid-run.
+  CancelToken token;
+  RunOptions victim = a;
+  victim.cancel = &token;
+  obs::Counter* accepted = synth->metrics()->counter("s2.accepted");
+  const uint64_t accepted_before = accepted->value();
+  Result<ERDataset> victim_result = Status::Internal("not run");
+  std::string survivor;
+  std::thread tv([&] { victim_result = synth->Synthesize(victim, nullptr); });
+  SpinUntil([&] { return accepted->value() >= accepted_before + 5; });
+  std::thread ts([&] { survivor = DigestOf(synth->Synthesize(b, nullptr)); });
+  token.Cancel(Status::Cancelled("client went away"));
+  tv.join();
+  ts.join();
+
+  EXPECT_EQ(victim_result.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(survivor, solo_b);
+  // Nothing of the cancelled run stayed behind: its options rerun to the
+  // solo bytes.
+  EXPECT_EQ(DigestOf(synth->Synthesize(a, nullptr)), solo_a);
+}
+
 // --------------------------------------- end-to-end determinism via pool
 
 /// Runs the same 3-job set through a scheduler+pool at the given worker
@@ -1035,9 +1139,9 @@ std::map<std::string, std::string> RunJobSet(const std::string& artifact_dir,
                     [&, seed_key](const JobContext& ctx) -> Status {
                       auto lease = pool.Acquire(key, loader);
                       if (!lease.ok()) return lease.status();
-                      std::lock_guard<std::mutex> run(lease->run_mutex());
-                      lease->synth()->set_seed(ctx.seed);
-                      auto result = lease->synth()->Synthesize();
+                      RunOptions run = lease->synth()->DefaultRunOptions();
+                      run.seed = ctx.seed;
+                      auto result = lease->synth()->Synthesize(run, nullptr);
                       if (!result.ok()) return result.status();
                       std::lock_guard<std::mutex> lock(mu);
                       digests[seed_key] = DatasetDigest(result.value());
@@ -1057,13 +1161,92 @@ TEST(ServeDeterminismTest, JobOutputsIndependentOfArrivalOrderAndWorkers) {
   auto parallel = RunJobSet(dir, /*workers=*/8, {2, 0, 1});
   ASSERT_EQ(serial.size(), 3u);
   ASSERT_EQ(parallel.size(), 3u);
-  // Same per-job seeds (content-keyed), same warm models, one run mutex
-  // per entry => byte-identical released datasets per job, regardless of
-  // arrival order or parallelism.
+  // Same per-job seeds (content-keyed), same warm models, read-only runs
+  // => byte-identical released datasets per job, regardless of arrival
+  // order or of how many run at once on the one entry.
   EXPECT_EQ(serial, parallel);
   // And distinct jobs genuinely differ (the per-job seed reaches the
   // synthesis loop).
   EXPECT_NE(serial["job-0"], serial["job-1"]);
+}
+
+TEST(ServeConcurrencyTest, SameTenantJobsOverlapOnOneWarmEntry) {
+  std::string dir = MakeTempDir("overlap_artifact");
+  ASSERT_TRUE(TrainArtifact(dir).ok());
+  // Solo runs of the two jobs' seeds, one job at a time.
+  Fixture f = MakeFixture();
+  auto solo = LoadedSynthesizer(f, dir);
+  std::map<uint64_t, std::string> solo_digests;
+  for (uint64_t seed : {5, 6}) {
+    RunOptions run = solo->DefaultRunOptions();
+    run.seed = seed;
+    solo_digests[seed] = DigestOf(solo->Synthesize(run, nullptr));
+  }
+
+  obs::MetricsRegistry metrics;
+  ModelPool pool({.capacity = 2, .metrics = &metrics});
+  JobScheduler sched({.workers = 2, .seed = 9});
+  auto loader = [&dir]() -> Result<std::unique_ptr<PoolEntry>> {
+    auto entry = std::make_unique<PoolEntry>();
+    entry->real = datagen::Generate(DatasetKind::kDblpAcm,
+                                    {.seed = 3, .scale = 0.02});
+    SerdOptions opts = FastOptions();
+    opts.model_dir = dir;
+    opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
+    entry->synth = std::make_unique<SerdSynthesizer>(entry->real, opts);
+    Status fit = entry->synth->Fit({}, Table());
+    if (!fit.ok()) return fit;
+    return entry;
+  };
+  const PoolKey key{"t", dir, 1, "dblp-acm@0.02#3"};
+
+  // Each job holds its lease, waits until the other holds one too, then
+  // runs; the two run intervals must overlap on the one entry.
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> leased{0};
+  std::mutex mu;
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> spans;
+  std::map<uint64_t, std::string> digests;
+  std::vector<JobId> ids;
+  for (uint64_t seed : {5, 6}) {
+    auto id = sched.Submit(
+        {.tenant = "t", .seed_key = "overlap-" + std::to_string(seed)},
+        [&, seed](const JobContext&) -> Status {
+          auto lease = pool.Acquire(key, loader);
+          if (!lease.ok()) return lease.status();
+          leased.fetch_add(1);
+          SpinUntil([&] { return leased.load() == 2; });
+          RunOptions run = lease->synth()->DefaultRunOptions();
+          run.seed = seed;
+          const Clock::time_point start = Clock::now();
+          auto result = lease->synth()->Synthesize(run, nullptr);
+          const Clock::time_point end = Clock::now();
+          if (!result.ok()) return result.status();
+          std::lock_guard<std::mutex> lock(mu);
+          spans.emplace_back(start, end);
+          digests[seed] = DatasetDigest(*result);
+          return Status::OK();
+        });
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  for (JobId id : ids) {
+    auto done = sched.Wait(id);
+    ASSERT_TRUE(done.ok());
+    EXPECT_TRUE(done->status.ok()) << done->status.ToString();
+  }
+  sched.Shutdown();
+
+  ASSERT_EQ(leased.load(), 2);
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_LT(std::max(spans[0].first, spans[1].first),
+            std::min(spans[0].second, spans[1].second))
+      << "the two runs did not overlap";
+  EXPECT_EQ(digests, solo_digests);
+  auto counters = metrics.TakeSnapshot().counters;
+  EXPECT_EQ(counters["pool.misses"], 1u);
+  EXPECT_EQ(counters["pool.hits"], 1u);
+  EXPECT_EQ(pool.pinned(), 0u);
 }
 
 /// Like RunJobSet, but jobs arrive from several tenants (each with its
@@ -1102,9 +1285,9 @@ std::map<std::string, std::string> RunTenantJobSet(
                     [&, key, seed_key](const JobContext& ctx) -> Status {
                       auto lease = pool.Acquire(key, loader);
                       if (!lease.ok()) return lease.status();
-                      std::lock_guard<std::mutex> run(lease->run_mutex());
-                      lease->synth()->set_seed(ctx.seed);
-                      auto result = lease->synth()->Synthesize();
+                      RunOptions run = lease->synth()->DefaultRunOptions();
+                      run.seed = ctx.seed;
+                      auto result = lease->synth()->Synthesize(run, nullptr);
                       if (!result.ok()) return result.status();
                       std::lock_guard<std::mutex> lock(mu);
                       digests[seed_key] = DatasetDigest(result.value());
@@ -1203,9 +1386,9 @@ TEST(ServeHotReloadTest, InFlightJobsFinishOnOldArtifactsDuringSwap) {
   // republishes and swaps underneath it (tsan guards the interleaving).
   std::string old_digest;
   std::thread in_flight([&] {
-    std::lock_guard<std::mutex> run(old_lease->run_mutex());
-    old_lease->synth()->set_seed(5);
-    auto result = old_lease->synth()->Synthesize();
+    RunOptions run = old_lease->synth()->DefaultRunOptions();
+    run.seed = 5;
+    auto result = old_lease->synth()->Synthesize(run, nullptr);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     old_digest = DatasetDigest(*result);
   });
@@ -1218,9 +1401,9 @@ TEST(ServeHotReloadTest, InFlightJobsFinishOnOldArtifactsDuringSwap) {
   auto new_lease = pool.Acquire(key, loader, *new_fp);
   ASSERT_TRUE(new_lease.ok());
   {
-    std::lock_guard<std::mutex> run(new_lease->run_mutex());
-    new_lease->synth()->set_seed(5);
-    auto result = new_lease->synth()->Synthesize();
+    RunOptions run = new_lease->synth()->DefaultRunOptions();
+    run.seed = 5;
+    auto result = new_lease->synth()->Synthesize(run, nullptr);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_EQ(DatasetDigest(*result), digest_v2);
   }
@@ -1337,6 +1520,103 @@ TEST(ServerTest, EndToEndSynthesizeStatsManifestAndWarmHits) {
   server.Stop();
 }
 
+TEST(ServerTest, SameTenantNoWaitJobsShareOneEntryAndMatchSoloRuns) {
+  std::string model_dir = MakeTempDir("server_shared_artifact");
+  ASSERT_TRUE(TrainArtifact(model_dir).ok());
+  Fixture f = MakeFixture();
+  auto solo = LoadedSynthesizer(f, model_dir);
+
+  serve::ServerOptions options;
+  options.workers = 2;
+  options.job_options = FastOptions();
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+
+  // Both jobs are queued before either is waited for, so the two workers
+  // run them on the one warm entry together.
+  std::map<uint64_t, JobId> ids;
+  for (uint64_t seed : {5, 6}) {
+    const std::string out =
+        testing::TempDir() + "/serd_serve_shared_" + std::to_string(seed);
+    std::filesystem::remove_all(out);
+    obs::Json req = obs::Json::Object();
+    req.Set("verb", "synthesize");
+    req.Set("dataset", "dblp-acm");
+    req.Set("scale", 0.02);
+    req.Set("data_seed", static_cast<uint64_t>(3));
+    req.Set("seed", seed);
+    req.Set("model_dir", model_dir);
+    req.Set("artifact_mode", "load");
+    req.Set("out", out);
+    req.Set("wait", false);
+    auto reply = client.Call(req);
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->at("ok").AsBool()) << reply->Dump();
+    ids[seed] = static_cast<JobId>(reply->at("job").AsNumber());
+  }
+  for (const auto& [seed, id] : ids) {
+    obs::Json wait = obs::Json::Object();
+    wait.Set("verb", "job");
+    wait.Set("id", id);
+    wait.Set("wait", true);
+    auto done = client.Call(wait);
+    ASSERT_TRUE(done.ok());
+    ASSERT_TRUE(done->at("ok").AsBool()) << done->Dump();
+    EXPECT_EQ(done->at("seed").AsNumber(), static_cast<double>(seed));
+    EXPECT_TRUE(done->at("warm_started").AsBool());
+    EXPECT_GT(done->at("online_seconds").AsNumber(), 0.0);
+
+    RunOptions run = solo->DefaultRunOptions();
+    run.seed = seed;
+    auto expected = solo->Synthesize(run, nullptr);
+    ASSERT_TRUE(expected.ok());
+    auto served = LoadDataset(done->at("out").AsString(), "served");
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(DatasetDigest(*served), DatasetDigest(*expected))
+        << "seed " << seed;
+  }
+
+  obs::Json stats = obs::Json::Object();
+  stats.Set("verb", "stats");
+  auto stats_reply = client.Call(stats);
+  ASSERT_TRUE(stats_reply.ok());
+  const obs::Json& counters = stats_reply->at("metrics").at("counters");
+  EXPECT_EQ(counters.at("pool.misses").AsNumber(), 1.0);
+  EXPECT_EQ(counters.at("scheduler.completed").AsNumber(), 2.0);
+  client.Close();
+  server.Stop();
+}
+
+TEST(ServerTest, RoundTripsOnOneConnectionAreFast) {
+  // Each frame leaves in one write; a prefix sent apart from its payload
+  // stalls every request after a connection's first on a delayed ACK
+  // (~40 ms on Linux loopback).
+  serve::ServerOptions options;
+  options.workers = 1;
+  serve::SerdServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  serve::ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  obs::Json health = obs::Json::Object();
+  health.Set("verb", "health");
+  std::vector<double> ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    auto reply = client.Call(health);
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(reply->at("ok").AsBool());
+  }
+  std::sort(ms.begin(), ms.end());
+  EXPECT_LT(0.5 * (ms[9] + ms[10]), 10.0) << "median health round trip";
+  client.Close();
+  server.Stop();
+}
+
 TEST(ServerTest, RejectsMalformedRequestsWithoutDying) {
   serve::ServerOptions options;
   options.workers = 1;
@@ -1385,6 +1665,36 @@ TEST(ServerTest, RejectsMalformedRequestsWithoutDying) {
             std::string::npos);
   EXPECT_NE(reply->at("error").AsString().find("fp32|bf16|int8"),
             std::string::npos);
+
+  // Numbers the wire must not cast blindly: non-finite JSON (refused by
+  // the parser), an infinite or non-positive scale, seeds outside
+  // [0, 2^53] or fractional, a priority beyond int, a negative job id.
+  // Raw frames, since obs::Json never prints a non-finite number.
+  Result<int> raw_fd = serve::ConnectTo(server.port());
+  ASSERT_TRUE(raw_fd.ok());
+  for (const char* payload : {
+           R"({"verb": "synthesize", "dataset": "dblp-acm", "scale": 1e400})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm", "scale": -nan})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm", "scale": -inf})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm",
+               "seed": 18446744073709551615})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm", "seed": -1})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm", "seed": 2.5})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm",
+               "data_seed": 9007199254740994})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm",
+               "priority": 3000000000})",
+           R"({"verb": "synthesize", "dataset": "dblp-acm",
+               "deadline_ms": 1e300})",
+           R"({"verb": "job", "id": -3})",
+           R"({"verb": "cancel", "id": 1e30})"}) {
+    ASSERT_TRUE(serve::WriteFrame(*raw_fd, payload).ok());
+    auto raw_reply = serve::ReadJson(*raw_fd);
+    ASSERT_TRUE(raw_reply.ok()) << payload;
+    EXPECT_FALSE(raw_reply->at("ok").AsBool()) << payload;
+    EXPECT_EQ(raw_reply->at("code").AsString(), "InvalidArgument") << payload;
+  }
+  ::close(*raw_fd);
 
   // Reload without a model_dir cannot name an artifact to fingerprint.
   obs::Json bad_reload = obs::Json::Object();
