@@ -122,15 +122,29 @@ std::vector<float> RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
   return m;
 }
 
-// SGEMM shapes from the transformer forward pass (TransformerConfig
-// defaults d_model 32, ffn 64, max_len 64; CharVocab ~100 symbols):
-// {T, d, d} attention projections, {T, ffn, d} feed-forward, {T, V, d}
-// output projection, and one square shape well past the L1 tile.
+// SGEMM shapes {m, n, k} from the transformer forward pass
+// (TransformerConfig defaults d_model 32, ffn 64, max_len 64; CharVocab
+// ~100 symbols): {T, d, d} attention projections, {T, ffn, d} and
+// {T, d, ffn} feed-forward, {T, V, d} output projection, and one square
+// shape well past the L1 tile. A training step or a full re-decode runs
+// them at m = T (64 here, the tiled path); a cached decode step runs
+// them at m = 1, or m = live lanes in lockstep (3 here), which take the
+// unpacked path for calls below one register tile; {5, 256, 256} is the
+// largest such call at a size where packing could pay off.
 #define SGEMM_SHAPES            \
   Args({64, 32, 32})            \
       ->Args({64, 64, 32})      \
       ->Args({64, 100, 32})     \
-      ->Args({256, 256, 256})
+      ->Args({256, 256, 256})   \
+      ->Args({1, 32, 32})       \
+      ->Args({1, 64, 32})       \
+      ->Args({1, 32, 64})       \
+      ->Args({1, 100, 32})      \
+      ->Args({3, 32, 32})       \
+      ->Args({3, 64, 32})       \
+      ->Args({3, 32, 64})       \
+      ->Args({3, 100, 32})      \
+      ->Args({5, 256, 256})
 
 void BM_SgemmReference(benchmark::State& state) {
   // The pre-kernel-layer scalar triple loop: the "before" row.
@@ -160,6 +174,28 @@ void BM_SgemmBlocked(benchmark::State& state) {
 BENCHMARK(BM_SgemmBlocked)->SGEMM_SHAPES;
 
 #undef SGEMM_SHAPES
+
+void BM_SgemmAttentionScores(benchmark::State& state) {
+  // One decode step's attention scores for one head, {m, len, head_dim}:
+  // the query rows' head slice against the cached K [len, d_model] read
+  // transposed through strides (brs = 1, bcs = d_model), as
+  // seq2seq/kv_cache.cc calls it. One row gathers K in place; three
+  // lockstep lanes stay on the packed path.
+  const size_t m = state.range(0), len = state.range(1),
+               head_dim = state.range(2), d = 2 * head_dim;
+  auto q = RandomMatrix(m, d, 21);
+  auto kbuf = RandomMatrix(len, d, 22);
+  std::vector<float> scores(m * len, 0.0f);
+  for (auto _ : state) {
+    nn::kernels::GemmStrided(m, len, head_dim, q.data() + head_dim, d, 1,
+                             kbuf.data() + head_dim, 1, d, scores.data(),
+                             false);
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * len * head_dim);
+}
+BENCHMARK(BM_SgemmAttentionScores)->Args({1, 24, 16})->Args({3, 24, 16});
 
 /// Entity-value-sized strings for the q-gram throughput comparison.
 std::vector<std::string> QgramCorpus() {
@@ -378,9 +414,10 @@ BENCHMARK(BM_GenerateCandidatesBatched)->Arg(4)->Unit(benchmark::kMillisecond);
 
 /// The paper's GPU-column decode shape (d_model 256, 8 heads, 3 layers;
 /// DESIGN.md substitution table) for the serving-precision rows below.
-/// At the CPU-scale default (d 32) the per-step projections are a sliver
-/// of step time and a precision change vanishes into driver overhead;
-/// serving-scale models are where quantized decode earns its keep.
+/// At the CPU-scale default (d 32) a 1-row fp32 projection takes ~0.1 µs
+/// on the unpacked GEMM path, too little weight traffic for a precision
+/// change to show; serving-scale models are where quantized decode earns
+/// its keep.
 TransformerConfig ServingScaleConfig() {
   TransformerConfig cfg;
   cfg.d_model = 256;

@@ -11,7 +11,8 @@
 # labeled `tsan`), and build-asan/ (-DSERD_SANITIZE=address, i.e.
 # ASan+UBSan, suites labeled `asan` — the artifact fault-injection tests,
 # whose whole point is that corrupted bytes never cause out-of-bounds
-# reads).
+# reads), and build-native/ (-DSERD_NATIVE=ON: no runtime dispatch, so the
+# portable GEMM clone runs, compiled with -march=native).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,6 +68,20 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
   ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
     -R 'QuantKernelTest|QuantModelTest|QuantCodecTest|QuantPipelineTest'
 fi
+
+echo "==> configure + build (SERD_NATIVE: portable kernel clone)"
+# On an AVX2 host every other tree dispatches GEMMs to the AVX2 clone, so
+# this is the one pass that runs the portable variant of the tiled and
+# unpacked paths. The kernel tests hold the row-count contract; the
+# KV-cache and lockstep oracles hold the decodes built on it.
+NATIVE_TESTS=(kernels_test seq2seq_test batched_decode_test)
+cmake -B build-native -S . -DSERD_NATIVE=ON >/dev/null
+cmake --build build-native -j "$JOBS" --target "${NATIVE_TESTS[@]}"
+
+echo "==> portable-clone kernel, KV-cache and lockstep oracles"
+for t in "${NATIVE_TESTS[@]}"; do
+  "build-native/tests/$t"
+done
 
 if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   echo "==> warm-start smoke (train + save, reload, bit-identical output)"

@@ -1,6 +1,7 @@
 #include "gmm/gaussian.h"
 
 #include <cmath>
+#include <memory>
 
 namespace serd {
 
@@ -46,12 +47,30 @@ MultivariateGaussian MultivariateGaussian::FromParts(Vec mean,
 }
 
 double MultivariateGaussian::LogPdf(const Vec& x) const {
-  SERD_CHECK_EQ(x.size(), mean_.size());
-  Vec diff = Sub(x, mean_);
-  // Solve L y = diff; then (x-mu)^T Sigma^-1 (x-mu) = ||y||^2.
-  Vec y = ForwardSolve(chol_, diff);
-  double quad = Dot(y, y);
-  double d = static_cast<double>(mean_.size());
+  const size_t n = mean_.size();
+  SERD_CHECK_EQ(x.size(), n);
+  SERD_CHECK(chol_.rows() == n && chol_.cols() == n);
+  // Solve L y = x - mu; then (x-mu)^T Sigma^-1 (x-mu) = ||y||^2. This is
+  // Sub, ForwardSolve and Dot (common/matrix) with the same operations in
+  // the same order, fused into one pass over an on-stack y so the
+  // per-sample density evaluations of JSD tracking do not allocate.
+  double inline_y[kInlineDimension];
+  std::unique_ptr<double[]> heap_y;
+  double* y = inline_y;
+  if (n > kInlineDimension) {
+    heap_y = std::make_unique<double[]>(n);
+    y = heap_y.get();
+  }
+  const double* l = chol_.data().data();
+  double quad = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double* li = l + i * n;
+    double s = x[i] - mean_[i];
+    for (size_t k = 0; k < i; ++k) s -= li[k] * y[k];
+    y[i] = s / li[i];
+    quad += y[i] * y[i];
+  }
+  double d = static_cast<double>(n);
   return -0.5 * (d * kLog2Pi + log_det_ + quad);
 }
 

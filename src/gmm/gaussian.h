@@ -38,7 +38,12 @@ class MultivariateGaussian {
   const Matrix& cholesky() const { return chol_; }
   double log_det() const { return log_det_; }
 
-  /// log N(x; mu, Sigma).
+  /// Dimensions up to this size evaluate LogPdf without a heap allocation;
+  /// wider ones use a heap buffer (same arithmetic either way).
+  static constexpr size_t kInlineDimension = 32;
+
+  /// log N(x; mu, Sigma). Bit-identical to -0.5 * (d log 2pi + log_det +
+  /// Dot(y, y)) with y = ForwardSolve(cholesky(), Sub(x, mean)).
   double LogPdf(const Vec& x) const;
 
   /// Draws x = mu + L z with z ~ N(0, I).

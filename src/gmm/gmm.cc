@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
@@ -21,6 +22,16 @@ Gmm::Gmm(std::vector<double> weights,
   }
   SERD_CHECK_GT(total, 0.0);
   for (double& w : weights_) w /= total;
+  CacheLogWeights();
+}
+
+void Gmm::CacheLogWeights() {
+  log_weights_.resize(weights_.size());
+  for (size_t k = 0; k < weights_.size(); ++k) {
+    log_weights_[k] = weights_[k] > 0.0
+                          ? std::log(weights_[k])
+                          : -std::numeric_limits<double>::infinity();
+  }
 }
 
 Gmm Gmm::FromParts(std::vector<double> weights,
@@ -30,22 +41,28 @@ Gmm Gmm::FromParts(std::vector<double> weights,
   Gmm gmm;
   gmm.weights_ = std::move(weights);
   gmm.components_ = std::move(components);
+  gmm.CacheLogWeights();
   return gmm;
 }
 
 double Gmm::LogPdf(const Vec& x) const {
   SERD_CHECK(!components_.empty());
+  const size_t g = components_.size();
+  double inline_terms[kInlineComponents];
+  std::unique_ptr<double[]> heap_terms;
+  double* terms = inline_terms;
+  if (g > kInlineComponents) {
+    heap_terms = std::make_unique<double[]>(g);
+    terms = heap_terms.get();
+  }
   double max_term = -std::numeric_limits<double>::infinity();
-  std::vector<double> terms(components_.size());
-  for (size_t k = 0; k < components_.size(); ++k) {
-    terms[k] = (weights_[k] > 0.0 ? std::log(weights_[k])
-                                  : -std::numeric_limits<double>::infinity()) +
-               components_[k].LogPdf(x);
+  for (size_t k = 0; k < g; ++k) {
+    terms[k] = log_weights_[k] + components_[k].LogPdf(x);
     max_term = std::max(max_term, terms[k]);
   }
   if (!std::isfinite(max_term)) return max_term;
   double sum = 0.0;
-  for (double t : terms) sum += std::exp(t - max_term);
+  for (size_t k = 0; k < g; ++k) sum += std::exp(terms[k] - max_term);
   return max_term + std::log(sum);
 }
 
@@ -55,9 +72,7 @@ Vec Gmm::Responsibilities(const Vec& x) const {
   std::vector<double> terms(components_.size());
   double max_term = -std::numeric_limits<double>::infinity();
   for (size_t k = 0; k < components_.size(); ++k) {
-    terms[k] = (weights_[k] > 0.0 ? std::log(weights_[k])
-                                  : -std::numeric_limits<double>::infinity()) +
-               components_[k].LogPdf(x);
+    terms[k] = log_weights_[k] + components_[k].LogPdf(x);
     max_term = std::max(max_term, terms[k]);
   }
   Vec gamma(components_.size(), 0.0);

@@ -59,6 +59,10 @@ class Gmm {
     return components_[i];
   }
 
+  /// Mixtures up to this many components evaluate LogPdf without a heap
+  /// allocation; larger ones use a heap buffer (same arithmetic).
+  static constexpr size_t kInlineComponents = 16;
+
   /// log p(x) via log-sum-exp over components.
   double LogPdf(const Vec& x) const;
 
@@ -93,7 +97,12 @@ class Gmm {
   static double NumFreeParameters(int g, int d);
 
  private:
+  /// Fills log_weights_ from weights_ (log w, or -inf for a zero weight);
+  /// every constructor calls it once the weights are final.
+  void CacheLogWeights();
+
   std::vector<double> weights_;
+  std::vector<double> log_weights_;
   std::vector<MultivariateGaussian> components_;
 };
 

@@ -77,7 +77,9 @@ bool UseAvx2() {
 
 /// Shared blocked driver: sizes the thread-local packing scratch (no
 /// allocation after warmup; never shared, one model replica per thread)
-/// and hands off to the ISA variant. Strides as in GemmStridedImpl.
+/// and hands off to the ISA variant, which picks the tiled or unpacked
+/// path from the call's shape (TakesRowsPath). Strides as in
+/// GemmStridedImpl.
 void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
                  std::size_t ars, std::size_t acs, const float* b,
                  std::size_t brs, std::size_t bcs, float* c,

@@ -10,11 +10,12 @@ namespace serd::nn::kernels {
 /// is cache-blocked and register-tiled: A and B are packed into
 /// contiguous panels (MR-row and NR-column respectively) so the inner
 /// micro-kernel runs on unit-stride data with an MR x NR accumulator
-/// block that lives in registers across the whole K extent. The loop nest
-/// and blocking constants are fixed, so results are bit-identical from
-/// run to run and independent of the caller's thread count (each call is
-/// single-threaded; concurrency happens one model replica per thread
-/// above this layer).
+/// block that lives in registers across the whole K extent; short calls,
+/// such as a decode step's 1-row projections, skip the packing (see
+/// GemmStrided for the shape rule). The loop nest and blocking constants
+/// are fixed, so results are bit-identical from run to run and independent
+/// of the caller's thread count (each call is single-threaded; concurrency
+/// happens one model replica per thread above this layer).
 ///
 /// On x86-64 the GEMM core additionally carries an AVX2+FMA clone picked
 /// once per process via CPU detection, so portable (SSE2 baseline) builds
@@ -43,9 +44,15 @@ void GemmTN(std::size_t m, std::size_t n, std::size_t k, const float* a,
 /// row-major [m,n]. This is the driver behind GemmNN/NT/TN, exposed so the
 /// incremental decode path (seq2seq KV cache) can run attention over
 /// head-column slices of row-appended K/V buffers without copying them
-/// out. Same packing, blocking, and per-element accumulation order as the
-/// dense entry points — each C[i,j] is one sequential chain over k — so a
-/// 1-row call is bit-identical to the matching row of a full-matrix call.
+/// out. The call's shape picks one of two paths (TakesRowsPath in
+/// kernels_gemm.inc): calls with fewer rows than one register tile skip
+/// packing and read A and B in place, except that a B read across its
+/// storage rows (bcs != 1, such as K read transposed) takes that path only
+/// for a single row and a stride that fits the AVX2 gather's 32-bit
+/// offsets; every other call runs the packed, tiled path. Both give each
+/// C[i,j] the same chain — one sequential multiply-add per p within each
+/// KC block, stored or added into C block by block — so a 1-row call is
+/// bit-identical to the matching row of a full-matrix call.
 void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
                  std::size_t ars, std::size_t acs, const float* b,
                  std::size_t brs, std::size_t bcs, float* c, bool accumulate);

@@ -12,16 +12,6 @@ namespace {
 
 namespace k = nn::kernels;
 
-/// y[out] = x[in] * W + b, the single-row mirror of Linear::Forward
-/// (MatMul then per-row bias Add — identical kernel calls, so identical
-/// rounding). `y` must not alias `x`.
-void LinearRowInto(const nn::Linear& lin, const float* x, float* y) {
-  const auto& w = lin.weight();
-  const std::size_t in = w->rows(), out = w->cols();
-  k::GemmNN(1, out, in, x, w->value().data(), y, /*accumulate=*/false);
-  if (lin.bias() != nullptr) k::Add(out, y, lin.bias()->value().data(), y);
-}
-
 /// y[d] = LN(x[d]), the single-row mirror of LayerNormLayer::Forward at
 /// inference (same kernel, same 1e-5 eps as Tape::LayerNorm's default).
 void LayerNormRow(const nn::LayerNormLayer& ln, std::size_t d, const float* x,
@@ -52,10 +42,13 @@ void AttentionRow(int num_heads, int head_dim, int d, int len, const float* q,
   }
 }
 
-/// y[rows, out] = x[rows, in] * W + b, the M-row mirror of LinearRowInto:
-/// one GEMM over all rows, then the same per-row bias Add. The GEMM driver
-/// accumulates every output element in its own sequential chain over k, so
-/// each row of `y` is bit-identical to a single-row LinearRowInto call.
+/// y[rows, out] = x[rows, in] * W + b, the row mirror of Linear::Forward
+/// (MatMul then per-row bias Add — identical kernel calls, so identical
+/// rounding): one GEMM over all rows, then the bias. The GEMM driver
+/// accumulates every output element in its own sequential chain over k
+/// whatever the row count, so each row of `y` is bit-identical to a
+/// 1-row call and to the matching row of the full forward. `y` must not
+/// alias `x`.
 void LinearRowsInto(const nn::Linear& lin, std::size_t rows, const float* x,
                     float* y) {
   const auto& w = lin.weight();
@@ -232,7 +225,7 @@ const float* IncrementalDecoder::Step(int token) {
   cache_.Advance();
 
   LayerNormRow(*model_->final_ln_, d, x_.data(), normed_.data());
-  LinearRowInto(*model_->output_proj_, normed_.data(), logits_.data());
+  LinearRowsInto(*model_->output_proj_, 1, normed_.data(), logits_.data());
   return logits_.data();
 }
 

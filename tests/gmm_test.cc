@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "gmm/gaussian.h"
 #include "gmm/gmm.h"
@@ -58,7 +62,100 @@ TEST(GaussianTest, RegularizesDegenerateCovariance) {
   EXPECT_GT(g.LogPdf({0.5, 0.5}), g.LogPdf({0.9, 0.1}));
 }
 
+/// LogPdf spelled out with the common/matrix reference operations (Sub,
+/// ForwardSolve, Dot); the allocation-free LogPdf must match it bit for
+/// bit.
+double ReferenceLogPdf(const MultivariateGaussian& g, const Vec& x) {
+  Vec y = ForwardSolve(g.cholesky(), Sub(x, g.mean()));
+  double d = static_cast<double>(g.dimension());
+  return -0.5 * (d * 1.8378770664093453 + g.log_det() + Dot(y, y));
+}
+
+/// log-sum-exp over components with a std::vector of terms, log(weight)
+/// taken per call and reference component densities; Gmm::LogPdf must
+/// match it bit for bit.
+double ReferenceLogPdf(const Gmm& gmm, const Vec& x) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> terms(gmm.num_components());
+  double max_term = -inf;
+  for (size_t k = 0; k < terms.size(); ++k) {
+    const double w = gmm.weights()[k];
+    terms[k] = (w > 0.0 ? std::log(w) : -inf) +
+               ReferenceLogPdf(gmm.component(k), x);
+    max_term = std::max(max_term, terms[k]);
+  }
+  if (!std::isfinite(max_term)) return max_term;
+  double sum = 0.0;
+  for (double t : terms) sum += std::exp(t - max_term);
+  return max_term + std::log(sum);
+}
+
+/// A A^T + 0.1 I for a random A: symmetric positive definite.
+Matrix RandomSpd(size_t d, Rng* rng) {
+  Matrix a(d, d);
+  for (double& v : a.data()) v = rng->Uniform(-1.0, 1.0);
+  Matrix cov = a.Multiply(a.Transpose());
+  cov.AddDiagonal(0.1);
+  return cov;
+}
+
+Vec RandomPoint(size_t d, double scale, Rng* rng) {
+  Vec x(d);
+  for (double& v : x) v = rng->Uniform(-scale, scale);
+  return x;
+}
+
+TEST(GaussianTest, LogPdfMatchesForwardSolveReferenceBitwise) {
+  Rng rng(23);
+  std::vector<MultivariateGaussian> gaussians;
+  for (size_t d : {size_t{1}, size_t{3}, size_t{6},
+                   MultivariateGaussian::kInlineDimension + 1}) {
+    gaussians.emplace_back(RandomPoint(d, 1.0, &rng), RandomSpd(d, &rng));
+  }
+  // Rank one with no ridge: Cholesky fails until the ridge has grown.
+  Matrix ones(3, 3, 1.0);
+  ASSERT_FALSE(Cholesky(ones).ok());
+  gaussians.emplace_back(Vec{0.2, 0.4, 0.6}, ones, 0.0);
+  for (const auto& g : gaussians) {
+    SCOPED_TRACE("d=" + std::to_string(g.dimension()));
+    for (int t = 0; t < 20; ++t) {
+      const Vec x = RandomPoint(g.dimension(), 1.0 + t, &rng);
+      EXPECT_EQ(g.LogPdf(x), ReferenceLogPdf(g, x));
+    }
+  }
+}
+
 // -------------------------------------------------------------------- GMM
+
+TEST(GmmTest, LogPdfMatchesLogSumExpReferenceBitwise) {
+  Rng rng(29);
+  const size_t d = 3;
+  auto components = [&](size_t g) {
+    std::vector<MultivariateGaussian> comps;
+    for (size_t k = 0; k < g; ++k) {
+      comps.emplace_back(RandomPoint(d, 1.0, &rng), RandomSpd(d, &rng));
+    }
+    return comps;
+  };
+  std::vector<Gmm> mixtures;
+  mixtures.emplace_back(std::vector<double>{1.0}, components(1));
+  mixtures.emplace_back(std::vector<double>{0.1, 0.2, 0.3, 0.4},
+                        components(4));
+  mixtures.emplace_back(std::vector<double>{0.5, 0.0, 0.5}, components(3));
+  // Restored weights (no re-normalization), one of them zero.
+  mixtures.push_back(Gmm::FromParts({0.25, 0.0, 0.75}, components(3)));
+  // More components than the on-stack term buffer holds.
+  mixtures.emplace_back(
+      std::vector<double>(Gmm::kInlineComponents + 1, 1.0),
+      components(Gmm::kInlineComponents + 1));
+  for (const auto& gmm : mixtures) {
+    SCOPED_TRACE("components=" + std::to_string(gmm.num_components()));
+    for (int t = 0; t < 20; ++t) {
+      const Vec x = RandomPoint(d, 1.0 + t, &rng);
+      EXPECT_EQ(gmm.LogPdf(x), ReferenceLogPdf(gmm, x));
+    }
+  }
+}
 
 std::vector<Vec> TwoClusterData(int n_per, Rng* rng) {
   std::vector<Vec> data;

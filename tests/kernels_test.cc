@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -130,6 +132,99 @@ TEST(KernelsTest, GemmIsDeterministicAcrossCalls) {
   k::GemmNN(m, n, kk, a.data(), b.data(), c1.data(), false);
   k::GemmNN(m, n, kk, a.data(), b.data(), c2.data(), false);
   EXPECT_EQ(c1, c2);  // bit-identical, not merely close
+}
+
+/// Runs rows [r0, r0 + m) of a kFullRows-row strided product as calls of
+/// their own, m = 1..5 (fewer rows than a register tile: the unpacked
+/// path, except a strided B at two or more rows), and checks each against the same rows of the full, tiled call
+/// bit for bit. `a` addresses row 0 of the full A; C starts non-zero so
+/// `accumulate` matters.
+constexpr size_t kFullRows = 13;
+
+void ExpectShortCallsMatchFullRows(size_t n, size_t kk, const float* a,
+                                   size_t ars, size_t acs, const float* b,
+                                   size_t brs, size_t bcs, bool accumulate,
+                                   Rng* rng) {
+  const auto c0 = RandomMatrix(kFullRows, n, rng);
+  std::vector<float> full = c0;
+  k::GemmStrided(kFullRows, n, kk, a, ars, acs, b, brs, bcs, full.data(),
+                 accumulate);
+  for (size_t m = 1; m <= 5; ++m) {
+    for (size_t r0 : {size_t{0}, kFullRows - m}) {
+      std::vector<float> part(c0.begin() + r0 * n,
+                              c0.begin() + (r0 + m) * n);
+      k::GemmStrided(m, n, kk, a + r0 * ars, ars, acs, b, brs, bcs,
+                     part.data(), accumulate);
+      for (size_t e = 0; e < m * n; ++e) {
+        EXPECT_EQ(part[e], full[r0 * n + e])
+            << "m=" << m << " rows from " << r0 << " n=" << n << " k=" << kk
+            << " accumulate=" << accumulate << " at row " << e / n
+            << " col " << e % n;
+        if (part[e] != full[r0 * n + e]) return;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, ShortCallsMatchTiledRowsBitwise) {
+  Rng rng(17);
+  // kShapes' (n, k) pairs, k straddling the KC block (256), and one n
+  // past the NC block (1024).
+  std::vector<std::pair<size_t, size_t>> nk;
+  for (const auto& s : kShapes) nk.emplace_back(s.n, s.k);
+  for (size_t kk : {255, 256, 257, 513}) {
+    for (size_t n : {8, 32, 100}) nk.emplace_back(n, kk);
+  }
+  nk.emplace_back(1030, 20);
+  for (const auto& [n, kk] : nk) {
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " k=" + std::to_string(kk) +
+                   " accumulate=" + std::to_string(accumulate));
+      const auto a = RandomMatrix(kFullRows, kk, &rng);  // NN/NT A [13, k]
+      const auto at = RandomMatrix(kk, kFullRows, &rng);  // TN A [k, 13]
+      const auto b = RandomMatrix(kk, n, &rng);           // B [k, n]
+      const auto bt = RandomMatrix(n, kk, &rng);          // B stored [n, k]
+      {
+        SCOPED_TRACE("NN");
+        ExpectShortCallsMatchFullRows(n, kk, a.data(), kk, 1, b.data(), n, 1,
+                                      accumulate, &rng);
+      }
+      {
+        SCOPED_TRACE("NT");
+        ExpectShortCallsMatchFullRows(n, kk, a.data(), kk, 1, bt.data(), 1,
+                                      kk, accumulate, &rng);
+      }
+      {
+        SCOPED_TRACE("TN");
+        ExpectShortCallsMatchFullRows(n, kk, at.data(), 1, kFullRows,
+                                      b.data(), n, 1, accumulate, &rng);
+      }
+    }
+  }
+  // The attention layouts of seq2seq/kv_cache.cc: q rows [13, d] read as
+  // head-column slices (ars = d), cached K [len, d] read transposed
+  // (brs = 1, bcs = d) by the score GEMM, cached V read directly
+  // (brs = d) by the mix GEMM over scores [13, len].
+  const size_t d = 32, head_dim = 16;
+  for (size_t len : {1, 7, 40, 64}) {
+    for (bool accumulate : {false, true}) {
+      SCOPED_TRACE("len=" + std::to_string(len) +
+                   " accumulate=" + std::to_string(accumulate));
+      const auto q = RandomMatrix(kFullRows, d, &rng);
+      const auto kbuf = RandomMatrix(len, d, &rng);
+      const auto vbuf = RandomMatrix(len, d, &rng);
+      const auto scores = RandomMatrix(kFullRows, len, &rng);
+      for (size_t off : {size_t{0}, head_dim}) {
+        SCOPED_TRACE("head offset " + std::to_string(off));
+        ExpectShortCallsMatchFullRows(len, head_dim, q.data() + off, d, 1,
+                                      kbuf.data() + off, 1, d, accumulate,
+                                      &rng);
+        ExpectShortCallsMatchFullRows(head_dim, len, scores.data(), len, 1,
+                                      vbuf.data() + off, d, 1, accumulate,
+                                      &rng);
+      }
+    }
+  }
 }
 
 TEST(KernelsTest, SoftmaxRowsNormalizesAndAppliesMask) {
