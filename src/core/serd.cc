@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -454,17 +455,23 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
   const uint64_t jsd_seed = run.seed ^ 0x15d0ULL;
   // All JSD estimates during the run go through this wrapper so the
   // evaluation count and (when observability is on) the per-call wall time
-  // are accounted in one place.
+  // are accounted in one place. Every estimate is against O_real with the
+  // same seed, so O_real's half of it is drawn and scored once per run, by
+  // the estimator the first evaluation builds (and times).
+  std::optional<JsdEstimator> jsd_estimator;
+  auto run_jsd = [&](const ODistribution& o_syn) {
+    if (!jsd_estimator.has_value()) {
+      jsd_estimator.emplace(o_real_, options_.jsd_samples, jsd_seed,
+                            pool_.get());
+    }
+    return jsd_estimator->Estimate(o_syn);
+  };
   auto estimate_jsd = [&](const ODistribution& o_syn) {
     ++report.jsd_evaluations;
     obs::Inc(c_jsd_evals);
-    if (h_jsd_seconds == nullptr) {
-      return EstimateJsd(o_syn, o_real_, options_.jsd_samples, jsd_seed,
-                         pool_.get());
-    }
+    if (h_jsd_seconds == nullptr) return run_jsd(o_syn);
     WallTimer jsd_timer;
-    double v = EstimateJsd(o_syn, o_real_, options_.jsd_samples, jsd_seed,
-                           pool_.get());
+    double v = run_jsd(o_syn);
     h_jsd_seconds->Record(jsd_timer.Seconds());
     return v;
   };

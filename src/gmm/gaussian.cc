@@ -1,5 +1,6 @@
 #include "gmm/gaussian.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -47,44 +48,84 @@ MultivariateGaussian MultivariateGaussian::FromParts(Vec mean,
 }
 
 double MultivariateGaussian::LogPdf(const Vec& x) const {
-  const size_t n = mean_.size();
-  SERD_CHECK_EQ(x.size(), n);
-  SERD_CHECK(chol_.rows() == n && chol_.cols() == n);
-  // Solve L y = x - mu; then (x-mu)^T Sigma^-1 (x-mu) = ||y||^2. This is
-  // Sub, ForwardSolve and Dot (common/matrix) with the same operations in
-  // the same order, fused into one pass over an on-stack y so the
-  // per-sample density evaluations of JSD tracking do not allocate.
-  double inline_y[kInlineDimension];
+  SERD_CHECK_EQ(x.size(), mean_.size());
+  double out;
+  LogPdfTile(x.data(), 1, 1, &out);
+  return out;
+}
+
+void MultivariateGaussian::LogPdfBatch(const double* xs, size_t count,
+                                       double* out) const {
+  for (size_t j0 = 0; j0 < count; j0 += kBatchTile) {
+    LogPdfTile(xs + j0, count, std::min(kBatchTile, count - j0), out + j0);
+  }
+}
+
+void MultivariateGaussian::LogPdfTile(const double* xs, size_t stride,
+                                      size_t n, double* out) const {
+  const size_t d = mean_.size();
+  SERD_CHECK(chol_.rows() == d && chol_.cols() == d);
+  SERD_CHECK_LE(n, kBatchTile);
+  // Solve L y = x - mu per point; then (x-mu)^T Sigma^-1 (x-mu) = ||y||^2.
+  // Per point this is Sub, ForwardSolve and Dot (common/matrix) with the
+  // same operations in the same order; the loops over the tile's points
+  // are innermost, so the dependent divisions of one point's solve
+  // overlap with the other points'. y is dimension-major, y[i * n + j].
+  double inline_y[kInlineDimension * kBatchTile];
   std::unique_ptr<double[]> heap_y;
   double* y = inline_y;
-  if (n > kInlineDimension) {
-    heap_y = std::make_unique<double[]>(n);
+  if (d > kInlineDimension) {
+    heap_y = std::make_unique<double[]>(d * n);
     y = heap_y.get();
   }
+  double quad[kBatchTile];
+  for (size_t j = 0; j < n; ++j) quad[j] = 0.0;
   const double* l = chol_.data().data();
-  double quad = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double* li = l + i * n;
-    double s = x[i] - mean_[i];
-    for (size_t k = 0; k < i; ++k) s -= li[k] * y[k];
-    y[i] = s / li[i];
-    quad += y[i] * y[i];
+  for (size_t i = 0; i < d; ++i) {
+    const double* li = l + i * d;
+    const double* xi = xs + i * stride;
+    const double mean_i = mean_[i];
+    double* yi = y + i * n;
+    for (size_t j = 0; j < n; ++j) yi[j] = xi[j] - mean_i;
+    for (size_t k = 0; k < i; ++k) {
+      const double lik = li[k];
+      const double* yk = y + k * n;
+      for (size_t j = 0; j < n; ++j) yi[j] -= lik * yk[j];
+    }
+    const double lii = li[i];
+    for (size_t j = 0; j < n; ++j) {
+      yi[j] = yi[j] / lii;
+      quad[j] += yi[j] * yi[j];
+    }
   }
-  double d = static_cast<double>(n);
-  return -0.5 * (d * kLog2Pi + log_det_ + quad);
+  const double base = static_cast<double>(d) * kLog2Pi + log_det_;
+  for (size_t j = 0; j < n; ++j) out[j] = -0.5 * (base + quad[j]);
 }
 
 Vec MultivariateGaussian::Sample(Rng* rng) const {
-  SERD_CHECK(rng != nullptr);
-  Vec z(mean_.size());
-  for (double& v : z) v = rng->Gaussian();
-  Vec x = mean_;
-  for (size_t i = 0; i < mean_.size(); ++i) {
-    double s = 0.0;
-    for (size_t j = 0; j <= i; ++j) s += chol_(i, j) * z[j];
-    x[i] += s;
-  }
+  Vec x(mean_.size());
+  SampleInto(rng, x.data(), 1);
   return x;
+}
+
+void MultivariateGaussian::SampleInto(Rng* rng, double* x,
+                                      size_t stride) const {
+  SERD_CHECK(rng != nullptr);
+  const size_t d = mean_.size();
+  double inline_z[kInlineDimension];
+  std::unique_ptr<double[]> heap_z;
+  double* z = inline_z;
+  if (d > kInlineDimension) {
+    heap_z = std::make_unique<double[]>(d);
+    z = heap_z.get();
+  }
+  for (size_t i = 0; i < d; ++i) z[i] = rng->Gaussian();
+  const double* l = chol_.data().data();
+  for (size_t i = 0; i < d; ++i) {
+    double s = 0.0;
+    for (size_t j = 0; j <= i; ++j) s += l[i * d + j] * z[j];
+    x[i * stride] = mean_[i] + s;
+  }
 }
 
 }  // namespace serd

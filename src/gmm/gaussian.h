@@ -38,18 +38,40 @@ class MultivariateGaussian {
   const Matrix& cholesky() const { return chol_; }
   double log_det() const { return log_det_; }
 
-  /// Dimensions up to this size evaluate LogPdf without a heap allocation;
-  /// wider ones use a heap buffer (same arithmetic either way).
+  /// Dimensions up to this size evaluate and draw without a heap
+  /// allocation; wider ones use a heap buffer (same arithmetic either way).
   static constexpr size_t kInlineDimension = 32;
 
+  /// Points per tile of the batched log-densities (this class, Gmm and
+  /// ODistribution): a tile's intermediates live on the stack.
+  static constexpr size_t kBatchTile = 64;
+
   /// log N(x; mu, Sigma). Bit-identical to -0.5 * (d log 2pi + log_det +
-  /// Dot(y, y)) with y = ForwardSolve(cholesky(), Sub(x, mean)).
+  /// Dot(y, y)) with y = ForwardSolve(cholesky(), Sub(x, mean)). The
+  /// 1-point case of LogPdfBatch.
   double LogPdf(const Vec& x) const;
+
+  /// LogPdf of `count` points stored dimension-major: coordinate i of
+  /// point j is xs[i * count + j]. Evaluated a tile of points at a time,
+  /// with every operation of the per-point solve vectorized across the
+  /// tile; out[j] is bit-identical to LogPdf of point j.
+  void LogPdfBatch(const double* xs, size_t count, double* out) const;
 
   /// Draws x = mu + L z with z ~ N(0, I).
   Vec Sample(Rng* rng) const;
 
+  /// Sample() without allocating: the same RNG draws and the same values,
+  /// written to x[i * stride] for i < dimension().
+  void SampleInto(Rng* rng, double* x, size_t stride) const;
+
  private:
+  friend class Gmm;
+
+  /// The batch kernel: n <= kBatchTile points, coordinate i of point j at
+  /// xs[i * stride + j].
+  void LogPdfTile(const double* xs, size_t stride, size_t n,
+                  double* out) const;
+
   Vec mean_;
   Matrix covariance_;
   Matrix chol_;      // lower-triangular factor of the regularized covariance

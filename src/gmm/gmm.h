@@ -63,8 +63,14 @@ class Gmm {
   /// allocation; larger ones use a heap buffer (same arithmetic).
   static constexpr size_t kInlineComponents = 16;
 
-  /// log p(x) via log-sum-exp over components.
+  /// log p(x) via log-sum-exp over components. The 1-point case of
+  /// LogPdfBatch.
   double LogPdf(const Vec& x) const;
+
+  /// LogPdf of `count` points stored dimension-major (coordinate i of
+  /// point j at xs[i * count + j]), a tile of points at a time; out[j] is
+  /// bit-identical to LogPdf of point j.
+  void LogPdfBatch(const double* xs, size_t count, double* out) const;
 
   /// p(x) = exp(LogPdf(x)).
   double Pdf(const Vec& x) const;
@@ -75,6 +81,10 @@ class Gmm {
 
   /// Draws a sample: component by weight, then from its Gaussian.
   Vec Sample(Rng* rng) const;
+
+  /// Sample() without allocating: the same RNG draws and the same values,
+  /// written to x[i * stride] for i < dimension().
+  void SampleInto(Rng* rng, double* x, size_t stride) const;
 
   /// Mean log-likelihood of `data` (nats per point).
   double MeanLogLikelihood(const std::vector<Vec>& data) const;
@@ -97,6 +107,13 @@ class Gmm {
   static double NumFreeParameters(int g, int d);
 
  private:
+  friend class ODistribution;
+
+  /// The batch kernel: n <= MultivariateGaussian::kBatchTile points,
+  /// coordinate i of point j at xs[i * stride + j].
+  void LogPdfTile(const double* xs, size_t stride, size_t n,
+                  double* out) const;
+
   /// Fills log_weights_ from weights_ (log w, or -inf for a zero weight);
   /// every constructor calls it once the weights are final.
   void CacheLogWeights();
