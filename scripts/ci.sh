@@ -70,15 +70,17 @@ if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
 fi
 
 echo "==> configure + build (SERD_NATIVE: portable kernel clone)"
-# On an AVX2 host every other tree dispatches GEMMs to the AVX2 clone, so
-# this is the one pass that runs the portable variant of the tiled and
-# unpacked paths. The kernel tests hold the row-count contract; the
-# KV-cache and lockstep oracles hold the decodes built on it.
-NATIVE_TESTS=(kernels_test seq2seq_test batched_decode_test)
+# On an AVX2 host every other tree dispatches GEMMs and Exp to their AVX2
+# clones, so this is the one pass that runs the portable variants, compiled
+# with FMA contraction. The kernel tests hold the row-count and Exp
+# contracts, nn_test the activation gradients built on them; the KV-cache
+# and lockstep oracles hold the decodes; gmm_test holds the batched
+# log-density and JSD estimator oracles.
+NATIVE_TESTS=(kernels_test nn_test seq2seq_test batched_decode_test gmm_test)
 cmake -B build-native -S . -DSERD_NATIVE=ON >/dev/null
 cmake --build build-native -j "$JOBS" --target "${NATIVE_TESTS[@]}"
 
-echo "==> portable-clone kernel, KV-cache and lockstep oracles"
+echo "==> portable-clone kernel, KV-cache, lockstep and GMM oracles"
 for t in "${NATIVE_TESTS[@]}"; do
   "build-native/tests/$t"
 done

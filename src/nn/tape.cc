@@ -231,19 +231,12 @@ TensorPtr Tape::Relu(const TensorPtr& x) {
 }
 
 TensorPtr Tape::Gelu(const TensorPtr& x) {
-  constexpr float kC = 0.7978845608f;  // sqrt(2/pi)
   auto out = NewResult(x->rows(), x->cols());
   k::Gelu(x->size(), x->value().data(), out->value().data());
   x->EnsureGrad();
   Record([x, out] {
-    for (size_t i = 0; i < x->size(); ++i) {
-      float v = x->value()[i];
-      float u = kC * (v + 0.044715f * v * v * v);
-      float t = std::tanh(u);
-      float dt = (1.0f - t * t) * kC * (1.0f + 3.0f * 0.044715f * v * v);
-      float dgelu = 0.5f * (1.0f + t) + 0.5f * v * dt;
-      x->grad()[i] += out->grad()[i] * dgelu;
-    }
+    k::GeluGrad(x->size(), x->value().data(), out->grad().data(),
+                x->grad().data());
   });
   return out;
 }

@@ -184,8 +184,9 @@ const float* IncrementalDecoder::Step(int token) {
     // Causal self-attention: project the new row, append its K/V to the
     // cache, attend over positions [0, pos]. The full path's causal mask
     // drives the softmax weight of every position > pos to exactly 0
-    // (expf underflow of the -1e9 logits), so restricting the extent to
-    // `len` is bit-exact, not an approximation.
+    // (kernels::Exp returns +0 below its cutoff, far above the -1e9
+    // logits), so restricting the extent to `len` is bit-exact, not an
+    // approximation.
     const MultiHeadAttention& self = *layer.self_attn_;
     LayerNormRow(*layer.ln1_, d, x_.data(), normed_.data());
     ProjectRows(ql ? &ql->self_wq : nullptr, *self.wq_, 1, normed_.data(),

@@ -345,7 +345,12 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
            static_cast<uint64_t>(gstats.cached_steps));
   obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_quantized_steps"),
            static_cast<uint64_t>(gstats.quantized_steps));
-  if (best.empty()) return FallbackSynthesize(s, target_sim, rng);
+  if (best.empty()) {
+    // No decoded candidate was kept: the decode's output is discarded for
+    // the hill-climb fallback.
+    obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_empty_decode_calls"));
+    return FallbackSynthesize(s, target_sim, rng);
+  }
   if (best_err > options_.refine_threshold) {
     // The decoder missed the target: refine the candidate and also try a
     // pure perturbation-search synthesis, keeping whichever scores better.

@@ -82,7 +82,8 @@ struct StringBankOptions {
 
   /// Observability sink (not owned; nullptr = off): counters
   /// s2.bank_synth_calls / s2.bank_fallback_calls / s2.bank_refined_calls
-  /// / s2.decode_steps / s2.decode_cached_steps /
+  /// / s2.bank_empty_decode_calls (model-backed calls whose decode kept no
+  /// candidate) / s2.decode_steps / s2.decode_cached_steps /
   /// s2.decode_quantized_steps /
   /// s2.encoder_cache_hits / s2.encoder_cache_misses,
   /// histogram s2.bank_bucket (index of the model actually used).

@@ -123,7 +123,11 @@ TEST(TapeGradTest, LayerNorm) {
 }
 
 TEST(TapeGradTest, Activations) {
-  auto x = RandomTensor(2, 3, 17, 2.0f);
+  // Spans the saturated tails (|v| up to 10) as well as the bend near 0.
+  auto x = MakeTensor(3, 6);
+  x->value() = {-10.0f, -7.5f, -5.0f, -3.5f, -2.25f, -1.5f,
+                -0.9f,  -0.4f, -0.1f, 0.15f, 0.6f,   1.1f,
+                1.8f,   2.6f,  4.0f,  5.5f,  8.0f,   10.0f};
   CheckGradients({x}, [&](Tape* t) { return t->MeanAll(t->Gelu(x)); });
   CheckGradients({x}, [&](Tape* t) { return t->MeanAll(t->Sigmoid(x)); });
   CheckGradients({x}, [&](Tape* t) { return t->MeanAll(t->Tanh(x)); });

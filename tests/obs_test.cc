@@ -413,6 +413,12 @@ TEST(ObsPipelineTest, ManifestRoundTripsAndMatchesReport) {
   EXPECT_EQ(counters.at("s2.tracked_pairs_neg").AsNumber(),
             run.report.tracked_pairs_neg);
 
+  // Model-backed bank calls whose decode kept no candidate are a subset of
+  // all bank calls.
+  ASSERT_TRUE(counters.Has("s2.bank_empty_decode_calls"));
+  EXPECT_LE(counters.at("s2.bank_empty_decode_calls").AsNumber(),
+            counters.at("s2.bank_synth_calls").AsNumber());
+
   // Forced accepts split by cause and sum to the total.
   EXPECT_EQ(run.report.forced_accepts_discriminator +
                 run.report.forced_accepts_distribution,
