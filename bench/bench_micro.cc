@@ -27,6 +27,7 @@
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
 #include "runtime/thread_pool.h"
+#include "seq2seq/trainer.h"
 #include "seq2seq/transformer.h"
 #include "text/char_vocab.h"
 #include "text/edit_distance.h"
@@ -127,10 +128,11 @@ std::vector<float> RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 // ~100 symbols): {T, d, d} attention projections, {T, ffn, d} and
 // {T, d, ffn} feed-forward, {T, V, d} output projection, and one square
 // shape well past the L1 tile. A training step or a full re-decode runs
-// them at m = T (64 here, the tiled path); a cached decode step runs
-// them at m = 1, or m = live lanes in lockstep (3 here), which take the
-// unpacked path for calls below one register tile; {5, 256, 256} is the
-// largest such call at a size where packing could pay off.
+// them at m = T (64 here: register tiles over A and B in place); a cached
+// decode step runs them at m = 1, or m = live lanes in lockstep (3 here),
+// which take the rows path for calls below one register tile;
+// {5, 256, 256} is the largest such call at a size where packing could
+// pay off.
 #define SGEMM_SHAPES            \
   Args({64, 32, 32})            \
       ->Args({64, 64, 32})      \
@@ -196,6 +198,36 @@ void BM_SgemmAttentionScores(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * m * len * head_dim);
 }
 BENCHMARK(BM_SgemmAttentionScores)->Args({1, 24, 16})->Args({3, 24, 16});
+
+// The two backward GEMMs of one training MatMul (tape.cc) at the CPU-scale
+// config, {m, n, k} with a 25-character sequence and d_model 32: the
+// weight gradient x^T * dy (TN, a contiguous B: the unpacked tiles) and
+// the input gradient dy * W^T (NT, a strided B: the packed path).
+void BM_SgemmTN(benchmark::State& state) {
+  const size_t m = state.range(0), n = state.range(1), k = state.range(2);
+  auto at = RandomMatrix(k, m, 21);
+  auto b = RandomMatrix(k, n, 22);
+  std::vector<float> c(m * n, 0.0f);
+  for (auto _ : state) {
+    nn::kernels::GemmTN(m, n, k, at.data(), b.data(), c.data(), true);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_SgemmTN)->Args({32, 32, 25});
+
+void BM_SgemmNT(benchmark::State& state) {
+  const size_t m = state.range(0), n = state.range(1), k = state.range(2);
+  auto a = RandomMatrix(m, k, 21);
+  auto bt = RandomMatrix(n, k, 22);
+  std::vector<float> c(m * n, 0.0f);
+  for (auto _ : state) {
+    nn::kernels::GemmNT(m, n, k, a.data(), bt.data(), c.data(), true);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_SgemmNT)->Args({25, 32, 32});
 
 // GELU over one decode step's FFN activations (ffn_dim 64) and four lanes
 // of it.
@@ -290,6 +322,45 @@ void BM_TapeStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TapeStep)->Arg(0)->Arg(1);
+
+/// One 16-example DP-SGD lot (TrainSeq2Seq over 16 pairs, lot size 16,
+/// one epoch: forward, backward and clipping per example, then the noise,
+/// merge, finish and Adam step) at the CPU-scale config, dropout on. Arg
+/// 0 is the pool's worker count (0 = no pool). The model keeps training
+/// across iterations; its shapes, and so the work, stay the same. Each
+/// call also builds its optimizer state, and with a pool one replica.
+void BM_Seq2SeqTrainLot(benchmark::State& state) {
+  const int workers = static_cast<int>(state.range(0));
+  const std::string text =
+      "adaptable query optimization and evaluation in temporal middleware "
+      "generalised hash teams for join and group-by processing ";
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (size_t i = 0; i < 16; ++i) {
+    const std::string src = text.substr(i * 7, 20 + i % 9);
+    pairs.emplace_back(src, text.substr(i * 7 + 3, 18 + i % 11));
+  }
+  CharVocab vocab;
+  vocab.Fit({text});
+  TransformerConfig cfg;
+  cfg.vocab_size = vocab.size();
+  Rng init(43);
+  TransformerSeq2Seq model(cfg, &init);
+  std::unique_ptr<runtime::ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<runtime::ThreadPool>(workers);
+  Seq2SeqTrainOptions opts;
+  opts.epochs = 1;
+  opts.batch_size = 16;
+  opts.pool = pool.get();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TrainSeq2Seq(&model, vocab, pairs, opts));
+    ++opts.seed;
+  }
+  state.SetItemsProcessed(state.iterations() * pairs.size());
+}
+BENCHMARK(BM_Seq2SeqTrainLot)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GmmFitEM(benchmark::State& state) {
   auto data = ClusterData(static_cast<int>(state.range(0)), 3);

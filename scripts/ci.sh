@@ -118,6 +118,21 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     > "$SMOKE_DIR/warm_s2.txt"
   diff "$SMOKE_DIR/cold_s2.txt" "$SMOKE_DIR/warm_s2.txt"
 
+  echo "==> smoke: cold releases are byte-identical at 1 and 4 threads"
+  # DP-SGD training runs each lot's examples and noise draw, then its
+  # merge and finish split by parameter, on the pool; the trained weights,
+  # and so every released byte, must not depend on the thread count.
+  COLD=(--dataset dblp-acm --scale 0.02 --seed 7)
+  "$CLI" "${COLD[@]}" --threads 1 --out "$SMOKE_DIR/threads1" >/dev/null
+  "$CLI" "${COLD[@]}" --threads 4 --out "$SMOKE_DIR/threads4" >/dev/null
+  diff -r "$SMOKE_DIR/threads1" "$SMOKE_DIR/threads4"
+
+  echo "==> smoke: a one-bucket string bank synthesizes end to end"
+  "$CLI" --dataset restaurant --scale 0.05 --seed 7 --threads 2 --buckets 1 \
+    --out "$SMOKE_DIR/buckets1" --manifest "$SMOKE_DIR/buckets1.json" \
+    >/dev/null
+  grep -q '"s2.bank_bucket"' "$SMOKE_DIR/buckets1.json"
+
   echo "==> smoke: KV-cached decode is bit-identical to the reference path"
   # Same seed, decode through the KV cache (default) vs the full re-decode
   # reference (--reference-decode): the released datasets must match byte

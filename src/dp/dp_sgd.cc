@@ -1,8 +1,10 @@
 #include "dp/dp_sgd.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
+#include "runtime/parallel_for.h"
 
 namespace serd {
 
@@ -12,34 +14,14 @@ PerExampleGradAccumulator::PerExampleGradAccumulator(
   SERD_CHECK(!params_.empty());
   SERD_CHECK_GT(config_.clip_norm, 0.0);
   SERD_CHECK_GE(config_.noise_multiplier, 0.0);
-  sum_.reserve(params_.size());
-  for (const auto& p : params_) sum_.emplace_back(p->size(), 0.0f);
+  if (NoiseStd() > 0.0) {
+    noise_.reserve(params_.size());
+    for (const auto& p : params_) noise_.emplace_back(p->size(), 0.0);
+  }
 }
 
-void PerExampleGradAccumulator::BeginBatch() {
-  for (auto& s : sum_) std::fill(s.begin(), s.end(), 0.0f);
-}
-
-double PerExampleGradAccumulator::AccumulateExample() {
-  double norm_sq = 0.0;
-  for (const auto& p : params_) {
-    for (float g : p->grad()) norm_sq += static_cast<double>(g) * g;
-  }
-  double norm = std::sqrt(norm_sq);
-  double scale = 1.0;
-  if (config_.enabled) {
-    // Alg. 1 line 8: divide by max(1, ||g||_2 / V).
-    scale = 1.0 / std::max(1.0, norm / config_.clip_norm);
-  }
-  for (size_t pi = 0; pi < params_.size(); ++pi) {
-    const auto& g = params_[pi]->grad();
-    auto& s = sum_[pi];
-    for (size_t i = 0; i < g.size(); ++i) {
-      s[i] += static_cast<float>(g[i] * scale);
-    }
-    params_[pi]->ZeroGrad();
-  }
-  return norm;
+double PerExampleGradAccumulator::NoiseStd() const {
+  return config_.enabled ? config_.noise_multiplier * config_.clip_norm : 0.0;
 }
 
 double PerExampleGradAccumulator::ClipInto(
@@ -55,6 +37,7 @@ double PerExampleGradAccumulator::ClipInto(
   double norm = std::sqrt(norm_sq);
   double scale = 1.0;
   if (config_.enabled) {
+    // Alg. 1 line 8: divide by max(1, ||g||_2 / V).
     scale = 1.0 / std::max(1.0, norm / config_.clip_norm);
   }
   for (size_t pi = 0; pi < replica_params.size(); ++pi) {
@@ -71,32 +54,49 @@ double PerExampleGradAccumulator::ClipInto(
   return norm;
 }
 
-void PerExampleGradAccumulator::MergeClipped(const ClippedGrad& clipped) {
-  SERD_CHECK_EQ(clipped.size(), sum_.size());
-  for (size_t pi = 0; pi < sum_.size(); ++pi) {
-    auto& s = sum_[pi];
-    const auto& c = clipped[pi];
-    if (c.empty()) continue;
-    SERD_CHECK_EQ(c.size(), s.size());
-    for (size_t i = 0; i < s.size(); ++i) s[i] += c[i];
-  }
-}
-
-void PerExampleGradAccumulator::FinishBatch(size_t batch_size, Rng* rng) {
-  SERD_CHECK_GT(batch_size, 0u);
+void PerExampleGradAccumulator::DrawNoise(Rng* rng) {
   SERD_CHECK(rng != nullptr);
-  const double noise_std =
-      config_.enabled ? config_.noise_multiplier * config_.clip_norm : 0.0;
-  const float inv_j = 1.0f / static_cast<float>(batch_size);
-  for (size_t pi = 0; pi < params_.size(); ++pi) {
-    auto& g = params_[pi]->grad();
-    const auto& s = sum_[pi];
-    for (size_t i = 0; i < g.size(); ++i) {
-      double noisy = s[i];
-      if (noise_std > 0.0) noisy += rng->Gaussian(0.0, noise_std);
-      g[i] = static_cast<float>(noisy * inv_j);
+  const double noise_std = NoiseStd();
+  if (noise_std > 0.0) {
+    for (auto& noise : noise_) {
+      for (double& v : noise) v = rng->Gaussian(0.0, noise_std);
     }
   }
+  noise_drawn_ = true;
+}
+
+void PerExampleGradAccumulator::FinishLot(
+    const std::vector<ClippedGrad>& clipped, size_t batch_size,
+    runtime::ThreadPool* pool) {
+  SERD_CHECK_GT(batch_size, 0u);
+  SERD_CHECK_LE(batch_size, clipped.size());
+  SERD_CHECK(noise_drawn_) << "each lot needs its own DrawNoise";
+  noise_drawn_ = false;
+  for (size_t k = 0; k < batch_size; ++k) {
+    SERD_CHECK_EQ(clipped[k].size(), params_.size());
+  }
+  const bool add_noise = NoiseStd() > 0.0;
+  const float inv_j = 1.0f / static_cast<float>(batch_size);
+  runtime::ParallelFor(pool, 0, params_.size(), 1, [&](size_t lo, size_t hi) {
+    for (size_t pi = lo; pi < hi; ++pi) {
+      nn::Tensor& param = *params_[pi];
+      param.EnsureGrad();
+      std::vector<float>& g = param.grad();
+      std::fill(g.begin(), g.end(), 0.0f);
+      for (size_t k = 0; k < batch_size; ++k) {
+        const std::vector<float>& c = clipped[k][pi];
+        if (c.empty()) continue;
+        SERD_CHECK_EQ(c.size(), g.size());
+        for (size_t i = 0; i < g.size(); ++i) g[i] += c[i];
+      }
+      const double* noise = add_noise ? noise_[pi].data() : nullptr;
+      for (size_t i = 0; i < g.size(); ++i) {
+        double noisy = g[i];
+        if (noise != nullptr) noisy += noise[i];
+        g[i] = static_cast<float>(noisy * inv_j);
+      }
+    }
+  });
 }
 
 }  // namespace serd

@@ -5,6 +5,7 @@
 
 #include "common/rng.h"
 #include "nn/tensor.h"
+#include "runtime/thread_pool.h"
 
 namespace serd {
 
@@ -22,49 +23,52 @@ struct DpSgdConfig {
 ///   for each example j: g_j = grad;  g_j <- g_j / max(1, ||g_j||_2 / V)
 ///   g~ = (sum_j g_j + N(0, sigma^2 V^2 I)) / J
 ///
-/// Usage per minibatch:
-///   acc.BeginBatch();
-///   for each example: zero grads, forward, backward, acc.AccumulateExample();
-///   acc.FinishBatch(J, rng);   // leaves g~ in the params' grad buffers
+/// Usage per lot (the three calls touch disjoint state, so the noise draw
+/// may run while examples are clipped):
+///   acc.DrawNoise(rng);
+///   for each example k: forward, backward, acc.ClipInto(params, &slots[k]);
+///   acc.FinishLot(slots, J, pool);  // leaves g~ in the params' grad buffers
 ///   optimizer.Step();
 class PerExampleGradAccumulator {
  public:
   PerExampleGradAccumulator(std::vector<nn::TensorPtr> params,
                             DpSgdConfig config);
 
-  void BeginBatch();
-
-  /// Clips the gradients currently stored in the parameters and adds them
-  /// to the batch sum. Clears the parameter grads afterwards so the next
-  /// example starts clean. Returns the example's pre-clip gradient norm.
-  double AccumulateExample();
-
   /// Per-example clipped gradient, parallel to the parameter list.
   using ClippedGrad = std::vector<std::vector<float>>;
 
-  /// Parallel-training variant of AccumulateExample, split so worker
-  /// threads can clip concurrently while the batch sum stays ordered:
-  /// clips the gradients stored in `replica_params` (a value-identical
+  /// Clips the gradients stored in `replica_params` (a value-identical
   /// copy of the trained model's parameters) into `out` and zeroes them.
-  /// Returns the pre-clip norm. Touches no accumulator state.
+  /// Returns the pre-clip norm. Touches no accumulator state, so worker
+  /// threads may clip concurrently, each example into its own slot.
   double ClipInto(const std::vector<nn::TensorPtr>& replica_params,
                   ClippedGrad* out) const;
 
-  /// Adds one clipped per-example gradient into the batch sum. Callers
-  /// merge examples in ascending example order so the floating-point sum
-  /// is independent of which thread produced each gradient.
-  void MergeClipped(const ClippedGrad& clipped);
+  /// Draws the lot's Gaussian noise N(0, (sigma V)^2) from `rng`: one
+  /// value per parameter element, in parameter order then element order,
+  /// into a buffer that the next FinishLot consumes; nothing is drawn when
+  /// noise is off (DP disabled or sigma = 0). Must precede each FinishLot.
+  /// Touches no parameter and no clipped gradient.
+  void DrawNoise(Rng* rng);
 
-  /// Adds Gaussian noise (if enabled), divides by `batch_size`, and writes
-  /// the result back into the parameters' grad buffers.
-  void FinishBatch(size_t batch_size, Rng* rng);
+  /// Writes g~ into the parameters' grad buffers. Per element: a float sum
+  /// from +0 over clipped[0, batch_size) in ascending example order (an
+  /// empty per-parameter entry contributes nothing), widened to double,
+  /// plus the drawn noise, times 1 / batch_size, rounded to float. The
+  /// parameters are split across `pool` (nullptr = serial); every element
+  /// takes the same arithmetic for any pool size.
+  void FinishLot(const std::vector<ClippedGrad>& clipped, size_t batch_size,
+                 runtime::ThreadPool* pool);
 
   const DpSgdConfig& config() const { return config_; }
 
  private:
+  double NoiseStd() const;
+
   std::vector<nn::TensorPtr> params_;
   DpSgdConfig config_;
-  std::vector<std::vector<float>> sum_;  // parallel to params_
+  std::vector<std::vector<double>> noise_;  // parallel to params_
+  bool noise_drawn_ = false;
 };
 
 }  // namespace serd

@@ -32,12 +32,12 @@ constexpr std::size_t kMc = 128;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 1024;
 
-// The GEMM core (pack + micro/macro kernel, kernels_gemm.inc) is
-// instantiated once per register-tile/ISA variant. The micro-kernel keeps
-// an MR x NR float accumulator live across the full K extent; with
-// 256-bit vectors the compiler maps each row to NR/8 ymm registers (6x16
-// = 12 accumulator ymms), with plain SSE2 the narrower 4x8 tile avoids
-// spills.
+// The GEMM core (pack + micro/macro kernel, the unpacked tiles and rows,
+// kernels_gemm.inc) is instantiated once per register-tile/ISA variant.
+// The micro-kernel keeps an MR x NR float accumulator live across the full
+// K extent; with 256-bit vectors the compiler maps each row to NR/8 ymm
+// registers (6x16 = 12 accumulator ymms), with plain SSE2 the narrower 4x8
+// tile avoids spills.
 
 namespace portable {
 #if defined(__AVX__)
@@ -173,9 +173,8 @@ constexpr std::size_t kGeluChunk = 64;
 
 /// Shared blocked driver: sizes the thread-local packing scratch (no
 /// allocation after warmup; never shared, one model replica per thread)
-/// and hands off to the ISA variant, which picks the tiled or unpacked
-/// path from the call's shape (TakesRowsPath). Strides as in
-/// GemmStridedImpl.
+/// and hands off to the ISA variant, which picks the rows, unpacked-tile
+/// or packed path from the call's shape. Strides as in GemmStridedImpl.
 void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
                  std::size_t ars, std::size_t acs, const float* b,
                  std::size_t brs, std::size_t bcs, float* c,

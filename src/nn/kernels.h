@@ -7,15 +7,16 @@ namespace serd::nn::kernels {
 
 /// Single-thread float kernels behind the autograd tape (tape.cc) and the
 /// model forward passes. All matrices are dense row-major. The GEMM family
-/// is cache-blocked and register-tiled: A and B are packed into
-/// contiguous panels (MR-row and NR-column respectively) so the inner
-/// micro-kernel runs on unit-stride data with an MR x NR accumulator
-/// block that lives in registers across the whole K extent; short calls,
-/// such as a decode step's 1-row projections, skip the packing (see
-/// GemmStrided for the shape rule). The loop nest and blocking constants
-/// are fixed, so results are bit-identical from run to run and independent
-/// of the caller's thread count (each call is single-threaded; concurrency
-/// happens one model replica per thread above this layer).
+/// is cache-blocked and register-tiled: an MR x NR accumulator block lives
+/// in registers across each K block. A strided B (read across its storage
+/// rows) is packed into contiguous NR-column panels, and A into MR-row
+/// panels, so the micro-kernel runs on unit-stride data; a contiguous B is
+/// read in place, and so are short calls such as a decode step's 1-row
+/// projections (see GemmStrided for the shape rule). The loop nest and
+/// blocking constants are fixed, so results are bit-identical from run to
+/// run and independent of the caller's thread count (each call is
+/// single-threaded; concurrency happens one model replica per thread above
+/// this layer).
 ///
 /// On x86-64 the GEMM core additionally carries an AVX2+FMA clone picked
 /// once per process via CPU detection, so portable (SSE2 baseline) builds
@@ -46,15 +47,21 @@ void GemmTN(std::size_t m, std::size_t n, std::size_t k, const float* a,
 /// row-major [m,n]. This is the driver behind GemmNN/NT/TN, exposed so the
 /// incremental decode path (seq2seq KV cache) can run attention over
 /// head-column slices of row-appended K/V buffers without copying them
-/// out. The call's shape picks one of two paths (TakesRowsPath in
-/// kernels_gemm.inc): calls with fewer rows than one register tile skip
-/// packing and read A and B in place, except that a B read across its
-/// storage rows (bcs != 1, such as K read transposed) takes that path only
-/// for a single row and a stride that fits the AVX2 gather's 32-bit
-/// offsets; every other call runs the packed, tiled path. Both give each
-/// C[i,j] the same chain — one sequential multiply-add per p within each
-/// KC block, stored or added into C block by block — so a 1-row call is
-/// bit-identical to the matching row of a full-matrix call.
+/// out. The call's shape alone picks one of three paths
+/// (GemmStridedImpl in kernels_gemm.inc):
+///   - fewer rows than one register tile: the rows path, which reads A
+///     and B in place, except that a B read across its storage rows
+///     (bcs != 1, such as K read transposed) takes it only for a single
+///     row and a stride that fits the AVX2 gather's 32-bit offsets;
+///   - otherwise a contiguous B (bcs == 1, every x*W and x^T*dy): register
+///     tiles that broadcast A from its own strides and load B rows in
+///     place, neither operand packed;
+///   - otherwise (a strided B such as dy*W^T): the packed, tiled path.
+/// All three give each C[i,j] the same chain — one sequential multiply-add
+/// per p within each KC block, stored or added into C block by block — so
+/// a 1-row call is bit-identical to the matching row of a full-matrix
+/// call, and a call is bit-identical to the same product over a
+/// transposed copy of B.
 void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
                  std::size_t ars, std::size_t acs, const float* b,
                  std::size_t brs, std::size_t bcs, float* c, bool accumulate);

@@ -418,12 +418,15 @@ std::string StringSynthesisBank::Synthesize(const std::string& s,
     run->bucket_hits.resize(options_.num_buckets, 0);
   }
   ++run->bucket_hits[used];
-  obs::Observe(
-      obs::GetHistogram(options_.metrics, "s2.bank_bucket",
-                        obs::LinearBounds(
-                            0.0, static_cast<double>(options_.num_buckets - 1),
-                            options_.num_buckets)),
-      static_cast<double>(used));
+  if (options_.metrics != nullptr) {
+    // One histogram bucket per bank bucket over the indices [0, K - 1];
+    // a one-bucket bank spans [0, 1], since the bounds need hi > lo.
+    const int k = options_.num_buckets;
+    options_.metrics
+        ->histogram("s2.bank_bucket",
+                    obs::LinearBounds(0.0, std::max(1, k - 1), k))
+        ->Record(static_cast<double>(used));
+  }
   return SynthesizeWithModel(used, s, target, rng, run);
 }
 

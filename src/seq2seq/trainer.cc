@@ -88,6 +88,15 @@ Seq2SeqTrainReport TrainSeq2Seq(
   std::vector<size_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = i;
 
+  // Per-example buffers, sized for the largest lot and reused by every
+  // lot, so steady-state lots allocate no gradient slots.
+  std::vector<PerExampleGradAccumulator::ClippedGrad> slots(batch);
+  std::vector<double> losses(batch, 0.0);
+  std::vector<double> norms(batch, 0.0);
+  std::vector<size_t> free_replicas;
+  free_replicas.reserve(num_replicas);
+  std::mutex free_mu;
+
   // The accountant is a pure function of (q, sigma); building it up front
   // lets each epoch report the epsilon trajectory as it is spent.
   const bool dp_on = options.dp.enabled && options.dp.noise_multiplier > 0.0;
@@ -107,24 +116,25 @@ Seq2SeqTrainReport TrainSeq2Seq(
     for (size_t start = 0; start < n; start += batch) {
       const size_t end = std::min(n, start + batch);
       const size_t bs = end - start;
-      accumulator.BeginBatch();
       optimizer.ZeroGrad();
       sync_replicas();
+      free_replicas.clear();
+      for (size_t r = 0; r < num_replicas; ++r) free_replicas.push_back(r);
 
-      // Each example runs on whichever replica is free, but its dropout
-      // stream comes from its global example index and its clipped
-      // gradient lands in its own slot, so nothing depends on the
-      // example-to-thread assignment.
-      std::vector<PerExampleGradAccumulator::ClippedGrad> slots(bs);
-      std::vector<double> losses(bs, 0.0);
-      std::vector<double> norms(bs, 0.0);
-      std::vector<size_t> free_replicas(num_replicas);
-      for (size_t r = 0; r < num_replicas; ++r) free_replicas[r] = r;
-      std::mutex free_mu;
-
+      // Chunk 0 draws the lot's noise, which depends on no gradient, so it
+      // overlaps the examples; chunk 1 + k runs example k. Each example
+      // runs on whichever replica is free, but its dropout stream comes
+      // from its global example index and its clipped gradient lands in
+      // its own slot, so nothing depends on the example-to-thread
+      // assignment.
       runtime::ParallelFor(
-          options.pool, 0, bs, 1, [&](size_t lo, size_t hi) {
-            for (size_t k = lo; k < hi; ++k) {
+          options.pool, 0, bs + 1, 1, [&](size_t lo, size_t hi) {
+            for (size_t chunk = lo; chunk < hi; ++chunk) {
+              if (chunk == 0) {
+                accumulator.DrawNoise(&noise_rng);
+                continue;
+              }
+              const size_t k = chunk - 1;
               size_t rid;
               {
                 std::lock_guard<std::mutex> lock(free_mu);
@@ -152,18 +162,18 @@ Seq2SeqTrainReport TrainSeq2Seq(
             }
           });
 
-      // Ordered merge: the batch gradient sum is a function of the example
-      // order alone.
       for (size_t k = 0; k < bs; ++k) {
         epoch_loss += losses[k];
         ++epoch_examples;
         if (options.dp.enabled && norms[k] > options.dp.clip_norm) {
           ++report.clipped_examples;
         }
-        accumulator.MergeClipped(slots[k]);
       }
       report.total_examples += static_cast<long>(bs);
-      accumulator.FinishBatch(bs, &noise_rng);
+      // Ordered merge, noise and 1/J, split by parameter: each element's
+      // sum runs over the examples in lot order, so it is a function of
+      // the example order alone.
+      accumulator.FinishLot(slots, bs, options.pool);
       optimizer.Step();
       ++report.steps;
     }

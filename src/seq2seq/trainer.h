@@ -22,11 +22,12 @@ struct Seq2SeqTrainOptions {
   DpSgdConfig dp;          ///< clip bound V, noise scale sigma
   uint64_t seed = 7;
   bool verbose = false;
-  /// Worker pool for per-example forward/backward + clipping (not owned;
-  /// nullptr = serial). Each example draws its dropout stream from the
-  /// seed and its global example index and clipped gradients merge in
-  /// example order, so the trained weights are bit-identical for any pool
-  /// size.
+  /// Worker pool for each lot's per-example forward/backward + clipping,
+  /// its noise draw, and its merge and finish split by parameter (not
+  /// owned; nullptr = serial). Each example draws its dropout stream from
+  /// the seed and its global example index, the noise comes from one
+  /// sequential stream, and clipped gradients merge in example order, so
+  /// the trained weights are bit-identical for any pool size.
   runtime::ThreadPool* pool = nullptr;
 
   /// Observability sink (not owned; nullptr = off): counters seq2seq.steps /

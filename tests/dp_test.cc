@@ -24,7 +24,22 @@ class DpSgdTest : public testing::Test {
     for (size_t i = 0; i < g.size(); ++i) p_->grad()[i] = g[i];
   }
 
+  /// Clips p_'s current gradient into a slot of its own, as one example
+  /// of the lot; returns the pre-clip norm.
+  double AddExample(const PerExampleGradAccumulator& acc) {
+    slots_.emplace_back();
+    return acc.ClipInto({p_}, &slots_.back());
+  }
+
+  /// Draws the lot's noise and writes g~ for the examples added so far.
+  void FinishLot(PerExampleGradAccumulator* acc, Rng* rng) {
+    acc->DrawNoise(rng);
+    acc->FinishLot(slots_, slots_.size(), nullptr);
+    slots_.clear();
+  }
+
   TensorPtr p_;
+  std::vector<PerExampleGradAccumulator::ClippedGrad> slots_;
 };
 
 TEST_F(DpSgdTest, ClipsLargeGradient) {
@@ -32,12 +47,11 @@ TEST_F(DpSgdTest, ClipsLargeGradient) {
   cfg.clip_norm = 1.0;
   cfg.noise_multiplier = 0.0;
   PerExampleGradAccumulator acc({p_}, cfg);
-  acc.BeginBatch();
   SetGrad({3.0f, 0.0f, 4.0f, 0.0f});  // norm 5 -> scaled by 1/5
-  double norm = acc.AccumulateExample();
+  double norm = AddExample(acc);
   EXPECT_NEAR(norm, 5.0, 1e-6);
   Rng rng(1);
-  acc.FinishBatch(1, &rng);
+  FinishLot(&acc, &rng);
   EXPECT_NEAR(p_->grad()[0], 0.6f, 1e-6);
   EXPECT_NEAR(p_->grad()[2], 0.8f, 1e-6);
 }
@@ -47,11 +61,10 @@ TEST_F(DpSgdTest, SmallGradientNotScaledUp) {
   cfg.clip_norm = 10.0;
   cfg.noise_multiplier = 0.0;
   PerExampleGradAccumulator acc({p_}, cfg);
-  acc.BeginBatch();
   SetGrad({1.0f, 0.0f, 0.0f, 0.0f});
-  acc.AccumulateExample();
+  AddExample(acc);
   Rng rng(2);
-  acc.FinishBatch(1, &rng);
+  FinishLot(&acc, &rng);
   EXPECT_NEAR(p_->grad()[0], 1.0f, 1e-6);  // max(1, 0.1) = 1: unchanged
 }
 
@@ -60,22 +73,20 @@ TEST_F(DpSgdTest, AveragesOverBatch) {
   cfg.clip_norm = 100.0;
   cfg.noise_multiplier = 0.0;
   PerExampleGradAccumulator acc({p_}, cfg);
-  acc.BeginBatch();
   SetGrad({2.0f, 0, 0, 0});
-  acc.AccumulateExample();
+  AddExample(acc);
   SetGrad({4.0f, 0, 0, 0});
-  acc.AccumulateExample();
+  AddExample(acc);
   Rng rng(3);
-  acc.FinishBatch(2, &rng);
+  FinishLot(&acc, &rng);
   EXPECT_NEAR(p_->grad()[0], 3.0f, 1e-6);
 }
 
 TEST_F(DpSgdTest, AccumulateClearsPerExampleGrads) {
   DpSgdConfig cfg;
   PerExampleGradAccumulator acc({p_}, cfg);
-  acc.BeginBatch();
   SetGrad({1, 1, 1, 1});
-  acc.AccumulateExample();
+  AddExample(acc);
   for (float g : p_->grad()) EXPECT_EQ(g, 0.0f);
 }
 
@@ -89,10 +100,9 @@ TEST_F(DpSgdTest, NoiseHasExpectedScale) {
   const int trials = 4000;
   double sum_sq = 0.0;
   for (int t = 0; t < trials; ++t) {
-    acc.BeginBatch();
     SetGrad({0, 0, 0, 0});
-    acc.AccumulateExample();
-    acc.FinishBatch(1, &rng);
+    AddExample(acc);
+    FinishLot(&acc, &rng);
     sum_sq += static_cast<double>(p_->grad()[0]) * p_->grad()[0];
   }
   // Var = (sigma * V)^2 = 4.
@@ -105,11 +115,10 @@ TEST_F(DpSgdTest, DisabledMeansNoClipNoNoise) {
   cfg.clip_norm = 0.001;  // would clip hard if enabled
   cfg.noise_multiplier = 100.0;
   PerExampleGradAccumulator acc({p_}, cfg);
-  acc.BeginBatch();
   SetGrad({3.0f, 0, 4.0f, 0});
-  acc.AccumulateExample();
+  AddExample(acc);
   Rng rng(7);
-  acc.FinishBatch(1, &rng);
+  FinishLot(&acc, &rng);
   EXPECT_NEAR(p_->grad()[0], 3.0f, 1e-6);
   EXPECT_NEAR(p_->grad()[2], 4.0f, 1e-6);
 }

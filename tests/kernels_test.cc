@@ -138,10 +138,12 @@ TEST(KernelsTest, GemmIsDeterministicAcrossCalls) {
 }
 
 /// Runs rows [r0, r0 + m) of a kFullRows-row strided product as calls of
-/// their own, m = 1..5 (fewer rows than a register tile: the unpacked
-/// path, except a strided B at two or more rows), and checks each against the same rows of the full, tiled call
-/// bit for bit. `a` addresses row 0 of the full A; C starts non-zero so
-/// `accumulate` matters.
+/// their own, m = 1..5 (fewer rows than a register tile: the rows path,
+/// except a strided B at two or more rows), and checks each against the
+/// same rows of the full call bit for bit. The full call runs register
+/// tiles: unpacked for a contiguous B, packed for a strided one. `a`
+/// addresses row 0 of the full A; C starts non-zero so `accumulate`
+/// matters.
 constexpr size_t kFullRows = 13;
 
 void ExpectShortCallsMatchFullRows(size_t n, size_t kk, const float* a,
@@ -225,6 +227,52 @@ TEST(KernelsTest, ShortCallsMatchTiledRowsBitwise) {
         ExpectShortCallsMatchFullRows(head_dim, len, scores.data(), len, 1,
                                       vbuf.data() + off, d, 1, accumulate,
                                       &rng);
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, UnpackedTilesMatchPackedTilesBitwise) {
+  // A call of MR rows or more with a contiguous B (bcs = 1) reads A and B
+  // in place; the oracle is the same logical B stored transposed, with a
+  // padded row so bcs = k + 1 != 1 even at k = 1, which takes the packed
+  // path. Each shape runs NN and TN (A transposed), and overwrites or
+  // accumulates onto a non-zero C; m = 130 crosses the MC block.
+  Rng rng(18);
+  for (size_t m : {6, 7, 12, 13, 25, 64, 130}) {
+    for (size_t n : {1, 8, 15, 16, 17, 32, 100}) {
+      for (size_t kk : {1, 16, 255, 256, 257, 513}) {
+        const auto a = RandomMatrix(m, kk, &rng);   // NN A [m, k]
+        const auto at = RandomMatrix(kk, m, &rng);  // TN A [k, m]
+        const auto b = RandomMatrix(kk, n, &rng);   // B [k, n]
+        const size_t ldt = kk + 1;
+        std::vector<float> bt(n * ldt, 0.0f);       // B stored [n, k + 1]
+        for (size_t p = 0; p < kk; ++p) {
+          for (size_t j = 0; j < n; ++j) bt[j * ldt + p] = b[p * n + j];
+        }
+        const auto c0 = RandomMatrix(m, n, &rng);
+        struct Layout {
+          const char* name;
+          const float* a;
+          size_t ars, acs;
+        };
+        for (const Layout& l : {Layout{"NN", a.data(), kk, 1},
+                                Layout{"TN", at.data(), 1, m}}) {
+          for (bool accumulate : {false, true}) {
+            std::vector<float> tiles = c0, packed = c0;
+            k::GemmStrided(m, n, kk, l.a, l.ars, l.acs, b.data(), n, 1,
+                           tiles.data(), accumulate);
+            k::GemmStrided(m, n, kk, l.a, l.ars, l.acs, bt.data(), 1, ldt,
+                           packed.data(), accumulate);
+            for (size_t e = 0; e < m * n; ++e) {
+              EXPECT_EQ(tiles[e], packed[e])
+                  << l.name << " m=" << m << " n=" << n << " k=" << kk
+                  << " accumulate=" << accumulate << " at row " << e / n
+                  << " col " << e % n;
+              if (tiles[e] != packed[e]) return;
+            }
+          }
+        }
       }
     }
   }

@@ -2,8 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <memory>
 
 #include "common/check.h"
+#include "dp/accountant.h"
+#include "dp/dp_sgd.h"
+#include "nn/arena.h"
+#include "nn/optimizer.h"
+#include "obs/metrics.h"
+#include "runtime/sharded_rng.h"
+#include "runtime/thread_pool.h"
 #include "seq2seq/model_bank.h"
 #include "seq2seq/trainer.h"
 #include "seq2seq/transformer.h"
@@ -273,6 +283,205 @@ TEST(TrainerTest, DpOffMeansInfiniteEpsilon) {
   EXPECT_TRUE(std::isinf(report.epsilon));
 }
 
+/// The serial lot tail TrainSeq2Seq ran before its tail moved onto the
+/// pool, kept as the reference: a float batch sum merged one clipped
+/// example at a time in lot order, then noise drawn inline per element and
+/// 1/J applied.
+class ReferenceLotSum {
+ public:
+  explicit ReferenceLotSum(std::vector<nn::TensorPtr> params,
+                           DpSgdConfig config)
+      : params_(std::move(params)), config_(config) {
+    for (const auto& p : params_) sum_.emplace_back(p->size(), 0.0f);
+  }
+
+  void BeginBatch() {
+    for (auto& s : sum_) std::fill(s.begin(), s.end(), 0.0f);
+  }
+
+  void MergeClipped(const PerExampleGradAccumulator::ClippedGrad& clipped) {
+    SERD_CHECK_EQ(clipped.size(), sum_.size());
+    for (size_t pi = 0; pi < sum_.size(); ++pi) {
+      auto& s = sum_[pi];
+      const auto& c = clipped[pi];
+      if (c.empty()) continue;
+      SERD_CHECK_EQ(c.size(), s.size());
+      for (size_t i = 0; i < s.size(); ++i) s[i] += c[i];
+    }
+  }
+
+  void FinishBatch(size_t batch_size, Rng* rng) {
+    SERD_CHECK_GT(batch_size, 0u);
+    SERD_CHECK(rng != nullptr);
+    const double noise_std =
+        config_.enabled ? config_.noise_multiplier * config_.clip_norm : 0.0;
+    const float inv_j = 1.0f / static_cast<float>(batch_size);
+    for (size_t pi = 0; pi < params_.size(); ++pi) {
+      auto& g = params_[pi]->grad();
+      const auto& s = sum_[pi];
+      for (size_t i = 0; i < g.size(); ++i) {
+        double noisy = s[i];
+        if (noise_std > 0.0) noisy += rng->Gaussian(0.0, noise_std);
+        g[i] = static_cast<float>(noisy * inv_j);
+      }
+    }
+  }
+
+ private:
+  std::vector<nn::TensorPtr> params_;
+  DpSgdConfig config_;
+  std::vector<std::vector<float>> sum_;
+};
+
+/// TrainSeq2Seq's serial lot loop as it was before the noise moved into
+/// the examples' region and the merge and finish onto the pool: fresh
+/// slots per lot, ClipInto per example, ordered MergeClipped, then
+/// FinishBatch(&noise_rng) and Adam.
+Seq2SeqTrainReport ReferenceTrain(
+    TransformerSeq2Seq* model, const CharVocab& vocab,
+    const std::vector<std::pair<std::string, std::string>>& pairs,
+    const Seq2SeqTrainOptions& options) {
+  constexpr uint64_t kDropoutSalt = 0x5eedd40b0a5a17e5ULL;
+  Rng rng(options.seed);
+  Rng noise_rng = rng.Fork();
+  (void)rng.Fork();
+  std::vector<std::pair<std::vector<int>, std::vector<int>>> encoded;
+  for (const auto& [src, tgt] : pairs) {
+    encoded.emplace_back(vocab.Encode(src), vocab.Encode(tgt));
+  }
+  nn::Adam optimizer(model->parameters(), options.learning_rate);
+  PerExampleGradAccumulator clipper(model->parameters(), options.dp);
+  ReferenceLotSum accumulator(model->parameters(), options.dp);
+  const size_t n = encoded.size();
+  const size_t batch =
+      std::min<size_t>(std::max(1, options.batch_size), n);
+  nn::TensorArena arena;
+  Seq2SeqTrainReport report;
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  const bool dp_on = options.dp.enabled && options.dp.noise_multiplier > 0.0;
+  const double q =
+      std::min(1.0, static_cast<double>(batch) / static_cast<double>(n));
+  std::unique_ptr<RdpAccountant> accountant;
+  if (dp_on) {
+    accountant =
+        std::make_unique<RdpAccountant>(q, options.dp.noise_multiplier);
+  }
+  double last_epoch_loss = 0.0;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    rng.Shuffle(&order);
+    double epoch_loss = 0.0;
+    size_t epoch_examples = 0;
+    for (size_t start = 0; start < n; start += batch) {
+      const size_t bs = std::min(n, start + batch) - start;
+      accumulator.BeginBatch();
+      optimizer.ZeroGrad();
+      std::vector<PerExampleGradAccumulator::ClippedGrad> slots(bs);
+      std::vector<double> losses(bs, 0.0);
+      std::vector<double> norms(bs, 0.0);
+      for (size_t k = 0; k < bs; ++k) {
+        const auto& [src, tgt] = encoded[order[start + k]];
+        const uint64_t example_id =
+            static_cast<uint64_t>(epoch) * n + (start + k);
+        Rng ex_rng(runtime::ShardedRng::DeriveSeed(
+            options.seed ^ kDropoutSalt, example_id));
+        nn::Tape tape;
+        arena.Reset();
+        tape.set_arena(&arena);
+        auto loss = model->Loss(&tape, src, tgt, &ex_rng);
+        losses[k] = loss->value()[0];
+        tape.Backward(loss);
+        norms[k] = clipper.ClipInto(model->parameters(), &slots[k]);
+      }
+      for (size_t k = 0; k < bs; ++k) {
+        epoch_loss += losses[k];
+        ++epoch_examples;
+        if (options.dp.enabled && norms[k] > options.dp.clip_norm) {
+          ++report.clipped_examples;
+        }
+        accumulator.MergeClipped(slots[k]);
+      }
+      report.total_examples += static_cast<long>(bs);
+      accumulator.FinishBatch(bs, &noise_rng);
+      optimizer.Step();
+      ++report.steps;
+    }
+    last_epoch_loss = epoch_loss / std::max<size_t>(1, epoch_examples);
+    report.epoch_losses.push_back(last_epoch_loss);
+    if (accountant != nullptr) {
+      accountant->AddSteps(report.steps - accountant->steps());
+      report.epoch_epsilons.push_back(accountant->Epsilon(report.delta));
+    }
+  }
+  report.final_loss = last_epoch_loss;
+  report.epsilon = accountant != nullptr
+                       ? accountant->Epsilon(report.delta)
+                       : std::numeric_limits<double>::infinity();
+  return report;
+}
+
+TEST(TrainerTest, LotTailMatchesSerialReferenceBitwise) {
+  CharVocab vocab;
+  vocab.Fit({"abcdefgh ijkl"});
+  std::vector<std::pair<std::string, std::string>> pairs;
+  const std::string text = "abc defg hij kla bcd efgh ijk lab cdef ghij";
+  for (size_t i = 0; i < 20; ++i) {
+    pairs.emplace_back(text.substr(i, 4 + i % 7),
+                       text.substr(i + 2, 3 + i % 5));
+  }
+  TransformerConfig cfg = TinyConfig(vocab.size());
+  cfg.dropout = 0.1f;
+  struct Dp {
+    bool enabled;
+    double sigma;
+  };
+  for (size_t lot : {1, 3, 16, 32}) {
+    for (const Dp& dp : {Dp{false, 1.0}, Dp{true, 0.0}, Dp{true, 1.0}}) {
+      SCOPED_TRACE("lot " + std::to_string(lot) + " dp " +
+                   std::to_string(dp.enabled) + " sigma " +
+                   std::to_string(dp.sigma));
+      Seq2SeqTrainOptions opts;
+      opts.epochs = 2;
+      opts.batch_size = static_cast<int>(lot);
+      opts.seed = 31 + lot;
+      opts.dp.enabled = dp.enabled;
+      opts.dp.noise_multiplier = dp.sigma;
+      opts.dp.clip_norm = 0.5;
+      Rng ref_init(77);
+      TransformerSeq2Seq reference(cfg, &ref_init);
+      const Seq2SeqTrainReport want =
+          ReferenceTrain(&reference, vocab, pairs, opts);
+      for (int workers : {0, 1, 3}) {
+        SCOPED_TRACE("workers " + std::to_string(workers));
+        std::unique_ptr<runtime::ThreadPool> pool;
+        if (workers > 0) pool = std::make_unique<runtime::ThreadPool>(workers);
+        opts.pool = pool.get();
+        Rng init(77);
+        TransformerSeq2Seq model(cfg, &init);
+        const Seq2SeqTrainReport got = TrainSeq2Seq(&model, vocab, pairs, opts);
+        EXPECT_EQ(got.steps, want.steps);
+        EXPECT_EQ(got.epoch_losses, want.epoch_losses);
+        EXPECT_EQ(got.final_loss, want.final_loss);
+        EXPECT_EQ(got.clipped_examples, want.clipped_examples);
+        EXPECT_EQ(got.total_examples, want.total_examples);
+        EXPECT_EQ(got.epoch_epsilons, want.epoch_epsilons);
+        EXPECT_EQ(got.epsilon, want.epsilon);
+        const auto& params = model.parameters();
+        const auto& ref_params = reference.parameters();
+        ASSERT_EQ(params.size(), ref_params.size());
+        for (size_t pi = 0; pi < params.size(); ++pi) {
+          const auto& v = params[pi]->value();
+          const auto& r = ref_params[pi]->value();
+          ASSERT_EQ(v.size(), r.size());
+          EXPECT_EQ(std::memcmp(v.data(), r.data(), v.size() * sizeof(float)),
+                    0)
+              << "parameter " << pi;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------------- the bank
 
 StringBankOptions FastBankOptions() {
@@ -314,6 +523,42 @@ TEST(StringBankTest, TrainRejectsTinyCorpus) {
   StringSynthesisBank bank(FastBankOptions(), Sim);
   Rng rng(11);
   EXPECT_FALSE(bank.Train({"only one"}, &rng).ok());
+}
+
+TEST(StringBankTest, OneBucketBankSynthesizesWithAndWithoutRegistry) {
+  // A one-bucket bank routes every target to bucket 0; its bucket
+  // histogram needs bounds over [0, 1], not the empty [0, 0].
+  const std::vector<std::string> corpus = {
+      "adaptive query optimization", "temporal middleware systems",
+      "generalised hash teams",      "join and group-by processing",
+      "frequent elements in streams", "entity resolution at scale",
+      "duplicate detection pipelines", "probabilistic record linkage"};
+  for (bool with_registry : {false, true}) {
+    SCOPED_TRACE(with_registry ? "registry" : "no registry");
+    obs::MetricsRegistry registry;
+    StringBankOptions opts = FastBankOptions();
+    opts.num_buckets = 1;
+    opts.metrics = with_registry ? &registry : nullptr;
+    StringSynthesisBank bank(opts, Sim);
+    Rng rng(61);
+    ASSERT_TRUE(bank.Train(corpus, &rng).ok());
+    ASSERT_TRUE(bank.stats().bucket_trained[0]);
+    BankRun run;
+    for (double target : {0.0, 0.5, 1.0}) {
+      EXPECT_FALSE(
+          bank.Synthesize("entity resolution at scale", target, &rng, &run)
+              .empty());
+    }
+    ASSERT_EQ(run.bucket_hits.size(), 1u);
+    EXPECT_EQ(run.bucket_hits[0], 3);
+    if (with_registry) {
+      const auto snap = registry.TakeSnapshot();
+      const auto it = snap.histograms.find("s2.bank_bucket");
+      ASSERT_NE(it, snap.histograms.end());
+      EXPECT_EQ(it->second.bounds, std::vector<double>{1.0});
+      EXPECT_EQ(it->second.counts, (std::vector<uint64_t>{3, 0}));
+    }
+  }
 }
 
 class StringBankFixture : public testing::Test {
