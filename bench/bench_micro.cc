@@ -227,7 +227,7 @@ void BM_SgemmNT(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
 }
-BENCHMARK(BM_SgemmNT)->Args({25, 32, 32});
+BENCHMARK(BM_SgemmNT)->Args({25, 32, 32})->Args({256, 256, 256});
 
 // GELU over one decode step's FFN activations (ffn_dim 64) and four lanes
 // of it.

@@ -1,6 +1,5 @@
 #include "common/rng.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace serd {
@@ -84,15 +83,6 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return Uniform() < p;
-}
-
-void Rng::FillBernoulli(double p, float hit, float miss, size_t n,
-                        float* out) {
-  if (p <= 0.0 || p >= 1.0) {
-    std::fill(out, out + n, p <= 0.0 ? miss : hit);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) out[i] = Uniform() < p ? hit : miss;
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {

@@ -1,7 +1,6 @@
 #ifndef SERD_COMMON_RNG_H_
 #define SERD_COMMON_RNG_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -44,10 +43,6 @@ class Rng {
 
   /// True with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
-
-  /// out[i] = Bernoulli(p) ? hit : miss for i in [0, n): the same draws,
-  /// in the same order, as n Bernoulli(p) calls, in one call.
-  void FillBernoulli(double p, float hit, float miss, size_t n, float* out);
 
   /// Index in [0, weights.size()) sampled proportionally to `weights`.
   /// Requires a nonempty vector with nonnegative weights and positive sum.

@@ -23,8 +23,8 @@ namespace serd::nn::kernels {
 
 namespace {
 
-// Cache blocking (floats), shared by every ISA variant: a KC x NR B-panel
-// (~8-32 KB) stays in L1 across an MC-row sweep, an MC x KC A-block
+// Cache blocking (floats), shared by every ISA variant: a KC x NR strip of
+// B (~8-16 KB) stays in L1 across an MC-row sweep, an MC x KC block of A
 // (~128 KB) in L2. The transformer-scale GEMMs here (T, d_model, ffn_dim
 // <= a few hundred) usually fit in one block; the outer loops only matter
 // for the larger vocab-projection and batch matmuls.
@@ -32,12 +32,11 @@ constexpr std::size_t kMc = 128;
 constexpr std::size_t kKc = 256;
 constexpr std::size_t kNc = 1024;
 
-// The GEMM core (pack + micro/macro kernel, the unpacked tiles and rows,
+// The GEMM core (B packing, the register tiles and the rows path,
 // kernels_gemm.inc) is instantiated once per register-tile/ISA variant.
-// The micro-kernel keeps an MR x NR float accumulator live across the full
-// K extent; with 256-bit vectors the compiler maps each row to NR/8 ymm
-// registers (6x16 = 12 accumulator ymms), with plain SSE2 the narrower 4x8
-// tile avoids spills.
+// A tile keeps an MR x NR float accumulator live across a KC block; with
+// 256-bit vectors each row maps to NR/8 ymm registers (6x16 = 12
+// accumulator ymms), with plain SSE2 the narrower 4x8 tile avoids spills.
 
 namespace portable {
 #if defined(__AVX__)
@@ -171,10 +170,10 @@ constexpr std::size_t kGeluChunk = 64;
 
 }  // namespace
 
-/// Shared blocked driver: sizes the thread-local packing scratch (no
-/// allocation after warmup; never shared, one model replica per thread)
-/// and hands off to the ISA variant, which picks the rows, unpacked-tile
-/// or packed path from the call's shape. Strides as in GemmStridedImpl.
+/// Shared blocked driver: sizes the thread-local scratch for a strided B
+/// (no allocation after warmup; never shared, one model replica per
+/// thread) and hands off to the ISA variant, which picks the rows path or
+/// the tiles from the call's shape. Strides as in GemmStridedImpl.
 void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
                  std::size_t ars, std::size_t acs, const float* b,
                  std::size_t brs, std::size_t bcs, float* c,
@@ -186,25 +185,23 @@ void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
     }
     return;
   }
-  thread_local std::vector<float> apack;
   thread_local std::vector<float> bpack;
-  // Pad the block extents so the scratch size covers every variant's
-  // panel rounding (ceil to MR resp. NR, both <= 16); +16 is a safe upper
-  // bound even for MR = 6, which does not divide 16.
-  const std::size_t kc_max = std::min(kKc, k);
-  const std::size_t mc_pad = std::min(kMc, m) + 16;
-  const std::size_t nc_pad = std::min(kNc, n) + 16;
-  if (apack.size() < mc_pad * kc_max) apack.resize(mc_pad * kc_max);
-  if (bpack.size() < kc_max * nc_pad) bpack.resize(kc_max * nc_pad);
+  // Pad the block width so the scratch covers every variant's panel
+  // rounding (ceil to NR <= 16). Only a strided B is packed.
+  if (bcs != 1) {
+    const std::size_t kc_max = std::min(kKc, k);
+    const std::size_t nc_pad = std::min(kNc, n) + 16;
+    if (bpack.size() < kc_max * nc_pad) bpack.resize(kc_max * nc_pad);
+  }
 #if SERD_KERNELS_X86_DISPATCH
   if (UseAvx2()) {
     avx2::GemmStridedImpl(m, n, k, a, ars, acs, b, brs, bcs, c, accumulate,
-                          apack.data(), bpack.data());
+                          bpack.data());
     return;
   }
 #endif
   portable::GemmStridedImpl(m, n, k, a, ars, acs, b, brs, bcs, c, accumulate,
-                            apack.data(), bpack.data());
+                            bpack.data());
 }
 
 void GemmNN(std::size_t m, std::size_t n, std::size_t k, const float* a,

@@ -8,13 +8,13 @@ namespace serd::nn::kernels {
 /// Single-thread float kernels behind the autograd tape (tape.cc) and the
 /// model forward passes. All matrices are dense row-major. The GEMM family
 /// is cache-blocked and register-tiled: an MR x NR accumulator block lives
-/// in registers across each K block. A strided B (read across its storage
-/// rows) is packed into contiguous NR-column panels, and A into MR-row
-/// panels, so the micro-kernel runs on unit-stride data; a contiguous B is
-/// read in place, and so are short calls such as a decode step's 1-row
-/// projections (see GemmStrided for the shape rule). The loop nest and
-/// blocking constants are fixed, so results are bit-identical from run to
-/// run and independent of the caller's thread count (each call is
+/// in registers across each K block, broadcasting A from its own strides.
+/// A strided B (read across its storage rows) is packed into contiguous
+/// NR-column panels so the tile loads unit-stride rows; a contiguous B is
+/// read in place, and so are both operands of short calls such as a decode
+/// step's 1-row projections (see GemmStrided for the shape rule). The loop
+/// nest and blocking constants are fixed, so results are bit-identical from
+/// run to run and independent of the caller's thread count (each call is
 /// single-threaded; concurrency happens one model replica per thread above
 /// this layer).
 ///
@@ -56,7 +56,8 @@ void GemmTN(std::size_t m, std::size_t n, std::size_t k, const float* a,
 ///   - otherwise a contiguous B (bcs == 1, every x*W and x^T*dy): register
 ///     tiles that broadcast A from its own strides and load B rows in
 ///     place, neither operand packed;
-///   - otherwise (a strided B such as dy*W^T): the packed, tiled path.
+///   - otherwise (a strided B such as dy*W^T): the same tiles over B
+///     packed once per cache block into contiguous NR-column panels.
 /// All three give each C[i,j] the same chain — one sequential multiply-add
 /// per p within each KC block, stored or added into C block by block — so
 /// a 1-row call is bit-identical to the matching row of a full-matrix

@@ -352,8 +352,8 @@ TensorPtr Tape::Dropout(const TensorPtr& x, float p, Rng* rng) {
   auto mask = std::make_shared<std::vector<float>>(x->size());
   float keep_scale = 1.0f / (1.0f - p);
   auto out = NewResult(x->rows(), x->cols());
-  rng->FillBernoulli(p, 0.0f, keep_scale, x->size(), mask->data());
   for (size_t i = 0; i < x->size(); ++i) {
+    (*mask)[i] = rng->Bernoulli(p) ? 0.0f : keep_scale;
     out->value()[i] = x->value()[i] * (*mask)[i];
   }
   x->EnsureGrad();
