@@ -129,10 +129,9 @@ std::vector<float> RandomMatrix(size_t rows, size_t cols, uint64_t seed) {
 // {T, d, ffn} feed-forward, {T, V, d} output projection, and one square
 // shape well past the L1 tile. A training step or a full re-decode runs
 // them at m = T (64 here: register tiles over A and B in place); a cached
-// decode step runs them at m = 1, or m = live lanes in lockstep (3 here),
-// which take the rows path for calls below one register tile;
-// {5, 256, 256} is the largest such call at a size where packing could
-// pay off.
+// decode step runs them at m = 1. Calls below one register tile (m = 1,
+// 3 and 5 here) take the rows path; {5, 256, 256} is the largest such
+// call at a size where packing could pay off.
 #define SGEMM_SHAPES            \
   Args({64, 32, 32})            \
       ->Args({64, 64, 32})      \
@@ -179,10 +178,9 @@ BENCHMARK(BM_SgemmBlocked)->SGEMM_SHAPES;
 
 void BM_SgemmAttentionScores(benchmark::State& state) {
   // One decode step's attention scores for one head, {m, len, head_dim}:
-  // the query rows' head slice against the cached K [len, d_model] read
+  // the query row's head slice against the cached K [len, d_model] read
   // transposed through strides (brs = 1, bcs = d_model), as
-  // seq2seq/kv_cache.cc calls it. One row gathers K in place; three
-  // lockstep lanes stay on the packed path.
+  // seq2seq/kv_cache.cc calls it; one row gathers K in place.
   const size_t m = state.range(0), len = state.range(1),
                head_dim = state.range(2), d = 2 * head_dim;
   auto q = RandomMatrix(m, d, 21);
@@ -197,7 +195,7 @@ void BM_SgemmAttentionScores(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * len * head_dim);
 }
-BENCHMARK(BM_SgemmAttentionScores)->Args({1, 24, 16})->Args({3, 24, 16});
+BENCHMARK(BM_SgemmAttentionScores)->Args({1, 24, 16});
 
 // The two backward GEMMs of one training MatMul (tape.cc) at the CPU-scale
 // config, {m, n, k} with a 25-character sequence and d_model 32: the
@@ -229,7 +227,7 @@ void BM_SgemmNT(benchmark::State& state) {
 }
 BENCHMARK(BM_SgemmNT)->Args({25, 32, 32})->Args({256, 256, 256});
 
-// GELU over one decode step's FFN activations (ffn_dim 64) and four lanes
+// GELU over one decode step's FFN activations (ffn_dim 64) and four rows
 // of it.
 void BM_Gelu(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -549,9 +547,8 @@ void BM_GenerateKvCached(benchmark::State& state) {
     Rng rng(17);
     GenerateStats gstats;
     fx.model->GenerateBatch(
-        fx.src_ids, 1, &rng, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*use_kv_cache=*/true, &gstats);
+        fx.model->EncodeMemory(fx.src_ids), 1, &rng, 1.0f,
+        [](int, const std::vector<int>&) { return true; }, &gstats);
     steps += gstats.steps;
   }
   state.SetItemsProcessed(steps);
@@ -581,9 +578,8 @@ void BM_GenerateCandidatesBatched(benchmark::State& state) {
   for (auto _ : state) {
     Rng rng(19);
     int produced = fx.model->GenerateBatch(
-        fx.src_ids, candidates, &rng, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*use_kv_cache=*/true);
+        fx.model->EncodeMemory(fx.src_ids), candidates, &rng, 1.0f,
+        [](int, const std::vector<int>&) { return true; });
     benchmark::DoNotOptimize(produced);
   }
   state.SetItemsProcessed(state.iterations() * candidates);
@@ -607,9 +603,8 @@ TransformerConfig ServingScaleConfig() {
 
 /// Decoder projection weight bytes behind one decode step: the payload of
 /// every per-step linear (self wq/wk/wv/wo, cross wq/wo, ffn1/ffn2 per
-/// layer) in the precision the model decodes at. fp32 streams the raw
-/// [in, out] floats; quantized models report the packed payload
-/// (QuantizedMatrix::PayloadBytes, K-padding included).
+/// layer) in the precision the model decodes at — the raw [in, out]
+/// floats at fp32, the packed int8 payload (K-padding included) at int8.
 std::size_t DecodeWeightBytesPerStep(const TransformerSeq2Seq& model) {
   const TransformerConfig& cfg = model.config();
   const std::size_t d = static_cast<std::size_t>(cfg.d_model);
@@ -624,84 +619,51 @@ std::size_t DecodeWeightBytesPerStep(const TransformerSeq2Seq& model) {
     for (const nn::QuantizedLinear* lin :
          {&layer.self_wq, &layer.self_wk, &layer.self_wv, &layer.self_wo,
           &layer.cross_wq, &layer.cross_wo, &layer.ffn1, &layer.ffn2}) {
-      bytes += lin->w.PayloadBytes();
+      bytes += lin->w.q.size();
     }
   }
   return bytes;
 }
 
-void BM_GenerateCandidatesLaneBatched(benchmark::State& state,
-                                      nn::DecodePrecision precision) {
-  // Token-lockstep decoding on per-candidate RNG streams: encode once,
-  // then every live lane advances through one M-row GEMM per weight per
-  // layer per step (lanes retire on EOS, shrinking M); Arg(1) isolates
-  // the per-step overhead of the batched driver at M=1. These rows run
-  // the serving-scale config (unlike the default-config rows above, so
-  // compare lane rows only with lane rows); each precision capture
-  // routes the per-step GEMMs through its kernels — the fp32-vs-int8 gap
-  // at the same arg is the quantized-decode speedup serving buys.
+void BM_GenerateCandidatesServing(benchmark::State& state,
+                                  nn::DecodePrecision precision) {
+  // The candidate decode S2 runs (GenerateBatch: encode once, then each
+  // candidate through the KV cache on the shared stream) at the
+  // serving-scale config, so compare these rows only with each other.
+  // Each precision capture routes the per-step projections through its
+  // kernels; the fp32-vs-int8 gap at the same arg is what quantized
+  // decode buys.
   //
-  // bytes_per_second is decoder *weight traffic*, normalized per decoded
-  // token: payload bytes of the per-step projections times decode steps.
-  // Lockstep lanes physically share one weight pass per round, so this
-  // overstates DRAM traffic at M>1 — but it keeps the fp32:bf16:int8
-  // rows comparable at 4:2:~1, which is what the counter is for.
+  // bytes_per_second is decoder weight traffic: payload bytes of the
+  // per-step projections times decode steps.
   GenerateFixture fx(40, ServingScaleConfig());
   fx.model->QuantizeWeights(precision);
   const int candidates = static_cast<int>(state.range(0));
   const std::size_t step_bytes = DecodeWeightBytesPerStep(*fx.model);
   long steps = 0;
   for (auto _ : state) {
-    EncoderMemoryPtr memory = fx.model->EncodeMemory(fx.src_ids);
+    Rng rng(19);
     GenerateStats gstats;
-    int produced = fx.model->GenerateBatchLanes(
-        memory, candidates, /*stream_seed=*/19, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*lockstep=*/true, &gstats);
+    int produced = fx.model->GenerateBatch(
+        fx.model->EncodeMemory(fx.src_ids), candidates, &rng, 1.0f,
+        [](int, const std::vector<int>&) { return true; }, &gstats);
     benchmark::DoNotOptimize(produced);
     steps += gstats.steps;
   }
   state.SetItemsProcessed(state.iterations() * candidates);
   state.SetBytesProcessed(steps * static_cast<long>(step_bytes));
 }
-BENCHMARK_CAPTURE(BM_GenerateCandidatesLaneBatched, fp32,
+BENCHMARK_CAPTURE(BM_GenerateCandidatesServing, fp32,
                   nn::DecodePrecision::kFp32)
     ->Arg(1)
     ->Arg(4)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GenerateCandidatesLaneBatched, bf16,
-                  nn::DecodePrecision::kBf16)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_GenerateCandidatesLaneBatched, int8,
+BENCHMARK_CAPTURE(BM_GenerateCandidatesServing, int8,
                   nn::DecodePrecision::kInt8)
     ->Arg(1)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GenerateCandidatesLaneOracle(benchmark::State& state) {
-  // The lane-sequential oracle on the same per-candidate streams: decodes
-  // identical tokens to the lockstep fp32 row above, one lane at a time
-  // (same serving-scale fixture). The gap between this row and the
-  // lockstep fp32 row is pure matrix-batching.
-  GenerateFixture fx(40, ServingScaleConfig());
-  const int candidates = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    EncoderMemoryPtr memory = fx.model->EncodeMemory(fx.src_ids);
-    int produced = fx.model->GenerateBatchLanes(
-        memory, candidates, /*stream_seed=*/19, 1.0f,
-        [](int, const std::vector<int>&) { return true; },
-        /*lockstep=*/false);
-    benchmark::DoNotOptimize(produced);
-  }
-  state.SetItemsProcessed(state.iterations() * candidates);
-}
-BENCHMARK(BM_GenerateCandidatesLaneOracle)
-    ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ---- Observability rows: instrumentation-site cost with the registry ----
@@ -881,7 +843,7 @@ int main(int argc, char** argv) {
         "quant_quality_gate",
         "dblp-acm scale 0.04 seed 42 (serd_cli): JSD(O_real,O_syn) fp32 "
         "0.1608 vs int8 0.1532 (512-sample print; 192-sample manifest "
-        "0.38755 vs 0.35010), int8 decode_quantized_steps 53598; matcher "
+        "0.38755 vs 0.35010), int8 run 53598 decode steps; matcher "
         "F1 delta <= 0.01 and JSD delta <= 0.05 asserted by "
         "QuantPipelineTest.QualityGateInt8WithinBoundOfFp32");
   }

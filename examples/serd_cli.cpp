@@ -19,21 +19,12 @@
 //                                   re-decode reference path instead of
 //                                   the KV cache; slower, bit-identical
 //                                   output — used to audit the cache)
-//            [--batched-decode]  (decode candidates token-lockstep on
-//                                 per-candidate RNG streams — one M-row
-//                                 GEMM per layer per step. Released bytes
-//                                 differ from the default shared-stream
-//                                 path; see DESIGN.md §5k)
-//            [--batched-oracle]  (per-candidate streams decoded one lane
-//                                 at a time: the bit-exactness oracle for
-//                                 --batched-decode — identical output,
-//                                 no matrix batching)
-//            [--decode-precision fp32|bf16|int8]  (numeric format for the
-//                                 KV-cached candidate decode: int8/bf16
-//                                 quantize the decoder projections and run
-//                                 the fused dequant GEMM kernels. Released
-//                                 bytes can differ from fp32; quality is
-//                                 gated e2e — DESIGN.md §5m)
+//            [--decode-precision fp32|int8]  (numeric format for the
+//                                 KV-cached candidate decode: int8
+//                                 quantizes the decoder projections and
+//                                 runs the fused dequant GEMM kernel.
+//                                 Released bytes can differ from fp32;
+//                                 quality is gated e2e — DESIGN.md §5m)
 //            [--blocking off|qgram|auto]  (S3 pair enumeration: exact
 //                                   O(|A|*|B|) scan, q-gram inverted-index
 //                                   candidates only, or auto-switch by
@@ -65,8 +56,7 @@ int Usage(const char* argv0) {
       "          [--alpha A] [--beta B] [--buckets K] [--candidates C]\n"
       "          [--threads N] [--manifest FILE.json]\n"
       "          [--save-models DIR] [--load-models DIR]\n"
-      "          [--reference-decode] [--batched-decode] [--batched-oracle]\n"
-      "          [--decode-precision fp32|bf16|int8]\n"
+      "          [--reference-decode] [--decode-precision fp32|int8]\n"
       "          [--blocking off|qgram|auto]\n"
       "          [--label-cap N]\n",
       argv0);
@@ -130,16 +120,10 @@ int main(int argc, char** argv) {
       options.artifact_mode = SerdOptions::ArtifactMode::kLoad;
     } else if (arg == "--reference-decode") {
       options.string_bank.incremental_decode = false;
-    } else if (arg == "--batched-decode") {
-      options.string_bank.batched_decode = true;
-      options.string_bank.batched_lockstep = true;
-    } else if (arg == "--batched-oracle") {
-      options.string_bank.batched_decode = true;
-      options.string_bank.batched_lockstep = false;
     } else if (arg == "--decode-precision") {
       if (!ParseDecodePrecision(next("--decode-precision"),
                                 &options.string_bank.decode_precision)) {
-        std::fprintf(stderr, "--decode-precision takes fp32|bf16|int8\n");
+        std::fprintf(stderr, "--decode-precision takes fp32|int8\n");
         return 2;
       }
     } else if (arg == "--blocking") {

@@ -226,34 +226,20 @@ Result<std::unique_ptr<TransformerSeq2Seq>> DecodeTransformer(ByteReader* r) {
 
 namespace {
 
-/// Writes one quantized projection: logical dims, then the unpadded
-/// payload (int8 raw rows, or bf16 as little-endian byte pairs — the
-/// fixed byte order keeps artifacts portable and byte-stable), then
-/// scales (int8 only) and bias.
+/// Writes one quantized projection: logical dims, then the unpadded int8
+/// payload rows, the per-channel scales and the bias.
 void EncodeQuantizedLinear(const nn::QuantizedLinear& lin, ByteWriter* w) {
   const nn::QuantizedMatrix& m = lin.w;
   w->U32(static_cast<uint32_t>(m.rows));
   w->U32(static_cast<uint32_t>(m.cols));
   std::string payload;
-  if (m.precision == nn::DecodePrecision::kInt8) {
-    payload.reserve(m.rows * m.cols);
-    for (std::size_t i = 0; i < m.rows; ++i) {
-      const int8_t* row = m.q.data() + i * m.cstride;
-      payload.append(reinterpret_cast<const char*>(row), m.cols);
-    }
-    w->Str(payload);
-    w->F32Vec(m.scales);
-  } else {
-    payload.reserve(m.rows * m.cols * 2);
-    for (std::size_t i = 0; i < m.rows; ++i) {
-      const uint16_t* row = m.bf.data() + i * m.cstride;
-      for (std::size_t j = 0; j < m.cols; ++j) {
-        payload.push_back(static_cast<char>(row[j] & 0xFF));
-        payload.push_back(static_cast<char>(row[j] >> 8));
-      }
-    }
-    w->Str(payload);
+  payload.reserve(m.rows * m.cols);
+  for (std::size_t i = 0; i < m.rows; ++i) {
+    const int8_t* row = m.q.data() + i * m.cstride;
+    payload.append(reinterpret_cast<const char*>(row), m.cols);
   }
+  w->Str(payload);
+  w->F32Vec(m.scales);
   w->F32Vec(lin.bias);
 }
 
@@ -261,9 +247,8 @@ void EncodeQuantizedLinear(const nn::QuantizedLinear& lin, ByteWriter* w) {
 /// shape the owning model expects (`want_rows` x `want_cols`) before any
 /// packed storage is built — the decode hot loop indexes these matrices
 /// without bounds checks, so nothing from the wire may size them.
-Status DecodeQuantizedLinear(ByteReader* r, nn::DecodePrecision precision,
-                             uint32_t want_rows, uint32_t want_cols,
-                             const std::string& what,
+Status DecodeQuantizedLinear(ByteReader* r, uint32_t want_rows,
+                             uint32_t want_cols, const std::string& what,
                              nn::QuantizedLinear* out) {
   uint32_t rows = r->U32();
   uint32_t cols = r->U32();
@@ -274,43 +259,25 @@ Status DecodeQuantizedLinear(ByteReader* r, nn::DecodePrecision precision,
   }
   std::string payload = r->Str();
   const std::size_t n = static_cast<std::size_t>(rows) * cols;
-  if (precision == nn::DecodePrecision::kInt8) {
-    if (r->ok() && payload.size() != n) {
-      r->Fail(what + " int8 payload has " + std::to_string(payload.size()) +
-              " bytes, want " + std::to_string(n));
+  if (r->ok() && payload.size() != n) {
+    r->Fail(what + " int8 payload has " + std::to_string(payload.size()) +
+            " bytes, want " + std::to_string(n));
+  }
+  std::vector<float> scales = r->F32Vec();
+  if (r->ok() && scales.size() != rows) {
+    r->Fail(what + " has " + std::to_string(scales.size()) +
+            " scales, want " + std::to_string(rows));
+  }
+  for (std::size_t i = 0; r->ok() && i < scales.size(); ++i) {
+    if (!(std::isfinite(scales[i]) && scales[i] > 0.0f)) {
+      r->Fail(what + " scale " + std::to_string(i) +
+              " is not a positive finite float");
     }
-    std::vector<float> scales = r->F32Vec();
-    if (r->ok() && scales.size() != rows) {
-      r->Fail(what + " has " + std::to_string(scales.size()) +
-              " scales, want " + std::to_string(rows));
-    }
-    for (std::size_t i = 0; r->ok() && i < scales.size(); ++i) {
-      if (!(std::isfinite(scales[i]) && scales[i] > 0.0f)) {
-        r->Fail(what + " scale " + std::to_string(i) +
-                " is not a positive finite float");
-      }
-    }
-    if (r->ok()) {
-      out->w = nn::MakeInt8Matrix(
-          rows, cols, reinterpret_cast<const int8_t*>(payload.data()),
-          scales.data());
-    }
-  } else {
-    if (r->ok() && payload.size() != n * 2) {
-      r->Fail(what + " bf16 payload has " + std::to_string(payload.size()) +
-              " bytes, want " + std::to_string(n * 2));
-    }
-    if (r->ok()) {
-      std::vector<uint16_t> bits(n);
-      const unsigned char* p =
-          reinterpret_cast<const unsigned char*>(payload.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = static_cast<uint16_t>(p[2 * i] |
-                                        (static_cast<uint16_t>(p[2 * i + 1])
-                                         << 8));
-      }
-      out->w = nn::MakeBf16Matrix(rows, cols, bits.data());
-    }
+  }
+  if (r->ok()) {
+    out->w = nn::MakeInt8Matrix(
+        rows, cols, reinterpret_cast<const int8_t*>(payload.data()),
+        scales.data());
   }
   std::vector<float> bias = r->F32Vec();
   if (r->ok() && !bias.empty() && bias.size() != rows) {
@@ -341,10 +308,9 @@ void EncodeQuantizedWeights(const QuantizedDecodeWeights& qw, ByteWriter* w) {
 Result<std::unique_ptr<QuantizedDecodeWeights>> DecodeQuantizedWeights(
     ByteReader* r, const TransformerConfig& config) {
   uint8_t tag = r->U8();
-  if (r->ok() && tag != static_cast<uint8_t>(nn::DecodePrecision::kBf16) &&
-      tag != static_cast<uint8_t>(nn::DecodePrecision::kInt8)) {
+  if (r->ok() && tag != static_cast<uint8_t>(nn::DecodePrecision::kInt8)) {
     r->Fail("quantized precision tag " + std::to_string(tag) +
-            " unknown (want bf16=1 or int8=2)");
+            " unknown (want int8=2)");
   }
   uint32_t layers = BoundedU32(r, 1, kMaxLayers, "quantized layer count");
   if (r->ok() && layers != static_cast<uint32_t>(config.num_layers)) {
@@ -360,23 +326,20 @@ Result<std::unique_ptr<QuantizedDecodeWeights>> DecodeQuantizedWeights(
   for (uint32_t i = 0; i < layers; ++i) {
     QuantizedDecoderLayer& l = qw->layers[i];
     const std::string at = "quantized layer " + std::to_string(i) + " ";
-    const nn::DecodePrecision p = qw->precision;
     SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, d, at + "self_wq", &l.self_wq));
+        DecodeQuantizedLinear(r, d, d, at + "self_wq", &l.self_wq));
     SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, d, at + "self_wk", &l.self_wk));
+        DecodeQuantizedLinear(r, d, d, at + "self_wk", &l.self_wk));
     SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, d, at + "self_wv", &l.self_wv));
+        DecodeQuantizedLinear(r, d, d, at + "self_wv", &l.self_wv));
     SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, d, at + "self_wo", &l.self_wo));
+        DecodeQuantizedLinear(r, d, d, at + "self_wo", &l.self_wo));
     SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, d, at + "cross_wq", &l.cross_wq));
+        DecodeQuantizedLinear(r, d, d, at + "cross_wq", &l.cross_wq));
     SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, d, at + "cross_wo", &l.cross_wo));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, f, d, at + "ffn1", &l.ffn1));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, p, d, f, at + "ffn2", &l.ffn2));
+        DecodeQuantizedLinear(r, d, d, at + "cross_wo", &l.cross_wo));
+    SERD_RETURN_IF_ERROR(DecodeQuantizedLinear(r, f, d, at + "ffn1", &l.ffn1));
+    SERD_RETURN_IF_ERROR(DecodeQuantizedLinear(r, d, f, at + "ffn2", &l.ffn2));
   }
   return qw;
 }

@@ -44,8 +44,6 @@ const char* DecodePrecisionName(nn::DecodePrecision precision) {
   switch (precision) {
     case nn::DecodePrecision::kFp32:
       return "fp32";
-    case nn::DecodePrecision::kBf16:
-      return "bf16";
     case nn::DecodePrecision::kInt8:
       return "int8";
   }
@@ -56,8 +54,6 @@ bool ParseDecodePrecision(const std::string& name,
                           nn::DecodePrecision* precision) {
   if (name == "fp32") {
     *precision = nn::DecodePrecision::kFp32;
-  } else if (name == "bf16") {
-    *precision = nn::DecodePrecision::kBf16;
   } else if (name == "int8") {
     *precision = nn::DecodePrecision::kInt8;
   } else {
@@ -112,6 +108,26 @@ Status SerdSynthesizer::Fit(
     const std::vector<std::vector<std::string>>& background_text_corpora,
     const Table& background_entities) {
   WallTimer timer;
+
+  // String-bank options every bank (trained or loaded) decodes with; a
+  // bad value is rejected here, before any artifact load or training.
+  const StringBankOptions& bank_options = options_.string_bank;
+  if (bank_options.num_candidates < 1) {
+    return Status::InvalidArgument(
+        "string_bank.num_candidates must be >= 1, got " +
+        std::to_string(bank_options.num_candidates));
+  }
+  if (bank_options.num_buckets < 1) {
+    return Status::InvalidArgument(
+        "string_bank.num_buckets must be >= 1, got " +
+        std::to_string(bank_options.num_buckets));
+  }
+  if (!std::isfinite(bank_options.temperature) ||
+      bank_options.temperature <= 0.0f) {
+    return Status::InvalidArgument(
+        "string_bank.temperature must be positive and finite, got " +
+        std::to_string(bank_options.temperature));
+  }
 
   // Warm start: a validated artifact replaces the entire offline phase —
   // S1 GMM fitting, DP transformer training, GAN training. kAuto degrades
@@ -346,7 +362,6 @@ RunOptions SerdSynthesizer::DefaultRunOptions() const {
   RunOptions run;
   run.enable_rejection = options_.enable_rejection;
   run.blocking = options_.blocking;
-  run.batched_decode = options_.string_bank.batched_decode;
   std::lock_guard<std::mutex> lock(state_mu_);
   run.seed = options_.seed;
   return run;
@@ -387,7 +402,6 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
   // so a trip interrupts a candidate decode already in flight, not just
   // the next loop iteration.
   BankRun bank_run;
-  bank_run.batched_decode = run.batched_decode;
   bank_run.cancel = cancel;
   WallTimer timer;
   const runtime::ThreadPool::Stats pool_before =
@@ -872,8 +886,6 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
     report.parallel_speedup = delta.Speedup();
   }
   report.decode_steps = bank_run.decode_steps;
-  report.decode_cached_steps = bank_run.decode_cached_steps;
-  report.decode_quantized_steps = bank_run.decode_quantized_steps;
   report.encoder_cache_hits = bank_run.encoder_cache_hits;
   report.encoder_cache_misses = bank_run.encoder_cache_misses;
   report.online_seconds = timer.Seconds();
@@ -927,8 +939,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("block_recall_samples", options_.block_recall_samples);
   opts.Set("observability", options_.observability);
   opts.Set("incremental_decode", options_.string_bank.incremental_decode);
-  opts.Set("batched_decode", options_.string_bank.batched_decode);
-  opts.Set("batched_lockstep", options_.string_bank.batched_lockstep);
   opts.Set("decode_precision",
            DecodePrecisionName(options_.string_bank.decode_precision));
   opts.Set("model_dir", options_.model_dir);
@@ -950,10 +960,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   rep.Set("tracked_pairs_neg", static_cast<int64_t>(report_.tracked_pairs_neg));
   rep.Set("jsd_evaluations", static_cast<int64_t>(report_.jsd_evaluations));
   rep.Set("decode_steps", static_cast<int64_t>(report_.decode_steps));
-  rep.Set("decode_cached_steps",
-          static_cast<int64_t>(report_.decode_cached_steps));
-  rep.Set("decode_quantized_steps",
-          static_cast<int64_t>(report_.decode_quantized_steps));
   rep.Set("encoder_cache_hits",
           static_cast<int64_t>(report_.encoder_cache_hits));
   rep.Set("encoder_cache_misses",

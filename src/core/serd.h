@@ -146,15 +146,11 @@ struct SerdReport {
   long tracked_pairs_neg = 0;
   long jsd_evaluations = 0;      ///< EstimateJsd calls during Synthesize()
   /// String-bank decode accounting for this run (summed over the text
-  /// columns' banks): next-token logits rows computed, how many went
-  /// through the KV-cached incremental path, and encoder-memory cache
-  /// traffic. cached = 0 when running with incremental_decode off
-  /// (--reference-decode).
+  /// columns' banks): next-token logits rows computed, and encoder-memory
+  /// cache traffic (0 with incremental_decode off, --reference-decode).
+  /// Which kernels the steps ran is fixed by the options
+  /// (incremental_decode, decode_precision), so it is not counted.
   long decode_steps = 0;
-  long decode_cached_steps = 0;
-  /// Cached steps whose projections ran through the int8/bf16 kernels
-  /// (0 under fp32 decode; == decode_cached_steps under int8/bf16).
-  long decode_quantized_steps = 0;
   long encoder_cache_hits = 0;
   long encoder_cache_misses = 0;
   /// --- S3 labeling accounting. ---
@@ -219,9 +215,6 @@ struct RunOptions {
   bool enable_rejection = true;  ///< false reproduces the SERD- baseline
   /// S3 enumeration strategy (affects only which pairs S3 scores).
   SerdOptions::BlockingMode blocking = SerdOptions::BlockingMode::kOff;
-  /// Lane-batched candidate decode on per-candidate RNG streams; changes
-  /// released bytes vs the shared-stream path (DESIGN.md §5k).
-  bool batched_decode = false;
   /// Polled cooperatively (not owned; nullptr = never cancelled): once per
   /// S2 guard-loop iteration, once per rejection attempt, before the S3
   /// labeling scan, and inside the string banks' candidate-decode
@@ -344,6 +337,10 @@ class SerdSynthesizer {
   /// Offline models (for the Exp-1 user-study harness; null before Fit).
   const EntityGan* gan() const { return gan_.get(); }
   const EntityEncoder* encoder() const { return encoder_.get(); }
+  /// The string bank of text column `column`; null for any other column.
+  const StringSynthesisBank* string_bank(size_t column) const {
+    return column < banks_.size() ? banks_[column].get() : nullptr;
+  }
 
   /// Labels an arbitrary pair set of a synthesized dataset by the GMM
   /// posterior (used to build matcher training data from E_syn).
@@ -436,7 +433,7 @@ const char* BlockingModeName(SerdOptions::BlockingMode mode);
 bool ParseBlockingMode(const std::string& name,
                        SerdOptions::BlockingMode* mode);
 
-/// Stable wire/CLI names of the decode precisions: "fp32", "bf16", "int8".
+/// Stable wire/CLI names of the decode precisions: "fp32", "int8".
 const char* DecodePrecisionName(nn::DecodePrecision precision);
 
 /// Parses a DecodePrecisionName back; false on an unknown name.

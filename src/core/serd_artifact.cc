@@ -115,7 +115,7 @@ Status SerdSynthesizer::SaveModels(const std::string& dir) const {
   // right now (empty has-flags when running fp32). Always written — the
   // section's presence marks the format generation, and readers that
   // predate it skip unknown sections — so serving at --decode-precision
-  // int8/bf16 from an artifact saved at that precision pays no
+  // int8 from an artifact saved at that precision pays no
   // quantize-on-load. DESIGN.md §5m.
   artifact::ByteWriter* quant = writer.AddSection("quant");
   quant->U32(static_cast<uint32_t>(banks_.size()));

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/check.h"
-
 // Same dispatch model as kernels.cc: on x86-64 GCC/Clang builds that are
 // not already compiled for AVX2+FMA, an AVX2 clone of the cores is
 // emitted under a target pragma and selected once per process; a native
@@ -52,38 +50,23 @@ std::int8_t QuantizeValue(float v, float inv) {
 }  // namespace
 
 QuantizedMatrix QuantizeWeightMatrix(std::size_t in, std::size_t out,
-                                     const float* w,
-                                     DecodePrecision precision) {
-  SERD_CHECK(precision != DecodePrecision::kFp32)
-      << "QuantizeWeightMatrix needs a reduced precision";
+                                     const float* w) {
   QuantizedMatrix qm;
   qm.rows = out;
   qm.cols = in;
   qm.cstride = RoundUpK(in);
-  qm.precision = precision;
-  if (precision == DecodePrecision::kInt8) {
-    qm.q.assign(out * qm.cstride, 0);
-    qm.scales.resize(out);
-    for (std::size_t j = 0; j < out; ++j) {
-      float amax = 0.0f;
-      for (std::size_t k = 0; k < in; ++k) {
-        amax = std::max(amax, std::fabs(w[k * out + j]));
-      }
-      const float scale = ScaleForAmax(amax);
-      qm.scales[j] = scale;
-      const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-      std::int8_t* row = qm.q.data() + j * qm.cstride;
-      for (std::size_t k = 0; k < in; ++k) {
-        row[k] = QuantizeValue(w[k * out + j], inv);
-      }
+  qm.q.assign(out * qm.cstride, 0);
+  qm.scales.resize(out);
+  for (std::size_t j = 0; j < out; ++j) {
+    float amax = 0.0f;
+    for (std::size_t k = 0; k < in; ++k) {
+      amax = std::max(amax, std::fabs(w[k * out + j]));
     }
-  } else {
-    qm.bf.assign(out * qm.cstride, 0);
-    for (std::size_t j = 0; j < out; ++j) {
-      std::uint16_t* row = qm.bf.data() + j * qm.cstride;
-      for (std::size_t k = 0; k < in; ++k) {
-        row[k] = Bf16FromFloat(w[k * out + j]);
-      }
+    qm.scales[j] = ScaleForAmax(amax);
+    const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
+    std::int8_t* row = qm.q.data() + j * qm.cstride;
+    for (std::size_t k = 0; k < in; ++k) {
+      row[k] = QuantizeValue(w[k * out + j], inv);
     }
   }
   return qm;
@@ -95,26 +78,10 @@ QuantizedMatrix MakeInt8Matrix(std::size_t rows, std::size_t cols,
   qm.rows = rows;
   qm.cols = cols;
   qm.cstride = RoundUpK(cols);
-  qm.precision = DecodePrecision::kInt8;
   qm.q.assign(rows * qm.cstride, 0);
   qm.scales.assign(scales, scales + rows);
   for (std::size_t j = 0; j < rows; ++j) {
     std::copy(q + j * cols, q + (j + 1) * cols, qm.q.data() + j * qm.cstride);
-  }
-  return qm;
-}
-
-QuantizedMatrix MakeBf16Matrix(std::size_t rows, std::size_t cols,
-                               const std::uint16_t* bf) {
-  QuantizedMatrix qm;
-  qm.rows = rows;
-  qm.cols = cols;
-  qm.cstride = RoundUpK(cols);
-  qm.precision = DecodePrecision::kBf16;
-  qm.bf.assign(rows * qm.cstride, 0);
-  for (std::size_t j = 0; j < rows; ++j) {
-    std::copy(bf + j * cols, bf + (j + 1) * cols,
-              qm.bf.data() + j * qm.cstride);
   }
   return qm;
 }
@@ -168,7 +135,6 @@ void QuantizeActivationRows(std::size_t m, std::size_t cols,
 
 void GemmInt8(const QuantizedMatrix& w, const float* bias, std::size_t m,
               const std::int8_t* aq, const float* ascales, float* y) {
-  SERD_CHECK(w.precision == DecodePrecision::kInt8);
   if (m == 0 || w.rows == 0) return;
 #if SERD_QUANT_X86
   if (UseAvx2()) {
@@ -179,27 +145,9 @@ void GemmInt8(const QuantizedMatrix& w, const float* bias, std::size_t m,
   portable::GemmInt8Impl(w, bias, m, aq, ascales, y);
 }
 
-void GemmBf16(const QuantizedMatrix& w, const float* bias, std::size_t m,
-              const float* x, float* y) {
-  SERD_CHECK(w.precision == DecodePrecision::kBf16);
-  if (m == 0 || w.rows == 0) return;
-#if SERD_QUANT_X86
-  if (UseAvx2()) {
-    avx2::GemmBf16Impl(w, bias, m, x, y);
-    return;
-  }
-#endif
-  portable::GemmBf16Impl(w, bias, m, x, y);
-}
-
 void QuantizedGemm(const QuantizedMatrix& w, const float* bias,
                    std::size_t m, const float* x, float* y) {
   if (m == 0 || w.rows == 0) return;
-  if (w.precision == DecodePrecision::kBf16) {
-    GemmBf16(w, bias, m, x, y);
-    return;
-  }
-  SERD_CHECK(w.precision == DecodePrecision::kInt8);
   thread_local std::vector<std::int8_t> aq;
   thread_local std::vector<float> ascales;
   if (aq.size() < m * w.cstride) aq.resize(m * w.cstride);

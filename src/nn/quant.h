@@ -3,49 +3,39 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 namespace serd::nn {
 
 /// Numeric format for the per-step decode projections (DESIGN.md §5m).
-/// kFp32 is the exact reference path; kBf16 halves weight traffic with
-/// round-to-nearest bf16 storage and fp32 accumulation; kInt8 quantizes
-/// weights per output channel to symmetric int8 and activations per row
-/// at runtime, accumulating in int32 with an fp32 dequant epilogue.
-enum class DecodePrecision : int { kFp32 = 0, kBf16 = 1, kInt8 = 2 };
+/// kFp32 is the exact reference path; kInt8 quantizes weights per output
+/// channel to symmetric int8 and activations per row at runtime,
+/// accumulating in int32 with an fp32 dequant epilogue. The values are
+/// the artifact's quant-section tags; 1 belonged to a retired bf16 format
+/// and is never reused.
+enum class DecodePrecision : int { kFp32 = 0, kInt8 = 2 };
 
 /// K-extent alignment of the packed quantized rows (one 256-bit int8
 /// vector).
 inline constexpr std::size_t kQuantKAlign = 32;
 
-/// A reduced-precision weight matrix, stored transposed relative to the
-/// fp32 nn::Linear layout: the Linear weight is [in, out] row-major (an
+/// An int8 weight matrix, stored transposed relative to the fp32
+/// nn::Linear layout: the Linear weight is [in, out] row-major (an
 /// output channel's weights strided), while the quantized copy is
 /// [out, in] so every output channel's weights form one contiguous
-/// dot-product operand — the layout the u8·s8 / bf16 inner loops stream.
-/// Rows are zero-padded to a kQuantKAlign stride at quantize time (the
-/// pack step; zero padding is exact in both modes since a zero weight
-/// contributes nothing), so the int8 kernel never needs a scalar K tail.
+/// dot-product operand — the layout the u8·s8 inner loop streams. Rows
+/// are zero-padded to a kQuantKAlign stride at quantize time (the pack
+/// step; zero padding is exact since a zero weight contributes nothing),
+/// so the int8 kernel never needs a scalar K tail.
 struct QuantizedMatrix {
   std::size_t rows = 0;     ///< output channels (cols of the fp32 weight)
   std::size_t cols = 0;     ///< input features (rows of the fp32 weight)
   std::size_t cstride = 0;  ///< cols rounded up to kQuantKAlign
-  DecodePrecision precision = DecodePrecision::kFp32;
-  /// int8 mode: q[r * cstride + c] = round(w[c, r] / scales[r]), clamped
-  /// to [-127, 127] (symmetric; -128 is never produced, which keeps the
-  /// AVX2 maddubs pair sums below INT16_MAX).
+  /// q[r * cstride + c] = round(w[c, r] / scales[r]), clamped to
+  /// [-127, 127] (symmetric; -128 is never produced, which keeps the AVX2
+  /// maddubs pair sums below INT16_MAX).
   std::vector<std::int8_t> q;
   std::vector<float> scales;  ///< [rows] fp32 per-output-channel scales
-  /// bf16 mode: round-to-nearest-even upper 16 bits of the fp32 weight.
-  std::vector<std::uint16_t> bf;
-
-  /// Bytes of weight payload actually streamed per GEMM call (padding
-  /// included) — the weight-traffic term of the bench bytes counter.
-  std::size_t PayloadBytes() const {
-    return precision == DecodePrecision::kInt8 ? q.size()
-                                               : bf.size() * sizeof(std::uint16_t);
-  }
 };
 
 /// A quantized Linear: the packed weight plus an fp32 copy of the bias
@@ -56,45 +46,23 @@ struct QuantizedLinear {
   std::vector<float> bias;
 };
 
-/// Packs a row-major fp32 weight `w` of shape [in, out] (the nn::Linear
-/// layout) into the transposed quantized layout. `precision` must be
-/// kBf16 or kInt8.
+/// Quantizes a row-major fp32 weight `w` of shape [in, out] (the
+/// nn::Linear layout) into the transposed int8 layout.
 QuantizedMatrix QuantizeWeightMatrix(std::size_t in, std::size_t out,
-                                     const float* w,
-                                     DecodePrecision precision);
+                                     const float* w);
 
 /// Rebuilds the packed representation from logical (unpadded, [out, in]
 /// row-major) payload values — the artifact-decode path. `q` holds
 /// rows*cols int8 values, `scales` rows floats.
 QuantizedMatrix MakeInt8Matrix(std::size_t rows, std::size_t cols,
                                const std::int8_t* q, const float* scales);
-/// Same for bf16 payloads (`bf` holds rows*cols values).
-QuantizedMatrix MakeBf16Matrix(std::size_t rows, std::size_t cols,
-                               const std::uint16_t* bf);
-
-/// Round-to-nearest-even fp32 -> bf16 (the storage format of kBf16).
-inline std::uint16_t Bf16FromFloat(float v) {
-  std::uint32_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  const std::uint32_t rounding = 0x7FFFu + ((u >> 16) & 1u);
-  return static_cast<std::uint16_t>((u + rounding) >> 16);
-}
-
-/// Exact bf16 -> fp32 expansion (bf16 is the high half of the fp32 bits).
-inline float FloatFromBf16(std::uint16_t b) {
-  const std::uint32_t u = static_cast<std::uint32_t>(b) << 16;
-  float v;
-  std::memcpy(&v, &u, sizeof(v));
-  return v;
-}
-
 namespace kernels {
 
 /// Quantizes `m` activation rows of `cols` floats each to symmetric int8,
 /// one runtime scale per row (round half away from zero, like the weight
 /// quantizer): aq[i*cstride + c] = round(x[i*cols + c] * 127 / amax_i),
 /// with the [cols, cstride) tail zeroed. A row's scale depends only on
-/// that row, so quantization never couples lanes.
+/// that row, so quantization never couples rows.
 void QuantizeActivationRows(std::size_t m, std::size_t cols,
                             std::size_t cstride, const float* x,
                             std::int8_t* aq, float* ascales);
@@ -106,19 +74,12 @@ void QuantizeActivationRows(std::size_t m, std::size_t cols,
 /// agree bit-for-bit); the epilogue is one fp32 multiply by
 /// (ascales[i] · w.scales[j]) plus the optional bias. Each output element
 /// depends only on its own activation row and weight channel, never on
-/// `m`, so an M-row call equals M single-row calls bitwise (the contract
-/// BatchedDecoder relies on, see kv_cache.h).
+/// `m`, so an M-row call equals M single-row calls bitwise.
 void GemmInt8(const QuantizedMatrix& w, const float* bias, std::size_t m,
               const std::int8_t* aq, const float* ascales, float* y);
 
-/// y[m, out] = x[m, in] · Wbf^T + bias with the bf16 weights expanded to
-/// fp32 (exact) and fp32 accumulation. Per-element accumulation chains
-/// are fixed per (row, channel) — independent of `m` — like GemmInt8.
-void GemmBf16(const QuantizedMatrix& w, const float* bias, std::size_t m,
-              const float* x, float* y);
-
-/// Convenience driver the decoders call: quantizes activations into
-/// thread-local scratch and dispatches on w.precision (kInt8 or kBf16).
+/// Convenience driver the decoder calls: quantizes activations into
+/// thread-local scratch, then runs GemmInt8.
 void QuantizedGemm(const QuantizedMatrix& w, const float* bias,
                    std::size_t m, const float* x, float* y);
 

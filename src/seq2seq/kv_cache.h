@@ -34,51 +34,36 @@ struct EncoderMemory {
 
 using EncoderMemoryPtr = std::shared_ptr<const EncoderMemory>;
 
-/// Decode-step accounting for the obs counters (s2.decode_steps /
-/// s2.decode_cached_steps / s2.decode_quantized_steps). One "step" = one
-/// next-token logits row.
+/// Decode-step accounting for the s2.decode_steps counter. One "step" =
+/// one next-token logits row.
 struct GenerateStats {
-  long steps = 0;            ///< total decode steps taken
-  long cached_steps = 0;     ///< steps served by the KV-cached path
-  long quantized_steps = 0;  ///< cached steps whose projections ran int8/bf16
+  long steps = 0;
 };
 
-/// Per-layer self-attention K/V rows for in-flight decodes. Row t of
+/// Per-layer self-attention K/V rows of one in-flight decode. Row t of
 /// layer l holds wk/wv(LN1(x_t)) exactly as the full re-decode would
 /// compute them for position t — each row is written once, when its token
 /// is fed, and never touched again (causal masking is implicit: only
-/// positions <= t exist in the cache at step t). The cache holds
-/// `num_lanes` independent candidate decodes side by side (lane-major:
-/// lane c's rows live at offset c * capacity * d_model); the single-lane
-/// IncrementalDecoder uses lane 0, the token-lockstep BatchedDecoder one
-/// lane per candidate. All lanes share the length counter because lanes
-/// only ever advance together (a retired lane's rows simply stop being
-/// read).
+/// positions <= t exist in the cache at step t).
 class KvCache {
  public:
-  /// Sizes the buffers for `num_layers` layers of `num_lanes` lanes of
-  /// `capacity` rows of `d_model` floats and rewinds to length 0. Buffer
-  /// capacity is kept across calls, so restarting for a new candidate
-  /// allocates nothing.
-  void Reset(int num_layers, int d_model, int capacity, int num_lanes = 1);
+  /// Sizes the buffers for `num_layers` layers of `capacity` rows of
+  /// `d_model` floats and rewinds to length 0. Buffer capacity is kept
+  /// across calls, so restarting for a new candidate allocates nothing.
+  void Reset(int num_layers, int d_model, int capacity);
 
   int len() const { return len_; }
   void Advance() { ++len_; }
 
-  float* k(int layer, int lane = 0) {
-    return layers_[layer].k.data() + static_cast<std::size_t>(lane) * lane_stride_;
-  }
-  float* v(int layer, int lane = 0) {
-    return layers_[layer].v.data() + static_cast<std::size_t>(lane) * lane_stride_;
-  }
+  float* k(int layer) { return layers_[layer].k.data(); }
+  float* v(int layer) { return layers_[layer].v.data(); }
 
  private:
   struct LayerKv {
-    std::vector<float> k;  ///< [num_lanes, capacity, d_model]
+    std::vector<float> k;  ///< [capacity, d_model]
     std::vector<float> v;
   };
   std::vector<LayerKv> layers_;
-  std::size_t lane_stride_ = 0;  ///< capacity * d_model floats per lane
   int len_ = 0;
 };
 
@@ -123,68 +108,6 @@ class IncrementalDecoder {
   std::vector<float> scores_;  // [max(max_len, mem_len)]
   std::vector<float> ff_;      // [ffn_dim]
   std::vector<float> logits_;  // [vocab_size]
-};
-
-/// Token-lockstep batched decoder: up to `memories.size()` candidate lanes
-/// advance one position per Step(), with each layer's LayerNorm, Q/K/V/O
-/// projections and FFN running as a single M-row kernel call over all live
-/// lanes instead of M single-row chains. Per-lane results are bit-identical
-/// to running IncrementalDecoder on each lane alone: every kernel involved
-/// either works row-independently (LayerNormRows, SoftmaxRows, per-row bias
-/// Add) or accumulates each output element in its own sequential chain over
-/// k regardless of how many rows are computed at once (the GEMM driver), so
-/// stacking rows never changes any element's rounding (DESIGN.md §5k).
-///
-/// Lanes all start at position 0 and retire permanently (EOS / length cap /
-/// early stop); callers pass the currently-live lane subset to each Step(),
-/// so the batch shrinks as candidates finish. One encoder memory per lane —
-/// lanes may share a memory (candidate decode) or carry different ones
-/// (cross-request batching on a warm pool).
-class BatchedDecoder {
- public:
-  /// Binds to `model` (not owned; must outlive the decoder) and one
-  /// encoder memory per lane. All memories must come from `model`.
-  BatchedDecoder(const TransformerSeq2Seq* model,
-                 std::vector<EncoderMemoryPtr> memories);
-
-  /// Rewinds every lane to position 0, reusing all buffers.
-  void Restart();
-
-  /// Feeds tokens[i] to lane lanes[i] at the shared next position and
-  /// returns the [lanes.size(), vocab_size] logits matrix (row i = lane
-  /// lanes[i]), valid until the next Step()/Restart(). `lanes` must be a
-  /// subset of [0, num_lanes) with each lane at the shared position —
-  /// i.e. present in every prior Step() since the last Restart().
-  const float* Step(const std::vector<int>& lanes,
-                    const std::vector<int>& tokens);
-
-  /// Number of tokens fed to each live lane so far.
-  int len() const { return cache_.len(); }
-  int num_lanes() const { return static_cast<int>(memories_.size()); }
-
- private:
-  const TransformerSeq2Seq* model_;
-  std::vector<EncoderMemoryPtr> memories_;
-  KvCache cache_;
-  // [num_lanes, *] batched scratch, reused across steps; live rows are
-  // packed to the front (row i of a Step belongs to lane lanes[i]).
-  std::vector<float> x_;       // [n, d] residual stream
-  std::vector<float> normed_;  // [n, d]
-  std::vector<float> q_;       // [n, d]
-  std::vector<float> knew_;    // [n, d] freshly projected K rows
-  std::vector<float> vnew_;    // [n, d] freshly projected V rows
-  std::vector<float> concat_;  // [n, d] per-head attention outputs
-  std::vector<float> attn_;    // [n, d] output-projected attention
-  std::vector<float> h_;       // [n, d] post-self-attention residual
-  std::vector<float> scores_;  // [n, max(max_len, max mem_len)]
-  std::vector<float> mix_;     // [n, head_dim] one head's context rows
-  std::vector<float> ff_;      // [n, ffn_dim]
-  std::vector<float> logits_;  // [n, vocab_size]
-  /// Set when every lane carries the same EncoderMemory (the candidate-
-  /// decode case): cross-attention then runs M-row score/mix GEMMs per
-  /// head over the shared K/V instead of M single-query passes. Null when
-  /// lanes carry distinct memories (per-lane fallback).
-  const EncoderMemory* shared_memory_ = nullptr;
 };
 
 }  // namespace serd

@@ -308,25 +308,12 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
       ++run->encoder_cache_hits;
       obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_hits"));
     }
-    if (run->batched_decode) {
-      // One draw from the shared stream seeds the per-candidate streams;
-      // the caller's RNG advances by exactly one draw per synthesis call,
-      // independent of how many candidates or tokens get decoded.
-      const uint64_t stream_seed = rng->Next();
-      model->GenerateBatchLanes(
-          memory, options_.num_candidates, stream_seed, options_.temperature,
-          [&](int, const std::vector<int>& out_ids) {
-            return consider(out_ids);
-          },
-          /*lockstep=*/options_.batched_lockstep, &gstats);
-    } else {
-      model->GenerateBatch(
-          memory, options_.num_candidates, rng, options_.temperature,
-          [&](int, const std::vector<int>& out_ids) {
-            return consider(out_ids);
-          },
-          /*use_kv_cache=*/true, &gstats);
-    }
+    model->GenerateBatch(
+        memory, options_.num_candidates, rng, options_.temperature,
+        [&](int, const std::vector<int>& out_ids) {
+          return consider(out_ids);
+        },
+        &gstats);
   } else {
     // Reference implementation: per-candidate encode + full re-decode,
     // exactly the pre-KV-cache behaviour.
@@ -337,14 +324,8 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
     }
   }
   run->decode_steps += gstats.steps;
-  run->decode_cached_steps += gstats.cached_steps;
-  run->decode_quantized_steps += gstats.quantized_steps;
   obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_steps"),
            static_cast<uint64_t>(gstats.steps));
-  obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_cached_steps"),
-           static_cast<uint64_t>(gstats.cached_steps));
-  obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_quantized_steps"),
-           static_cast<uint64_t>(gstats.quantized_steps));
   if (best.empty()) {
     // No decoded candidate was kept: the decode's output is discarded for
     // the hill-climb fallback.
@@ -386,10 +367,7 @@ std::string StringSynthesisBank::Synthesize(const std::string& s,
                                             BankRun* run) const {
   SERD_CHECK(rng != nullptr);
   BankRun local;
-  if (run == nullptr) {
-    local.batched_decode = options_.batched_decode;
-    run = &local;
-  }
+  if (run == nullptr) run = &local;
   obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_synth_calls"));
   double target = std::clamp(target_sim, 0.0, 1.0);
   int bucket = trained_ ? BucketOf(target) : -1;

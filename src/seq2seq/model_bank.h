@@ -53,40 +53,22 @@ struct StringBankOptions {
   /// produce bit-identical synthesized strings at a fixed seed.
   bool incremental_decode = true;
 
-  /// Decode candidates on per-candidate RNG streams (one counter-derived
-  /// stream per candidate index) so all live candidates advance
-  /// token-lockstep through one M-row GEMM per weight per layer per step
-  /// (TransformerSeq2Seq::GenerateBatchLanes). Off by default because the
-  /// per-candidate streams draw differently from the shared-stream path,
-  /// so released bytes change when this flips (DESIGN.md §5k) — quality is
-  /// gated e2e instead (F1 delta vs --reference-decode). Only consulted
-  /// when incremental_decode is on, and only by calls without a BankRun
-  /// (a run passes its own route in BankRun::batched_decode).
-  bool batched_decode = false;
-
-  /// With batched_decode: true = token-lockstep matrix batching, false =
-  /// the lane-sequential per-candidate-stream oracle (same streams, lanes
-  /// decoded one at a time). Both produce bit-identical strings — the
-  /// oracle exists for equivalence tests and the ci.sh diff stage.
-  bool batched_lockstep = true;
-
   /// Numeric format for the KV-cached decode projections (DESIGN.md §5m):
-  /// kFp32 is the exact path, kBf16/kInt8 quantize each trained model's
-  /// decoder projection weights once after training/restore and route the
-  /// per-step GEMMs through the reduced-precision kernels. Released bytes
-  /// can change vs fp32 (perturbed logits), which is why the quality gate
-  /// is an e2e F1/JSD delta bound, not bitwise equality. Only consulted
-  /// when incremental_decode is on — the full re-decode reference
+  /// kFp32 is the exact path, kInt8 quantizes each trained model's decoder
+  /// projection weights once after training/restore and routes the
+  /// per-step GEMMs through the int8 kernels. Released bytes can change vs
+  /// fp32 (perturbed logits), which is why the quality gate is an e2e
+  /// F1/JSD delta bound, not bitwise equality. Only consulted when
+  /// incremental_decode is on — the full re-decode reference
   /// (--reference-decode) always runs fp32.
   nn::DecodePrecision decode_precision = nn::DecodePrecision::kFp32;
 
   /// Observability sink (not owned; nullptr = off): counters
   /// s2.bank_synth_calls / s2.bank_fallback_calls / s2.bank_refined_calls
   /// / s2.bank_empty_decode_calls (model-backed calls whose decode kept no
-  /// candidate) / s2.decode_steps / s2.decode_cached_steps /
-  /// s2.decode_quantized_steps /
-  /// s2.encoder_cache_hits / s2.encoder_cache_misses,
-  /// histogram s2.bank_bucket (index of the model actually used).
+  /// candidate) / s2.decode_steps / s2.encoder_cache_hits /
+  /// s2.encoder_cache_misses, histogram s2.bank_bucket (index of the model
+  /// actually used).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -110,9 +92,6 @@ struct StringBankStats {
 /// their own (SerdSynthesizer passes one per run to all its text columns'
 /// banks, which then sum into it).
 struct BankRun {
-  /// Decode route of these calls; overrides StringBankOptions::
-  /// batched_decode.
-  bool batched_decode = false;
   /// Cooperative cancellation (not owned; nullptr = never cancelled). A
   /// tripped token is folded into the decoder's early-stop callbacks, so a
   /// call abandons its remaining candidates within one decode step and
@@ -125,8 +104,6 @@ struct BankRun {
   /// redirect); grows to the bank's bucket count on first use.
   std::vector<long> bucket_hits;
   long decode_steps = 0;         ///< next-token logits rows computed
-  long decode_cached_steps = 0;  ///< of those, served by the KV cache
-  long decode_quantized_steps = 0;  ///< of those, int8/bf16 projections
   long encoder_cache_hits = 0;   ///< encoder memory reused from the cache
   long encoder_cache_misses = 0; ///< encoder memory computed fresh
 };
@@ -156,8 +133,8 @@ class StringSynthesisBank {
   /// Synthesizes s' with sim(s, s') ≈ target_sim. Falls back to
   /// hill-climbing from s (high targets) or from a random background
   /// string (low targets) for untrained buckets. `run` (optional) supplies
-  /// the decode route and cancel token and collects the accounting; null
-  /// decodes by StringBankOptions::batched_decode with no cancel token.
+  /// the cancel token and collects the accounting; null runs with no
+  /// cancel token and drops the accounting.
   /// Writes nothing to the bank, so any number of threads may call it.
   std::string Synthesize(const std::string& s, double target_sim, Rng* rng,
                          BankRun* run = nullptr) const;

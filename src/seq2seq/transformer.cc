@@ -6,7 +6,6 @@
 
 #include "nn/arena.h"
 #include "nn/kernels.h"
-#include "runtime/sharded_rng.h"
 #include "text/char_vocab.h"
 
 namespace serd {
@@ -183,8 +182,8 @@ std::vector<float> CausalMask(size_t t) {
 /// loops allocate nothing per step. The softmax goes through the kernel
 /// primitive; Rng::Categorical renormalizes internally, so zeroing the
 /// specials after the softmax preserves the sampling distribution. Shared
-/// by Generate and both GenerateBatch paths so all of them draw identical
-/// tokens from identical logits.
+/// by Generate and GenerateBatch so both draw identical tokens from
+/// identical logits.
 int SampleToken(const float* logits, size_t vocab, float temperature,
                 std::vector<float>* probs, std::vector<double>* weights,
                 Rng* rng) {
@@ -201,9 +200,10 @@ int SampleToken(const float* logits, size_t vocab, float temperature,
   return static_cast<int>(rng->Categorical(*weights));
 }
 
-/// Rebuilds a tensor view of the captured encoder memory for the full
-/// re-decode path. Values are the exact floats Encode produced, so
-/// decoding over it matches decoding over the live Encode output bitwise.
+/// Rebuilds a tensor view of the captured encoder memory for
+/// NextLogitsFull's full re-decode. Values are the exact floats Encode
+/// produced, so decoding over it matches decoding over the live Encode
+/// output bitwise.
 TensorPtr MemoryTensor(const EncoderMemory& m) {
   auto t = nn::MakeTensor(m.mem_len, m.d_model);
   std::copy(m.values.begin(), m.values.end(), t->value().begin());
@@ -334,7 +334,6 @@ int TransformerSeq2Seq::GenerateBatch(const EncoderMemoryPtr& memory,
                                       int num_candidates, Rng* rng,
                                       float temperature,
                                       const CandidateFn& on_candidate,
-                                      bool use_kv_cache,
                                       GenerateStats* stats) const {
   SERD_CHECK(rng != nullptr);
   SERD_CHECK(memory != nullptr);
@@ -346,54 +345,23 @@ int TransformerSeq2Seq::GenerateBatch(const EncoderMemoryPtr& memory,
       std::min<int>(config_.max_len, memory->src_len + 8);
   std::vector<float> probs;
   std::vector<double> weights;
-  std::unique_ptr<IncrementalDecoder> dec;
-  TensorPtr mem_tensor;
+  IncrementalDecoder dec(this, memory);
   int produced = 0;
   // Candidates decode strictly one after another — never token-lockstep —
   // so the shared RNG's draw order matches a plain Generate loop and
-  // results stay bit-identical to the pre-cache implementation. The
-  // "batch" amortization is the shared encode + cross K/V, not the
-  // sampling order.
+  // results stay bit-identical to the reference. The "batch"
+  // amortization is the shared encode + cross K/V, not the sampling
+  // order.
   for (int c = 0; c < num_candidates; ++c) {
+    if (c > 0) dec.Restart();
     std::vector<int> generated = {CharVocab::kBos};
-    if (use_kv_cache) {
-      if (dec == nullptr) {
-        dec = std::make_unique<IncrementalDecoder>(this, memory);
-      } else {
-        dec->Restart();
-      }
-      while (static_cast<int>(generated.size()) < length_cap) {
-        const float* logits = dec->Step(generated.back());
-        if (stats != nullptr) {
-          ++stats->steps;
-          ++stats->cached_steps;
-          if (quant_ != nullptr) ++stats->quantized_steps;
-        }
-        const int next =
-            SampleToken(logits, config_.vocab_size, temperature, &probs,
-                        &weights, rng);
-        if (next == CharVocab::kEos) break;
-        generated.push_back(next);
-      }
-    } else {
-      // Reference path: full re-decode per step over the captured memory.
-      if (mem_tensor == nullptr) mem_tensor = MemoryTensor(*memory);
-      thread_local nn::TensorArena decode_arena;
-      while (static_cast<int>(generated.size()) < length_cap) {
-        Tape dec_tape;
-        decode_arena.Reset();
-        dec_tape.set_arena(&decode_arena);
-        dec_tape.set_recording(false);
-        TensorPtr logits =
-            Decode(&dec_tape, generated, mem_tensor, 0.0f, nullptr);
-        if (stats != nullptr) ++stats->steps;
-        const size_t last = logits->rows() - 1;
-        const int next =
-            SampleToken(logits->value().data() + last * logits->cols(),
-                        logits->cols(), temperature, &probs, &weights, rng);
-        if (next == CharVocab::kEos) break;
-        generated.push_back(next);
-      }
+    while (static_cast<int>(generated.size()) < length_cap) {
+      const float* logits = dec.Step(generated.back());
+      if (stats != nullptr) ++stats->steps;
+      const int next = SampleToken(logits, config_.vocab_size, temperature,
+                                   &probs, &weights, rng);
+      if (next == CharVocab::kEos) break;
+      generated.push_back(next);
     }
     ++produced;
     std::vector<int> out_ids(generated.begin() + 1, generated.end());
@@ -402,147 +370,16 @@ int TransformerSeq2Seq::GenerateBatch(const EncoderMemoryPtr& memory,
   return produced;
 }
 
-int TransformerSeq2Seq::GenerateBatch(const std::vector<int>& src_ids,
-                                      int num_candidates, Rng* rng,
-                                      float temperature,
-                                      const CandidateFn& on_candidate,
-                                      bool use_kv_cache,
-                                      GenerateStats* stats) const {
-  return GenerateBatch(EncodeMemory(src_ids), num_candidates, rng,
-                       temperature, on_candidate, use_kv_cache, stats);
-}
-
-int TransformerSeq2Seq::GenerateBatchLanes(const EncoderMemoryPtr& memory,
-                                           int num_candidates,
-                                           std::uint64_t stream_seed,
-                                           float temperature,
-                                           const CandidateFn& on_candidate,
-                                           bool lockstep,
-                                           GenerateStats* stats) const {
-  SERD_CHECK(memory != nullptr);
-  SERD_CHECK_EQ(memory->model_uid, uid_)
-      << "encoder memory was built by a different model";
-  SERD_CHECK_GT(temperature, 0.0f);
-  SERD_CHECK_GT(num_candidates, 0);
-  // Same cap as Generate/GenerateBatch, from the unclamped source length.
-  const int length_cap =
-      std::min<int>(config_.max_len, memory->src_len + 8);
-  std::vector<float> probs;
-  std::vector<double> weights;
-  int produced = 0;
-
-  if (!lockstep) {
-    // Lane-sequential oracle: identical per-candidate streams, candidates
-    // decoded one at a time through the single-lane incremental decoder.
-    // The lockstep path below must match this bitwise, lane for lane.
-    IncrementalDecoder dec(this, memory);
-    for (int c = 0; c < num_candidates; ++c) {
-      if (c > 0) dec.Restart();
-      Rng lane_rng(runtime::ShardedRng::DeriveSeed(stream_seed,
-                                                   static_cast<uint64_t>(c)));
-      std::vector<int> generated = {CharVocab::kBos};
-      while (static_cast<int>(generated.size()) < length_cap) {
-        const float* logits = dec.Step(generated.back());
-        if (stats != nullptr) {
-          ++stats->steps;
-          ++stats->cached_steps;
-          if (quant_ != nullptr) ++stats->quantized_steps;
-        }
-        const int next = SampleToken(logits, config_.vocab_size, temperature,
-                                     &probs, &weights, &lane_rng);
-        if (next == CharVocab::kEos) break;
-        generated.push_back(next);
-      }
-      ++produced;
-      std::vector<int> out_ids(generated.begin() + 1, generated.end());
-      if (!on_candidate(c, out_ids)) break;
-    }
-    return produced;
-  }
-
-  // Token-lockstep path: every live lane advances one position per
-  // BatchedDecoder::Step. Finished lanes are delivered strictly in
-  // candidate order so observable behaviour (callback sequence, early
-  // exit) matches the lane-sequential oracle above.
-  BatchedDecoder dec(this,
-                     std::vector<EncoderMemoryPtr>(num_candidates, memory));
-  std::vector<Rng> lane_rngs;
-  lane_rngs.reserve(num_candidates);
-  for (int c = 0; c < num_candidates; ++c) {
-    lane_rngs.emplace_back(runtime::ShardedRng::DeriveSeed(
-        stream_seed, static_cast<uint64_t>(c)));
-  }
-  std::vector<std::vector<int>> generated(
-      num_candidates, std::vector<int>{CharVocab::kBos});
-  std::vector<bool> finished(num_candidates, false);
-  std::vector<int> live, still, tokens;
-  if (length_cap > 1) {
-    live.resize(num_candidates);
-    for (int c = 0; c < num_candidates; ++c) live[c] = c;
-  } else {
-    finished.assign(num_candidates, true);  // degenerate cap: empty outputs
-  }
-  int next_to_deliver = 0;
-  // Delivers every finished lane whose predecessors are all delivered.
-  // Returns false when the callback stops the batch.
-  auto deliver_ready = [&]() {
-    while (next_to_deliver < num_candidates && finished[next_to_deliver]) {
-      const auto& g = generated[next_to_deliver];
-      std::vector<int> out_ids(g.begin() + 1, g.end());
-      ++produced;
-      if (!on_candidate(next_to_deliver, out_ids)) return false;
-      ++next_to_deliver;
-    }
-    return true;
-  };
-  while (!live.empty()) {
-    tokens.clear();
-    for (int lane : live) tokens.push_back(generated[lane].back());
-    const float* logits = dec.Step(live, tokens);
-    if (stats != nullptr) {
-      stats->steps += static_cast<long>(live.size());
-      stats->cached_steps += static_cast<long>(live.size());
-      if (quant_ != nullptr) {
-        stats->quantized_steps += static_cast<long>(live.size());
-      }
-    }
-    still.clear();
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const int lane = live[i];
-      const int next = SampleToken(
-          logits + i * static_cast<std::size_t>(config_.vocab_size),
-          config_.vocab_size, temperature, &probs, &weights,
-          &lane_rngs[lane]);
-      if (next != CharVocab::kEos) generated[lane].push_back(next);
-      if (next == CharVocab::kEos ||
-          static_cast<int>(generated[lane].size()) >= length_cap) {
-        finished[lane] = true;  // lane retires; its cache rows go dormant
-      } else {
-        still.push_back(lane);
-      }
-    }
-    live.swap(still);
-    // Early stop abandons every live and undelivered lane. Abandoned
-    // lanes drew only from their own streams, so delivered candidates
-    // are unaffected — unlike the shared-stream GenerateBatch.
-    if (!deliver_ready()) return produced;
-  }
-  deliver_ready();
-  return produced;
-}
-
 namespace {
 
 /// Packs one nn::Linear into a QuantizedLinear: the [in, out] fp32 weight
-/// transposes into the contiguous-per-channel quantized layout, and the
-/// bias (if any) is copied so the kernels can fuse it into the dequant
+/// transposes into the contiguous-per-channel int8 layout, and the bias
+/// (if any) is copied so the kernel can fuse it into the dequant
 /// epilogue.
-nn::QuantizedLinear QuantizeLinear(const nn::Linear& lin,
-                                   nn::DecodePrecision precision) {
+nn::QuantizedLinear QuantizeLinear(const nn::Linear& lin) {
   const nn::TensorPtr& w = lin.weight();
   nn::QuantizedLinear out;
-  out.w = nn::QuantizeWeightMatrix(w->rows(), w->cols(),
-                                   w->value().data(), precision);
+  out.w = nn::QuantizeWeightMatrix(w->rows(), w->cols(), w->value().data());
   if (lin.bias() != nullptr) out.bias = lin.bias()->value();
   return out;
 }
@@ -560,14 +397,14 @@ void TransformerSeq2Seq::QuantizeWeights(nn::DecodePrecision precision) {
   qw->layers.reserve(decoder_.size());
   for (const auto& layer : decoder_) {
     QuantizedDecoderLayer ql;
-    ql.self_wq = QuantizeLinear(*layer->self_attn_->wq_, precision);
-    ql.self_wk = QuantizeLinear(*layer->self_attn_->wk_, precision);
-    ql.self_wv = QuantizeLinear(*layer->self_attn_->wv_, precision);
-    ql.self_wo = QuantizeLinear(*layer->self_attn_->wo_, precision);
-    ql.cross_wq = QuantizeLinear(*layer->cross_attn_->wq_, precision);
-    ql.cross_wo = QuantizeLinear(*layer->cross_attn_->wo_, precision);
-    ql.ffn1 = QuantizeLinear(*layer->ffn1_, precision);
-    ql.ffn2 = QuantizeLinear(*layer->ffn2_, precision);
+    ql.self_wq = QuantizeLinear(*layer->self_attn_->wq_);
+    ql.self_wk = QuantizeLinear(*layer->self_attn_->wk_);
+    ql.self_wv = QuantizeLinear(*layer->self_attn_->wv_);
+    ql.self_wo = QuantizeLinear(*layer->self_attn_->wo_);
+    ql.cross_wq = QuantizeLinear(*layer->cross_attn_->wq_);
+    ql.cross_wo = QuantizeLinear(*layer->cross_attn_->wo_);
+    ql.ffn1 = QuantizeLinear(*layer->ffn1_);
+    ql.ffn2 = QuantizeLinear(*layer->ffn2_);
     qw->layers.push_back(std::move(ql));
   }
   quant_ = std::move(qw);

@@ -14,7 +14,7 @@
 namespace serd {
 
 /// Reduced-precision copies of one decoder layer's projection weights —
-/// exactly the per-step GEMMs of the KV-cached decode paths. Cross wk/wv
+/// exactly the per-step GEMMs of the KV-cached decode path. Cross wk/wv
 /// are absent: they run once per source inside EncodeMemory, not per
 /// step, and stay fp32 (DESIGN.md §5m).
 struct QuantizedDecoderLayer {
@@ -58,12 +58,10 @@ class MultiHeadAttention : public nn::Module {
                         const std::vector<float>* mask) const;
 
  private:
-  // The incremental decode paths (kv_cache.cc) re-implement this forward
-  // row-at-a-time / lane-batched against cached K/V, and EncodeMemory
-  // precomputes the cross-attention projections; all need the raw
-  // projection layers.
+  // The incremental decoder (kv_cache.cc) re-implements this forward
+  // row-at-a-time against cached K/V, and EncodeMemory precomputes the
+  // cross-attention projections; both need the raw projection layers.
   friend class IncrementalDecoder;
-  friend class BatchedDecoder;
   friend class TransformerSeq2Seq;
 
   int d_model_, num_heads_, head_dim_;
@@ -97,7 +95,6 @@ class DecoderLayer : public nn::Module {
 
  private:
   friend class IncrementalDecoder;
-  friend class BatchedDecoder;
   friend class TransformerSeq2Seq;
 
   std::unique_ptr<MultiHeadAttention> self_attn_, cross_attn_;
@@ -123,10 +120,10 @@ class TransformerSeq2Seq : public nn::Module {
   /// Autoregressive sampled decoding: encodes src once, then repeatedly
   /// samples the next token from softmax(logits / temperature) until EOS
   /// or max_len. Returns the generated ids without BOS/EOS. This is the
-  /// reference implementation: each step re-decodes the whole prefix
-  /// (O(T^2) attention per step). The KV-cached path (GenerateBatch with
-  /// use_kv_cache) is validated against it, step by step and token by
-  /// token.
+  /// reference implementation (--reference-decode): each step re-decodes
+  /// the whole prefix (O(T^2) attention per step). GenerateBatch samples
+  /// identical tokens from the same RNG stream, which the equivalence
+  /// tests check token by token.
   std::vector<int> Generate(const std::vector<int>& src_ids, Rng* rng,
                             float temperature = 1.0f,
                             GenerateStats* stats = nullptr) const;
@@ -142,47 +139,16 @@ class TransformerSeq2Seq : public nn::Module {
   /// candidates and rejection-loop retries.
   EncoderMemoryPtr EncodeMemory(const std::vector<int>& src_ids) const;
 
-  /// Decodes up to `num_candidates` sampled candidates sharing `memory`,
-  /// invoking `on_candidate` after each. Candidates are decoded strictly
-  /// sequentially (candidate i finishes before i+1 starts) so the RNG
-  /// consumption order is identical to calling Generate() in a loop; with
-  /// `use_kv_cache` each step goes through IncrementalDecoder, otherwise
-  /// through the full re-decode (the reference path). Both paths sample
-  /// identical tokens at a fixed seed. Returns the number of candidates
-  /// decoded.
+  /// Decodes up to `num_candidates` sampled candidates sharing `memory`
+  /// through IncrementalDecoder, invoking `on_candidate` after each.
+  /// Candidates are decoded strictly sequentially (candidate i finishes
+  /// before i+1 starts) so the RNG consumption order is identical to
+  /// calling Generate() in a loop, and both sample identical tokens at a
+  /// fixed seed. Returns the number of candidates decoded.
   int GenerateBatch(const EncoderMemoryPtr& memory, int num_candidates,
                     Rng* rng, float temperature,
-                    const CandidateFn& on_candidate, bool use_kv_cache = true,
+                    const CandidateFn& on_candidate,
                     GenerateStats* stats = nullptr) const;
-
-  /// Convenience overload: encodes `src_ids` internally.
-  int GenerateBatch(const std::vector<int>& src_ids, int num_candidates,
-                    Rng* rng, float temperature,
-                    const CandidateFn& on_candidate, bool use_kv_cache = true,
-                    GenerateStats* stats = nullptr) const;
-
-  /// Per-candidate-stream decoding: candidate c samples from its own
-  /// counter-derived Rng seeded with ShardedRng::DeriveSeed(stream_seed, c),
-  /// so no draw-order constraint couples the candidates and they can decode
-  /// token-lockstep. With `lockstep` every live candidate advances one
-  /// position per BatchedDecoder::Step (one M-row GEMM per weight per layer
-  /// per step), lanes retiring on EOS/length-cap so the batch shrinks as
-  /// candidates finish; without it candidates decode one at a time through
-  /// IncrementalDecoder — the per-lane bit-exactness oracle. Both modes
-  /// produce identical per-candidate token sequences, and `on_candidate`
-  /// is always invoked in candidate order (lockstep buffers finished lanes
-  /// until every lower-indexed lane has been delivered). Returning false
-  /// from `on_candidate` abandons all undelivered candidates, mirroring
-  /// GenerateBatch's early exit — per-candidate streams mean the extra
-  /// tokens an abandoned lane decoded in lockstep mode never influence any
-  /// delivered candidate. Released strings differ from the shared-stream
-  /// GenerateBatch path (different RNG draws), which is why the bank keeps
-  /// this behind StringBankOptions::batched_decode (DESIGN.md §5k).
-  /// Returns the number of candidates delivered to `on_candidate`.
-  int GenerateBatchLanes(const EncoderMemoryPtr& memory, int num_candidates,
-                         std::uint64_t stream_seed, float temperature,
-                         const CandidateFn& on_candidate, bool lockstep = true,
-                         GenerateStats* stats = nullptr) const;
 
   /// Next-token logits after `prefix_ids` (which must start with BOS) via
   /// the full re-decode over `memory` — the reference the equivalence
@@ -197,7 +163,7 @@ class TransformerSeq2Seq : public nn::Module {
 
   /// One-shot weight quantization for serving: packs every decoder
   /// layer's per-step projection weights (self wq/wk/wv/wo, cross wq/wo,
-  /// ffn1/ffn2) into `precision` and routes the KV-cached decode paths
+  /// ffn1/ffn2) into `precision` and routes the KV-cached decode path
   /// through the quantized kernels. kFp32 clears any attached set,
   /// restoring the exact path. Re-quantizing to the precision already
   /// attached is a no-op. Training and the full re-decode reference
@@ -216,7 +182,6 @@ class TransformerSeq2Seq : public nn::Module {
 
  private:
   friend class IncrementalDecoder;
-  friend class BatchedDecoder;
 
   nn::TensorPtr Encode(nn::Tape* tape, const std::vector<int>& src_ids,
                        float dropout, Rng* rng) const;

@@ -116,12 +116,9 @@ struct SerdServer::JobParams {
   /// Per-job S3 blocking mode (a RunOptions field); defaults to the
   /// server's job options.
   SerdOptions::BlockingMode blocking = DefaultJobOptions().blocking;
-  /// Per-job candidate-decode mode (lane-batched per-candidate streams; a
-  /// RunOptions field); defaults to the server's job options.
-  bool batched_decode = DefaultJobOptions().string_bank.batched_decode;
-  /// Per-job decode precision. Unlike `blocking`/`batched_decode` this is
-  /// part of the pool key (fp32 and int8 jobs never share a warm entry),
-  /// so the loader fixes it when it loads the entry.
+  /// Per-job decode precision. Unlike `blocking` this is part of the pool
+  /// key (fp32 and int8 jobs never share a warm entry), so the loader
+  /// fixes it when it loads the entry.
   nn::DecodePrecision decode_precision =
       DefaultJobOptions().string_bank.decode_precision;
   /// Wall-clock budget in milliseconds from admission (0 = none); maps to
@@ -219,6 +216,13 @@ obs::Json SerdServer::Handle(const obs::Json& request) {
 
 Status SerdServer::ParseJobParams(const obs::Json& request,
                                   JobParams* params) const {
+  // A retired field: unknown keys are otherwise ignored, so a client that
+  // still sets it would silently get the shared-stream decode.
+  if (request.Has("batched_decode")) {
+    return Status::InvalidArgument(
+        "'batched_decode' is no longer supported: candidates always decode "
+        "on the shared stream");
+  }
   params->dataset_name = GetString(request, "dataset", "");
   if (params->dataset_name.empty()) {
     return Status::InvalidArgument("request is missing 'dataset'");
@@ -269,15 +273,12 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
     return Status::InvalidArgument("unknown blocking '" + blocking +
                                    "' (off|qgram|auto)");
   }
-  params->batched_decode = GetBool(request, "batched_decode",
-                                   options_.job_options.string_bank
-                                       .batched_decode);
   params->decode_precision = options_.job_options.string_bank.decode_precision;
   const std::string precision = GetString(request, "decode_precision", "");
   if (!precision.empty() &&
       !ParseDecodePrecision(precision, &params->decode_precision)) {
     return Status::InvalidArgument("unknown decode_precision '" + precision +
-                                   "' (fp32|bf16|int8)");
+                                   "' (fp32|int8)");
   }
   SERD_RETURN_IF_ERROR(GetInteger(request, "deadline_ms", 0.0,
                                   kMaxExactInteger, &params->deadline_ms));
@@ -309,7 +310,7 @@ ModelPool::EntryLoader SerdServer::LoaderFor(const JobParams& params) const {
     options.seed = p.data_seed;
     options.model_dir = p.model_dir;
     options.artifact_mode = p.artifact_mode;
-    // Baked in before Fit() so an artifact load at int8/bf16 attaches the
+    // Baked in before Fit() so an artifact load at int8 attaches the
     // pre-quantized weights instead of quantizing on load.
     options.string_bank.decode_precision = p.decode_precision;
     entry->synth = std::make_unique<SerdSynthesizer>(entry->real, options);
@@ -368,7 +369,6 @@ obs::Json SerdServer::HandleSynthesize(const obs::Json& request) {
     run.seed = job_seed;
     run.enable_rejection = params.enable_rejection;
     run.blocking = params.blocking;
-    run.batched_decode = params.batched_decode;
     run.cancel = ctx.cancel;
     SerdReport report;
     Result<ERDataset> result = lease->synth()->Synthesize(run, &report);

@@ -52,15 +52,15 @@ struct ServerOptions {
 ///   stats       -> live metrics snapshot + scheduler/pool gauges
 ///   synthesize  -> submit a job: {"dataset","scale","data_seed","seed",
 ///                  "tenant","model_dir","artifact_mode","out","priority",
-///                  "seed_key","no_rejection","blocking","batched_decode",
-///                  "decode_precision","deadline_ms","wait"}; with
+///                  "seed_key","no_rejection","blocking","decode_precision",
+///                  "deadline_ms","wait"}; with
 ///                  "wait":true (default) blocks until the job finishes
 ///                  and returns its report, else returns the job id
 ///                  immediately. "deadline_ms" (0 = none) bounds the
 ///                  job's total wall clock from admission — an expired
 ///                  job finishes as DeadlineExceeded whether it was still
 ///                  queued or already running. "decode_precision"
-///                  ("fp32"|"bf16"|"int8", default "fp32") selects the
+///                  ("fp32"|"int8", default "fp32") selects the
 ///                  numeric format for candidate decode and is part of
 ///                  the warm-entry identity — fp32 and int8 jobs for the
 ///                  same artifact never share a loaded model.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <set>
 
 #include "core/serd.h"
@@ -142,6 +144,49 @@ TEST(SerdFitTest, RejectsSchemaMismatch) {
   e.values = {"v"};
   other.Append(e);
   EXPECT_FALSE(synth.Fit(f.corpora, other).ok());
+}
+
+TEST(SerdFitTest, RejectsBadStringBankOptionsBeforeAnyWork) {
+  // Values that used to abort on the string bank's CHECKs, or would
+  // decode with a meaningless temperature, come back from Fit() as
+  // InvalidArgument naming the option. The check runs before any artifact
+  // load: the kLoad directory does not exist, so an IOError would mean
+  // the load ran first.
+  auto f = MakeFixture();
+  struct Case {
+    std::string field;
+    std::function<void(StringBankOptions*)> apply;
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<Case> cases = {
+      {"num_candidates", [](StringBankOptions* o) { o->num_candidates = 0; }},
+      {"num_candidates", [](StringBankOptions* o) { o->num_candidates = -1; }},
+      {"num_buckets", [](StringBankOptions* o) { o->num_buckets = 0; }},
+      {"num_buckets", [](StringBankOptions* o) { o->num_buckets = -3; }},
+      {"temperature", [](StringBankOptions* o) { o->temperature = 0.0f; }},
+      {"temperature", [](StringBankOptions* o) { o->temperature = -1.0f; }},
+      {"temperature", [nan](StringBankOptions* o) { o->temperature = nan; }},
+      {"temperature", [inf](StringBankOptions* o) { o->temperature = inf; }},
+  };
+  for (const Case& c : cases) {
+    for (bool load : {false, true}) {
+      SCOPED_TRACE(c.field + (load ? " (load)" : " (train)"));
+      SerdOptions opts = FastOptions();
+      c.apply(&opts.string_bank);
+      if (load) {
+        opts.model_dir = testing::TempDir() + "/serd_no_such_models";
+        opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
+      }
+      SerdSynthesizer synth(f.real, opts);
+      Status status = synth.Fit(f.corpora, f.background);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find(c.field), std::string::npos)
+          << status.ToString();
+      EXPECT_FALSE(synth.Synthesize().ok());
+    }
+  }
 }
 
 TEST(SerdFitTest, SynthesizeBeforeFitFails) {

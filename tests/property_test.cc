@@ -420,13 +420,11 @@ TEST_P(KvCacheFuzzSweep, CachedSamplingMatchesReferenceGenerate) {
   Rng g_ref(GetParam() + 1), g_cached(GetParam() + 1);
   std::vector<int> ref = model.Generate(src_ids, &g_ref);
   std::vector<std::vector<int>> got;
-  model.GenerateBatch(
-      src_ids, 1, &g_cached, 1.0f,
-      [&](int, const std::vector<int>& out_ids) {
-        got.push_back(out_ids);
-        return true;
-      },
-      /*use_kv_cache=*/true);
+  model.GenerateBatch(model.EncodeMemory(src_ids), 1, &g_cached, 1.0f,
+                      [&](int, const std::vector<int>& out_ids) {
+                        got.push_back(out_ids);
+                        return true;
+                      });
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], ref);
 }
@@ -549,11 +547,9 @@ TEST_P(RunOptionsFuzz, RunContractsHoldUnderRandomOptions) {
       SerdOptions::BlockingMode::kOff, SerdOptions::BlockingMode::kQgram,
       SerdOptions::BlockingMode::kAuto};
   run.blocking = modes[rng.UniformInt(3)];
-  run.batched_decode = rng.Bernoulli(0.5);
   SCOPED_TRACE("seed " + std::to_string(run.seed) + " rejection " +
                std::to_string(run.enable_rejection) + " blocking " +
-               BlockingModeName(run.blocking) + " batched " +
-               std::to_string(run.batched_decode));
+               BlockingModeName(run.blocking));
 
   // Report == manifest: the run's report fields equal the deltas of the
   // manifest's counters over the run.
@@ -579,7 +575,6 @@ TEST_P(RunOptionsFuzz, RunContractsHoldUnderRandomOptions) {
   EXPECT_EQ(after["s2.tracked_pairs_neg"], report.tracked_pairs_neg);
   EXPECT_EQ(after["s2.jsd_evaluations"], report.jsd_evaluations);
   EXPECT_EQ(after["s2.decode_steps"], report.decode_steps);
-  EXPECT_EQ(after["s2.decode_cached_steps"], report.decode_cached_steps);
   EXPECT_EQ(after["s2.encoder_cache_hits"] + after["s2.encoder_cache_misses"],
             report.encoder_cache_hits + report.encoder_cache_misses);
   EXPECT_EQ(after["s3.scanned_pairs"], report.s3_scanned_pairs);

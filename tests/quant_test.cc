@@ -1,12 +1,11 @@
 // Quantized-decode tests (DESIGN.md §5m), two tiers:
-//  - kernel tolerance sweep: GemmInt8/GemmBf16 over random shapes against
-//    a double-precision fp32 reference, each int8 element bounded by the
-//    analytic Int8ErrorBound; plus the bitwise contracts the decoders
-//    rely on (M-row == M single-row calls, determinism across calls);
+//  - kernel tolerance sweep: GemmInt8 over random shapes against a
+//    double-precision fp32 reference, each element bounded by the
+//    analytic Int8ErrorBound; plus the bitwise contracts (M-row == M
+//    single-row calls, determinism across calls);
 //  - end-to-end quality gate: the dblp-acm pipeline decoded at int8 must
-//    hold matcher F1 within 0.01 and JSD within 0.005 of the fp32 run
-//    (released bytes may differ — the gate is statistical, like the
-//    batched-decode gate).
+//    hold matcher F1 within 0.01 and JSD within 0.05 of the fp32 run
+//    (released bytes may differ — the gate is statistical).
 // Codec round-trips for the "quant" artifact section live here too.
 #include <gtest/gtest.h>
 
@@ -82,9 +81,8 @@ TEST(QuantKernelTest, Int8WithinAnalyticBound) {
       auto w = RandomVec(shape.in * shape.out, -1.5, 1.5, &rng);
       auto bias = RandomVec(shape.out, -0.5, 0.5, &rng);
 
-      QuantizedMatrix qw = nn::QuantizeWeightMatrix(shape.in, shape.out,
-                                                    w.data(),
-                                                    DecodePrecision::kInt8);
+      QuantizedMatrix qw =
+          nn::QuantizeWeightMatrix(shape.in, shape.out, w.data());
       std::vector<std::int8_t> aq(shape.m * qw.cstride);
       std::vector<float> ascales(shape.m);
       k::QuantizeActivationRows(shape.m, shape.in, qw.cstride, x.data(),
@@ -111,62 +109,24 @@ TEST(QuantKernelTest, Int8WithinAnalyticBound) {
   }
 }
 
-TEST(QuantKernelTest, Bf16WithinRelativeBound) {
-  // bf16 stores 8 mantissa bits, so each weight is within 2^-9 relative
-  // of its fp32 value; the dot product error is bounded by
-  // sum |x||w| * 2^-8 (slack for fp32 accumulation order).
-  for (const auto& shape : kShapes) {
-    Rng rng(shape.out * 13 + 5);
-    auto x = RandomVec(shape.m * shape.in, -2.0, 2.0, &rng);
-    auto w = RandomVec(shape.in * shape.out, -1.5, 1.5, &rng);
-
-    QuantizedMatrix qw = nn::QuantizeWeightMatrix(shape.in, shape.out,
-                                                  w.data(),
-                                                  DecodePrecision::kBf16);
-    std::vector<float> y(shape.m * shape.out);
-    k::GemmBf16(qw, nullptr, shape.m, x.data(), y.data());
-
-    auto ref = ReferenceGemm(shape.m, shape.in, shape.out, x.data(),
-                             w.data(), nullptr);
-    for (std::size_t i = 0; i < shape.m; ++i) {
-      for (std::size_t j = 0; j < shape.out; ++j) {
-        double bound = 1e-6;
-        for (std::size_t c = 0; c < shape.in; ++c) {
-          bound += std::fabs(static_cast<double>(x[i * shape.in + c]) *
-                             static_cast<double>(w[c * shape.out + j])) /
-                   256.0;
-        }
-        double err = std::fabs(ref[i * shape.out + j] -
-                               static_cast<double>(y[i * shape.out + j]));
-        EXPECT_LE(err, bound) << "elem (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
 TEST(QuantKernelTest, MultiRowCallMatchesSingleRowCallsBitwise) {
-  // The contract BatchedDecoder's lockstep/oracle equivalence rests on:
-  // per-element accumulation chains never depend on m.
-  for (DecodePrecision precision :
-       {DecodePrecision::kInt8, DecodePrecision::kBf16}) {
-    const std::size_t m = 6, in = 48, out = 33;
-    Rng rng(99);
-    auto x = RandomVec(m * in, -3.0, 3.0, &rng);
-    auto w = RandomVec(in * out, -1.0, 1.0, &rng);
-    auto bias = RandomVec(out, -0.5, 0.5, &rng);
-    QuantizedMatrix qw = nn::QuantizeWeightMatrix(in, out, w.data(),
-                                                  precision);
+  // Per-element accumulation chains never depend on m.
+  const std::size_t m = 6, in = 48, out = 33;
+  Rng rng(99);
+  auto x = RandomVec(m * in, -3.0, 3.0, &rng);
+  auto w = RandomVec(in * out, -1.0, 1.0, &rng);
+  auto bias = RandomVec(out, -0.5, 0.5, &rng);
+  QuantizedMatrix qw = nn::QuantizeWeightMatrix(in, out, w.data());
 
-    std::vector<float> batched(m * out);
-    k::QuantizedGemm(qw, bias.data(), m, x.data(), batched.data());
+  std::vector<float> batched(m * out);
+  k::QuantizedGemm(qw, bias.data(), m, x.data(), batched.data());
 
-    for (std::size_t i = 0; i < m; ++i) {
-      std::vector<float> row(out);
-      k::QuantizedGemm(qw, bias.data(), 1, x.data() + i * in, row.data());
-      EXPECT_EQ(0, std::memcmp(row.data(), batched.data() + i * out,
-                               out * sizeof(float)))
-          << "precision " << static_cast<int>(precision) << " row " << i;
-    }
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<float> row(out);
+    k::QuantizedGemm(qw, bias.data(), 1, x.data() + i * in, row.data());
+    EXPECT_EQ(0, std::memcmp(row.data(), batched.data() + i * out,
+                             out * sizeof(float)))
+        << "row " << i;
   }
 }
 
@@ -175,8 +135,7 @@ TEST(QuantKernelTest, DeterministicAcrossCalls) {
   Rng rng(7);
   auto x = RandomVec(m * in, -2.0, 2.0, &rng);
   auto w = RandomVec(in * out, -2.0, 2.0, &rng);
-  QuantizedMatrix qw =
-      nn::QuantizeWeightMatrix(in, out, w.data(), DecodePrecision::kInt8);
+  QuantizedMatrix qw = nn::QuantizeWeightMatrix(in, out, w.data());
   std::vector<float> y1(m * out), y2(m * out);
   k::QuantizedGemm(qw, nullptr, m, x.data(), y1.data());
   k::QuantizedGemm(qw, nullptr, m, x.data(), y2.data());
@@ -189,8 +148,7 @@ TEST(QuantKernelTest, FusedBiasMatchesSeparateAdd) {
   auto x = RandomVec(m * in, -1.0, 1.0, &rng);
   auto w = RandomVec(in * out, -1.0, 1.0, &rng);
   auto bias = RandomVec(out, -1.0, 1.0, &rng);
-  QuantizedMatrix qw =
-      nn::QuantizeWeightMatrix(in, out, w.data(), DecodePrecision::kInt8);
+  QuantizedMatrix qw = nn::QuantizeWeightMatrix(in, out, w.data());
   std::vector<float> fused(m * out), bare(m * out);
   k::QuantizedGemm(qw, bias.data(), m, x.data(), fused.data());
   k::QuantizedGemm(qw, nullptr, m, x.data(), bare.data());
@@ -209,8 +167,7 @@ TEST(QuantKernelTest, ZeroAndConstantInputsAreExact) {
   auto w = RandomVec(in * out, -1.0, 1.0, &rng);
   auto bias = RandomVec(out, -1.0, 1.0, &rng);
   std::vector<float> x(in, 0.0f);
-  QuantizedMatrix qw =
-      nn::QuantizeWeightMatrix(in, out, w.data(), DecodePrecision::kInt8);
+  QuantizedMatrix qw = nn::QuantizeWeightMatrix(in, out, w.data());
   std::vector<float> y(out);
   k::QuantizedGemm(qw, bias.data(), 1, x.data(), y.data());
   for (std::size_t j = 0; j < out; ++j) EXPECT_EQ(y[j], bias[j]);
@@ -238,13 +195,9 @@ TEST(QuantModelTest, QuantizeWeightsIsIdempotentPerPrecision) {
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->precision, DecodePrecision::kInt8);
   EXPECT_EQ(first->layers.size(), 2u);
-  // Same precision again: no re-quantization (same object).
+  // Same precision again: no re-quantization (same object); fp32 clears.
   model.QuantizeWeights(DecodePrecision::kInt8);
   EXPECT_EQ(model.quantized_weights(), first);
-  // Switching precision rebuilds; fp32 clears.
-  model.QuantizeWeights(DecodePrecision::kBf16);
-  ASSERT_NE(model.quantized_weights(), nullptr);
-  EXPECT_EQ(model.quantized_weights()->precision, DecodePrecision::kBf16);
   model.QuantizeWeights(DecodePrecision::kFp32);
   EXPECT_EQ(model.quantized_weights(), nullptr);
 }
@@ -287,32 +240,34 @@ std::vector<std::pair<std::string, std::string>> TinyPairs() {
   return pairs;
 }
 
-TEST(QuantModelTest, LockstepMatchesOracleUnderInt8) {
-  // The lockstep/oracle bitwise equivalence must survive quantization:
-  // both paths route per-step projections through the same quantized
-  // kernels, and those are m-independent.
-  StringBankOptions opts = TinyBankOptions();
-  opts.batched_decode = true;
-  opts.decode_precision = DecodePrecision::kInt8;
-
-  auto run = [&](bool lockstep) {
-    StringBankOptions o = opts;
-    o.batched_lockstep = lockstep;
-    o.train.seed = 11;
-    StringSynthesisBank bank(o, EditSim);
-    Rng rng(17);
-    SERD_CHECK(bank.TrainFromPairs(TinyPairs(), &rng).ok());
-    std::vector<std::string> out;
-    Rng srng(23);
-    for (double target : {0.2, 0.5, 0.8}) {
-      out.push_back(bank.Synthesize("database entity", target, &srng));
-    }
-    return out;
-  };
-  EXPECT_EQ(run(true), run(false));
+/// Decode precision of every trained model of `bank` (kFp32 when a model
+/// carries no quantized set); untrained buckets are skipped.
+std::vector<DecodePrecision> ModelPrecisions(const StringSynthesisBank& bank) {
+  std::vector<DecodePrecision> out;
+  for (const auto& model : bank.models()) {
+    if (model == nullptr) continue;
+    const auto* qw = model->quantized_weights();
+    out.push_back(qw != nullptr ? qw->precision : DecodePrecision::kFp32);
+  }
+  return out;
 }
 
-TEST(QuantModelTest, QuantizedStepsCounterTracksPrecision) {
+/// True when every trained model of every string bank of `synth` decodes
+/// at `precision` (and there is at least one).
+bool AllBankModelsAt(const SerdSynthesizer& synth, DecodePrecision precision) {
+  std::size_t models = 0;
+  for (std::size_t c = 0; c < synth.spec().schema().num_columns(); ++c) {
+    const StringSynthesisBank* bank = synth.string_bank(c);
+    if (bank == nullptr) continue;
+    for (DecodePrecision p : ModelPrecisions(*bank)) {
+      if (p != precision) return false;
+      ++models;
+    }
+  }
+  return models > 0;
+}
+
+TEST(QuantModelTest, BankModelsFollowTheDecodePrecision) {
   StringBankOptions opts = TinyBankOptions();
   opts.decode_precision = DecodePrecision::kInt8;
   opts.train.seed = 11;
@@ -320,17 +275,21 @@ TEST(QuantModelTest, QuantizedStepsCounterTracksPrecision) {
   Rng rng(17);
   ASSERT_TRUE(bank.TrainFromPairs(TinyPairs(), &rng).ok());
 
+  // Training quantizes every trained model, and decoding through them
+  // works.
+  const auto int8 = ModelPrecisions(bank);
+  ASSERT_FALSE(int8.empty());
+  for (DecodePrecision p : int8) EXPECT_EQ(p, DecodePrecision::kInt8);
   Rng srng(5);
   BankRun run;
   bank.Synthesize("index table", 0.6, &srng, &run);
-  EXPECT_GT(run.decode_quantized_steps, 0);
-  long quantized = run.decode_quantized_steps;
-  EXPECT_LE(quantized, run.decode_steps);
+  EXPECT_GT(run.decode_steps, 0);
 
-  // Back to fp32: the counter stops moving.
+  // Back to fp32: every model drops its quantized set.
   bank.set_decode_precision(DecodePrecision::kFp32);
-  bank.Synthesize("index table", 0.6, &srng, &run);
-  EXPECT_EQ(run.decode_quantized_steps, quantized);
+  for (DecodePrecision p : ModelPrecisions(bank)) {
+    EXPECT_EQ(p, DecodePrecision::kFp32);
+  }
 }
 
 // --------------------------------------------------------- codec round-trip
@@ -339,23 +298,42 @@ TEST(QuantCodecTest, EncodeDecodeEncodeIsByteIdentical) {
   Rng rng(41);
   TransformerConfig config = TinyConfig();
   TransformerSeq2Seq model(config, &rng);
-  for (DecodePrecision precision :
-       {DecodePrecision::kInt8, DecodePrecision::kBf16}) {
-    model.QuantizeWeights(precision);
-    ASSERT_NE(model.quantized_weights(), nullptr);
+  model.QuantizeWeights(DecodePrecision::kInt8);
+  ASSERT_NE(model.quantized_weights(), nullptr);
 
-    artifact::ByteWriter w1;
-    artifact::EncodeQuantizedWeights(*model.quantized_weights(), &w1);
-    artifact::ByteReader r(w1.bytes());
-    auto decoded = artifact::DecodeQuantizedWeights(&r, config);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_TRUE(r.Finish().ok());
+  artifact::ByteWriter w1;
+  artifact::EncodeQuantizedWeights(*model.quantized_weights(), &w1);
+  artifact::ByteReader r(w1.bytes());
+  auto decoded = artifact::DecodeQuantizedWeights(&r, config);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(r.Finish().ok());
 
-    artifact::ByteWriter w2;
-    artifact::EncodeQuantizedWeights(*decoded.value(), &w2);
-    EXPECT_EQ(w1.bytes(), w2.bytes())
-        << "precision " << static_cast<int>(precision);
-  }
+  artifact::ByteWriter w2;
+  artifact::EncodeQuantizedWeights(*decoded.value(), &w2);
+  EXPECT_EQ(w1.bytes(), w2.bytes());
+}
+
+TEST(QuantCodecTest, RetiredPrecisionTagIsADecodeError) {
+  // Tag 1 was the retired bf16 format: a quant section carrying it must
+  // come back as a decode-cause Status, never an abort.
+  Rng rng(41);
+  TransformerConfig config = TinyConfig();
+  TransformerSeq2Seq model(config, &rng);
+  model.QuantizeWeights(DecodePrecision::kInt8);
+  artifact::ByteWriter w;
+  artifact::EncodeQuantizedWeights(*model.quantized_weights(), &w);
+  std::string bytes = w.bytes();
+  ASSERT_EQ(bytes[0], static_cast<char>(DecodePrecision::kInt8));
+  bytes[0] = 1;
+
+  artifact::ByteReader r(bytes);
+  auto decoded = artifact::DecodeQuantizedWeights(&r, config);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("precision tag 1"),
+            std::string::npos)
+      << decoded.status().ToString();
+  EXPECT_STREQ(ArtifactLoadFailureCause(decoded.status()), "decode");
 }
 
 TEST(QuantCodecTest, ShapeMismatchAgainstModelConfigIsRejected) {
@@ -451,7 +429,7 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   auto fp32 = synth.Synthesize();
   ASSERT_TRUE(fp32.ok()) << fp32.status().ToString();
   const double fp32_jsd = synth.report().jsd_real_vs_syn;
-  EXPECT_EQ(synth.report().decode_quantized_steps, 0);
+  EXPECT_TRUE(AllBankModelsAt(synth, DecodePrecision::kFp32));
 
   SerdOptions int8_opts = fp32_opts;
   int8_opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
@@ -461,14 +439,13 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   auto int8 = int8_synth.Synthesize();
   ASSERT_TRUE(int8.ok()) << int8.status().ToString();
   const double int8_jsd = int8_synth.report().jsd_real_vs_syn;
-  EXPECT_GT(int8_synth.report().decode_quantized_steps, 0);
+  EXPECT_TRUE(AllBankModelsAt(int8_synth, DecodePrecision::kInt8));
 
   // JSD bound note: the S2 loop conditions every entity on the release
   // prefix, so one flipped token early on cascades and the int8 release is
   // effectively an independent resample — JSD(O_real, O_syn) then carries
   // the resampling noise of a GMM fitted on ~200 entities (~0.03 at this
-  // scale; the shipped batched-decode path shifts it by *more* than int8
-  // does on the same fixture). 0.05 is that noise floor, not a statement
+  // scale). 0.05 is that noise floor, not a statement
   // about kernel error; the kernel-level bound is the analytic one above,
   // and the release-scale fp32/int8 JSD pair is recorded per run in
   // BENCH_generate.json.

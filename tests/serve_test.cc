@@ -1028,7 +1028,6 @@ std::pair<RunOptions, RunOptions> TwoRunOptions(const SerdSynthesizer& s) {
   b.seed = 6;
   b.enable_rejection = false;
   b.blocking = SerdOptions::BlockingMode::kQgram;
-  b.batched_decode = true;
   return {a, b};
 }
 
@@ -1651,20 +1650,38 @@ TEST(ServerTest, RejectsMalformedRequestsWithoutDying) {
   EXPECT_FALSE(reply->at("ok").AsBool());
   EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument");
 
-  // An unknown decode_precision string is rejected at parse time with the
-  // accepted spellings in the message.
-  obs::Json bad_precision = obs::Json::Object();
-  bad_precision.Set("verb", "synthesize");
-  bad_precision.Set("dataset", "dblp-acm");
-  bad_precision.Set("decode_precision", "fp16");
-  reply = client.Call(bad_precision);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_FALSE(reply->at("ok").AsBool());
-  EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument");
-  EXPECT_NE(reply->at("error").AsString().find("decode_precision"),
-            std::string::npos);
-  EXPECT_NE(reply->at("error").AsString().find("fp32|bf16|int8"),
-            std::string::npos);
+  // An unknown decode_precision string (including the retired "bf16") is
+  // rejected at parse time with the accepted spellings in the message.
+  for (const char* precision : {"fp16", "bf16"}) {
+    SCOPED_TRACE(precision);
+    obs::Json bad_precision = obs::Json::Object();
+    bad_precision.Set("verb", "synthesize");
+    bad_precision.Set("dataset", "dblp-acm");
+    bad_precision.Set("decode_precision", precision);
+    reply = client.Call(bad_precision);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_FALSE(reply->at("ok").AsBool());
+    EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument");
+    EXPECT_NE(reply->at("error").AsString().find("decode_precision"),
+              std::string::npos);
+    EXPECT_NE(reply->at("error").AsString().find("fp32|int8"),
+              std::string::npos);
+  }
+
+  // The retired lane-batched decode field is refused by name, whatever
+  // its value, instead of being ignored like an unknown key.
+  for (bool value : {true, false}) {
+    obs::Json batched = obs::Json::Object();
+    batched.Set("verb", "synthesize");
+    batched.Set("dataset", "dblp-acm");
+    batched.Set("batched_decode", value);
+    reply = client.Call(batched);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_FALSE(reply->at("ok").AsBool());
+    EXPECT_EQ(reply->at("code").AsString(), "InvalidArgument");
+    EXPECT_NE(reply->at("error").AsString().find("batched_decode"),
+              std::string::npos);
+  }
 
   // Numbers the wire must not cast blindly: non-finite JSON (refused by
   // the parser), an infinite or non-positive scale, seeds outside
