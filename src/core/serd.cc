@@ -11,6 +11,7 @@
 #include "obs/manifest.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
+#include "text/qgram.h"
 
 namespace serd {
 
@@ -198,10 +199,11 @@ Status SerdSynthesizer::Fit(
     StringBankOptions bank_opts = options_.string_bank;
     bank_opts.train.seed = options_.seed + 7919ULL * (c + 1);
     bank_opts.train.pool = pool_.get();
-    auto sim = [this, c](const std::string& a, const std::string& b) {
-      return spec_.ColumnSimilarity(c, a, b);
-    };
-    auto bank = std::make_unique<StringSynthesisBank>(bank_opts, sim);
+    // ColumnSimilarity on a text column is QgramJaccard(a, b, 3) exactly;
+    // the named callable lets the bank's hill climb profile its reference
+    // once per climb.
+    auto bank =
+        std::make_unique<StringSynthesisBank>(bank_opts, QgramJaccardSim{});
     Rng bank_rng(options_.seed + 104729ULL * (c + 1));
     SERD_RETURN_IF_ERROR(
         bank->Train(background_text_corpora[corpus_idx], &bank_rng));

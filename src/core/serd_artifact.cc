@@ -12,6 +12,7 @@
 #include "artifact/model_codec.h"
 #include "common/timer.h"
 #include "core/serd.h"
+#include "text/qgram.h"
 
 namespace serd {
 
@@ -264,11 +265,9 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
     if (attach_quant) {
       bank_opts.decode_precision = nn::DecodePrecision::kFp32;
     }
-    auto sim = [this, c](const std::string& a, const std::string& b) {
-      return spec_.ColumnSimilarity(c, a, b);
-    };
-    auto bank =
-        artifact::DecodeStringBank(&banks_reader, bank_opts, std::move(sim));
+    // The text-column similarity Fit() builds its banks with.
+    auto bank = artifact::DecodeStringBank(&banks_reader, bank_opts,
+                                           QgramJaccardSim{});
     if (!bank.ok()) return fail(bank.status());
     banks[c] = std::move(bank).value();
   }

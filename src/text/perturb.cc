@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/strings.h"
+#include "text/qgram.h"
 
 namespace serd {
 namespace {
@@ -111,13 +112,17 @@ std::string RandomPerturbation(const std::string& s,
   return ApplyPerturbation(s, kOps[rng->UniformInt(8u)], pool, rng);
 }
 
-std::string HillClimbToSimilarity(
-    const std::string& reference, const std::string& start, double target,
-    const std::function<double(const std::string&, const std::string&)>& sim,
-    const std::vector<std::string>& pool, Rng* rng,
-    const HillClimbOptions& options) {
+namespace {
+
+/// The climb over `sim_to_reference(candidate)` = sim(reference,
+/// candidate), templated so the q-gram path calls it inline.
+template <typename SimToReference>
+std::string Climb(const std::string& start, double target,
+                  const SimToReference& sim_to_reference,
+                  const std::vector<std::string>& pool, Rng* rng,
+                  const HillClimbOptions& options) {
   std::string current = start;
-  double current_err = std::fabs(sim(reference, current) - target);
+  double current_err = std::fabs(sim_to_reference(current) - target);
   for (int iter = 0; iter < options.max_iters; ++iter) {
     if (current_err <= options.tolerance) break;
     std::string best = current;
@@ -125,7 +130,7 @@ std::string HillClimbToSimilarity(
     for (int p = 0; p < options.proposals_per_iter; ++p) {
       std::string candidate = RandomPerturbation(current, pool, rng);
       if (candidate.empty()) continue;
-      double err = std::fabs(sim(reference, candidate) - target);
+      double err = std::fabs(sim_to_reference(candidate) - target);
       if (err < best_err) {
         best_err = err;
         best = std::move(candidate);
@@ -137,6 +142,29 @@ std::string HillClimbToSimilarity(
     }
   }
   return current;
+}
+
+}  // namespace
+
+std::string HillClimbToSimilarity(
+    const std::string& reference, const std::string& start, double target,
+    const std::function<double(const std::string&, const std::string&)>& sim,
+    const std::vector<std::string>& pool, Rng* rng,
+    const HillClimbOptions& options) {
+  if (const auto* qgram = sim.target<QgramJaccardSim>()) {
+    const int q = qgram->q;
+    const std::vector<uint32_t> profile = HashedQgramSet(reference, q);
+    return Climb(
+        start, target,
+        [&](const std::string& candidate) {
+          return JaccardOfHashedSets(profile, HashedQgramSet(candidate, q));
+        },
+        pool, rng, options);
+  }
+  return Climb(
+      start, target,
+      [&](const std::string& candidate) { return sim(reference, candidate); },
+      pool, rng, options);
 }
 
 }  // namespace serd

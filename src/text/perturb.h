@@ -40,6 +40,8 @@ std::string RandomPerturbation(const std::string& s,
 /// `tolerance` or `max_iters` proposals are spent. Used to refine
 /// transformer candidates whose achieved similarity misses the sampled one
 /// and to synthesize strings for buckets with too little training data.
+/// When `sim` holds a QgramJaccardSim, the reference's q-gram profile is
+/// computed once per climb; the result is the same either way.
 struct HillClimbOptions {
   int max_iters = 60;
   int proposals_per_iter = 6;

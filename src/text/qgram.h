@@ -49,6 +49,16 @@ double JaccardOfHashedSets(const std::vector<uint32_t>& a,
 size_t OverlapOfHashedSets(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b);
 
+/// QgramJaccard as a named callable: the text-column similarity every
+/// string bank is built with. HillClimbToSimilarity recognizes it and
+/// hashes its fixed reference once per climb instead of once per proposal.
+struct QgramJaccardSim {
+  int q = 3;
+  double operator()(const std::string& a, const std::string& b) const {
+    return QgramJaccard(a, b, q);
+  }
+};
+
 }  // namespace serd
 
 #endif  // SERD_TEXT_QGRAM_H_

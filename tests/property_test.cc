@@ -75,6 +75,24 @@ TEST_P(DatasetSweep, SimilarityVectorsInUnitBox) {
   }
 }
 
+TEST_P(DatasetSweep, TextColumnSimilarityIsQgramJaccardSim) {
+  // The string banks measure text columns with QgramJaccardSim instead of
+  // ColumnSimilarity; the two must agree bit for bit, empty values too.
+  Rng rng(11);
+  const QgramJaccardSim qgram;
+  for (size_t c = 0; c < ds_.schema().num_columns(); ++c) {
+    if (ds_.schema().column(c).type != ColumnType::kText) continue;
+    for (int trial = 0; trial < 30; ++trial) {
+      const std::string& a = ds_.a.row(rng.UniformInt(ds_.a.size())).values[c];
+      const std::string& b = ds_.b.row(rng.UniformInt(ds_.b.size())).values[c];
+      for (const auto& [x, y] : {std::pair{a, b}, std::pair{a, std::string()},
+                                 std::pair{std::string(), std::string()}}) {
+        EXPECT_EQ(spec_.ColumnSimilarity(c, x, y), qgram(x, y));
+      }
+    }
+  }
+}
+
 TEST_P(DatasetSweep, CachedSimilarityAgreesWithDirect) {
   CachedSimilarity cached(spec_);
   Rng rng(4);

@@ -348,6 +348,28 @@ TEST(HillClimbTest, ZeroIterationsReturnsStart) {
             "start");
 }
 
+TEST(HillClimbTest, ProfiledQgramClimbMatchesPairwiseClimb) {
+  // A QgramJaccardSim climb hashes its reference once; it must walk the
+  // same search as the same measure behind an opaque lambda.
+  auto pairwise = [](const std::string& a, const std::string& b) {
+    return QgramJaccard(a, b, 3);
+  };
+  const std::vector<std::string> pool = {"join", "cache", "query", "index"};
+  const std::string ref = "adaptive query optimization in temporal middleware";
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    const double target = 0.05 * static_cast<double>(seed);
+    const std::string start = seed % 2 == 0 ? ref : "streams of parallel joins";
+    Rng profiled_rng(seed);
+    Rng pairwise_rng(seed);
+    EXPECT_EQ(HillClimbToSimilarity(ref, start, target, QgramJaccardSim{},
+                                    pool, &profiled_rng),
+              HillClimbToSimilarity(ref, start, target, pairwise, pool,
+                                    &pairwise_rng))
+        << "seed " << seed;
+    EXPECT_EQ(profiled_rng.Next(), pairwise_rng.Next());
+  }
+}
+
 /// Property sweep: perturbation output stays non-degenerate across ops.
 class PerturbOpSweep : public testing::TestWithParam<PerturbOp> {};
 
