@@ -3,7 +3,8 @@
 // SaveDataset release layout.
 //
 //   serd_cli --dataset dblp-acm|restaurant|walmart-amazon|itunes-amazon
-//            [--scale 0.04] [--seed 42] [--out DIR] [--no-rejection]
+//            [--scale 0.04]  (positive and finite, else exit 2)
+//            [--seed 42] [--out DIR] [--no-rejection]
 //            [--alpha 1.0] [--beta 0.6] [--buckets 10] [--candidates 10]
 //            [--threads N]   (0 = all hardware threads; output is
 //                             bit-identical for any N)
@@ -32,6 +33,7 @@
 //            [--label-cap N]  (max cross pairs labeled in S3; 0 = all.
 //                              Overrides the 250k default — use 0 with
 //                              --blocking qgram for full-size runs)
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -93,6 +95,10 @@ int main(int argc, char** argv) {
       kind_set = true;
     } else if (arg == "--scale") {
       scale = std::atof(next("--scale"));
+      if (!std::isfinite(scale) || scale <= 0.0) {
+        std::fprintf(stderr, "--scale takes a positive finite number\n");
+        return 2;
+      }
     } else if (arg == "--seed") {
       seed = static_cast<uint64_t>(std::atoll(next("--seed")));
     } else if (arg == "--out") {
@@ -140,6 +146,12 @@ int main(int argc, char** argv) {
   }
   if (!kind_set) return Usage(argv[0]);
   options.seed = seed;
+  // A bad option fails like Fit() would fail on it, before --load-models
+  // could report it as an artifact failure.
+  if (Status valid = ValidateSerdOptions(options); !valid.ok()) {
+    std::fprintf(stderr, "Fit failed: %s\n", valid.ToString().c_str());
+    return 1;
+  }
 
   ERDataset real = datagen::Generate(kind, {.seed = seed, .scale = scale});
   std::printf("real %s: |A|=%zu |B|=%zu matches=%zu\n", real.name.c_str(),

@@ -127,6 +127,10 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   diff -r "$SMOKE_DIR/threads1" "$SMOKE_DIR/threads4"
 
   echo "==> smoke: a one-bucket string bank synthesizes end to end"
+  # The bank builds its s2.bank_bucket histogram, whose bounds a single
+  # bucket once broke, when training ends; the default bank's one gate
+  # stays closed, so recording into it at K = 1 is held by
+  # StringBankTest.OneBucketBankSynthesizesWithAndWithoutRegistry.
   "$CLI" --dataset restaurant --scale 0.05 --seed 7 --threads 2 --buckets 1 \
     --out "$SMOKE_DIR/buckets1" --manifest "$SMOKE_DIR/buckets1.json" \
     >/dev/null
@@ -135,7 +139,10 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   echo "==> smoke: KV-cached decode is bit-identical to the reference path"
   # Same seed, decode through the KV cache (default) vs the full re-decode
   # reference (--reference-decode): the released datasets must match byte
-  # for byte, and each manifest must record the route its run took.
+  # for byte, and each manifest must record the route its run took. The
+  # default banks' keep gates stay closed, so the runs themselves decode
+  # nothing; the decode left to compare is Fit's keep measurement, which
+  # runs each trained bucket on the run's route and must count the same.
   "$CLI" "${COMMON[@]}" --out "$SMOKE_DIR/kv" --manifest "$SMOKE_DIR/kv.json"
   "$CLI" "${COMMON[@]}" --reference-decode --out "$SMOKE_DIR/ref" \
     --manifest "$SMOKE_DIR/ref.json"
@@ -146,7 +153,14 @@ kv = json.load(open(sys.argv[1]))
 ref = json.load(open(sys.argv[2]))
 assert kv["options"]["incremental_decode"] is True
 assert ref["options"]["incremental_decode"] is False
-assert kv["report"]["decode_steps"] > 0, "cached run decoded nothing"
+for man in (kv, ref):
+    trained = [b for bank in man["string_banks"] for b in bank["buckets"]
+               if b["trained"]]
+    assert trained, "no trained bucket"
+    assert all(b["decoded"] > 0 for b in trained), \
+        "a trained bucket's keep measurement decoded nothing"
+assert kv["string_banks"] == ref["string_banks"], \
+    "decode routes measured different keep counts"
 assert kv["report"]["decode_steps"] == ref["report"]["decode_steps"], \
     "decode paths drew different token streams"
 EOF
@@ -185,7 +199,10 @@ EOF
   echo "==> smoke: int8 quantized decode runs end to end and says so"
   # A full restaurant synthesis with --decode-precision int8: the
   # manifest must record the precision on the KV-cached route (the one
-  # that runs the quantized kernels) and show that it decoded.
+  # that runs the quantized kernels) and show that it decoded. With the
+  # default banks' gates closed, the decode is Fit's keep measurement,
+  # which must have run at int8 in every trained bucket (QuantPipelineTest
+  # decodes at int8 within a run, on banks whose gates open).
   "$CLI" --dataset restaurant --scale 0.2 --seed 7 --threads 2 \
     --decode-precision int8 \
     --out "$SMOKE_DIR/quant" --manifest "$SMOKE_DIR/quant.json"
@@ -194,8 +211,24 @@ import json, sys
 man = json.load(open(sys.argv[1]))
 assert man["options"]["decode_precision"] == "int8"
 assert man["options"]["incremental_decode"] is True
-assert man["report"]["decode_steps"] > 0, "int8 run decoded nothing"
+assert man["string_banks"], "no string bank"
+for bank in man["string_banks"]:
+    assert bank["keep_precision"] == "int8", "keep measurement ran at fp32"
+    trained = [b for b in bank["buckets"] if b["trained"]]
+    assert trained and all(b["decoded"] > 0 for b in trained), \
+        "an int8 keep measurement decoded nothing"
 EOF
+
+  echo "==> smoke: --scale takes only finite positive values"
+  for bad in -1 0 nan; do
+    set +e
+    timeout 60 "$CLI" --dataset restaurant --scale "$bad" \
+      > /dev/null 2> "$SMOKE_DIR/scale.txt"
+    SCALE_CODE=$?
+    set -e
+    [[ "$SCALE_CODE" == 2 ]]
+    grep -q -- '--scale takes a positive finite number' "$SMOKE_DIR/scale.txt"
+  done
 
   echo "==> smoke: a bad string-bank option is refused, not aborted"
   set +e
@@ -323,9 +356,16 @@ if [[ "${SKIP_SERVE:-0}" != "1" ]]; then
   "$CLI" --dataset dblp-acm --scale 0.02 \
     --load-models "$SERVE_DIR/garbage" 2> "$SERVE_DIR/err_garbage.txt"
   GARBAGE_CODE=$?
+  # A bad option with a valid artifact is an option error, not a load one.
+  "$CLI" --dataset dblp-acm --scale 0.02 --seed 7 --candidates 0 \
+    --load-models "$SERVE_DIR/models" 2> "$SERVE_DIR/err_option.txt"
+  OPTION_CODE=$?
   set -e
   [[ "$MISSING_CODE" == 3 ]]   # io: wrong path
   [[ "$GARBAGE_CODE" == 4 ]]   # corrupt container bytes
+  [[ "$OPTION_CODE" == 1 ]]    # InvalidArgument option, before any load
+  grep -q 'InvalidArgument: string_bank.num_candidates must be >= 1' \
+    "$SERVE_DIR/err_option.txt"
   grep -q 'cause: io' "$SERVE_DIR/err_missing.txt"
   grep -q "$SERVE_DIR/no_such_dir" "$SERVE_DIR/err_missing.txt"
 fi

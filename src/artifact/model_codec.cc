@@ -457,4 +457,33 @@ Result<std::unique_ptr<StringSynthesisBank>> DecodeStringBank(
   return bank;
 }
 
+void EncodeKeepCounts(const StringSynthesisBank& bank, ByteWriter* w) {
+  w->U8(static_cast<uint8_t>(bank.keep_precision()));
+  w->U32(static_cast<uint32_t>(bank.keep_counts().size()));
+  for (const KeepCount& c : bank.keep_counts()) {
+    w->I32(c.decoded);
+    w->I32(c.kept);
+  }
+}
+
+Status DecodeKeepCountsInto(ByteReader* r, StringSynthesisBank* bank) {
+  uint8_t tag = r->U8();
+  if (r->ok() && tag != static_cast<uint8_t>(nn::DecodePrecision::kFp32) &&
+      tag != static_cast<uint8_t>(nn::DecodePrecision::kInt8)) {
+    r->Fail("keep measurement precision tag " + std::to_string(tag) +
+            " unknown (want fp32=0 or int8=2)");
+  }
+  uint32_t k = BoundedU32(r, 0, kMaxBuckets, "keep count bucket count");
+  std::vector<KeepCount> counts(r->ok() ? k : 0);
+  for (KeepCount& c : counts) {
+    c.decoded = r->I32();
+    c.kept = r->I32();
+  }
+  if (!r->ok()) return r->status();
+  Status set = bank->SetKeepCounts(std::move(counts),
+                                   static_cast<nn::DecodePrecision>(tag));
+  if (!set.ok()) return Status::InvalidArgument("artifact: " + set.message());
+  return Status::OK();
+}
+
 }  // namespace serd::artifact

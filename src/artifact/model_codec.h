@@ -79,6 +79,16 @@ void EncodeStringBank(const StringSynthesisBank& bank, ByteWriter* w);
 Result<std::unique_ptr<StringSynthesisBank>> DecodeStringBank(
     ByteReader* r, StringBankOptions options, StringSimFn sim);
 
+/// A bank's fit-time keep measurement (the optional "gate" artifact
+/// section; DESIGN.md §5g): the decode precision it ran at, then per
+/// bucket the decoded and kept counts (no buckets when unmeasured).
+void EncodeKeepCounts(const StringSynthesisBank& bank, ByteWriter* w);
+
+/// Reads what EncodeKeepCounts wrote and installs it into `bank`, whose
+/// models it is validated against (bucket count, untrained buckets,
+/// kept <= decoded).
+Status DecodeKeepCountsInto(ByteReader* r, StringSynthesisBank* bank);
+
 }  // namespace serd::artifact
 
 #endif  // SERD_ARTIFACT_MODEL_CODEC_H_

@@ -63,6 +63,47 @@ bool ParseDecodePrecision(const std::string& name,
   return true;
 }
 
+Status ValidateSerdOptions(const SerdOptions& options) {
+  auto positive_finite = [](const char* name, double v) {
+    if (std::isfinite(v) && v > 0.0) return Status::OK();
+    return Status::InvalidArgument(std::string(name) +
+                                   " must be positive and finite, got " +
+                                   std::to_string(v));
+  };
+  auto at_least = [](const char* name, int v, int lo) {
+    if (v >= lo) return Status::OK();
+    return Status::InvalidArgument(std::string(name) + " must be >= " +
+                                   std::to_string(lo) + ", got " +
+                                   std::to_string(v));
+  };
+  // Every string bank, trained or loaded, decodes with these.
+  const StringBankOptions& bank = options.string_bank;
+  SERD_RETURN_IF_ERROR(
+      at_least("string_bank.num_candidates", bank.num_candidates, 1));
+  SERD_RETURN_IF_ERROR(
+      at_least("string_bank.num_buckets", bank.num_buckets, 1));
+  SERD_RETURN_IF_ERROR(
+      positive_finite("string_bank.temperature", bank.temperature));
+  // Training reads these; DP-SGD's accumulator checks the clip bound and
+  // noise multiplier even with DP disabled.
+  const Seq2SeqTrainOptions& train = bank.train;
+  SERD_RETURN_IF_ERROR(at_least("string_bank.train.epochs", train.epochs, 0));
+  SERD_RETURN_IF_ERROR(
+      at_least("string_bank.train.batch_size", train.batch_size, 1));
+  SERD_RETURN_IF_ERROR(positive_finite("string_bank.train.learning_rate",
+                                       train.learning_rate));
+  SERD_RETURN_IF_ERROR(
+      positive_finite("string_bank.train.dp.clip_norm", train.dp.clip_norm));
+  if (!(std::isfinite(train.dp.noise_multiplier) &&
+        train.dp.noise_multiplier >= 0.0)) {
+    return Status::InvalidArgument(
+        "string_bank.train.dp.noise_multiplier must be finite and >= 0, "
+        "got " +
+        std::to_string(train.dp.noise_multiplier));
+  }
+  return Status::OK();
+}
+
 SerdSynthesizer::SerdSynthesizer(const ERDataset& real, SerdOptions options)
     : real_(&real), options_(std::move(options)) {
   spec_ = SimilaritySpec::FromTables(real.schema(), {&real.a, &real.b});
@@ -110,25 +151,8 @@ Status SerdSynthesizer::Fit(
     const Table& background_entities) {
   WallTimer timer;
 
-  // String-bank options every bank (trained or loaded) decodes with; a
-  // bad value is rejected here, before any artifact load or training.
-  const StringBankOptions& bank_options = options_.string_bank;
-  if (bank_options.num_candidates < 1) {
-    return Status::InvalidArgument(
-        "string_bank.num_candidates must be >= 1, got " +
-        std::to_string(bank_options.num_candidates));
-  }
-  if (bank_options.num_buckets < 1) {
-    return Status::InvalidArgument(
-        "string_bank.num_buckets must be >= 1, got " +
-        std::to_string(bank_options.num_buckets));
-  }
-  if (!std::isfinite(bank_options.temperature) ||
-      bank_options.temperature <= 0.0f) {
-    return Status::InvalidArgument(
-        "string_bank.temperature must be positive and finite, got " +
-        std::to_string(bank_options.temperature));
-  }
+  // A bad option is rejected here, before any artifact load or training.
+  SERD_RETURN_IF_ERROR(ValidateSerdOptions(options_));
 
   // Warm start: a validated artifact replaces the entire offline phase —
   // S1 GMM fitting, DP transformer training, GAN training. kAuto degrades
@@ -243,6 +267,11 @@ Status SerdSynthesizer::Fit(
     if (decode_pools_[c].empty()) decode_pools_[c].push_back("");
   }
 
+  // ----- Offline: each trained bucket's keep rate gates its decode. -----
+  obs::TraceSpan keep_span(metrics_.get(), "offline.keep_measurement");
+  MeasureBankKeepCounts();
+  keep_span.Stop();
+
   {
     std::lock_guard<std::mutex> lock(state_mu_);
     report_.offline_seconds = timer.Seconds();
@@ -256,6 +285,54 @@ Status SerdSynthesizer::Fit(
     SERD_RETURN_IF_ERROR(SaveModels(options_.model_dir));
   }
   return Status::OK();
+}
+
+namespace {
+
+/// Candidates each trained bucket decodes for its keep measurement (at
+/// least; whole calls of num_candidates are decoded).
+constexpr int kKeepSampleCandidates = 64;
+
+/// Salt separating the keep measurement's decode streams from the
+/// training seeds they derive from.
+constexpr uint64_t kKeepSeedSalt = 0x6b656570636e74ULL;
+
+}  // namespace
+
+void SerdSynthesizer::MeasureBankKeepCounts() {
+  // The sources are background entity values of the column, which no
+  // bucket trained on (training draws from the background corpus); corpus
+  // strings (Train() requires at least two) fill in when there are too
+  // few distinct ones.
+  const int candidates = options_.string_bank.num_candidates;
+  const size_t num_sources = static_cast<size_t>(
+      (kKeepSampleCandidates + candidates - 1) / candidates);
+  for (size_t c = 0; c < banks_.size(); ++c) {
+    if (banks_[c] == nullptr) continue;
+    StringSynthesisBank& bank = *banks_[c];
+    const std::unordered_set<std::string> corpus(bank.corpus().begin(),
+                                                 bank.corpus().end());
+    std::unordered_set<std::string> seen;
+    std::vector<std::string> sources;
+    auto take = [&](const std::string& v) {
+      if (sources.size() < num_sources && seen.insert(v).second) {
+        sources.push_back(v);
+      }
+    };
+    for (const auto& v : decode_pools_[c]) {
+      if (corpus.count(v) == 0) take(v);
+    }
+    for (const auto& v : bank.corpus()) take(v);
+    // A column with few distinct values repeats them; every decode samples
+    // afresh, so the measurement still covers kKeepSampleCandidates.
+    for (size_t i = 0; sources.size() < num_sources; ++i) {
+      std::string repeat = sources[i];
+      sources.push_back(std::move(repeat));
+    }
+    bank.MeasureKeepCounts(
+        sources, (options_.seed + 7919ULL * (c + 1)) ^ kKeepSeedSalt,
+        pool_.get());
+  }
 }
 
 Entity SerdSynthesizer::SynthesizeFrom(const Entity& e, const Vec& x,
@@ -988,6 +1065,32 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   rep.Set("threads_used", report_.threads_used);
   rep.Set("parallel_speedup", report_.parallel_speedup);
   root.Set("report", std::move(rep));
+
+  // Per text column, each bucket's fit-time keep measurement and whether
+  // the bucket decodes (DESIGN.md §2).
+  obs::Json banks = obs::Json::Array();
+  for (size_t c = 0; c < banks_.size(); ++c) {
+    if (banks_[c] == nullptr) continue;
+    const StringSynthesisBank& bank = *banks_[c];
+    obs::Json entry = obs::Json::Object();
+    entry.Set("column", spec_.schema().column(c).name);
+    entry.Set("keep_precision", DecodePrecisionName(bank.keep_precision()));
+    obs::Json buckets = obs::Json::Array();
+    for (size_t b = 0; b < bank.models().size(); ++b) {
+      const KeepCount count = b < bank.keep_counts().size()
+                                  ? bank.keep_counts()[b]
+                                  : KeepCount();
+      obs::Json bucket = obs::Json::Object();
+      bucket.Set("trained", bank.models()[b] != nullptr);
+      bucket.Set("decoded", count.decoded);
+      bucket.Set("kept", count.kept);
+      bucket.Set("decodes", bank.BucketDecodes(static_cast<int>(b)));
+      buckets.Append(std::move(bucket));
+    }
+    entry.Set("buckets", std::move(buckets));
+    banks.Append(std::move(entry));
+  }
+  root.Set("string_banks", std::move(banks));
 
   if (pool_ != nullptr) {
     // Cumulative over the synthesizer's life: runs share the pool and

@@ -383,6 +383,10 @@ class SerdSynthesizer {
   /// background pools.
   Entity ColdStartEntity(Rng* rng) const;
 
+  /// Measures every trained bucket's keep count on background sources
+  /// and installs it into the banks; the last step of a training Fit().
+  void MeasureBankKeepCounts();
+
   /// Case-1 rejection: discriminator score < beta.
   bool RejectedByDiscriminator(const Entity& e) const;
 
@@ -425,6 +429,14 @@ class SerdSynthesizer {
   /// RunManifestJson() read — see the class thread-safety contract.
   mutable std::mutex state_mu_;
 };
+
+/// Checks the options Fit() reads before any work: the string banks'
+/// candidates, buckets and temperature, and their training's epochs, lot
+/// size, learning rate, clip bound and noise multiplier. InvalidArgument
+/// names the first bad field. Fit() returns it before an artifact load is
+/// attempted; serd_cli calls it first, so a bad option is never reported
+/// as an artifact failure.
+Status ValidateSerdOptions(const SerdOptions& options);
 
 /// Stable wire/CLI names of the blocking modes: "off", "qgram", "auto".
 const char* BlockingModeName(SerdOptions::BlockingMode mode);

@@ -132,6 +132,16 @@ Status SerdSynthesizer::SaveModels(const std::string& dir) const {
     }
   }
 
+  // gate: each bank's fit-time keep measurement, which decides the
+  // buckets that decode. Artifacts without the section (older writers)
+  // load with every trained bucket decoding. DESIGN.md §5g.
+  artifact::ByteWriter* gate = writer.AddSection("gate");
+  gate->U32(static_cast<uint32_t>(banks_.size()));
+  for (const auto& bank : banks_) {
+    gate->Bool(bank != nullptr);
+    if (bank != nullptr) artifact::EncodeKeepCounts(*bank, gate);
+  }
+
   const std::string path = dir + "/" + kModelFileName;
   Status written = writer.WriteFile(path);
   if (!written.ok()) {
@@ -380,6 +390,39 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
     // precision — quantize from their restored fp32 weights now.
     for (auto& bank : banks) {
       if (bank != nullptr) bank->set_decode_precision(want_precision);
+    }
+  }
+
+  // --- keep measurements (optional section: absent from older
+  // artifacts, whose banks then decode in every trained bucket) ---
+  if (reader.Has("gate")) {
+    auto gate_or = reader.Section("gate");
+    if (!gate_or.ok()) return fail(gate_or.status());
+    artifact::ByteReader gate_reader = std::move(gate_or).value();
+    uint32_t gate_cols = gate_reader.U32();
+    if (gate_reader.ok() && gate_cols != schema.num_columns()) {
+      return fail(Status::InvalidArgument(
+          "artifact schema mismatch: gate section covers " +
+          std::to_string(gate_cols) + " columns, dataset has " +
+          std::to_string(schema.num_columns())));
+    }
+    for (size_t c = 0; gate_reader.ok() && c < schema.num_columns(); ++c) {
+      bool present = gate_reader.Bool();
+      if (!gate_reader.ok()) break;
+      if (present != (banks[c] != nullptr)) {
+        return fail(Status::InvalidArgument(
+            "artifact gate section disagrees with the banks section at "
+            "column " +
+            std::to_string(c)));
+      }
+      if (!present) continue;
+      Status decoded =
+          artifact::DecodeKeepCountsInto(&gate_reader, banks[c].get());
+      if (!decoded.ok()) return fail(decoded);
+    }
+    if (!gate_reader.ok()) return fail(gate_reader.status());
+    if (Status s = FinishSection(gate_reader, "gate"); !s.ok()) {
+      return fail(s);
     }
   }
 

@@ -1,6 +1,7 @@
 #include "datagen/generators.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/strings.h"
 #include "datagen/vocab_data.h"
@@ -332,8 +333,11 @@ TrackRec VaryTrack(const TrackRec& t, Rng* rng) {
 // Assembly helpers.
 
 size_t Scaled(size_t paper_value, double scale, size_t min_value) {
-  return std::max<size_t>(min_value,
-                          static_cast<size_t>(paper_value * scale));
+  // Generate() checked that scale is positive and finite; the cap keeps
+  // the conversion defined for any such scale.
+  const double scaled =
+      std::min(static_cast<double>(paper_value) * scale, 1e18);
+  return std::max<size_t>(min_value, static_cast<size_t>(scaled));
 }
 
 }  // namespace
@@ -606,6 +610,8 @@ ERDataset GenerateItunesAmazon(const GenOptions& options) {
 }  // namespace
 
 ERDataset Generate(DatasetKind kind, const GenOptions& options) {
+  SERD_CHECK(std::isfinite(options.scale) && options.scale > 0.0)
+      << "scale must be positive and finite, got " << options.scale;
   switch (kind) {
     case DatasetKind::kDblpAcm:
       return GenerateDblpAcm(options);

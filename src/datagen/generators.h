@@ -40,9 +40,10 @@ PaperStats PaperSizes(DatasetKind kind);
 
 struct GenOptions {
   uint64_t seed = 42;
-  /// Multiplies the paper's table sizes/match counts. 1.0 reproduces the
-  /// Table II sizes; the experiment harnesses default to ~0.1 so a full
-  /// pipeline runs in CPU-minutes (documented in EXPERIMENTS.md).
+  /// Multiplies the paper's table sizes/match counts; must be positive and
+  /// finite (Generate checks). 1.0 reproduces the Table II sizes; the
+  /// experiment harnesses default to ~0.1 so a full pipeline runs in
+  /// CPU-minutes (documented in EXPERIMENTS.md).
   double scale = 1.0;
 };
 

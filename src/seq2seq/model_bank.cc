@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "runtime/parallel_for.h"
 #include "text/perturb.h"
 #include "text/token.h"
 
@@ -16,6 +17,15 @@ StringSynthesisBank::StringSynthesisBank(StringBankOptions options,
   SERD_CHECK_GT(options_.num_buckets, 0);
   SERD_CHECK_GT(options_.num_candidates, 0);
   SERD_CHECK(sim_ != nullptr);
+  // Registered up front, so a manifest shows every route's counter, at 0
+  // when no call took it (e.g. no bucket decodes).
+  for (const char* name :
+       {"s2.bank_synth_calls", "s2.bank_fallback_calls",
+        "s2.bank_refined_calls", "s2.bank_empty_decode_calls",
+        "s2.decode_steps", "s2.encoder_cache_hits",
+        "s2.encoder_cache_misses"}) {
+    obs::GetCounter(options_.metrics, name);
+  }
 }
 
 int StringSynthesisBank::BucketOf(double sim) const {
@@ -105,6 +115,7 @@ Status StringSynthesisBank::TrainFromPairs(
 
   models_.clear();
   models_.resize(k);
+  keep_counts_.clear();
   stats_ = StringBankStats();
   stats_.pairs_per_bucket.assign(k, 0);
   stats_.bucket_trained.assign(k, false);
@@ -133,6 +144,7 @@ Status StringSynthesisBank::TrainFromPairs(
   stats_.train_seconds = timer.Seconds();
   trained_ = true;
   set_decode_precision(options_.decode_precision);
+  BucketHistogram();  // in the manifest even when no bucket decodes
   return Status::OK();
 }
 
@@ -174,11 +186,13 @@ Status StringSynthesisBank::RestoreTrained(
   word_pool_ = std::move(word_pool);
   models_ = std::move(models);
   stats_ = std::move(stats);
+  keep_counts_.clear();
   trained_ = true;
   // Models restored with a pre-quantized weight set attached (the artifact
   // load path) already match the requested precision, so QuantizeWeights
   // no-ops on them; any others quantize here.
   set_decode_precision(options_.decode_precision);
+  BucketHistogram();  // in the manifest even when no bucket decodes
   return Status::OK();
 }
 
@@ -274,31 +288,29 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
            (run->cancel == nullptr || !run->cancel->cancelled());
   };
   // Scores one decoded candidate; returns whether to keep drawing more.
+  // Fully degenerate decodes (random character runs) fail the keep test;
+  // borderline ones pass through to the entity-level discriminator
+  // rejection (paper Section V case 1).
   auto consider = [&](const std::vector<int>& out_ids) {
     std::string candidate = vocab_.Decode(out_ids);
-    if (!candidate.empty()) {
-      double pool_fraction = PoolWordFraction(candidate, word_pool_);
-      // Fully degenerate decodes (random character runs) are dropped;
-      // borderline ones pass through to the entity-level discriminator
-      // rejection (paper Section V case 1).
-      if (pool_fraction >= options_.min_pool_word_fraction) {
-        double err = std::fabs(sim_(s, candidate) - target_sim);
-        min_err = std::min(min_err, err);
-        double score = err + 0.15 * (1.0 - pool_fraction);
-        if (score < best_score) {
-          best_score = score;
-          best_err = err;
-          best = std::move(candidate);
-        }
+    double pool_fraction = 0.0;
+    if (KeepsCandidate(candidate, &pool_fraction)) {
+      double err = std::fabs(sim_(s, candidate) - target_sim);
+      min_err = std::min(min_err, err);
+      double score = err + 0.15 * (1.0 - pool_fraction);
+      if (score < best_score) {
+        best_score = score;
+        best_err = err;
+        best = std::move(candidate);
       }
     }
     return keep_going();
   };
-  GenerateStats gstats;
+  EncoderMemoryPtr memory;
   if (options_.incremental_decode) {
     // Encode once per (model, source) and share across candidates and
-    // rejection-loop retries; decode through the KV cache.
-    EncoderMemoryPtr memory = t_encoder_cache.Lookup(model->uid(), s);
+    // rejection-loop retries.
+    memory = t_encoder_cache.Lookup(model->uid(), s);
     if (memory == nullptr) {
       memory = model->EncodeMemory(src_ids);
       t_encoder_cache.Insert(model->uid(), s, memory);
@@ -308,21 +320,9 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
       ++run->encoder_cache_hits;
       obs::Inc(obs::GetCounter(options_.metrics, "s2.encoder_cache_hits"));
     }
-    model->GenerateBatch(
-        memory, options_.num_candidates, rng, options_.temperature,
-        [&](int, const std::vector<int>& out_ids) {
-          return consider(out_ids);
-        },
-        &gstats);
-  } else {
-    // Reference implementation: per-candidate encode + full re-decode,
-    // exactly the pre-KV-cache behaviour.
-    for (int c = 0; c < options_.num_candidates && keep_going(); ++c) {
-      auto out_ids =
-          model->Generate(src_ids, rng, options_.temperature, &gstats);
-      consider(out_ids);
-    }
   }
+  GenerateStats gstats;
+  DecodeCandidates(*model, src_ids, memory, rng, consider, &gstats);
   run->decode_steps += gstats.steps;
   obs::Inc(obs::GetCounter(options_.metrics, "s2.decode_steps"),
            static_cast<uint64_t>(gstats.steps));
@@ -346,6 +346,121 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
     best = score_of(refined) <= score_of(fallback) ? refined : fallback;
   }
   return best;
+}
+
+obs::Histogram* StringSynthesisBank::BucketHistogram() const {
+  // One histogram bucket per bank bucket over the indices [0, K - 1];
+  // a one-bucket bank spans [0, 1], since the bounds need hi > lo.
+  const int k = options_.num_buckets;
+  return obs::GetHistogram(options_.metrics, "s2.bank_bucket",
+                           obs::LinearBounds(0.0, std::max(1, k - 1), k));
+}
+
+bool StringSynthesisBank::KeepsCandidate(const std::string& candidate,
+                                         double* pool_fraction) const {
+  if (candidate.empty()) return false;
+  *pool_fraction = PoolWordFraction(candidate, word_pool_);
+  return *pool_fraction >= options_.min_pool_word_fraction;
+}
+
+void StringSynthesisBank::DecodeCandidates(
+    const TransformerSeq2Seq& model, const std::vector<int>& src_ids,
+    const EncoderMemoryPtr& memory, Rng* rng,
+    const std::function<bool(const std::vector<int>&)>& consider,
+    GenerateStats* stats) const {
+  if (options_.incremental_decode) {
+    // Candidates share the encoder memory and decode through the KV cache.
+    model.GenerateBatch(
+        memory, options_.num_candidates, rng, options_.temperature,
+        [&](int, const std::vector<int>& out_ids) {
+          return consider(out_ids);
+        },
+        stats);
+    return;
+  }
+  // Reference implementation: per-candidate encode + full re-decode,
+  // exactly the pre-KV-cache behaviour.
+  for (int c = 0; c < options_.num_candidates; ++c) {
+    if (!consider(model.Generate(src_ids, rng, options_.temperature, stats))) {
+      break;
+    }
+  }
+}
+
+KeepCount StringSynthesisBank::MeasureKeepCount(
+    int bucket, const std::vector<std::string>& sources,
+    uint64_t seed) const {
+  SERD_CHECK(bucket >= 0 && bucket < static_cast<int>(models_.size()) &&
+             models_[bucket] != nullptr);
+  const TransformerSeq2Seq& model = *models_[bucket];
+  Rng rng(seed);
+  KeepCount count;
+  auto tally = [&](const std::vector<int>& out_ids) {
+    double pool_fraction = 0.0;
+    ++count.decoded;
+    if (KeepsCandidate(vocab_.Decode(out_ids), &pool_fraction)) ++count.kept;
+    return true;  // every candidate of every source is decoded
+  };
+  for (const std::string& source : sources) {
+    // The memory is computed fresh, not taken from the per-thread encoder
+    // cache, so measuring leaves no trace in any run's cache accounting.
+    std::vector<int> src_ids = vocab_.Encode(source);
+    EncoderMemoryPtr memory;
+    if (options_.incremental_decode) memory = model.EncodeMemory(src_ids);
+    DecodeCandidates(model, src_ids, memory, &rng, tally, nullptr);
+  }
+  return count;
+}
+
+void StringSynthesisBank::MeasureKeepCounts(
+    const std::vector<std::string>& sources, uint64_t seed,
+    runtime::ThreadPool* pool) {
+  std::vector<KeepCount> counts(models_.size());
+  runtime::ParallelFor(pool, 0, models_.size(), 1, [&](size_t lo, size_t hi) {
+    for (size_t b = lo; b < hi; ++b) {
+      if (models_[b] == nullptr) continue;
+      counts[b] = MeasureKeepCount(static_cast<int>(b), sources,
+                                   seed + 31ULL * static_cast<uint64_t>(b));
+    }
+  });
+  keep_counts_ = std::move(counts);
+  keep_precision_ = options_.decode_precision;
+}
+
+Status StringSynthesisBank::SetKeepCounts(std::vector<KeepCount> counts,
+                                          nn::DecodePrecision measured_at) {
+  if (!counts.empty() && counts.size() != models_.size()) {
+    return Status::InvalidArgument(
+        "keep counts cover " + std::to_string(counts.size()) +
+        " buckets, bank has " + std::to_string(models_.size()));
+  }
+  for (size_t b = 0; b < counts.size(); ++b) {
+    const KeepCount& c = counts[b];
+    if (c.decoded < 0 || c.kept < 0 || c.kept > c.decoded) {
+      return Status::InvalidArgument(
+          "bucket " + std::to_string(b) + " keep count " +
+          std::to_string(c.kept) + "/" + std::to_string(c.decoded) +
+          " is not 0 <= kept <= decoded");
+    }
+    if (c.decoded > 0 && models_[b] == nullptr) {
+      return Status::InvalidArgument("keep count for untrained bucket " +
+                                     std::to_string(b));
+    }
+  }
+  keep_counts_ = std::move(counts);
+  keep_precision_ = measured_at;
+  return Status::OK();
+}
+
+bool StringSynthesisBank::BucketDecodes(int bucket) const {
+  if (models_[bucket] == nullptr) return false;
+  if (keep_counts_.empty() || keep_counts_[bucket].decoded == 0) return true;
+  const KeepCount& c = keep_counts_[bucket];
+  const double candidate_keep =
+      static_cast<double>(c.kept) / static_cast<double>(c.decoded);
+  const double call_keep =
+      1.0 - std::pow(1.0 - candidate_keep, options_.num_candidates);
+  return call_keep >= kMinCallKeepChance;
 }
 
 std::string StringSynthesisBank::FallbackSynthesize(const std::string& s,
@@ -373,15 +488,15 @@ std::string StringSynthesisBank::Synthesize(const std::string& s,
   int bucket = trained_ ? BucketOf(target) : -1;
   int used = -1;
   if (trained_) {
-    if (models_[bucket] != nullptr) {
+    if (BucketDecodes(bucket)) {
       used = bucket;
     } else {
-      // Nearest trained bucket, if any.
+      // Nearest decoding bucket, if any.
       for (int d = 1; d < options_.num_buckets && used < 0; ++d) {
         int lo = bucket - d, hi = bucket + d;
-        if (lo >= 0 && models_[lo] != nullptr) {
+        if (lo >= 0 && BucketDecodes(lo)) {
           used = lo;
-        } else if (hi < options_.num_buckets && models_[hi] != nullptr) {
+        } else if (hi < options_.num_buckets && BucketDecodes(hi)) {
           used = hi;
         }
       }
@@ -396,14 +511,8 @@ std::string StringSynthesisBank::Synthesize(const std::string& s,
     run->bucket_hits.resize(options_.num_buckets, 0);
   }
   ++run->bucket_hits[used];
-  if (options_.metrics != nullptr) {
-    // One histogram bucket per bank bucket over the indices [0, K - 1];
-    // a one-bucket bank spans [0, 1], since the bounds need hi > lo.
-    const int k = options_.num_buckets;
-    options_.metrics
-        ->histogram("s2.bank_bucket",
-                    obs::LinearBounds(0.0, std::max(1, k - 1), k))
-        ->Record(static_cast<double>(used));
+  if (obs::Histogram* h = BucketHistogram()) {
+    h->Record(static_cast<double>(used));
   }
   return SynthesizeWithModel(used, s, target, rng, run);
 }

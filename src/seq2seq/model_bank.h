@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "runtime/thread_pool.h"
 #include "seq2seq/trainer.h"
 #include "seq2seq/transformer.h"
 #include "text/char_vocab.h"
@@ -72,6 +73,19 @@ struct StringBankOptions {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// One bucket model's fit-time keep measurement (DESIGN.md §2):
+/// candidates decoded from background sources, and how many passed the
+/// keep test Synthesize applies. decoded == 0 means unmeasured.
+struct KeepCount {
+  int decoded = 0;
+  int kept = 0;
+};
+
+/// A measured bucket decodes only when a call's chance of keeping at
+/// least one of its C candidates, 1 - (1 - kept / decoded)^C, reaches this
+/// (ROADMAP item 3's success bar: a kept-decode share of at least 50%).
+inline constexpr double kMinCallKeepChance = 0.5;
+
 /// Per-bucket training statistics, serialized by the artifact store.
 struct StringBankStats {
   std::vector<int> pairs_per_bucket;
@@ -132,9 +146,9 @@ class StringSynthesisBank {
 
   /// Synthesizes s' with sim(s, s') ≈ target_sim. Falls back to
   /// hill-climbing from s (high targets) or from a random background
-  /// string (low targets) for untrained buckets. `run` (optional) supplies
-  /// the cancel token and collects the accounting; null runs with no
-  /// cancel token and drops the accounting.
+  /// string (low targets) when no bucket decodes (BucketDecodes). `run`
+  /// (optional) supplies the cancel token and collects the accounting;
+  /// null runs with no cancel token and drops the accounting.
   /// Writes nothing to the bank, so any number of threads may call it.
   std::string Synthesize(const std::string& s, double target_sim, Rng* rng,
                          BankRun* run = nullptr) const;
@@ -156,6 +170,33 @@ class StringSynthesisBank {
 
   /// The bucket index whose interval contains `sim`.
   int BucketOf(double sim) const;
+
+  /// Measures every trained bucket and installs the counts, which gate
+  /// Synthesize from then on (BucketDecodes): each bucket decodes
+  /// num_candidates candidates from each of `sources` on the configured
+  /// decode route and precision, from an Rng of its own derived from
+  /// `seed`, and counts those that pass the keep test. Buckets run in
+  /// parallel on `pool` (nullptr = serial) with the same counts at any
+  /// pool size. Call before the bank serves any run.
+  void MeasureKeepCounts(const std::vector<std::string>& sources,
+                         uint64_t seed, runtime::ThreadPool* pool);
+
+  /// Installs keep measurements taken at decode precision `measured_at`
+  /// (the artifact load), before the bank serves any run. `counts` is
+  /// empty (nothing measured) or holds one entry per bucket, with nothing
+  /// decoded for an untrained bucket and 0 <= kept <= decoded.
+  Status SetKeepCounts(std::vector<KeepCount> counts,
+                       nn::DecodePrecision measured_at);
+  /// Per-bucket keep measurements; empty when none was taken.
+  const std::vector<KeepCount>& keep_counts() const { return keep_counts_; }
+  /// The decode precision the keep measurements ran at.
+  nn::DecodePrecision keep_precision() const { return keep_precision_; }
+
+  /// Whether Synthesize decodes with `bucket`'s model: it is trained and
+  /// either unmeasured or measured to keep a decode in at least
+  /// kMinCallKeepChance of calls. Other buckets are served like untrained
+  /// ones (nearest decoding bucket, else the hill-climb fallback).
+  bool BucketDecodes(int bucket) const;
 
   // --- artifact-store access (src/artifact) ---
 
@@ -190,6 +231,27 @@ class StringSynthesisBank {
                                   BankRun* run) const;
   std::string FallbackSynthesize(const std::string& s, double target_sim,
                                  Rng* rng) const;
+  /// The s2.bank_bucket histogram (null without a registry), created
+  /// with bounds for the bank's final bucket count.
+  obs::Histogram* BucketHistogram() const;
+  /// One bucket's keep count (MeasureKeepCounts); writes nothing.
+  KeepCount MeasureKeepCount(int bucket,
+                             const std::vector<std::string>& sources,
+                             uint64_t seed) const;
+  /// The keep test: a decoded candidate is kept when it is non-empty and
+  /// at least min_pool_word_fraction of its words are pool words (the
+  /// fraction is returned through `pool_fraction`).
+  bool KeepsCandidate(const std::string& candidate,
+                      double* pool_fraction) const;
+  /// The decode route: up to num_candidates candidates of `model` from
+  /// `src_ids`, each handed to `consider`, which returns whether to go on.
+  /// `memory` is the source's encoder memory on the incremental route and
+  /// unused on the reference route.
+  void DecodeCandidates(
+      const TransformerSeq2Seq& model, const std::vector<int>& src_ids,
+      const EncoderMemoryPtr& memory, Rng* rng,
+      const std::function<bool(const std::vector<int>&)>& consider,
+      GenerateStats* stats) const;
 
   StringBankOptions options_;
   StringSimFn sim_;
@@ -199,6 +261,8 @@ class StringSynthesisBank {
   std::vector<std::string> corpus_;     // background strings (fallback seeds)
   bool trained_ = false;
   StringBankStats stats_;
+  std::vector<KeepCount> keep_counts_;  // empty = unmeasured
+  nn::DecodePrecision keep_precision_ = nn::DecodePrecision::kFp32;
 };
 
 }  // namespace serd

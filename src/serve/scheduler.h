@@ -78,7 +78,7 @@ struct JobSpec {
   /// at any worker count reproduces every job bit-identically. Empty
   /// selects "tenant/<job id>" (deterministic only for a fixed submission
   /// order — callers wanting order-independence pass an explicit key).
-  std::string seed_key;
+  std::string seed_key{};
   /// Wall-clock budget from admission, in milliseconds (0 = none). A job
   /// still queued when it elapses completes immediately with
   /// DeadlineExceeded at dequeue (cause "deadline_expired_in_queue"); a

@@ -840,6 +840,84 @@ TEST_F(WarmStartFaultInjection, PayloadByteFlipInEverySectionIsCaught) {
   }
 }
 
+/// `image` with the payload of section `name` replaced by `payload` and
+/// every checksum recomputed, so the bytes reach the section's decoder.
+std::string WithSectionPayload(const std::string& image,
+                               const std::string& name,
+                               const std::string& payload) {
+  auto reader = ArtifactReader::FromBytes(image);
+  EXPECT_TRUE(reader.ok());
+  if (!reader.ok()) return image;
+  artifact::ArtifactWriter writer;
+  for (const auto& info : reader->sections()) {
+    const std::string bytes =
+        info.name == name
+            ? payload
+            : image.substr(reader->payload_start() + info.offset, info.size);
+    ByteWriter* w = writer.AddSection(info.name);
+    for (char c : bytes) w->U8(static_cast<uint8_t>(c));
+  }
+  return writer.Assemble();
+}
+
+TEST_F(WarmStartFaultInjection, GateSectionMutationsLoadAsStatus) {
+  // The keep measurements decide which buckets decode, so corrupt gate
+  // bytes behind a valid CRC must come back as a Status, never an abort.
+  auto reader = ArtifactReader::FromBytes(*image_);
+  ASSERT_TRUE(reader.ok());
+  std::string gate;
+  for (const auto& info : reader->sections()) {
+    if (info.name == "gate") {
+      gate = image_->substr(reader->payload_start() + info.offset, info.size);
+    }
+  }
+  ASSERT_FALSE(gate.empty());
+  ASSERT_TRUE(TryLoad(WithSectionPayload(*image_, "gate", gate), "gate").ok());
+
+  for (size_t cut = 0; cut < gate.size(); ++cut) {
+    Status s = TryLoad(WithSectionPayload(*image_, "gate", gate.substr(0, cut)),
+                       "gate_cut");
+    EXPECT_FALSE(s.ok()) << "cut=" << cut;
+    EXPECT_FALSE(s.message().empty()) << "cut=" << cut;
+  }
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed * 2654435761ull + 3);
+    std::string mutated = gate;
+    for (int flips = 1 + static_cast<int>(rng.UniformInt(3)); flips > 0;
+         --flips) {
+      mutated[rng.UniformInt(mutated.size())] =
+          static_cast<char>(rng.UniformInt(256));
+    }
+    Status s = TryLoad(WithSectionPayload(*image_, "gate", mutated),
+                       "gate_flip");
+    if (!s.ok()) {
+      EXPECT_FALSE(s.message().empty()) << "seed " << seed;
+    }
+  }
+
+  // A bucket that kept more candidates than it decoded is refused.
+  ByteWriter bad;
+  bad.U32(static_cast<uint32_t>(inputs_->real.schema().num_columns()));
+  bool first_bank = true;
+  for (const auto& col : inputs_->real.schema().columns()) {
+    const bool text = col.type == ColumnType::kText;
+    bad.Bool(text);
+    if (!text) continue;
+    bad.U8(0);  // fp32
+    bad.U32(first_bank ? 4 : 0);
+    for (int b = 0; first_bank && b < 4; ++b) {
+      bad.I32(66);
+      bad.I32(67);
+    }
+    first_bank = false;
+  }
+  Status s = TryLoad(WithSectionPayload(*image_, "gate", bad.bytes()),
+                     "gate_kept");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("kept <= decoded"), std::string::npos)
+      << s.ToString();
+}
+
 TEST_F(WarmStartFaultInjection, VersionSkewIsFailedPrecondition) {
   std::string skewed = *image_;
   skewed[8] = static_cast<char>(artifact::kArtifactFormatVersion + 1);

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -662,6 +663,101 @@ TEST_P(RunOptionsFuzz, RunContractsHoldUnderRandomOptions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RunOptionsFuzz,
                          testing::Range<uint64_t>(0, 4));
+
+/// Fit-time options drawn at random, each field valid 19 times in 20: every
+/// draw either fits and synthesizes, or Fit() returns InvalidArgument, as
+/// an independent reading of the fields predicts.
+class SerdOptionsFuzz : public testing::TestWithParam<uint64_t> {
+ protected:
+  static void SetUpTestSuite() {
+    const DatasetKind kind = DatasetKind::kRestaurant;
+    real_ = new ERDataset(datagen::Generate(kind, {.seed = 5, .scale = 0.02}));
+    corpora_ = new std::vector<std::vector<std::string>>();
+    size_t idx = 0;
+    for (const auto& col : real_->schema().columns()) {
+      if (col.type != ColumnType::kText) continue;
+      corpora_->push_back(
+          datagen::BackgroundCorpus(kind, col.name, 40, 300 + idx++));
+    }
+    background_ = new Table(datagen::BackgroundEntities(kind, 30, 17));
+  }
+  static void TearDownTestSuite() {
+    delete background_;
+    delete corpora_;
+    delete real_;
+  }
+
+  static ERDataset* real_;
+  static std::vector<std::vector<std::string>>* corpora_;
+  static Table* background_;
+};
+
+ERDataset* SerdOptionsFuzz::real_ = nullptr;
+std::vector<std::vector<std::string>>* SerdOptionsFuzz::corpora_ = nullptr;
+Table* SerdOptionsFuzz::background_ = nullptr;
+
+TEST_P(SerdOptionsFuzz, EveryDrawFitsOrIsInvalidArgument) {
+  Rng rng((GetParam() + 1) * 0x9e3779b97f4a7c15ULL);
+  bool valid = true;
+  // One value from `good` 19 times in 20, else one from `bad`.
+  auto draw = [&](std::vector<double> good, std::vector<double> bad) {
+    if (rng.Bernoulli(0.95)) return good[rng.UniformInt(good.size())];
+    valid = false;
+    return bad[rng.UniformInt(bad.size())];
+  };
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  SerdOptions opts;
+  opts.seed = 100 + GetParam();
+  opts.threads = 1;
+  opts.target_a = 16;
+  opts.target_b = 16;
+  opts.jsd_samples = 32;
+  opts.gan.epochs = 2;
+  opts.string_bank.transformer.d_model = 16;
+  opts.string_bank.transformer.num_heads = 2;
+  opts.string_bank.transformer.ffn_dim = 24;
+  opts.string_bank.transformer.max_len = 32;
+  opts.string_bank.max_pairs_per_bucket = 12;
+  opts.string_bank.random_pair_samples = 80;
+  StringBankOptions& bank = opts.string_bank;
+  bank.train.dp.enabled = rng.Bernoulli(0.7);
+  bank.train.epochs = static_cast<int>(draw({0, 1, 2}, {-1, -5}));
+  bank.train.batch_size = static_cast<int>(draw({1, 4, 16}, {0, -2}));
+  bank.train.dp.clip_norm = draw({0.5, 1.0, 4.0}, {0.0, -1.0, nan, inf});
+  bank.train.dp.noise_multiplier =
+      draw({0.0, 0.5, 1.0, 3.0}, {-0.5, nan, inf});
+  bank.train.learning_rate =
+      static_cast<float>(draw({1e-3, 2e-3, 5e-3}, {0.0, -1e-3, nan, inf}));
+  bank.num_candidates = static_cast<int>(draw({1, 2, 3}, {0, -1}));
+  bank.num_buckets = static_cast<int>(draw({1, 2, 4}, {0, -3}));
+  bank.temperature =
+      static_cast<float>(draw({0.5, 0.9, 1.5}, {0.0, -1.0, nan, inf}));
+  SCOPED_TRACE("epochs " + std::to_string(bank.train.epochs) + " lot " +
+               std::to_string(bank.train.batch_size) + " clip " +
+               std::to_string(bank.train.dp.clip_norm) + " sigma " +
+               std::to_string(bank.train.dp.noise_multiplier) + " lr " +
+               std::to_string(bank.train.learning_rate) + " candidates " +
+               std::to_string(bank.num_candidates) + " buckets " +
+               std::to_string(bank.num_buckets) + " temperature " +
+               std::to_string(bank.temperature));
+
+  SerdSynthesizer synth(*real_, opts);
+  Status fit = synth.Fit(*corpora_, *background_);
+  EXPECT_EQ(ValidateSerdOptions(opts).code(), fit.code());
+  if (!valid) {
+    EXPECT_EQ(fit.code(), StatusCode::kInvalidArgument) << fit.ToString();
+    return;
+  }
+  ASSERT_TRUE(fit.ok()) << fit.ToString();
+  auto out = synth.Synthesize(synth.DefaultRunOptions(), nullptr);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->a.size(), 16u);
+  EXPECT_EQ(out->b.size(), 16u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SerdOptionsFuzz,
+                         testing::Range<uint64_t>(0, 20));
 
 }  // namespace
 }  // namespace serd

@@ -374,24 +374,17 @@ TEST(QuantCodecTest, DecoderSurvivesRandomBytes) {
 
 // ------------------------------------------------------- end-to-end gate
 
-SerdOptions GatePipelineOptions() {
+/// Banks trained without noise long enough that some buckets' keep gates
+/// open, so both runs below decode: the default DP-trained banks keep
+/// every gate closed and would compare two decode-free releases.
+SerdOptions OpenGatePipelineOptions() {
   SerdOptions opts;
   opts.seed = 77;
-  opts.string_bank.num_buckets = 4;
-  opts.string_bank.num_candidates = 2;
-  opts.string_bank.transformer.d_model = 16;
-  opts.string_bank.transformer.num_heads = 2;
-  opts.string_bank.transformer.num_layers = 1;
-  opts.string_bank.transformer.ffn_dim = 24;
-  opts.string_bank.transformer.max_len = 32;
-  // More training than the other fast-pipeline fixtures: the gate needs
-  // peaked logits (a near-flat next-token distribution flips tokens under
-  // any logit perturbation, quantized or not, and the deltas below would
-  // measure sampling noise instead of quantization error).
-  opts.string_bank.train.epochs = 3;
-  opts.string_bank.train.batch_size = 16;
-  opts.string_bank.max_pairs_per_bucket = 24;
-  opts.string_bank.random_pair_samples = 120;
+  opts.string_bank.num_buckets = 5;
+  opts.string_bank.num_candidates = 3;
+  opts.string_bank.train.dp.enabled = false;
+  opts.string_bank.train.epochs = 20;
+  opts.string_bank.max_pairs_per_bucket = 32;
   opts.gan.epochs = 4;
   opts.gan.batch_size = 16;
   opts.jsd_samples = 192;
@@ -420,7 +413,7 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   // The precision is fixed when models are loaded, so the int8 run loads
   // the fp32 run's saved models at int8.
   const std::string model_dir = testing::TempDir() + "/serd_quant_gate";
-  SerdOptions fp32_opts = GatePipelineOptions();
+  SerdOptions fp32_opts = OpenGatePipelineOptions();
   fp32_opts.model_dir = model_dir;
   fp32_opts.artifact_mode = SerdOptions::ArtifactMode::kSave;
   SerdSynthesizer synth(real, fp32_opts);
@@ -430,6 +423,7 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   ASSERT_TRUE(fp32.ok()) << fp32.status().ToString();
   const double fp32_jsd = synth.report().jsd_real_vs_syn;
   EXPECT_TRUE(AllBankModelsAt(synth, DecodePrecision::kFp32));
+  EXPECT_GT(synth.report().decode_steps, 0);
 
   SerdOptions int8_opts = fp32_opts;
   int8_opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
@@ -440,6 +434,7 @@ TEST(QuantPipelineTest, QualityGateInt8WithinBoundOfFp32) {
   ASSERT_TRUE(int8.ok()) << int8.status().ToString();
   const double int8_jsd = int8_synth.report().jsd_real_vs_syn;
   EXPECT_TRUE(AllBankModelsAt(int8_synth, DecodePrecision::kInt8));
+  EXPECT_GT(int8_synth.report().decode_steps, 0);
 
   // JSD bound note: the S2 loop conditions every entity on the release
   // prefix, so one flipped token early on cascades and the int8 release is
