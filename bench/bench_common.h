@@ -11,6 +11,7 @@
 #include "datagen/generators.h"
 #include "embench/embench.h"
 #include "obs/manifest.h"
+#include "serve/scheduler.h"
 
 namespace serd::bench {
 
@@ -169,6 +170,13 @@ inline void WritePipelineManifest(const Pipeline& p,
   Status wrote = obs::WriteTextFile(path, p.serd_manifest.Dump());
   SERD_CHECK(wrote.ok()) << wrote.ToString();
   std::printf("wrote %s\n", path.c_str());
+}
+
+/// One method's random stream in an experiment, keyed by the bench seed
+/// and the method's name as served jobs are keyed by their seed key: a
+/// method's draws never depend on how many another method consumed.
+inline Rng MethodRng(uint64_t bench_seed, const std::string& method) {
+  return Rng(serve::JobScheduler::DeriveJobSeed(bench_seed, method));
 }
 
 inline void PrintRule(int width = 100) {

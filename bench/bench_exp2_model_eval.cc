@@ -62,26 +62,31 @@ void Run() {
   for (DatasetKind kind : kAllKinds) {
     Pipeline p = RunPipeline(kind);
     WritePipelineManifest(p, "exp2");
-    Rng rng(23);
+    // Each method samples its pairs from its own stream.
+    constexpr uint64_t kSeed = 23;
 
-    auto real_pairs = BuildLabeledPairs(p.real, 20.0, &rng);
+    Rng real_rng = MethodRng(kSeed, "Real");
+    auto real_pairs = BuildLabeledPairs(p.real, 20.0, &real_rng);
     LabeledPairSet real_train, real_test;
-    SplitPairs(real_pairs, 0.4, &rng, &real_train, &real_test);
+    SplitPairs(real_pairs, 0.4, &real_rng, &real_train, &real_test);
 
     const auto& spec = p.synth->spec();
 
     auto r_real = TrainOn(p.real, real_train, p.real, real_test, spec);
     rows.push_back({p.real.name, "Real", r_real.rf, r_real.nn});
 
-    auto serd_pairs = p.synth->LabelPairs(p.serd, 20.0, &rng);
+    Rng serd_rng = MethodRng(kSeed, "SERD");
+    auto serd_pairs = p.synth->LabelPairs(p.serd, 20.0, &serd_rng);
     auto r = TrainOn(p.serd, serd_pairs, p.real, real_test, spec);
     rows.push_back({p.real.name, "SERD", r.rf, r.nn});
 
-    auto minus_pairs = p.synth->LabelPairs(p.serd_minus, 20.0, &rng);
+    Rng minus_rng = MethodRng(kSeed, "SERD-");
+    auto minus_pairs = p.synth->LabelPairs(p.serd_minus, 20.0, &minus_rng);
     r = TrainOn(p.serd_minus, minus_pairs, p.real, real_test, spec);
     rows.push_back({p.real.name, "SERD-", r.rf, r.nn});
 
-    auto em_pairs = BuildLabeledPairs(p.embench, 20.0, &rng);
+    Rng em_rng = MethodRng(kSeed, "EMBench");
+    auto em_pairs = BuildLabeledPairs(p.embench, 20.0, &em_rng);
     r = TrainOn(p.embench, em_pairs, p.real, real_test, spec);
     rows.push_back({p.real.name, "EMBench", r.rf, r.nn});
   }

@@ -49,13 +49,15 @@ void Run() {
   for (DatasetKind kind : kAllKinds) {
     Pipeline p = RunPipeline(kind);
     WritePipelineManifest(p, "exp3");
-    Rng rng(29);
+    // Each method samples its pairs from its own stream.
+    constexpr uint64_t kSeed = 29;
     const auto& spec = p.synth->spec();
     FeatureExtractor fx(spec);
 
-    auto real_pairs = BuildLabeledPairs(p.real, 20.0, &rng);
+    Rng real_rng = MethodRng(kSeed, "Real");
+    auto real_pairs = BuildLabeledPairs(p.real, 20.0, &real_rng);
     LabeledPairSet real_train, real_test;
-    SplitPairs(real_pairs, 0.4, &rng, &real_train, &real_test);
+    SplitPairs(real_pairs, 0.4, &real_rng, &real_train, &real_test);
 
     // Train M_real once per model family.
     std::vector<std::vector<double>> x;
@@ -81,13 +83,17 @@ void Run() {
     };
 
     evaluate(p.real, real_test, "T_real");
-    auto serd_pairs = p.synth->LabelPairs(p.serd, 20.0, &rng);
-    evaluate(p.serd, SampleSynTest(serd_pairs, real_test, &rng), "SERD");
-    auto minus_pairs = p.synth->LabelPairs(p.serd_minus, 20.0, &rng);
-    evaluate(p.serd_minus, SampleSynTest(minus_pairs, real_test, &rng),
+    Rng serd_rng = MethodRng(kSeed, "SERD");
+    auto serd_pairs = p.synth->LabelPairs(p.serd, 20.0, &serd_rng);
+    evaluate(p.serd, SampleSynTest(serd_pairs, real_test, &serd_rng), "SERD");
+    Rng minus_rng = MethodRng(kSeed, "SERD-");
+    auto minus_pairs = p.synth->LabelPairs(p.serd_minus, 20.0, &minus_rng);
+    evaluate(p.serd_minus, SampleSynTest(minus_pairs, real_test, &minus_rng),
              "SERD-");
-    auto em_pairs = BuildLabeledPairs(p.embench, 20.0, &rng);
-    evaluate(p.embench, SampleSynTest(em_pairs, real_test, &rng), "EMBench");
+    Rng em_rng = MethodRng(kSeed, "EMBench");
+    auto em_pairs = BuildLabeledPairs(p.embench, 20.0, &em_rng);
+    evaluate(p.embench, SampleSynTest(em_pairs, real_test, &em_rng),
+             "EMBench");
   }
 
   auto print_grid = [&](const char* title, auto metric_of) {

@@ -20,12 +20,6 @@
 //                                   re-decode reference path instead of
 //                                   the KV cache; slower, bit-identical
 //                                   output — used to audit the cache)
-//            [--decode-precision fp32|int8]  (numeric format for the
-//                                 KV-cached candidate decode: int8
-//                                 quantizes the decoder projections and
-//                                 runs the fused dequant GEMM kernel.
-//                                 Released bytes can differ from fp32;
-//                                 quality is gated e2e — DESIGN.md §5m)
 //            [--blocking off|qgram|auto]  (S3 pair enumeration: exact
 //                                   O(|A|*|B|) scan, q-gram inverted-index
 //                                   candidates only, or auto-switch by
@@ -58,7 +52,7 @@ int Usage(const char* argv0) {
       "          [--alpha A] [--beta B] [--buckets K] [--candidates C]\n"
       "          [--threads N] [--manifest FILE.json]\n"
       "          [--save-models DIR] [--load-models DIR]\n"
-      "          [--reference-decode] [--decode-precision fp32|int8]\n"
+      "          [--reference-decode]\n"
       "          [--blocking off|qgram|auto]\n"
       "          [--label-cap N]\n",
       argv0);
@@ -126,12 +120,6 @@ int main(int argc, char** argv) {
       options.artifact_mode = SerdOptions::ArtifactMode::kLoad;
     } else if (arg == "--reference-decode") {
       options.string_bank.incremental_decode = false;
-    } else if (arg == "--decode-precision") {
-      if (!ParseDecodePrecision(next("--decode-precision"),
-                                &options.string_bank.decode_precision)) {
-        std::fprintf(stderr, "--decode-precision takes fp32|int8\n");
-        return 2;
-      }
     } else if (arg == "--blocking") {
       if (!ParseBlockingMode(next("--blocking"), &options.blocking)) {
         std::fprintf(stderr, "--blocking takes off|qgram|auto\n");

@@ -25,7 +25,6 @@
 //               [--artifact-mode auto|load|save] [--out DIR]
 //               [--priority P] [--seed-key K] [--no-rejection]
 //               [--blocking off|qgram|auto]
-//               [--decode-precision fp32|int8]
 //               [--deadline-ms N] [--no-wait] [--id N]
 //               [--retries N] [--backoff-ms N]
 #include <cstdio>
@@ -51,7 +50,6 @@ int Usage(const char* argv0) {
       "          [--artifact-mode auto|load|save] [--out DIR]\n"
       "          [--priority P] [--seed-key K] [--no-rejection]\n"
       "          [--blocking off|qgram|auto]\n"
-      "          [--decode-precision fp32|int8]\n"
       "          [--deadline-ms N] [--no-wait] [--id N]\n"
       "          [--retries N] [--backoff-ms N]\n"
       "exit codes: 0 ok, 2 usage, 3 InvalidArgument, 4 ResourceExhausted,\n"
@@ -108,8 +106,6 @@ int main(int argc, char** argv) {
       request.Set("seed_key", next("--seed-key"));
     } else if (arg == "--blocking") {
       request.Set("blocking", next("--blocking"));
-    } else if (arg == "--decode-precision") {
-      request.Set("decode_precision", next("--decode-precision"));
     } else if (arg == "--no-rejection") {
       request.Set("no_rejection", true);
     } else if (arg == "--deadline-ms") {

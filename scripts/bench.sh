@@ -38,7 +38,7 @@ case "${1:-all}" in
     echo "==> built all bench targets; rerun with a bench name to run one"
     ;;
   generate)
-    echo "==> bench_micro --generate (decode rows, fp32/int8)"
+    echo "==> bench_micro --generate (decode rows)"
     "$BUILD/bench/bench_micro" --generate
     ;;
   kernels)

@@ -22,6 +22,13 @@ constexpr uint32_t kMaxSeqLen = 65536;
 constexpr uint32_t kMaxBuckets = 1000;
 constexpr uint32_t kMaxFeatureDim = 1u << 20;
 
+/// The gate section's one-byte precision tag. Every writer writes 0 (the
+/// keep measurement decodes at fp32); 2 marks a measurement taken by an
+/// older build at its retired 8-bit decode precision. Both load the same
+/// counts, and the tag is not kept.
+constexpr uint8_t kKeepTagFp32 = 0;
+constexpr uint8_t kKeepTagInt8 = 2;
+
 /// Reads a u32 and fails the reader unless it lies in [lo, hi].
 uint32_t BoundedU32(ByteReader* r, uint32_t lo, uint32_t hi,
                     const char* what) {
@@ -224,126 +231,6 @@ Result<std::unique_ptr<TransformerSeq2Seq>> DecodeTransformer(ByteReader* r) {
   return model;
 }
 
-namespace {
-
-/// Writes one quantized projection: logical dims, then the unpadded int8
-/// payload rows, the per-channel scales and the bias.
-void EncodeQuantizedLinear(const nn::QuantizedLinear& lin, ByteWriter* w) {
-  const nn::QuantizedMatrix& m = lin.w;
-  w->U32(static_cast<uint32_t>(m.rows));
-  w->U32(static_cast<uint32_t>(m.cols));
-  std::string payload;
-  payload.reserve(m.rows * m.cols);
-  for (std::size_t i = 0; i < m.rows; ++i) {
-    const int8_t* row = m.q.data() + i * m.cstride;
-    payload.append(reinterpret_cast<const char*>(row), m.cols);
-  }
-  w->Str(payload);
-  w->F32Vec(m.scales);
-  w->F32Vec(lin.bias);
-}
-
-/// Decodes one quantized projection, validating its dims against the
-/// shape the owning model expects (`want_rows` x `want_cols`) before any
-/// packed storage is built — the decode hot loop indexes these matrices
-/// without bounds checks, so nothing from the wire may size them.
-Status DecodeQuantizedLinear(ByteReader* r, uint32_t want_rows,
-                             uint32_t want_cols, const std::string& what,
-                             nn::QuantizedLinear* out) {
-  uint32_t rows = r->U32();
-  uint32_t cols = r->U32();
-  if (r->ok() && (rows != want_rows || cols != want_cols)) {
-    r->Fail(what + " is " + std::to_string(rows) + "x" +
-            std::to_string(cols) + ", want " + std::to_string(want_rows) +
-            "x" + std::to_string(want_cols));
-  }
-  std::string payload = r->Str();
-  const std::size_t n = static_cast<std::size_t>(rows) * cols;
-  if (r->ok() && payload.size() != n) {
-    r->Fail(what + " int8 payload has " + std::to_string(payload.size()) +
-            " bytes, want " + std::to_string(n));
-  }
-  std::vector<float> scales = r->F32Vec();
-  if (r->ok() && scales.size() != rows) {
-    r->Fail(what + " has " + std::to_string(scales.size()) +
-            " scales, want " + std::to_string(rows));
-  }
-  for (std::size_t i = 0; r->ok() && i < scales.size(); ++i) {
-    if (!(std::isfinite(scales[i]) && scales[i] > 0.0f)) {
-      r->Fail(what + " scale " + std::to_string(i) +
-              " is not a positive finite float");
-    }
-  }
-  if (r->ok()) {
-    out->w = nn::MakeInt8Matrix(
-        rows, cols, reinterpret_cast<const int8_t*>(payload.data()),
-        scales.data());
-  }
-  std::vector<float> bias = r->F32Vec();
-  if (r->ok() && !bias.empty() && bias.size() != rows) {
-    r->Fail(what + " has " + std::to_string(bias.size()) +
-            " bias entries, want 0 or " + std::to_string(rows));
-  }
-  if (r->ok()) out->bias = std::move(bias);
-  return r->status();
-}
-
-}  // namespace
-
-void EncodeQuantizedWeights(const QuantizedDecodeWeights& qw, ByteWriter* w) {
-  w->U8(static_cast<uint8_t>(qw.precision));
-  w->U32(static_cast<uint32_t>(qw.layers.size()));
-  for (const QuantizedDecoderLayer& l : qw.layers) {
-    EncodeQuantizedLinear(l.self_wq, w);
-    EncodeQuantizedLinear(l.self_wk, w);
-    EncodeQuantizedLinear(l.self_wv, w);
-    EncodeQuantizedLinear(l.self_wo, w);
-    EncodeQuantizedLinear(l.cross_wq, w);
-    EncodeQuantizedLinear(l.cross_wo, w);
-    EncodeQuantizedLinear(l.ffn1, w);
-    EncodeQuantizedLinear(l.ffn2, w);
-  }
-}
-
-Result<std::unique_ptr<QuantizedDecodeWeights>> DecodeQuantizedWeights(
-    ByteReader* r, const TransformerConfig& config) {
-  uint8_t tag = r->U8();
-  if (r->ok() && tag != static_cast<uint8_t>(nn::DecodePrecision::kInt8)) {
-    r->Fail("quantized precision tag " + std::to_string(tag) +
-            " unknown (want int8=2)");
-  }
-  uint32_t layers = BoundedU32(r, 1, kMaxLayers, "quantized layer count");
-  if (r->ok() && layers != static_cast<uint32_t>(config.num_layers)) {
-    r->Fail("quantized weights cover " + std::to_string(layers) +
-            " layers, model has " + std::to_string(config.num_layers));
-  }
-  if (!r->ok()) return r->status();
-  auto qw = std::make_unique<QuantizedDecodeWeights>();
-  qw->precision = static_cast<nn::DecodePrecision>(tag);
-  qw->layers.resize(layers);
-  const uint32_t d = static_cast<uint32_t>(config.d_model);
-  const uint32_t f = static_cast<uint32_t>(config.ffn_dim);
-  for (uint32_t i = 0; i < layers; ++i) {
-    QuantizedDecoderLayer& l = qw->layers[i];
-    const std::string at = "quantized layer " + std::to_string(i) + " ";
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, d, d, at + "self_wq", &l.self_wq));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, d, d, at + "self_wk", &l.self_wk));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, d, d, at + "self_wv", &l.self_wv));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, d, d, at + "self_wo", &l.self_wo));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, d, d, at + "cross_wq", &l.cross_wq));
-    SERD_RETURN_IF_ERROR(
-        DecodeQuantizedLinear(r, d, d, at + "cross_wo", &l.cross_wo));
-    SERD_RETURN_IF_ERROR(DecodeQuantizedLinear(r, f, d, at + "ffn1", &l.ffn1));
-    SERD_RETURN_IF_ERROR(DecodeQuantizedLinear(r, d, f, at + "ffn2", &l.ffn2));
-  }
-  return qw;
-}
-
 void EncodeEntityGan(const EntityGan& gan, ByteWriter* w) {
   const GanConfig& c = gan.config();
   w->U32(static_cast<uint32_t>(gan.feature_dim()));
@@ -458,7 +345,7 @@ Result<std::unique_ptr<StringSynthesisBank>> DecodeStringBank(
 }
 
 void EncodeKeepCounts(const StringSynthesisBank& bank, ByteWriter* w) {
-  w->U8(static_cast<uint8_t>(bank.keep_precision()));
+  w->U8(kKeepTagFp32);
   w->U32(static_cast<uint32_t>(bank.keep_counts().size()));
   for (const KeepCount& c : bank.keep_counts()) {
     w->I32(c.decoded);
@@ -468,10 +355,9 @@ void EncodeKeepCounts(const StringSynthesisBank& bank, ByteWriter* w) {
 
 Status DecodeKeepCountsInto(ByteReader* r, StringSynthesisBank* bank) {
   uint8_t tag = r->U8();
-  if (r->ok() && tag != static_cast<uint8_t>(nn::DecodePrecision::kFp32) &&
-      tag != static_cast<uint8_t>(nn::DecodePrecision::kInt8)) {
+  if (r->ok() && tag != kKeepTagFp32 && tag != kKeepTagInt8) {
     r->Fail("keep measurement precision tag " + std::to_string(tag) +
-            " unknown (want fp32=0 or int8=2)");
+            " unknown (want 0 or 2)");
   }
   uint32_t k = BoundedU32(r, 0, kMaxBuckets, "keep count bucket count");
   std::vector<KeepCount> counts(r->ok() ? k : 0);
@@ -480,8 +366,7 @@ Status DecodeKeepCountsInto(ByteReader* r, StringSynthesisBank* bank) {
     c.kept = r->I32();
   }
   if (!r->ok()) return r->status();
-  Status set = bank->SetKeepCounts(std::move(counts),
-                                   static_cast<nn::DecodePrecision>(tag));
+  Status set = bank->SetKeepCounts(std::move(counts));
   if (!set.ok()) return Status::InvalidArgument("artifact: " + set.message());
   return Status::OK();
 }

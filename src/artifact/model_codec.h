@@ -55,16 +55,6 @@ Status DecodeParamsInto(ByteReader* r,
 void EncodeTransformer(const TransformerSeq2Seq& model, ByteWriter* w);
 Result<std::unique_ptr<TransformerSeq2Seq>> DecodeTransformer(ByteReader* r);
 
-/// Quantized decode weights (the optional "quant" artifact section):
-/// per layer the 8 per-step projections in fixed order, each as logical
-/// (unpadded) payload bytes plus fp32 scales/bias — the packed/padded form
-/// is rebuilt at decode time, never trusted from the wire. `config` is
-/// the model the set will attach to; every shape is validated against it
-/// so a corrupted payload can never size-mismatch the decode buffers.
-void EncodeQuantizedWeights(const QuantizedDecodeWeights& qw, ByteWriter* w);
-Result<std::unique_ptr<QuantizedDecodeWeights>> DecodeQuantizedWeights(
-    ByteReader* r, const TransformerConfig& config);
-
 void EncodeEntityGan(const EntityGan& gan, ByteWriter* w);
 Result<std::unique_ptr<EntityGan>> DecodeEntityGan(ByteReader* r);
 
@@ -80,7 +70,7 @@ Result<std::unique_ptr<StringSynthesisBank>> DecodeStringBank(
     ByteReader* r, StringBankOptions options, StringSimFn sim);
 
 /// A bank's fit-time keep measurement (the optional "gate" artifact
-/// section; DESIGN.md §5g): the decode precision it ran at, then per
+/// section; DESIGN.md §5g): a one-byte precision tag (always 0), then per
 /// bucket the decoded and kept counts (no buckets when unmeasured).
 void EncodeKeepCounts(const StringSynthesisBank& bank, ByteWriter* w);
 

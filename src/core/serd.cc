@@ -41,28 +41,6 @@ bool ParseBlockingMode(const std::string& name,
   return true;
 }
 
-const char* DecodePrecisionName(nn::DecodePrecision precision) {
-  switch (precision) {
-    case nn::DecodePrecision::kFp32:
-      return "fp32";
-    case nn::DecodePrecision::kInt8:
-      return "int8";
-  }
-  return "fp32";
-}
-
-bool ParseDecodePrecision(const std::string& name,
-                          nn::DecodePrecision* precision) {
-  if (name == "fp32") {
-    *precision = nn::DecodePrecision::kFp32;
-  } else if (name == "int8") {
-    *precision = nn::DecodePrecision::kInt8;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Status ValidateSerdOptions(const SerdOptions& options) {
   auto positive_finite = [](const char* name, double v) {
     if (std::isfinite(v) && v > 0.0) return Status::OK();
@@ -1018,8 +996,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("block_recall_samples", options_.block_recall_samples);
   opts.Set("observability", options_.observability);
   opts.Set("incremental_decode", options_.string_bank.incremental_decode);
-  opts.Set("decode_precision",
-           DecodePrecisionName(options_.string_bank.decode_precision));
   opts.Set("model_dir", options_.model_dir);
   opts.Set("artifact_mode", static_cast<int>(options_.artifact_mode));
   root.Set("options", std::move(opts));
@@ -1074,7 +1050,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
     const StringSynthesisBank& bank = *banks_[c];
     obs::Json entry = obs::Json::Object();
     entry.Set("column", spec_.schema().column(c).name);
-    entry.Set("keep_precision", DecodePrecisionName(bank.keep_precision()));
     obs::Json buckets = obs::Json::Array();
     for (size_t b = 0; b < bank.models().size(); ++b) {
       const KeepCount count = b < bank.keep_counts().size()

@@ -148,8 +148,8 @@ struct SerdReport {
   /// String-bank decode accounting for this run (summed over the text
   /// columns' banks): next-token logits rows computed, and encoder-memory
   /// cache traffic (0 with incremental_decode off, --reference-decode).
-  /// Which kernels the steps ran is fixed by the options
-  /// (incremental_decode, decode_precision), so it is not counted.
+  /// Which route the steps ran is fixed by incremental_decode, so it is
+  /// not counted.
   long decode_steps = 0;
   long encoder_cache_hits = 0;
   long encoder_cache_misses = 0;
@@ -444,13 +444,6 @@ const char* BlockingModeName(SerdOptions::BlockingMode mode);
 /// Parses a BlockingModeName back; false on an unknown name.
 bool ParseBlockingMode(const std::string& name,
                        SerdOptions::BlockingMode* mode);
-
-/// Stable wire/CLI names of the decode precisions: "fp32", "int8".
-const char* DecodePrecisionName(nn::DecodePrecision precision);
-
-/// Parses a DecodePrecisionName back; false on an unknown name.
-bool ParseDecodePrecision(const std::string& name,
-                          nn::DecodePrecision* precision);
 
 /// Buckets an artifact load failure (a LoadModels() Status) into a short
 /// stable cause tag: "io" (missing/unreadable file), "crc", "format",

@@ -112,26 +112,6 @@ Status SerdSynthesizer::SaveModels(const std::string& dir) const {
   pools->U32(static_cast<uint32_t>(decode_pools_.size()));
   for (const auto& pool : decode_pools_) pools->StrVec(pool);
 
-  // quant: the reduced-precision decode weights each bank's models carry
-  // right now (empty has-flags when running fp32). Always written — the
-  // section's presence marks the format generation, and readers that
-  // predate it skip unknown sections — so serving at --decode-precision
-  // int8 from an artifact saved at that precision pays no
-  // quantize-on-load. DESIGN.md §5m.
-  artifact::ByteWriter* quant = writer.AddSection("quant");
-  quant->U32(static_cast<uint32_t>(banks_.size()));
-  for (const auto& bank : banks_) {
-    quant->Bool(bank != nullptr);
-    if (bank == nullptr) continue;
-    quant->U32(static_cast<uint32_t>(bank->models().size()));
-    for (const auto& model : bank->models()) {
-      const QuantizedDecodeWeights* qw =
-          model != nullptr ? model->quantized_weights() : nullptr;
-      quant->Bool(qw != nullptr);
-      if (qw != nullptr) artifact::EncodeQuantizedWeights(*qw, quant);
-    }
-  }
-
   // gate: each bank's fit-time keep measurement, which decides the
   // buckets that decode. Artifacts without the section (older writers)
   // load with every trained bucket decoding. DESIGN.md §5g.
@@ -246,15 +226,6 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
   }
   std::vector<std::unique_ptr<StringSynthesisBank>> banks(
       schema.num_columns());
-  // When the caller wants a reduced decode precision and the artifact
-  // carries a quant section, decode the banks at fp32 first so
-  // RestoreTrained skips quantize-on-load; the saved weights are attached
-  // below instead (with quantize-on-load kept as the fallback for payload
-  // gaps or a precision mismatch).
-  const nn::DecodePrecision want_precision =
-      options_.string_bank.decode_precision;
-  const bool attach_quant = want_precision != nn::DecodePrecision::kFp32 &&
-                            reader.Has("quant");
   for (size_t c = 0; banks_reader.ok() && c < schema.num_columns(); ++c) {
     bool present = banks_reader.Bool();
     if (!banks_reader.ok()) break;
@@ -272,9 +243,6 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
     StringBankOptions bank_opts = options_.string_bank;
     bank_opts.train.seed = options_.seed + 7919ULL * (c + 1);
     bank_opts.train.pool = pool_.get();
-    if (attach_quant) {
-      bank_opts.decode_precision = nn::DecodePrecision::kFp32;
-    }
     // The text-column similarity Fit() builds its banks with.
     auto bank = artifact::DecodeStringBank(&banks_reader, bank_opts,
                                            QgramJaccardSim{});
@@ -326,70 +294,6 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
       return fail(Status::InvalidArgument(
           "artifact decode pool for column " + std::to_string(c) +
           " is empty (Fit() never saves an empty pool)"));
-    }
-  }
-
-  // --- quantized decode weights (optional section: absent from older
-  // artifacts, skipped by older readers, and never opened — so never CRC
-  // checked — when this load runs fp32). Attach each saved weight set to
-  // its model when the precision matches the request; everything else
-  // falls back to quantize-on-load via set_decode_precision below. ---
-  if (attach_quant) {
-    auto quant_or = reader.Section("quant");
-    if (!quant_or.ok()) return fail(quant_or.status());
-    artifact::ByteReader quant_reader = std::move(quant_or).value();
-    uint32_t quant_cols = quant_reader.U32();
-    if (quant_reader.ok() && quant_cols != schema.num_columns()) {
-      return fail(Status::InvalidArgument(
-          "artifact schema mismatch: quant section covers " +
-          std::to_string(quant_cols) + " columns, dataset has " +
-          std::to_string(schema.num_columns())));
-    }
-    for (size_t c = 0; quant_reader.ok() && c < schema.num_columns(); ++c) {
-      bool present = quant_reader.Bool();
-      if (!quant_reader.ok()) break;
-      if (present != (banks[c] != nullptr)) {
-        return fail(Status::InvalidArgument(
-            "artifact quant section disagrees with the banks section at "
-            "column " +
-            std::to_string(c)));
-      }
-      if (!present) continue;
-      uint32_t num_models = quant_reader.U32();
-      if (quant_reader.ok() && num_models != banks[c]->models().size()) {
-        return fail(Status::InvalidArgument(
-            "artifact quant section has " + std::to_string(num_models) +
-            " buckets for column " + std::to_string(c) + ", bank has " +
-            std::to_string(banks[c]->models().size())));
-      }
-      for (uint32_t b = 0; quant_reader.ok() && b < num_models; ++b) {
-        bool has = quant_reader.Bool();
-        if (!quant_reader.ok()) break;
-        TransformerSeq2Seq* model = banks[c]->mutable_model(b);
-        if (has && model == nullptr) {
-          return fail(Status::InvalidArgument(
-              "artifact quant section carries weights for untrained "
-              "bucket " +
-              std::to_string(b) + " of column " + std::to_string(c)));
-        }
-        if (!has) continue;
-        auto qw =
-            artifact::DecodeQuantizedWeights(&quant_reader, model->config());
-        if (!qw.ok()) return fail(qw.status());
-        if (qw.value()->precision == want_precision) {
-          model->SetQuantizedWeights(std::move(qw).value());
-        }
-      }
-    }
-    if (!quant_reader.ok()) return fail(quant_reader.status());
-    if (Status s = FinishSection(quant_reader, "quant"); !s.ok()) {
-      return fail(s);
-    }
-    // Models attached above no-op here (precision already matches); any
-    // others — missing payload, or the artifact was saved at a different
-    // precision — quantize from their restored fp32 weights now.
-    for (auto& bank : banks) {
-      if (bank != nullptr) bank->set_decode_precision(want_precision);
     }
   }
 

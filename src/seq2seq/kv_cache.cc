@@ -54,18 +54,6 @@ void LinearRowInto(const nn::Linear& lin, const float* x, float* y) {
   if (lin.bias() != nullptr) k::Add(out, y, lin.bias()->value().data(), y);
 }
 
-/// Routes one per-step projection: the quantized kernel when a
-/// reduced-precision copy is attached, the exact fp32 path otherwise.
-void ProjectRow(const nn::QuantizedLinear* q, const nn::Linear& lin,
-                const float* x, float* y) {
-  if (q != nullptr) {
-    k::QuantizedGemm(q->w, q->bias.empty() ? nullptr : q->bias.data(), 1, x,
-                     y);
-    return;
-  }
-  LinearRowInto(lin, x, y);
-}
-
 }  // namespace
 
 void KvCache::Reset(int num_layers, int d_model, int capacity) {
@@ -127,11 +115,6 @@ const float* IncrementalDecoder::Step(int token) {
   const int len = pos + 1;
   for (std::size_t l = 0; l < model_->decoder_.size(); ++l) {
     const DecoderLayer& layer = *model_->decoder_[l];
-    // Quantized projection weights for this layer, when attached. The KV
-    // cache itself and everything outside the projections (LN, attention,
-    // embeddings, logits) stays fp32 (DESIGN.md §5m).
-    const QuantizedDecoderLayer* ql =
-        model_->quant_ != nullptr ? &model_->quant_->layers[l] : nullptr;
 
     // Causal self-attention: project the new row, append its K/V to the
     // cache, attend over positions [0, pos]. The full path's causal mask
@@ -141,38 +124,32 @@ const float* IncrementalDecoder::Step(int token) {
     // approximation.
     const MultiHeadAttention& self = *layer.self_attn_;
     LayerNormRow(*layer.ln1_, d, x_.data(), normed_.data());
-    ProjectRow(ql ? &ql->self_wq : nullptr, *self.wq_, normed_.data(),
-               q_.data());
-    ProjectRow(ql ? &ql->self_wk : nullptr, *self.wk_, normed_.data(),
-               cache_.k(l) + static_cast<std::size_t>(pos) * d);
-    ProjectRow(ql ? &ql->self_wv : nullptr, *self.wv_, normed_.data(),
-               cache_.v(l) + static_cast<std::size_t>(pos) * d);
+    LinearRowInto(*self.wq_, normed_.data(), q_.data());
+    LinearRowInto(*self.wk_, normed_.data(),
+                  cache_.k(l) + static_cast<std::size_t>(pos) * d);
+    LinearRowInto(*self.wv_, normed_.data(),
+                  cache_.v(l) + static_cast<std::size_t>(pos) * d);
     AttentionRow(self.num_heads_, self.head_dim_, d, len, q_.data(),
                  cache_.k(l), cache_.v(l), scores_.data(), concat_.data());
-    ProjectRow(ql ? &ql->self_wo : nullptr, *self.wo_, concat_.data(),
-               attn_.data());
+    LinearRowInto(*self.wo_, concat_.data(), attn_.data());
     k::Add(d, x_.data(), attn_.data(), h_.data());
 
     // Cross-attention over the precomputed encoder K/V.
     const MultiHeadAttention& cross = *layer.cross_attn_;
     const EncoderMemory::CrossKv& ckv = memory_->cross[l];
     LayerNormRow(*layer.ln2_, d, h_.data(), normed_.data());
-    ProjectRow(ql ? &ql->cross_wq : nullptr, *cross.wq_, normed_.data(),
-               q_.data());
+    LinearRowInto(*cross.wq_, normed_.data(), q_.data());
     AttentionRow(cross.num_heads_, cross.head_dim_, d, memory_->mem_len,
                  q_.data(), ckv.k.data(), ckv.v.data(), scores_.data(),
                  concat_.data());
-    ProjectRow(ql ? &ql->cross_wo : nullptr, *cross.wo_, concat_.data(),
-               attn_.data());
+    LinearRowInto(*cross.wo_, concat_.data(), attn_.data());
     k::Add(d, h_.data(), attn_.data(), h_.data());
 
     // FFN.
     LayerNormRow(*layer.ln3_, d, h_.data(), normed_.data());
-    ProjectRow(ql ? &ql->ffn1 : nullptr, *layer.ffn1_, normed_.data(),
-               ff_.data());
+    LinearRowInto(*layer.ffn1_, normed_.data(), ff_.data());
     k::Gelu(ff_.size(), ff_.data(), ff_.data());
-    ProjectRow(ql ? &ql->ffn2 : nullptr, *layer.ffn2_, ff_.data(),
-               attn_.data());
+    LinearRowInto(*layer.ffn2_, ff_.data(), attn_.data());
     k::Add(d, h_.data(), attn_.data(), x_.data());
   }
   cache_.Advance();

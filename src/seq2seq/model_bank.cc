@@ -143,16 +143,8 @@ Status StringSynthesisBank::TrainFromPairs(
   stats_.mean_epsilon = trained_models > 0 ? total_eps / trained_models : 0.0;
   stats_.train_seconds = timer.Seconds();
   trained_ = true;
-  set_decode_precision(options_.decode_precision);
   BucketHistogram();  // in the manifest even when no bucket decodes
   return Status::OK();
-}
-
-void StringSynthesisBank::set_decode_precision(nn::DecodePrecision precision) {
-  options_.decode_precision = precision;
-  for (auto& model : models_) {
-    if (model != nullptr) model->QuantizeWeights(precision);
-  }
 }
 
 Status StringSynthesisBank::RestoreTrained(
@@ -188,10 +180,6 @@ Status StringSynthesisBank::RestoreTrained(
   stats_ = std::move(stats);
   keep_counts_.clear();
   trained_ = true;
-  // Models restored with a pre-quantized weight set attached (the artifact
-  // load path) already match the requested precision, so QuantizeWeights
-  // no-ops on them; any others quantize here.
-  set_decode_precision(options_.decode_precision);
   BucketHistogram();  // in the manifest even when no bucket decodes
   return Status::OK();
 }
@@ -424,11 +412,9 @@ void StringSynthesisBank::MeasureKeepCounts(
     }
   });
   keep_counts_ = std::move(counts);
-  keep_precision_ = options_.decode_precision;
 }
 
-Status StringSynthesisBank::SetKeepCounts(std::vector<KeepCount> counts,
-                                          nn::DecodePrecision measured_at) {
+Status StringSynthesisBank::SetKeepCounts(std::vector<KeepCount> counts) {
   if (!counts.empty() && counts.size() != models_.size()) {
     return Status::InvalidArgument(
         "keep counts cover " + std::to_string(counts.size()) +
@@ -448,7 +434,6 @@ Status StringSynthesisBank::SetKeepCounts(std::vector<KeepCount> counts,
     }
   }
   keep_counts_ = std::move(counts);
-  keep_precision_ = measured_at;
   return Status::OK();
 }
 

@@ -54,16 +54,6 @@ struct StringBankOptions {
   /// produce bit-identical synthesized strings at a fixed seed.
   bool incremental_decode = true;
 
-  /// Numeric format for the KV-cached decode projections (DESIGN.md §5m):
-  /// kFp32 is the exact path, kInt8 quantizes each trained model's decoder
-  /// projection weights once after training/restore and routes the
-  /// per-step GEMMs through the int8 kernels. Released bytes can change vs
-  /// fp32 (perturbed logits), which is why the quality gate is an e2e
-  /// F1/JSD delta bound, not bitwise equality. Only consulted when
-  /// incremental_decode is on — the full re-decode reference
-  /// (--reference-decode) always runs fp32.
-  nn::DecodePrecision decode_precision = nn::DecodePrecision::kFp32;
-
   /// Observability sink (not owned; nullptr = off): counters
   /// s2.bank_synth_calls / s2.bank_fallback_calls / s2.bank_refined_calls
   /// / s2.bank_empty_decode_calls (model-backed calls whose decode kept no
@@ -157,40 +147,26 @@ class StringSynthesisBank {
   const StringBankStats& stats() const { return stats_; }
   const CharVocab& vocab() const { return vocab_; }
 
-  /// Sets the decode precision of a trained/restored bank, before it
-  /// serves any run (training, restore and the artifact load call it).
-  /// Quantizes every trained model's decoder projections to `precision`
-  /// (a no-op for models already carrying that precision, including
-  /// pre-quantized artifact loads) or clears them back to the exact fp32
-  /// path. The trained fp32 weights are never modified.
-  void set_decode_precision(nn::DecodePrecision precision);
-  nn::DecodePrecision decode_precision() const {
-    return options_.decode_precision;
-  }
-
   /// The bucket index whose interval contains `sim`.
   int BucketOf(double sim) const;
 
   /// Measures every trained bucket and installs the counts, which gate
   /// Synthesize from then on (BucketDecodes): each bucket decodes
   /// num_candidates candidates from each of `sources` on the configured
-  /// decode route and precision, from an Rng of its own derived from
-  /// `seed`, and counts those that pass the keep test. Buckets run in
-  /// parallel on `pool` (nullptr = serial) with the same counts at any
-  /// pool size. Call before the bank serves any run.
+  /// decode route, from an Rng of its own derived from `seed`, and counts
+  /// those that pass the keep test. Buckets run in parallel on `pool`
+  /// (nullptr = serial) with the same counts at any pool size. Call
+  /// before the bank serves any run.
   void MeasureKeepCounts(const std::vector<std::string>& sources,
                          uint64_t seed, runtime::ThreadPool* pool);
 
-  /// Installs keep measurements taken at decode precision `measured_at`
-  /// (the artifact load), before the bank serves any run. `counts` is
-  /// empty (nothing measured) or holds one entry per bucket, with nothing
-  /// decoded for an untrained bucket and 0 <= kept <= decoded.
-  Status SetKeepCounts(std::vector<KeepCount> counts,
-                       nn::DecodePrecision measured_at);
+  /// Installs keep measurements (the artifact load), before the bank
+  /// serves any run. `counts` is empty (nothing measured) or holds one
+  /// entry per bucket, with nothing decoded for an untrained bucket and
+  /// 0 <= kept <= decoded.
+  Status SetKeepCounts(std::vector<KeepCount> counts);
   /// Per-bucket keep measurements; empty when none was taken.
   const std::vector<KeepCount>& keep_counts() const { return keep_counts_; }
-  /// The decode precision the keep measurements ran at.
-  nn::DecodePrecision keep_precision() const { return keep_precision_; }
 
   /// Whether Synthesize decodes with `bucket`'s model: it is trained and
   /// either unmeasured or measured to keep a decode in at least
@@ -205,12 +181,6 @@ class StringSynthesisBank {
     return models_;
   }
 
-  /// Mutable access to a bucket's model (null = untrained bucket). Used by
-  /// the artifact store to attach pre-quantized decode weights after
-  /// RestoreTrained; never replaces the model itself.
-  TransformerSeq2Seq* mutable_model(std::size_t bucket) {
-    return bucket < models_.size() ? models_[bucket].get() : nullptr;
-  }
   const std::vector<std::string>& corpus() const { return corpus_; }
   const std::vector<std::string>& word_pool() const { return word_pool_; }
 
@@ -262,7 +232,6 @@ class StringSynthesisBank {
   bool trained_ = false;
   StringBankStats stats_;
   std::vector<KeepCount> keep_counts_;  // empty = unmeasured
-  nn::DecodePrecision keep_precision_ = nn::DecodePrecision::kFp32;
 };
 
 }  // namespace serd

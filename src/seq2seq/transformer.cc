@@ -370,56 +370,6 @@ int TransformerSeq2Seq::GenerateBatch(const EncoderMemoryPtr& memory,
   return produced;
 }
 
-namespace {
-
-/// Packs one nn::Linear into a QuantizedLinear: the [in, out] fp32 weight
-/// transposes into the contiguous-per-channel int8 layout, and the bias
-/// (if any) is copied so the kernel can fuse it into the dequant
-/// epilogue.
-nn::QuantizedLinear QuantizeLinear(const nn::Linear& lin) {
-  const nn::TensorPtr& w = lin.weight();
-  nn::QuantizedLinear out;
-  out.w = nn::QuantizeWeightMatrix(w->rows(), w->cols(), w->value().data());
-  if (lin.bias() != nullptr) out.bias = lin.bias()->value();
-  return out;
-}
-
-}  // namespace
-
-void TransformerSeq2Seq::QuantizeWeights(nn::DecodePrecision precision) {
-  if (precision == nn::DecodePrecision::kFp32) {
-    quant_.reset();
-    return;
-  }
-  if (quant_ != nullptr && quant_->precision == precision) return;
-  auto qw = std::make_unique<QuantizedDecodeWeights>();
-  qw->precision = precision;
-  qw->layers.reserve(decoder_.size());
-  for (const auto& layer : decoder_) {
-    QuantizedDecoderLayer ql;
-    ql.self_wq = QuantizeLinear(*layer->self_attn_->wq_);
-    ql.self_wk = QuantizeLinear(*layer->self_attn_->wk_);
-    ql.self_wv = QuantizeLinear(*layer->self_attn_->wv_);
-    ql.self_wo = QuantizeLinear(*layer->self_attn_->wo_);
-    ql.cross_wq = QuantizeLinear(*layer->cross_attn_->wq_);
-    ql.cross_wo = QuantizeLinear(*layer->cross_attn_->wo_);
-    ql.ffn1 = QuantizeLinear(*layer->ffn1_);
-    ql.ffn2 = QuantizeLinear(*layer->ffn2_);
-    qw->layers.push_back(std::move(ql));
-  }
-  quant_ = std::move(qw);
-}
-
-void TransformerSeq2Seq::SetQuantizedWeights(
-    std::unique_ptr<QuantizedDecodeWeights> weights) {
-  if (weights != nullptr) {
-    SERD_CHECK_EQ(weights->layers.size(), decoder_.size())
-        << "quantized weight set does not match the decoder depth";
-    SERD_CHECK(weights->precision != nn::DecodePrecision::kFp32);
-  }
-  quant_ = std::move(weights);
-}
-
 std::vector<float> TransformerSeq2Seq::NextLogitsFull(
     const std::vector<int>& prefix_ids, const EncoderMemoryPtr& memory) const {
   SERD_CHECK(!prefix_ids.empty());

@@ -7,29 +7,10 @@
 #include <vector>
 
 #include "nn/modules.h"
-#include "nn/quant.h"
 #include "nn/tape.h"
 #include "seq2seq/kv_cache.h"
 
 namespace serd {
-
-/// Reduced-precision copies of one decoder layer's projection weights —
-/// exactly the per-step GEMMs of the KV-cached decode path. Cross wk/wv
-/// are absent: they run once per source inside EncodeMemory, not per
-/// step, and stay fp32 (DESIGN.md §5m).
-struct QuantizedDecoderLayer {
-  nn::QuantizedLinear self_wq, self_wk, self_wv, self_wo;
-  nn::QuantizedLinear cross_wq, cross_wo;
-  nn::QuantizedLinear ffn1, ffn2;
-};
-
-/// A full quantized weight set for a TransformerSeq2Seq's decode path.
-/// LayerNorms, embeddings, and the logit projection (softmax input) stay
-/// fp32; so do the encoder and the KV cache contents.
-struct QuantizedDecodeWeights {
-  nn::DecodePrecision precision = nn::DecodePrecision::kFp32;
-  std::vector<QuantizedDecoderLayer> layers;  ///< one per decoder layer
-};
 
 /// Transformer hyperparameters. The paper uses d_model 256, 3 layers,
 /// 8 heads, dropout 0.1 on GPU; our CPU-scale defaults are smaller (see
@@ -161,25 +142,6 @@ class TransformerSeq2Seq : public nn::Module {
   /// never alias a cache entry.
   std::uint64_t uid() const { return uid_; }
 
-  /// One-shot weight quantization for serving: packs every decoder
-  /// layer's per-step projection weights (self wq/wk/wv/wo, cross wq/wo,
-  /// ffn1/ffn2) into `precision` and routes the KV-cached decode path
-  /// through the quantized kernels. kFp32 clears any attached set,
-  /// restoring the exact path. Re-quantizing to the precision already
-  /// attached is a no-op. Training and the full re-decode reference
-  /// (Generate / NextLogitsFull / --reference-decode) always stay fp32.
-  void QuantizeWeights(nn::DecodePrecision precision);
-
-  /// Attaches a pre-quantized weight set (the artifact load path, so
-  /// serving never pays quantize-on-load). Layer count must match the
-  /// decoder depth.
-  void SetQuantizedWeights(std::unique_ptr<QuantizedDecodeWeights> weights);
-
-  /// The attached quantized set, or null when decoding runs fp32.
-  const QuantizedDecodeWeights* quantized_weights() const {
-    return quant_.get();
-  }
-
  private:
   friend class IncrementalDecoder;
 
@@ -197,7 +159,6 @@ class TransformerSeq2Seq : public nn::Module {
   std::vector<std::unique_ptr<DecoderLayer>> decoder_;
   std::unique_ptr<nn::LayerNormLayer> final_ln_;
   std::unique_ptr<nn::Linear> output_proj_;
-  std::unique_ptr<QuantizedDecodeWeights> quant_;
 };
 
 }  // namespace serd

@@ -43,8 +43,6 @@ std::string PoolKey::Token() const {
   token += std::to_string(schema_fingerprint);
   token += '\x1f';
   token += dataset_id;
-  token += '\x1f';
-  token += decode_precision;
   return token;
 }
 

@@ -23,10 +23,7 @@ namespace serd::serve {
 /// directory, the schema fingerprint (a stale artifact for a changed
 /// schema must not alias a valid one), and the dataset identity (the
 /// synthesizer keeps a pointer to the real dataset it was built over, so
-/// an entry is only reusable for jobs over that exact dataset), and the
-/// decode precision (an int8 load attaches/builds quantized weights on
-/// every bank model, so fp32 and int8 tenants of the same artifact must
-/// never share a warm entry).
+/// an entry is only reusable for jobs over that exact dataset).
 struct PoolKey {
   std::string tenant;
   std::string model_dir;
@@ -34,9 +31,6 @@ struct PoolKey {
   /// "kind@scale#data_seed" — the generator inputs that determine the
   /// real dataset bit-for-bit.
   std::string dataset_id;
-  /// DecodePrecisionName() of the job's decode precision ("fp32" when the
-  /// job does not ask for one).
-  std::string decode_precision = "fp32";
 
   /// Canonical map key: fields joined with a separator that cannot occur
   /// in paths or dataset names.

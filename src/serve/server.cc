@@ -116,11 +116,6 @@ struct SerdServer::JobParams {
   /// Per-job S3 blocking mode (a RunOptions field); defaults to the
   /// server's job options.
   SerdOptions::BlockingMode blocking = DefaultJobOptions().blocking;
-  /// Per-job decode precision. Unlike `blocking` this is part of the pool
-  /// key (fp32 and int8 jobs never share a warm entry), so the loader
-  /// fixes it when it loads the entry.
-  nn::DecodePrecision decode_precision =
-      DefaultJobOptions().string_bank.decode_precision;
   /// Wall-clock budget in milliseconds from admission (0 = none); maps to
   /// JobSpec::deadline_ms.
   int64_t deadline_ms = 0;
@@ -216,12 +211,15 @@ obs::Json SerdServer::Handle(const obs::Json& request) {
 
 Status SerdServer::ParseJobParams(const obs::Json& request,
                                   JobParams* params) const {
-  // A retired field: unknown keys are otherwise ignored, so a client that
-  // still sets it would silently get the shared-stream decode.
-  if (request.Has("batched_decode")) {
-    return Status::InvalidArgument(
-        "'batched_decode' is no longer supported: candidates always decode "
-        "on the shared stream");
+  // Retired fields: unknown keys are otherwise ignored, so a client that
+  // still sets one would silently get the one decode there is.
+  for (const char* retired : {"batched_decode", "decode_precision"}) {
+    if (request.Has(retired)) {
+      return Status::InvalidArgument(
+          "'" + std::string(retired) +
+          "' is no longer supported: candidates always decode at fp32 on "
+          "the shared stream");
+    }
   }
   params->dataset_name = GetString(request, "dataset", "");
   if (params->dataset_name.empty()) {
@@ -273,13 +271,6 @@ Status SerdServer::ParseJobParams(const obs::Json& request,
     return Status::InvalidArgument("unknown blocking '" + blocking +
                                    "' (off|qgram|auto)");
   }
-  params->decode_precision = options_.job_options.string_bank.decode_precision;
-  const std::string precision = GetString(request, "decode_precision", "");
-  if (!precision.empty() &&
-      !ParseDecodePrecision(precision, &params->decode_precision)) {
-    return Status::InvalidArgument("unknown decode_precision '" + precision +
-                                   "' (fp32|int8)");
-  }
   SERD_RETURN_IF_ERROR(GetInteger(request, "deadline_ms", 0.0,
                                   kMaxExactInteger, &params->deadline_ms));
   params->wait = GetBool(request, "wait", true);
@@ -292,7 +283,6 @@ PoolKey SerdServer::KeyFor(const JobParams& params) const {
   key.model_dir = params.model_dir;
   key.schema_fingerprint = SchemaFingerprintFor(params.kind);
   key.dataset_id = params.DatasetId();
-  key.decode_precision = DecodePrecisionName(params.decode_precision);
   return key;
 }
 
@@ -310,9 +300,6 @@ ModelPool::EntryLoader SerdServer::LoaderFor(const JobParams& params) const {
     options.seed = p.data_seed;
     options.model_dir = p.model_dir;
     options.artifact_mode = p.artifact_mode;
-    // Baked in before Fit() so an artifact load at int8 attaches the
-    // pre-quantized weights instead of quantizing on load.
-    options.string_bank.decode_precision = p.decode_precision;
     entry->synth = std::make_unique<SerdSynthesizer>(entry->real, options);
 
     std::vector<std::vector<std::string>> corpora;

@@ -52,18 +52,16 @@ struct ServerOptions {
 ///   stats       -> live metrics snapshot + scheduler/pool gauges
 ///   synthesize  -> submit a job: {"dataset","scale","data_seed","seed",
 ///                  "tenant","model_dir","artifact_mode","out","priority",
-///                  "seed_key","no_rejection","blocking","decode_precision",
-///                  "deadline_ms","wait"}; with
+///                  "seed_key","no_rejection","blocking","deadline_ms",
+///                  "wait"}; with
 ///                  "wait":true (default) blocks until the job finishes
 ///                  and returns its report, else returns the job id
 ///                  immediately. "deadline_ms" (0 = none) bounds the
 ///                  job's total wall clock from admission — an expired
 ///                  job finishes as DeadlineExceeded whether it was still
-///                  queued or already running. "decode_precision"
-///                  ("fp32"|"int8", default "fp32") selects the
-///                  numeric format for candidate decode and is part of
-///                  the warm-entry identity — fp32 and int8 jobs for the
-///                  same artifact never share a loaded model.
+///                  queued or already running. The retired fields
+///                  "batched_decode" and "decode_precision" are refused
+///                  as InvalidArgument, whatever their value.
 ///   job         -> {"id", "wait"}: query (or block on) a submitted job
 ///   cancel      -> {"id"}: cancel a submitted job. Queued jobs complete
 ///                  immediately as "cancelled"; running jobs stop within

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "artifact/artifact_file.h"
@@ -559,158 +560,99 @@ TEST(WarmStartTest, SaveLoadSaveIsByteIdentical) {
   EXPECT_EQ(first, second);
 }
 
-std::string ReadFileBytes(const std::string& path) {
-  std::string bytes;
-  FILE* f = fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return bytes;
-  char buf[4096];
-  size_t n;
-  while ((n = fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
-  fclose(f);
-  return bytes;
-}
-
-/// True when every trained string-bank model of `synth` decodes at
-/// `precision` (and there is at least one).
-bool AllBankModelsAt(const SerdSynthesizer& synth,
-                     nn::DecodePrecision precision) {
-  size_t models = 0;
+/// Every bank's per-bucket keep counts, column by column.
+std::vector<std::vector<std::pair<int, int>>> KeepCounts(
+    const SerdSynthesizer& synth) {
+  std::vector<std::vector<std::pair<int, int>>> out;
   for (size_t c = 0; c < synth.spec().schema().num_columns(); ++c) {
     const StringSynthesisBank* bank = synth.string_bank(c);
     if (bank == nullptr) continue;
-    for (const auto& model : bank->models()) {
-      if (model == nullptr) continue;
-      const QuantizedDecodeWeights* qw = model->quantized_weights();
-      if ((qw != nullptr ? qw->precision : nn::DecodePrecision::kFp32) !=
-          precision) {
-        return false;
-      }
-      ++models;
+    out.emplace_back();
+    for (const KeepCount& k : bank->keep_counts()) {
+      out.back().emplace_back(k.decoded, k.kept);
     }
   }
-  return models > 0;
-}
-
-TEST(WarmStartTest, QuantizedSaveLoadSaveIsByteIdentical) {
-  // With int8 decode precision the artifact carries a payload-bearing
-  // "quant" section; save -> load (which attaches, not re-quantizes) ->
-  // save must still be byte-identical, and a bit flip inside that payload
-  // must be caught by the section CRC on the next reduced-precision load.
-  const std::string dir1 = MakeTempDir("qsls1");
-  const std::string dir2 = MakeTempDir("qsls2");
-  PipelineInputs in = MakeInputs(DatasetKind::kDblpAcm);
-
-  SerdOptions opts = SmallPipelineOptions(1);
-  opts.string_bank.decode_precision = nn::DecodePrecision::kInt8;
-  SerdSynthesizer synth(in.real, opts);
-  ASSERT_TRUE(synth.Fit(in.corpora, in.background).ok());
-  ASSERT_TRUE(synth.SaveModels(dir1).ok());
-
-  SerdSynthesizer reloaded(in.real, opts);
-  ASSERT_TRUE(reloaded.LoadModels(dir1).ok());
-  ASSERT_TRUE(reloaded.SaveModels(dir2).ok());
-
-  std::string first = ReadFileBytes(dir1 + "/" +
-                                    SerdSynthesizer::kModelFileName);
-  std::string second = ReadFileBytes(dir2 + "/" +
-                                     SerdSynthesizer::kModelFileName);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-
-  // The quant section is present and actually carries weights (not just
-  // the empty has-flags an fp32 save writes).
-  auto reader = ArtifactReader::FromBytes(first);
-  ASSERT_TRUE(reader.ok());
-  const ArtifactReader::SectionInfo* quant = nullptr;
-  for (const auto& info : reader->sections()) {
-    if (info.name == "quant") quant = &info;
-  }
-  ASSERT_NE(quant, nullptr);
-  EXPECT_GT(quant->size, 256u);
-
-  // Payload bit flip -> CRC failure at the next int8 load.
-  std::string corrupted = first;
-  size_t target = reader->payload_start() + quant->offset + quant->size / 2;
-  corrupted[target] = static_cast<char>(corrupted[target] ^ 0x01);
-  const std::string dir3 = MakeTempDir("qsls3");
-  {
-    FILE* f = fopen(
-        (dir3 + "/" + SerdSynthesizer::kModelFileName).c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    fwrite(corrupted.data(), 1, corrupted.size(), f);
-    fclose(f);
-  }
-  SerdSynthesizer sick(in.real, opts);
-  Status s = sick.LoadModels(dir3);
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("CRC"), std::string::npos) << s.ToString();
+  return out;
 }
 
 TEST(WarmStartTest, QuantizedArtifactLoadsInFp32Run) {
-  // Forward version skew: a run that wants fp32 never opens the quant
-  // section, so an int8-saved artifact loads cleanly and synthesizes
-  // bit-identically to a pipeline that never heard of quantization.
-  const std::string dir = MakeTempDir("qskew");
+  // Version skew from builds that could decode at int8: their artifacts
+  // carry a "quant" section (the loader never opens it) and may tag each
+  // keep measurement 2. Such an artifact loads with the same keep counts
+  // and releases the same bytes as the one it was rewritten from.
+  const std::string dir = MakeTempDir("retired");
+  const std::string skew_dir = MakeTempDir("retired_skew");
   PipelineInputs in = MakeInputs(DatasetKind::kDblpAcm);
-
-  SerdOptions int8_opts = SmallPipelineOptions(1);
-  int8_opts.string_bank.decode_precision = nn::DecodePrecision::kInt8;
-  SerdSynthesizer trained(in.real, int8_opts);
-  ASSERT_TRUE(trained.Fit(in.corpora, in.background).ok());
-  ASSERT_TRUE(trained.SaveModels(dir).ok());
-
-  // Decode precision never touches training, so an fp32 cold run over the
-  // same inputs is the ground truth for the warm fp32 load.
-  SerdOptions fp32_opts = SmallPipelineOptions(1);
-  SerdSynthesizer cold(in.real, fp32_opts);
-  ASSERT_TRUE(cold.Fit(in.corpora, in.background).ok());
-  auto cold_syn = cold.Synthesize();
-  ASSERT_TRUE(cold_syn.ok()) << cold_syn.status().ToString();
-
-  SerdSynthesizer warm(in.real, fp32_opts);
-  ASSERT_TRUE(warm.LoadModels(dir).ok());
-  auto warm_syn = warm.Synthesize();
-  ASSERT_TRUE(warm_syn.ok()) << warm_syn.status().ToString();
-  ExpectSameDataset(cold_syn.value(), warm_syn.value());
-  EXPECT_TRUE(AllBankModelsAt(warm, nn::DecodePrecision::kFp32));
-}
-
-TEST(WarmStartTest, Fp32ArtifactQuantizesOnLoadAtInt8) {
-  // Backward version skew: an fp32-era artifact (quant has-flags all
-  // false) loads at int8 through the quantize-on-load fallback, and —
-  // because quantization is deterministic — synthesizes bit-identically
-  // to a load that attached pre-quantized payloads.
-  const std::string fp32_dir = MakeTempDir("f32skew");
-  const std::string int8_dir = MakeTempDir("i8skew");
-  PipelineInputs in = MakeInputs(DatasetKind::kDblpAcm);
-
+  SerdOptions opts = SmallPipelineOptions(1);
   {
-    SerdSynthesizer synth(in.real, SmallPipelineOptions(1));
+    SerdSynthesizer synth(in.real, opts);
     ASSERT_TRUE(synth.Fit(in.corpora, in.background).ok());
-    ASSERT_TRUE(synth.SaveModels(fp32_dir).ok());
-  }
-  SerdOptions int8_opts = SmallPipelineOptions(1);
-  int8_opts.string_bank.decode_precision = nn::DecodePrecision::kInt8;
-  {
-    SerdSynthesizer synth(in.real, int8_opts);
-    ASSERT_TRUE(synth.Fit(in.corpora, in.background).ok());
-    ASSERT_TRUE(synth.SaveModels(int8_dir).ok());
+    ASSERT_TRUE(synth.SaveModels(dir).ok());
   }
 
-  SerdSynthesizer from_fp32(in.real, int8_opts);
-  ASSERT_TRUE(from_fp32.LoadModels(fp32_dir).ok());
-  auto a = from_fp32.Synthesize();
-  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  auto reader = ArtifactReader::Open(dir + "/" +
+                                     SerdSynthesizer::kModelFileName);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_FALSE(reader->Has("quant"));
+  ArtifactWriter writer;
+  int retagged = 0;
+  for (const auto& info : reader->sections()) {
+    auto section = reader->Section(info.name);
+    ASSERT_TRUE(section.ok());
+    ByteReader& r = section.value();
+    if (info.name == "gate") {
+      ByteWriter* quant = writer.AddSection("quant");
+      Rng rng(5);
+      for (int i = 0; i < 97; ++i) {
+        quant->U8(static_cast<uint8_t>(rng.UniformInt(256)));
+      }
+      ByteWriter* gate = writer.AddSection("gate");
+      const uint32_t columns = r.U32();
+      gate->U32(columns);
+      for (uint32_t c = 0; c < columns; ++c) {
+        const bool present = r.Bool();
+        gate->Bool(present);
+        if (!present) continue;
+        EXPECT_EQ(r.U8(), 0);
+        gate->U8(2);
+        ++retagged;
+        const uint32_t buckets = r.U32();
+        gate->U32(buckets);
+        for (uint32_t b = 0; b < buckets; ++b) {
+          gate->I32(r.I32());
+          gate->I32(r.I32());
+        }
+      }
+      ASSERT_TRUE(r.Finish().ok());
+      continue;
+    }
+    ByteWriter* w = writer.AddSection(info.name);
+    while (r.remaining() > 0) w->U8(r.U8());
+  }
+  ASSERT_GT(retagged, 0);
+  ASSERT_TRUE(
+      writer.WriteFile(skew_dir + "/" + SerdSynthesizer::kModelFileName).ok());
 
-  SerdSynthesizer from_int8(in.real, int8_opts);
-  ASSERT_TRUE(from_int8.LoadModels(int8_dir).ok());
-  auto b = from_int8.Synthesize();
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-
-  ExpectSameDataset(a.value(), b.value());
-  EXPECT_TRUE(AllBankModelsAt(from_fp32, nn::DecodePrecision::kInt8));
-  EXPECT_TRUE(AllBankModelsAt(from_int8, nn::DecodePrecision::kInt8));
+  SerdSynthesizer fresh(in.real, opts);
+  ASSERT_TRUE(fresh.LoadModels(dir).ok());
+  SerdSynthesizer skewed(in.real, opts);
+  Status loaded = skewed.LoadModels(skew_dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_FALSE(KeepCounts(fresh).empty());
+  EXPECT_EQ(KeepCounts(skewed), KeepCounts(fresh));
+  for (size_t c = 0; c < in.real.schema().num_columns(); ++c) {
+    const StringSynthesisBank* bank = fresh.string_bank(c);
+    if (bank == nullptr) continue;
+    for (size_t b = 0; b < bank->models().size(); ++b) {
+      EXPECT_EQ(skewed.string_bank(c)->BucketDecodes(static_cast<int>(b)),
+                bank->BucketDecodes(static_cast<int>(b)));
+    }
+  }
+  auto want = fresh.Synthesize();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  auto got = skewed.Synthesize();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameDataset(want.value(), got.value());
 }
 
 TEST(WarmStartTest, SaveBeforeFitIsFailedPrecondition) {
@@ -775,21 +717,15 @@ class WarmStartFaultInjection : public ::testing::Test {
     image_ = nullptr;
   }
 
-  // Writes `bytes` as the artifact of a scratch dir and attempts a load
-  // at the given decode precision (int8 loads open — and so CRC-check —
-  // the "quant" section; fp32 loads never touch it).
-  static Status TryLoad(const std::string& bytes, const char* tag,
-                        nn::DecodePrecision precision =
-                            nn::DecodePrecision::kFp32) {
+  // Writes `bytes` as the artifact of a scratch dir and attempts a load.
+  static Status TryLoad(const std::string& bytes, const char* tag) {
     std::string dir = MakeTempDir(tag);
     std::string path = dir + "/" + SerdSynthesizer::kModelFileName;
     FILE* f = fopen(path.c_str(), "wb");
     EXPECT_NE(f, nullptr);
     fwrite(bytes.data(), 1, bytes.size(), f);
     fclose(f);
-    SerdOptions opts = SmallPipelineOptions(1);
-    opts.string_bank.decode_precision = precision;
-    SerdSynthesizer synth(inputs_->real, opts);
+    SerdSynthesizer synth(inputs_->real, SmallPipelineOptions(1));
     return synth.LoadModels(dir);
   }
 
@@ -827,13 +763,7 @@ TEST_F(WarmStartFaultInjection, PayloadByteFlipInEverySectionIsCaught) {
     std::string corrupted = *image_;
     size_t target = reader->payload_start() + info.offset + info.size / 2;
     corrupted[target] = static_cast<char>(corrupted[target] ^ 0x01);
-    // Section CRCs are verified when a section is opened: "quant" is only
-    // opened by reduced-precision loads, so flips there are exercised at
-    // int8 (an fp32 load legitimately never reads those bytes).
-    const nn::DecodePrecision precision = info.name == "quant"
-                                              ? nn::DecodePrecision::kInt8
-                                              : nn::DecodePrecision::kFp32;
-    Status s = TryLoad(corrupted, "flip", precision);
+    Status s = TryLoad(corrupted, "flip");
     ASSERT_FALSE(s.ok()) << "section " << info.name;
     EXPECT_NE(s.message().find("CRC"), std::string::npos)
         << "section " << info.name << ": " << s.ToString();
@@ -895,24 +825,38 @@ TEST_F(WarmStartFaultInjection, GateSectionMutationsLoadAsStatus) {
     }
   }
 
-  // A bucket that kept more candidates than it decoded is refused.
-  ByteWriter bad;
-  bad.U32(static_cast<uint32_t>(inputs_->real.schema().num_columns()));
-  bool first_bank = true;
-  for (const auto& col : inputs_->real.schema().columns()) {
-    const bool text = col.type == ColumnType::kText;
-    bad.Bool(text);
-    if (!text) continue;
-    bad.U8(0);  // fp32
-    bad.U32(first_bank ? 4 : 0);
-    for (int b = 0; first_bank && b < 4; ++b) {
-      bad.I32(66);
-      bad.I32(67);
+  // Gate payloads with every bank unmeasured, the first one tagged `tag`
+  // and given `buckets` buckets of `decoded`/`kept`.
+  auto gate_payload = [&](uint8_t tag, int buckets, int decoded, int kept) {
+    ByteWriter w;
+    w.U32(static_cast<uint32_t>(inputs_->real.schema().num_columns()));
+    bool first_bank = true;
+    for (const auto& col : inputs_->real.schema().columns()) {
+      const bool text = col.type == ColumnType::kText;
+      w.Bool(text);
+      if (!text) continue;
+      w.U8(first_bank ? tag : 0);
+      w.U32(first_bank ? buckets : 0);
+      for (int b = 0; first_bank && b < buckets; ++b) {
+        w.I32(decoded);
+        w.I32(kept);
+      }
+      first_bank = false;
     }
-    first_bank = false;
-  }
-  Status s = TryLoad(WithSectionPayload(*image_, "gate", bad.bytes()),
-                     "gate_kept");
+    return w.bytes();
+  };
+
+  // A precision tag no writer ever wrote is refused.
+  Status s = TryLoad(WithSectionPayload(*image_, "gate",
+                                        gate_payload(3, 0, 0, 0)),
+                     "gate_tag3");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("precision tag 3"), std::string::npos)
+      << s.ToString();
+
+  // A bucket that kept more candidates than it decoded is refused.
+  s = TryLoad(WithSectionPayload(*image_, "gate", gate_payload(0, 4, 66, 67)),
+              "gate_kept");
   ASSERT_FALSE(s.ok());
   EXPECT_NE(s.message().find("kept <= decoded"), std::string::npos)
       << s.ToString();

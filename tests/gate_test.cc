@@ -13,6 +13,8 @@
 #include "artifact/model_codec.h"
 #include "core/serd.h"
 #include "datagen/generators.h"
+#include "eval/metrics.h"
+#include "matcher/random_forest.h"
 #include "serve/server.h"
 #include "text/qgram.h"
 
@@ -224,6 +226,53 @@ TEST(DecodeGateTest, OpenGatesDecodeThroughBothRoutesIdentically) {
   auto warm_syn = warm.Synthesize(warm.DefaultRunOptions(), nullptr);
   ASSERT_TRUE(warm_syn.ok());
   ExpectSameDataset(*cold_syn, *warm_syn);
+}
+
+TEST(DecodeGateTest, DecodedReleaseTrainsAMatcher) {
+  // A release whose text the open buckets decode is still one a matcher
+  // learns from: a RandomForest trained on it reaches F1 > 0.3 on the
+  // real test split.
+  auto real =
+      datagen::Generate(DatasetKind::kDblpAcm, {.seed = 3, .scale = 0.04});
+  std::vector<std::vector<std::string>> corpora;
+  size_t idx = 0;
+  for (const auto& col : real.schema().columns()) {
+    if (col.type != ColumnType::kText) continue;
+    corpora.push_back(datagen::BackgroundCorpus(DatasetKind::kDblpAcm,
+                                                col.name, 60, 100 + idx++));
+  }
+  Table background =
+      datagen::BackgroundEntities(DatasetKind::kDblpAcm, 50, 11);
+
+  SerdOptions opts;
+  opts.seed = 77;
+  opts.string_bank.num_buckets = 5;
+  opts.string_bank.num_candidates = 3;
+  opts.string_bank.train.dp.enabled = false;
+  opts.string_bank.train.epochs = 20;
+  opts.string_bank.max_pairs_per_bucket = 32;
+  opts.gan.epochs = 4;
+  opts.gan.batch_size = 16;
+  opts.jsd_samples = 192;
+  opts.rejection_partner_sample = 8;
+  opts.max_label_pairs = 20000;
+  SerdSynthesizer synth(real, opts);
+  ASSERT_TRUE(synth.Fit(corpora, background).ok());
+  auto syn = synth.Synthesize();
+  ASSERT_TRUE(syn.ok()) << syn.status().ToString();
+  EXPECT_GT(synth.report().decode_steps, 0);
+
+  auto spec = SimilaritySpec::FromTables(real.schema(), {&real.a, &real.b});
+  FeatureExtractor fx(spec);
+  Rng rng(7);
+  auto real_pairs = BuildLabeledPairs(real, 6.0, &rng);
+  LabeledPairSet real_train, real_test;
+  SplitPairs(real_pairs, 0.4, &rng, &real_train, &real_test);
+  auto syn_pairs = synth.LabelPairs(*syn, 6.0, &rng);
+  RandomForest matcher;
+  auto prf = TrainAndEvaluate(&matcher, fx, *syn, syn_pairs, fx, real,
+                              real_test);
+  EXPECT_GT(prf.f1, 0.3);
 }
 
 /// The artifact at `dir` rewritten without its "gate" section, as an
