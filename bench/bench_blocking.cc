@@ -1,18 +1,18 @@
-// Blocking benchmark: exact O(|A|*|B|) S3 labeling vs the q-gram
-// inverted-index candidate path, on the Table II dataset analogs at
-// scale 1.0 (the scale the exact scan previously made impractical).
+// Blocking benchmark: S3's labeler (LabelCrossPairs) on the Table II
+// dataset analogs at scale 1.0, as the exact O(|A|*|B|) scan and through
+// the q-gram candidates.
 //
-// The bench isolates the labeling subsystem: it fits O_real on the real
-// analog exactly as S1 does, then labels the real A x B cross space both
-// ways and compares wall-clock, pairs scored, and the match lists. This
-// keeps a full sweep affordable (no synthesis in the loop) while scoring
-// the same kind of digests S3 scores.
+// The bench runs S3's labeling rule on E_real itself: it fits O_real with
+// S1's fit (FitODistribution, seed 42), labels the real A x B cross space
+// both ways, and compares wall-clock, pairs scored and the match lists
+// with each other and with |M_real|. No synthesis is in the loop, so the
+// labeled count against |M_real| measures the rule alone.
 //
-// Writes BENCH_blocking.json: per dataset, exact/blocked wall-clock,
-// pairs scored on each side, the scored-pairs reduction, measured recall
-// (blocked matches / exact matches; precision is 1.0 by construction
-// because both sides score with the same posterior), and whether the
-// match lists agree exactly.
+// Writes BENCH_blocking.json: per dataset, |M_real|, exact/blocked
+// wall-clock, pairs scored on each side, the scored-pairs reduction,
+// recall (blocked matches / exact matches; precision is 1.0 by
+// construction because both sides score with the same posterior), and
+// whether the match lists agree exactly.
 //
 // Flags:
 //   --datasets a,b,c   subset of dblp-acm,restaurant,walmart-amazon,
@@ -20,9 +20,9 @@
 //   --no-stress        skip the 10x stress tier (dblp-acm at scale 3.16)
 //   --exact-all        run the exact scan even above the pair gate
 //                      (itunes-amazon at scale 1.0 is ~386M pairs)
-//   --sweep            sweep BlockOptions grid per dataset (tuning aid)
-//   --rarity           print the matches' rarest-shared-gram df
-//                      percentiles (what df threshold recall 1.0 needs)
+//   --rarity           print the exact matches' best-column Jaccard
+//                      floor, which the candidate rule's tau must stay
+//                      under for recall 1.0
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -31,13 +31,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "block/candidates.h"
 #include "block/qgram_index.h"
-#include "common/timer.h"
 #include "core/cached_sim.h"
+#include "core/distribution.h"
 #include "data/er_dataset.h"
 #include "data/similarity.h"
-#include "gmm/o_distribution.h"
+#include "obs/metrics.h"
 #include "text/qgram.h"
 
 namespace serd::bench {
@@ -48,32 +47,24 @@ namespace {
 /// the stress tier, while itunes-amazon (386M) reports blocked-only.
 constexpr size_t kExactPairGate = 80'000'000;
 
+/// Seed of S1's pair sample and of the labeler's recall estimate.
+constexpr uint64_t kSeed = 42;
+
 struct Fitted {
   ERDataset real;
   SimilaritySpec spec;
   ODistribution o;
   std::unique_ptr<CachedSimilarity> sim;
   std::vector<CachedSimilarity::Digest> a_digests, b_digests;
-  std::vector<size_t> gram_cols;
 };
 
-Fitted FitDataset(DatasetKind kind, double scale, uint64_t seed) {
+Fitted FitDataset(DatasetKind kind, double scale) {
   Fitted f;
-  f.real = datagen::Generate(kind, {.seed = seed, .scale = scale});
+  f.real = datagen::Generate(kind, {.seed = kSeed, .scale = scale});
   f.spec = SimilaritySpec::FromTables(f.real.schema(), {&f.real.a, &f.real.b});
-
-  Rng rng(seed);
-  LabeledPairSet pairs = BuildLabeledPairs(f.real, 10.0, &rng);
-  std::vector<Vec> x_pos, x_neg;
-  ComputeSimilarityVectors(f.real, f.spec, pairs, &x_pos, &x_neg);
-  SERD_CHECK(!x_pos.empty() && !x_neg.empty());
-  GmmFitOptions gmm;
-  auto m = Gmm::FitWithAic(x_pos, gmm);
-  auto n = Gmm::FitWithAic(x_neg, gmm);
-  SERD_CHECK(m.ok() && n.ok());
-  double pi = static_cast<double>(x_pos.size()) /
-              static_cast<double>(x_pos.size() + x_neg.size());
-  f.o = ODistribution(pi, m.value(), n.value());
+  auto o = FitODistribution(f.real, f.spec, GmmFitOptions(), kSeed);
+  SERD_CHECK(o.ok()) << o.status().ToString();
+  f.o = std::move(o).value();
 
   f.sim = std::make_unique<CachedSimilarity>(f.spec);
   f.a_digests.reserve(f.real.a.size());
@@ -84,195 +75,69 @@ Fitted FitDataset(DatasetKind kind, double scale, uint64_t seed) {
   for (size_t i = 0; i < f.real.b.size(); ++i) {
     f.b_digests.push_back(f.sim->MakeDigest(f.real.b.row(i)));
   }
-  f.gram_cols = f.sim->GramColumns();
   return f;
 }
 
-/// Labels every pair, returning sorted flat keys i * |B| + j of matches.
-std::vector<uint64_t> ExactMatches(const Fitted& f, double* seconds) {
-  WallTimer timer;
-  std::vector<uint64_t> keys;
-  const size_t nb = f.b_digests.size();
-  Vec x;
-  for (size_t i = 0; i < f.a_digests.size(); ++i) {
-    for (size_t j = 0; j < nb; ++j) {
-      f.sim->SimilarityVectorInto(f.a_digests[i], f.b_digests[j], &x);
-      if (f.o.LabelAsMatch(x)) keys.push_back(i * nb + j);
-    }
-  }
-  *seconds = timer.Seconds();
-  return keys;
-}
-
-struct BlockedRun {
-  std::vector<uint64_t> keys;  ///< sorted flat match keys
-  size_t candidates = 0;
-  block::IndexStats stats;
-  double index_seconds = 0.0;
-  double candidate_seconds = 0.0;
-  double score_seconds = 0.0;
-  /// Sampled-recall estimate (same estimator S3 runs: score a seeded
-  /// uniform sample of the pruned pair space by the posterior). Only
-  /// meaningful when `recall_estimated`; rows with a measured exact scan
-  /// never use it.
-  double recall_estimate = 1.0;
-  bool recall_estimated = false;
-  double total_seconds() const {
-    return index_seconds + candidate_seconds + score_seconds;
+/// One uncapped labeler pass over the real cross space, serial, timed by
+/// the labeler's own spans.
+struct LabelRun {
+  CrossPairLabels labels;
+  std::vector<uint64_t> keys;  ///< sorted flat match keys i * |B| + j
+  double seconds = 0.0;        ///< s3.label
+  double index_seconds = 0.0;  ///< s3.block_index (index + candidates)
+  double recall_seconds = 0.0;  ///< s3.block_recall_estimate
+  /// Scoring the pair stream: the rest of s3.label.
+  double score_seconds() const {
+    return seconds - index_seconds - recall_seconds;
   }
 };
 
-/// Mirrors SerdOptions::block_recall_samples' default and the seed salt of
-/// the S3 estimator, so blocked-only bench rows estimate recall the same
-/// way blocked-only runs do.
-constexpr size_t kRecallSamples = 2048;
-constexpr uint64_t kRecallSeedSalt = 0xb10c4ec5ULL;
-
-BlockedRun BlockedMatches(const Fitted& f, const block::BlockOptions& opts,
-                          bool estimate_recall = false, uint64_t seed = 42) {
-  BlockedRun run;
+LabelRun Label(const Fitted& f, BlockingMode blocking) {
+  obs::MetricsRegistry metrics;
+  LabelRun run;
+  run.labels = LabelCrossPairs(f.o, *f.sim, f.a_digests, f.b_digests,
+                               /*known=*/{}, blocking, /*label_cap=*/0,
+                               kSeed, /*pool=*/nullptr, &metrics);
   const size_t nb = f.b_digests.size();
-  WallTimer index_timer;
-  auto index_grams = [&](size_t row, size_t col) -> const auto& {
-    return f.b_digests[row].grams[f.gram_cols[col]];
-  };
-  block::QgramIndex index = block::QgramIndex::Build(
-      nb, f.gram_cols.size(), index_grams, opts);
-  run.index_seconds = index_timer.Seconds();
-  run.stats = index.stats();
-
-  WallTimer cand_timer;
-  auto probe_grams = [&](size_t row, size_t col) -> const auto& {
-    return f.a_digests[row].grams[f.gram_cols[col]];
-  };
-  block::CandidateSet cand = block::GenerateCandidates(
-      index, f.a_digests.size(), probe_grams, nullptr);
-  run.candidate_seconds = cand_timer.Seconds();
-  run.candidates = cand.num_pairs();
-
-  WallTimer score_timer;
-  Vec x;
-  for (size_t k = 0; k < cand.num_pairs(); ++k) {
-    auto [i, j] = cand.PairAt(k);
-    f.sim->SimilarityVectorInto(f.a_digests[i], f.b_digests[j], &x);
-    if (f.o.LabelAsMatch(x)) run.keys.push_back(i * nb + j);
+  for (const PairRef& m : run.labels.matches) {
+    run.keys.push_back(static_cast<uint64_t>(m.a_idx) * nb + m.b_idx);
   }
-  run.score_seconds = score_timer.Seconds();
-
-  const size_t total_pairs = f.a_digests.size() * nb;
-  if (estimate_recall && cand.num_pairs() < total_pairs) {
-    run.recall_estimated = true;
-    Rng recall_rng(seed ^ kRecallSeedSalt);
-    const size_t samples = std::min(kRecallSamples, total_pairs);
-    size_t outside = 0, missed = 0;
-    for (size_t s = 0; s < samples; ++s) {
-      const size_t flat = recall_rng.UniformInt(total_pairs);
-      const size_t i = flat / nb, j = flat % nb;
-      if (cand.Contains(i, static_cast<uint32_t>(j))) continue;
-      ++outside;
-      f.sim->SimilarityVectorInto(f.a_digests[i], f.b_digests[j], &x);
-      if (f.o.LabelAsMatch(x)) ++missed;
-    }
-    const double pruned =
-        static_cast<double>(total_pairs - cand.num_pairs());
-    const double est_missed =
-        outside > 0
-            ? (static_cast<double>(missed) / static_cast<double>(outside)) *
-                  pruned
-            : 0.0;
-    const double found = static_cast<double>(run.keys.size());
-    run.recall_estimate =
-        found + est_missed > 0.0 ? found / (found + est_missed) : 1.0;
-  }
+  const auto spans = metrics.TakeSnapshot().histograms;
+  auto span_seconds = [&spans](const char* name) {
+    auto it = spans.find(name);
+    return it == spans.end() ? 0.0 : it->second.sum;
+  };
+  run.seconds = span_seconds("s3.label");
+  run.index_seconds = span_seconds("s3.block_index");
+  run.recall_seconds = span_seconds("s3.block_recall_estimate");
   return run;
 }
 
-/// For each exact match, the document frequency of its rarest and
-/// second-rarest shared grams (across indexed columns, unpruned index).
-/// A df threshold at or above the rarest-df column maximum keeps recall
-/// 1.0 with min_shared_grams = 1; the second column is the same bound
-/// for min_shared_grams = 2.
+/// The minimum over exact matches of the best per-column q-gram Jaccard:
+/// the candidate rule keeps every match while tau stays at or below it.
 void PrintRarity(const Fitted& f, const std::vector<uint64_t>& matches) {
-  block::BlockOptions unpruned;
-  unpruned.max_df_frac = 1.0;
-  unpruned.min_df_rows = f.b_digests.size() + 1;
-  auto index_grams = [&](size_t row, size_t col) -> const auto& {
-    return f.b_digests[row].grams[f.gram_cols[col]];
-  };
-  block::QgramIndex index = block::QgramIndex::Build(
-      f.b_digests.size(), f.gram_cols.size(), index_grams, unpruned);
-
-  std::vector<size_t> rarest, second;
+  const std::vector<size_t> gram_cols = f.sim->GramColumns();
   const size_t nb = f.b_digests.size();
-  for (uint64_t key : matches) {
-    const auto& a = f.a_digests[key / nb];
-    const auto& b = f.b_digests[key % nb];
-    size_t best = SIZE_MAX, next = SIZE_MAX;
-    for (size_t c = 0; c < f.gram_cols.size(); ++c) {
-      const auto& ga = a.grams[f.gram_cols[c]];
-      const auto& gb = b.grams[f.gram_cols[c]];
-      size_t ia = 0, ib = 0;
-      while (ia < ga.size() && ib < gb.size()) {
-        if (ga[ia] < gb[ib]) {
-          ++ia;
-        } else if (gb[ib] < ga[ia]) {
-          ++ib;
-        } else {
-          size_t df = index.PostingCount(c, ga[ia]);
-          if (df < best) {
-            next = best;
-            best = df;
-          } else if (df < next) {
-            next = df;
-          }
-          ++ia;
-          ++ib;
-        }
-      }
-    }
-    rarest.push_back(best);
-    second.push_back(next);
-  }
-  // The minimum over matches of the best per-column Jaccard bounds how
-  // high the prefix tier's tau can go while keeping recall 1.0.
   std::vector<double> best_jac;
   for (uint64_t key : matches) {
     const auto& a = f.a_digests[key / nb];
     const auto& b = f.b_digests[key % nb];
     double best = 0.0;
-    for (size_t c : f.gram_cols) {
+    for (size_t c : gram_cols) {
       best = std::max(best, JaccardOfHashedSets(a.grams[c], b.grams[c]));
     }
     best_jac.push_back(best);
   }
+  if (best_jac.empty()) return;
   std::sort(best_jac.begin(), best_jac.end());
-
-  std::sort(rarest.begin(), rarest.end());
-  std::sort(second.begin(), second.end());
-  auto pct = [](const std::vector<size_t>& v, double p) -> size_t {
-    if (v.empty()) return 0;
-    size_t idx = static_cast<size_t>(p * (v.size() - 1));
-    return v[idx];
+  auto jpct = [&](double p) {
+    return best_jac[static_cast<size_t>(p * (best_jac.size() - 1))];
   };
   std::printf(
-      "  match rarest-shared-gram df  p50=%zu p90=%zu p99=%zu p999=%zu "
-      "max=%zu (of %zu rows)\n",
-      pct(rarest, 0.5), pct(rarest, 0.9), pct(rarest, 0.99),
-      pct(rarest, 0.999), rarest.empty() ? 0 : rarest.back(), nb);
-  std::printf(
-      "  match 2nd-rarest-gram df     p50=%zu p90=%zu p99=%zu p999=%zu "
-      "max=%zu\n",
-      pct(second, 0.5), pct(second, 0.9), pct(second, 0.99),
-      pct(second, 0.999), second.empty() ? 0 : second.back());
-  if (!best_jac.empty()) {
-    auto jpct = [&](double p) {
-      return best_jac[static_cast<size_t>(p * (best_jac.size() - 1))];
-    };
-    std::printf(
-        "  match best-column Jaccard    min=%.3f p01=%.3f p1=%.3f "
-        "p10=%.3f p50=%.3f\n",
-        best_jac.front(), jpct(0.001), jpct(0.01), jpct(0.1), jpct(0.5));
-  }
+      "  match best-column Jaccard    min=%.3f p01=%.3f p1=%.3f "
+      "p10=%.3f p50=%.3f (tau %.2f)\n",
+      best_jac.front(), jpct(0.001), jpct(0.01), jpct(0.1), jpct(0.5),
+      block::kJaccardTau);
 }
 
 struct BlockRow {
@@ -280,6 +145,7 @@ struct BlockRow {
   double scale = 1.0;
   size_t rows_a = 0, rows_b = 0;
   size_t total_pairs = 0;
+  size_t real_matches = 0;  ///< |M_real|
   bool exact_ran = false;
   double exact_seconds = 0.0;
   size_t exact_matches = 0;
@@ -300,74 +166,25 @@ void WriteJson(const std::vector<BlockRow>& rows, const char* path) {
   out << "{\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    char buf[512];
+    char buf[576];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"name\": \"blocking_%s\", \"scale\": %.2f, "
         "\"rows_a\": %zu, \"rows_b\": %zu, \"total_pairs\": %zu, "
+        "\"real_matches\": %zu, "
         "\"exact_ran\": %s, \"exact_seconds\": %.3f, "
         "\"exact_matches\": %zu, \"blocked_seconds\": %.3f, "
         "\"blocked_matches\": %zu, \"candidates\": %zu, "
         "\"scored_reduction\": %.2f, \"recall\": %.6f, "
         "\"recall_estimated\": %s, \"agree\": %s}%s\n",
         r.name.c_str(), r.scale, r.rows_a, r.rows_b, r.total_pairs,
-        r.exact_ran ? "true" : "false", r.exact_seconds, r.exact_matches,
-        r.blocked_seconds, r.blocked_matches, r.candidates, r.reduction,
-        r.recall, r.recall_estimated ? "true" : "false",
-        r.agree ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
+        r.real_matches, r.exact_ran ? "true" : "false", r.exact_seconds,
+        r.exact_matches, r.blocked_seconds, r.blocked_matches, r.candidates,
+        r.reduction, r.recall, r.recall_estimated ? "true" : "false",
+        r.agree ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }
   out << "  ]\n}\n";
-}
-
-void Sweep(const Fitted& f, const std::vector<uint64_t>& exact) {
-  std::printf("  %-44s | %10s | %6s | %7s | %7s\n", "config", "candidates",
-              "redux", "recall", "agree");
-  const size_t total = f.a_digests.size() * f.b_digests.size();
-  std::vector<std::pair<std::string, block::BlockOptions>> configs;
-  auto add = [&](const char* label, const block::BlockOptions& o) {
-    configs.emplace_back(label, o);
-  };
-  // Shared-count tier baselines.
-  for (double frac : {0.05, 0.10}) {
-    for (int share : {1, 2}) {
-      block::BlockOptions o;
-      o.max_df_frac = frac;
-      o.min_shared_grams = share;
-      o.jaccard_tau = 0.0;
-      char label[96];
-      std::snprintf(label, sizeof(label), "count df<=%.2f min_shared=%d",
-                    frac, share);
-      add(label, o);
-    }
-  }
-  // Adaptive Jaccard-threshold tier.
-  for (double frac : {0.02, 0.05, 0.10, 1.0}) {
-    for (double tau : {0.20, 0.25, 0.30, 0.35, 0.40}) {
-      block::BlockOptions o;
-      o.max_df_frac = frac;
-      o.min_df_rows = frac >= 1.0 ? f.b_digests.size() + 1 : size_t{16};
-      o.jaccard_tau = tau;
-      char label[96];
-      std::snprintf(label, sizeof(label), "tau df<=%.2f jaccard_tau=%.2f",
-                    frac, tau);
-      add(label, o);
-    }
-  }
-  for (const auto& [label, o] : configs) {
-    BlockedRun run = BlockedMatches(f, o);
-    double recall = exact.empty() ? 1.0
-                                  : static_cast<double>(run.keys.size()) /
-                                        static_cast<double>(exact.size());
-    std::printf("  %-44s | %10zu | %5.1fx | %6.4f | %s | %5.2fs\n",
-                label.c_str(), run.candidates,
-                run.candidates > 0 ? static_cast<double>(total) /
-                                         static_cast<double>(run.candidates)
-                                   : 0.0,
-                recall, run.keys == exact ? "yes" : "NO ",
-                run.total_seconds());
-  }
 }
 
 struct Tier {
@@ -378,12 +195,10 @@ struct Tier {
 
 void Run(int argc, char** argv) {
   std::string filter;
-  bool sweep = false, rarity = false, exact_all = false, stress = true;
+  bool rarity = false, exact_all = false, stress = true;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--datasets") && i + 1 < argc) {
       filter = argv[++i];
-    } else if (!std::strcmp(argv[i], "--sweep")) {
-      sweep = true;
     } else if (!std::strcmp(argv[i], "--rarity")) {
       rarity = true;
     } else if (!std::strcmp(argv[i], "--exact-all")) {
@@ -392,8 +207,8 @@ void Run(int argc, char** argv) {
       stress = false;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_blocking [--datasets a,b] [--sweep] "
-                   "[--rarity] [--exact-all] [--no-stress]\n");
+                   "usage: bench_blocking [--datasets a,b] [--rarity] "
+                   "[--exact-all] [--no-stress]\n");
       std::exit(2);
     }
   }
@@ -429,10 +244,10 @@ void Run(int argc, char** argv) {
     tiers.push_back({DatasetKind::kDblpAcm, 3.16, "-10x"});
   }
 
-  PrintHeader("S3 labeling: exact scan vs q-gram inverted-index blocking");
+  PrintHeader("S3 labeling on E_real: exact scan vs q-gram blocking");
   std::vector<BlockRow> rows;
   for (const Tier& tier : tiers) {
-    Fitted f = FitDataset(tier.kind, tier.scale, /*seed=*/42);
+    Fitted f = FitDataset(tier.kind, tier.scale);
     std::string name = f.real.name + tier.suffix;
     BlockRow row;
     row.name = name;
@@ -440,31 +255,33 @@ void Run(int argc, char** argv) {
     row.rows_a = f.real.a.size();
     row.rows_b = f.real.b.size();
     row.total_pairs = row.rows_a * row.rows_b;
-    std::printf("%s: |A|=%zu |B|=%zu -> %zu pairs\n", name.c_str(),
-                row.rows_a, row.rows_b, row.total_pairs);
+    row.real_matches = f.real.matches.size();
+    std::printf("%s: |A|=%zu |B|=%zu -> %zu pairs, |M_real|=%zu\n",
+                name.c_str(), row.rows_a, row.rows_b, row.total_pairs,
+                row.real_matches);
 
     std::vector<uint64_t> exact;
     row.exact_ran = exact_all || row.total_pairs <= kExactPairGate;
     if (row.exact_ran) {
-      exact = ExactMatches(f, &row.exact_seconds);
+      LabelRun run = Label(f, BlockingMode::kOff);
+      exact = std::move(run.keys);
+      row.exact_seconds = run.seconds;
       row.exact_matches = exact.size();
-      std::printf("  exact:   %9.2fs  %zu matches\n", row.exact_seconds,
-                  exact.size());
+      std::printf("  exact:   %9.2fs  %zu matches (|M_real| %zu)\n",
+                  row.exact_seconds, exact.size(), row.real_matches);
     } else {
       std::printf("  exact:   skipped (> %zu pairs; --exact-all forces)\n",
                   kExactPairGate);
     }
     if (rarity && row.exact_ran) PrintRarity(f, exact);
-    if (sweep) Sweep(f, exact);
 
-    BlockedRun run = BlockedMatches(f, block::BlockOptions(),
-                                    /*estimate_recall=*/!row.exact_ran);
-    row.blocked_seconds = run.total_seconds();
+    LabelRun run = Label(f, BlockingMode::kQgram);
+    row.blocked_seconds = run.seconds;
     row.blocked_matches = run.keys.size();
-    row.candidates = run.candidates;
-    row.reduction = run.candidates > 0
+    row.candidates = run.labels.candidate_pairs;
+    row.reduction = row.candidates > 0
                         ? static_cast<double>(row.total_pairs) /
-                              static_cast<double>(run.candidates)
+                              static_cast<double>(row.candidates)
                         : 0.0;
     if (row.exact_ran) {
       row.recall = exact.empty() ? 1.0
@@ -477,17 +294,18 @@ void Run(int argc, char** argv) {
                                run.keys.end()))
           << name << ": blocked matches are not a subset of exact matches";
     } else {
-      // No ground truth: publish the sampled estimate and say so — the
-      // flag travels into the JSON row so estimated and measured recall
-      // can never be conflated downstream.
-      row.recall = run.recall_estimate;
-      row.recall_estimated = run.recall_estimated;
+      // No ground truth: publish the labeler's sampled estimate and say
+      // so — the flag travels into the JSON row so estimated and measured
+      // recall can never be conflated downstream.
+      row.recall = run.labels.block_recall;
+      row.recall_estimated = run.labels.block_recall_estimated;
     }
     std::printf(
-        "  blocked: %9.2fs  %zu matches  (index %.2fs + candidates %.2fs + "
-        "score %.2fs; %zu candidates, %.1fx fewer scored, recall %.4f%s)\n",
+        "  blocked: %9.2fs  %zu matches  (index %.2fs + score %.2fs + "
+        "recall estimate %.2fs; %zu candidates, %.1fx fewer scored, "
+        "recall %.4f%s)\n",
         row.blocked_seconds, run.keys.size(), run.index_seconds,
-        run.candidate_seconds, run.score_seconds, run.candidates,
+        run.score_seconds(), run.recall_seconds, row.candidates,
         row.reduction, row.recall,
         row.exact_ran ? (row.agree ? ", exact agreement" : ", DISAGREE")
                       : " (sampled estimate; exact scan skipped)");

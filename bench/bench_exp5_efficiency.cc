@@ -17,7 +17,7 @@
 #include "bench/bench_common.h"
 #include "common/timer.h"
 #include "core/cached_sim.h"
-#include "runtime/parallel_for.h"
+#include "core/distribution.h"
 #include "runtime/thread_pool.h"
 
 namespace serd::bench {
@@ -48,14 +48,14 @@ void WriteJson(const std::vector<JsonRow>& rows, const char* path) {
 }
 
 struct StageSeconds {
-  double s1 = 0.0;  ///< pair build + similarity vectors + GMM AIC fits
+  double s1 = 0.0;  ///< pair sample + similarity vectors + GMM AIC fits
   double s3 = 0.0;  ///< posterior labeling over the cross product
 };
 
-/// Times S1 (distribution learning) and S3 (posterior labeling) with
-/// `threads` total executors, exercising exactly the parallel code paths
-/// the synthesizer uses. The labeled output is identical for any value of
-/// `threads`; only wall time changes.
+/// Times S1 (FitODistribution) and S3 (LabelCrossPairs, the exact scan
+/// of the real cross product) with `threads` total executors: the
+/// functions the synthesizer calls. The labeled output is identical for
+/// any value of `threads`; only wall time changes.
 StageSeconds MeasureS1S3(const ERDataset& real, int threads) {
   std::unique_ptr<runtime::ThreadPool> pool;
   if (threads > 1) {
@@ -65,41 +65,26 @@ StageSeconds MeasureS1S3(const ERDataset& real, int threads) {
   StageSeconds out;
 
   WallTimer t1;
-  Rng rng(17);
-  LabeledPairSet pairs = BuildLabeledPairs(real, 10.0, &rng, pool.get());
-  std::vector<Vec> x_pos, x_neg;
-  ComputeSimilarityVectors(real, spec, pairs, &x_pos, &x_neg, pool.get());
   GmmFitOptions gopts;
   gopts.pool = pool.get();
-  auto m_fit = Gmm::FitWithAic(x_pos, gopts);
-  auto n_fit = Gmm::FitWithAic(x_neg, gopts);
-  SERD_CHECK(m_fit.ok() && n_fit.ok());
+  auto o = FitODistribution(real, spec, gopts, /*seed=*/17);
+  SERD_CHECK(o.ok());
   out.s1 = t1.Seconds();
 
-  double pi = static_cast<double>(x_pos.size()) /
-              static_cast<double>(x_pos.size() + x_neg.size());
-  ODistribution o(pi, m_fit.value(), n_fit.value());
   CachedSimilarity cached(spec);
   std::vector<CachedSimilarity::Digest> da, db;
   for (const auto& r : real.a.rows()) da.push_back(cached.MakeDigest(r));
   for (const auto& r : real.b.rows()) db.push_back(cached.MakeDigest(r));
 
   WallTimer t3;
-  const size_t nb = real.b.size();
-  const size_t total = real.a.size() * nb;
-  std::vector<uint8_t> flags(total, 0);
-  runtime::ParallelFor(pool.get(), 0, total, 512, [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      Vec x = cached.SimilarityVector(da[k / nb], db[k % nb]);
-      if (o.LabelAsMatch(x)) flags[k] = 1;
-    }
-  });
+  CrossPairLabels labels = LabelCrossPairs(
+      *o, cached, da, db, /*known=*/{}, BlockingMode::kOff,
+      /*label_cap=*/0, /*seed=*/17, pool.get(), /*metrics=*/nullptr);
   out.s3 = t3.Seconds();
 
-  size_t labeled = 0;
-  for (uint8_t f : flags) labeled += f;
   std::printf("  threads=%d: S1 %.3fs S3 %.3fs (%zu pairs, %zu matches)\n",
-              threads, out.s1, out.s3, total, labeled);
+              threads, out.s1, out.s3, labels.total_pairs,
+              labels.matches.size());
   return out;
 }
 

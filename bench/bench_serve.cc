@@ -116,7 +116,7 @@ BenchRow RunConfig(const std::string& artifact_dir, int workers) {
                       .seed = 9});
   auto loader = LoaderFor(artifact_dir);
   auto key_for = [&artifact_dir](int tenant) {
-    return PoolKey{"tenant-" + std::to_string(tenant), artifact_dir, 1,
+    return PoolKey{"tenant-" + std::to_string(tenant), artifact_dir,
                    "dblp-acm@0.02#3"};
   };
   auto submit = [&](int tenant, const std::string& seed_key) {
@@ -173,7 +173,7 @@ CancelRow RunCancelConfig(const std::string& artifact_dir, int workers) {
                       .seed = 9});
   auto loader = LoaderFor(artifact_dir);
   auto key_for = [&artifact_dir](int tenant) {
-    return PoolKey{"tenant-" + std::to_string(tenant), artifact_dir, 1,
+    return PoolKey{"tenant-" + std::to_string(tenant), artifact_dir,
                    "dblp-acm@0.02#3"};
   };
   auto submit = [&](int tenant, const std::string& seed_key) {

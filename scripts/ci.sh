@@ -189,6 +189,24 @@ assert off["s3_block_recall_estimated"] is False, \
     "exact scan claims an estimated recall"
 EOF
 
+  echo "==> smoke: S3's labeler on the real Restaurant tables, exact vs blocked"
+  # bench_blocking runs the labeler that Synthesize runs (LabelCrossPairs)
+  # on E_real at scale 1.0, once as the exact scan and once over the
+  # q-gram candidates; the two must label the same pairs.
+  BENCH_BLOCKING="$PWD/build/bench/bench_blocking"
+  (cd "$SMOKE_DIR" && "$BENCH_BLOCKING" --datasets restaurant --no-stress \
+    > bench_blocking.txt)
+  python3 - "$SMOKE_DIR/BENCH_blocking.json" <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["benchmarks"]
+assert len(rows) == 1, rows
+row = rows[0]
+assert row["agree"] is True, "blocked match list differs from the exact scan"
+assert row["recall"] == 1.0, "blocked labeling missed exact matches"
+assert row["exact_matches"] == row["blocked_matches"], \
+    "exact and blocked match counts differ"
+EOF
+
   echo "==> smoke: --scale takes only finite positive values"
   for bad in -1 0 nan; do
     set +e

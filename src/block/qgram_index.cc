@@ -8,10 +8,9 @@
 namespace serd::block {
 
 QgramIndex QgramIndex::Build(size_t num_rows, size_t num_cols,
-                             const GramAccessor& grams,
-                             const BlockOptions& options) {
+                             const GramAccessor& grams, double tau) {
   QgramIndex index;
-  index.options_ = options;
+  index.tau_ = tau;
   index.stats_.rows = num_rows;
   index.stats_.indexed_columns = num_cols;
   SERD_CHECK(num_rows <= UINT32_MAX) << "index row ids are 32-bit";
@@ -34,37 +33,19 @@ QgramIndex QgramIndex::Build(size_t num_rows, size_t num_cols,
   index.stats_.total_postings = postings.size();
   std::sort(postings.begin(), postings.end());
 
-  const size_t df_threshold = std::max(
-      options.min_df_rows,
-      static_cast<size_t>(
-          std::ceil(options.max_df_frac * static_cast<double>(num_rows))));
-  index.stats_.df_threshold = df_threshold;
-
   index.rows_.reserve(postings.size());
   for (size_t i = 0; i < postings.size();) {
     size_t j = i;
     while (j < postings.size() && postings[j].first == postings[i].first) ++j;
-    const size_t df = j - i;
     ++index.stats_.distinct_grams;
-    if (df > df_threshold) {
-      ++index.stats_.stop_grams;
-      index.stats_.pruned_postings += df;
-      index.stop_keys_.insert(postings[i].first);
-    } else {
-      Slice slice;
-      slice.begin = static_cast<uint32_t>(index.rows_.size());
-      slice.length = static_cast<uint32_t>(df);
-      for (size_t k = i; k < j; ++k) index.rows_.push_back(postings[k].second);
-      index.buckets_.emplace(postings[i].first, slice);
-    }
+    Slice slice;
+    slice.begin = static_cast<uint32_t>(index.rows_.size());
+    slice.length = static_cast<uint32_t>(j - i);
+    for (size_t k = i; k < j; ++k) index.rows_.push_back(postings[k].second);
+    index.buckets_.emplace(postings[i].first, slice);
     i = j;
   }
   return index;
-}
-
-size_t QgramIndex::PostingCount(size_t col, uint32_t gram) const {
-  auto it = buckets_.find(Key(col, gram));
-  return it == buckets_.end() ? 0 : it->second.length;
 }
 
 void QgramIndex::Candidates(
@@ -75,99 +56,42 @@ void QgramIndex::Candidates(
   if (scratch->counts.size() < stats_.rows) {
     scratch->counts.assign(stats_.rows, 0);
   }
-  scratch->touched.clear();
 
-  const int min_shared = std::max(1, options_.min_shared_grams);
-  auto probe_key = [&](uint64_t key) {
-    auto it = buckets_.find(key);
-    if (it == buckets_.end()) return;
-    const Slice& slice = it->second;
-    for (uint32_t k = slice.begin; k < slice.begin + slice.length; ++k) {
-      const uint32_t row = rows_[k];
-      if (scratch->counts[row] == 0) scratch->touched.push_back(row);
-      // Saturate rather than wrap: a pair sharing 65535 grams is a
-      // candidate under any threshold.
-      if (scratch->counts[row] != UINT16_MAX) ++scratch->counts[row];
-    }
-  };
-
-  if (options_.jaccard_tau > 0.0) {
-    // Adaptive per-column threshold (BlockOptions::jaccard_tau): each
-    // column is probed and resolved on its own, so the counts array can
-    // be reused across columns. A row may qualify through several
-    // columns; the final sort + unique dedups.
-    const double base = options_.jaccard_tau / (1.0 + options_.jaccard_tau);
-    for (size_t col = 0; col < probe.size(); ++col) {
-      const std::vector<uint32_t>& set = *probe[col];
-      if (set.empty()) continue;
-      size_t stops = 0;
-      scratch->touched.clear();
-      for (uint32_t gram : set) {
-        const uint64_t key = Key(col, gram);
-        if (stop_keys_.count(key) > 0) {
-          ++stops;
-          continue;
-        }
-        probe_key(key);
-      }
-      const std::vector<uint32_t>& indexed_counts = col_row_grams_[col];
-      for (uint32_t row : scratch->touched) {
-        // ceil with an epsilon guard: rounding down only loosens the
-        // threshold, which keeps the recall guarantee; rounding a exact
-        // integer up would break it.
-        const double total = static_cast<double>(set.size()) +
-                             static_cast<double>(indexed_counts[row]);
-        const size_t needed_full =
-            static_cast<size_t>(std::ceil(base * total - 1e-9));
-        const size_t needed =
-            needed_full > stops ? std::max<size_t>(1, needed_full - stops)
-                                : 1;
-        if (scratch->counts[row] >= needed) out->push_back(row);
-        scratch->counts[row] = 0;
+  // Each column is probed and resolved on its own, so the counts array is
+  // reused across columns. A row may qualify through several columns; the
+  // final sort + unique dedups.
+  const double base = tau_ / (1.0 + tau_);
+  for (size_t col = 0; col < probe.size(); ++col) {
+    const std::vector<uint32_t>& set = *probe[col];
+    if (set.empty()) continue;
+    scratch->touched.clear();
+    for (uint32_t gram : set) {
+      auto it = buckets_.find(Key(col, gram));
+      if (it == buckets_.end()) continue;
+      const Slice& slice = it->second;
+      for (uint32_t k = slice.begin; k < slice.begin + slice.length; ++k) {
+        const uint32_t row = rows_[k];
+        if (scratch->counts[row] == 0) scratch->touched.push_back(row);
+        // Saturate rather than wrap: a pair sharing 65535 grams is a
+        // candidate under any threshold.
+        if (scratch->counts[row] != UINT16_MAX) ++scratch->counts[row];
       }
     }
-    std::sort(out->begin(), out->end());
-    out->erase(std::unique(out->begin(), out->end()), out->end());
-    return;
-  }
-
-  if (options_.prefix_jaccard > 0.0) {
-    // Prefix tier: per column, probe only the (g - ceil(tau*g) + 1)
-    // globally-rarest grams. Rarity order minimizes postings scanned; the
-    // recall guarantee holds for any size-p subset (qgram_index.h).
-    for (size_t col = 0; col < probe.size(); ++col) {
-      const std::vector<uint32_t>& set = *probe[col];
-      if (set.empty()) continue;
-      const size_t g = set.size();
-      const size_t keep = g + 1 -
-          std::min(g, static_cast<size_t>(std::ceil(
-                          options_.prefix_jaccard * static_cast<double>(g))));
-      scratch->ranked.clear();
-      for (uint32_t gram : set) {
-        const uint64_t key = Key(col, gram);
-        auto it = buckets_.find(key);
-        // Absent keys (unindexed or stop grams) rank as df 0: probing them
-        // is free, and spending prefix slots on them never hurts the
-        // guarantee (it only depends on how many probe grams are skipped).
-        const uint64_t df = it == buckets_.end() ? 0 : it->second.length;
-        scratch->ranked.emplace_back(df, key);
-      }
-      std::sort(scratch->ranked.begin(), scratch->ranked.end());
-      for (size_t i = 0; i < keep && i < scratch->ranked.size(); ++i) {
-        probe_key(scratch->ranked[i].second);
-      }
+    const std::vector<uint32_t>& indexed_counts = col_row_grams_[col];
+    for (uint32_t row : scratch->touched) {
+      // ceil with an epsilon guard: rounding down only loosens the
+      // threshold, which keeps every pair at tau; rounding an exact
+      // integer up would drop one.
+      const double total = static_cast<double>(set.size()) +
+                           static_cast<double>(indexed_counts[row]);
+      const size_t needed = std::max<size_t>(
+          1, static_cast<size_t>(std::ceil(base * total - 1e-9)));
+      if (scratch->counts[row] >= needed) out->push_back(row);
+      scratch->counts[row] = 0;
     }
-  } else {
-    for (size_t col = 0; col < probe.size(); ++col) {
-      for (uint32_t gram : *probe[col]) probe_key(Key(col, gram));
-    }
-  }
-
-  for (uint32_t row : scratch->touched) {
-    if (scratch->counts[row] >= min_shared) out->push_back(row);
-    scratch->counts[row] = 0;
   }
   std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 }  // namespace serd::block

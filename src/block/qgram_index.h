@@ -5,84 +5,43 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace serd::block {
 
-/// Knobs of the q-gram blocking layer (DESIGN.md Section 5j).
-struct BlockOptions {
-  /// Stop-gram pruning: a gram whose posting list covers more than this
-  /// fraction of the indexed rows is dropped from the index. High-frequency
-  /// grams ("the", a shared category value) connect nearly every cross pair
-  /// while carrying almost no similarity signal, so they dominate candidate
-  /// generation cost without improving recall. The default 1.0 disables
-  /// pruning: in the jaccard_tau tier (the default), pruning *inflates*
-  /// candidates — each probe stop gram loosens the adaptive threshold via
-  /// the slack term s — so the unpruned index is both exact and smaller
-  /// (measured in `bench_blocking --sweep`, DESIGN.md 5j).
-  double max_df_frac = 1.0;
-  /// Floor on the document-frequency threshold, so tiny tables (where a
-  /// 5% frequency is 2 rows) are not pruned into losing real signal. The
-  /// effective threshold is max(min_df_rows, ceil(max_df_frac * rows)).
-  size_t min_df_rows = 16;
-  /// A probe row becomes a candidate pair with an indexed row when they
-  /// share at least this many surviving grams (summed across indexed
-  /// columns). 1 is the loosest (any shared non-stop gram); larger values
-  /// prune harder at some recall cost. Ignored when jaccard_tau > 0.
-  int min_shared_grams = 1;
-  /// Adaptive per-column Jaccard-threshold mode (the default tier). When
-  /// > 0, a probe row p and indexed row r become a candidate iff on some
-  /// indexed column their surviving shared-gram count o clears
-  ///   ceil(tau / (1 + tau) * (g + G)) - s
-  /// where g and G are the column's full probe/indexed gram counts and s
-  /// is the number of probe grams pruned as stop grams. The bound is the
-  /// exact integer form of "full q-gram Jaccard >= tau is still possible":
-  /// J >= tau  <=>  o_full >= tau/(1+tau) * (g+G), and every shared stop
-  /// gram is one of the probe's s stop grams, so o_full <= o + s.
-  /// Guarantee: every pair whose q-gram Jaccard reaches tau on some
-  /// nonempty indexed column is generated, for ANY stop-gram pruning
-  /// level (pruning only loosens the threshold via s, never drops pairs).
-  /// The threshold is clamped to >= 1: a pair sharing no surviving gram
-  /// at all is only reachable when its overlap lives entirely in stop
-  /// grams, which the sampled recall estimator (core S3) watches for.
-  /// 0 disables the tier (min_shared_grams counting applies instead).
-  /// Default 0.35: over every exact-scan match at scale 1.0 the minimum
-  /// best-column Jaccard is 0.442 (DBLP-ACM), 1.000 (Restaurant), 1.000
-  /// (Walmart-Amazon) — comfortably above tau (bench_blocking --rarity).
-  double jaccard_tau = 0.35;
-  /// Optional prefix-filter tier. When > 0, each probe column contributes
-  /// only its (g - ceil(tau * g) + 1) globally-rarest grams (g = column
-  /// gram count, tau = this threshold) instead of all of them. Guarantee
-  /// (DESIGN.md 5j): with min_shared_grams == 1, every pair whose surviving
-  /// per-column q-gram Jaccard reaches tau on some indexed column is still
-  /// generated — a missed pair has overlap <= ceil(tau*g) - 1 < tau*g on
-  /// every column, hence Jaccard < tau. 0 disables the tier (all surviving
-  /// grams are probed). Ignored when jaccard_tau > 0.
-  double prefix_jaccard = 0.0;
-};
+/// Per-column q-gram Jaccard threshold of the candidate rule (DESIGN.md
+/// Section 5j). Over every exact-scan match at scale 1.0 the minimum
+/// best-column Jaccard is 0.442 (DBLP-ACM), 1.000 (Restaurant) and 1.000
+/// (Walmart-Amazon), comfortably above it (bench_blocking --rarity).
+inline constexpr double kJaccardTau = 0.35;
 
-/// Build/coverage statistics of one index (feeds the s3.block_* metrics).
+/// Build statistics of one index (feeds the s3.block_* gauges).
 struct IndexStats {
   size_t rows = 0;
   size_t indexed_columns = 0;
-  size_t total_postings = 0;    ///< (gram, row) pairs before pruning
-  size_t distinct_grams = 0;    ///< distinct (column, gram) keys seen
-  size_t stop_grams = 0;        ///< distinct keys pruned by frequency
-  size_t pruned_postings = 0;   ///< postings dropped with the stop grams
-  size_t df_threshold = 0;      ///< resolved max posting-list length
+  size_t total_postings = 0;  ///< (gram, row) pairs
+  size_t distinct_grams = 0;  ///< distinct (column, gram) keys
 };
 
 /// Inverted index over hashed q-gram profiles: (column, gram hash) ->
-/// posting list of row ids, with stop-gram pruning. Rows are supplied
-/// through an accessor so the index has no dependency on how callers store
-/// their digests (the S3 path feeds CachedSimilarity::Digest columns; the
-/// tests feed raw vectors).
+/// posting list of row ids. Rows are supplied through an accessor so the
+/// index has no dependency on how callers store their digests (the S3
+/// labeler feeds CachedSimilarity::Digest columns; the tests feed raw
+/// vectors).
 ///
-/// Determinism: the index is a pure function of (rows, options) — build
-/// order, probe results, and all statistics are identical for any thread
-/// count (the build itself is single-threaded; candidate generation
-/// parallelism lives in candidates.h).
+/// The one candidate rule: a probe row p and an indexed row r are a
+/// candidate iff on some indexed column their shared-gram count o reaches
+///   ceil(tau / (1 + tau) * (g + G)),  clamped to >= 1,
+/// where g and G are the column's probe and indexed gram counts. That is
+/// the exact integer form of q-gram Jaccard >= tau (J >= tau <=> o >=
+/// tau/(1+tau) * (g+G)), so the candidates are precisely the rows with
+/// Jaccard >= tau on some nonempty column. The ceil carries a -1e-9
+/// epsilon so floating-point rounding can only loosen the bound.
+///
+/// Determinism: the index is a pure function of (rows, tau) — build order,
+/// probe results and statistics are identical for any thread count (the
+/// build is single-threaded; candidate generation parallelism lives in
+/// candidates.h).
 class QgramIndex {
  public:
   /// Returns the sorted hashed gram set of (row, col); col indexes the
@@ -92,31 +51,25 @@ class QgramIndex {
 
   static QgramIndex Build(size_t num_rows, size_t num_cols,
                           const GramAccessor& grams,
-                          const BlockOptions& options);
+                          double tau = kJaccardTau);
 
   /// Reusable per-thread probe state: a counts array over the indexed rows
-  /// plus the list of rows touched by the current probe. Candidates()
-  /// leaves both cleared, so one Scratch serves any number of sequential
-  /// probes without re-zeroing O(rows) memory.
+  /// plus the list of rows touched by the current probe column.
+  /// Candidates() leaves the counts zeroed, so one Scratch serves any
+  /// number of sequential probes without re-zeroing O(rows) memory.
   struct Scratch {
     std::vector<uint16_t> counts;
     std::vector<uint32_t> touched;
-    /// (df, key) pairs of the probe's grams, used by the prefix tier.
-    std::vector<std::pair<uint64_t, uint64_t>> ranked;
   };
 
-  /// Appends to `out` the ascending row ids sharing at least
-  /// min_shared_grams surviving grams with the probe. `probe[col]` is the
-  /// sorted hashed gram set of the probe row's col-th indexed column.
+  /// Appends to `out` the ascending ids of the indexed rows that are
+  /// candidates for the probe. `probe[col]` is the sorted hashed gram set
+  /// of the probe row's col-th indexed column.
   void Candidates(const std::vector<const std::vector<uint32_t>*>& probe,
                   Scratch* scratch, std::vector<uint32_t>* out) const;
 
   size_t num_rows() const { return stats_.rows; }
   const IndexStats& stats() const { return stats_; }
-  const BlockOptions& options() const { return options_; }
-
-  /// Posting-list length of a (column, gram) key; 0 when absent or pruned.
-  size_t PostingCount(size_t col, uint32_t gram) const;
 
  private:
   struct Slice {
@@ -128,17 +81,12 @@ class QgramIndex {
     return (static_cast<uint64_t>(col) << 32) | gram;
   }
 
-  BlockOptions options_;
+  double tau_ = kJaccardTau;
   IndexStats stats_;
-  /// Surviving posting lists, concatenated; each list holds ascending rows.
+  /// Posting lists, concatenated; each list holds ascending rows.
   std::vector<uint32_t> rows_;
   std::unordered_map<uint64_t, Slice> buckets_;
-  /// Keys pruned by frequency; the jaccard_tau tier's slack term counts a
-  /// probe's stop grams here (distinct from never-indexed grams, which no
-  /// indexed row can share).
-  std::unordered_set<uint64_t> stop_keys_;
-  /// [col][row] -> the row's full (pre-pruning) gram count, the G of the
-  /// jaccard_tau threshold.
+  /// [col][row] -> the row's gram count, the G of the threshold.
   std::vector<std::vector<uint32_t>> col_row_grams_;
 };
 

@@ -1,7 +1,6 @@
 #include "core/serd.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <optional>
 #include <unordered_set>
@@ -10,7 +9,6 @@
 #include "common/timer.h"
 #include "obs/manifest.h"
 #include "obs/trace.h"
-#include "runtime/parallel_for.h"
 #include "text/qgram.h"
 
 namespace serd {
@@ -147,36 +145,23 @@ Status SerdSynthesizer::Fit(
                        << loaded.ToString() << "); training from scratch";
   }
 
-  Rng rng(options_.seed);
-
   // ----- S1: learn the M- and N-distributions from E_real. -----
   obs::TraceSpan s1_span(metrics_.get(), "s1.distributions");
-  LabeledPairSet pairs =
-      BuildLabeledPairs(*real_, options_.neg_pairs_per_match, &rng,
-                        pool_.get());
-  std::vector<Vec> x_pos, x_neg;
-  ComputeSimilarityVectors(*real_, spec_, pairs, &x_pos, &x_neg, pool_.get());
-  if (x_pos.empty() || x_neg.empty()) {
-    return Status::FailedPrecondition(
-        "real dataset must contain both matching and non-matching pairs");
-  }
-  auto m_fit = Gmm::FitWithAic(x_pos, options_.gmm);
-  SERD_RETURN_IF_ERROR(m_fit.status());
-  auto n_fit = Gmm::FitWithAic(x_neg, options_.gmm);
-  SERD_RETURN_IF_ERROR(n_fit.status());
-  double pi = static_cast<double>(x_pos.size()) /
-              static_cast<double>(x_pos.size() + x_neg.size());
+  auto o_fit = FitODistribution(*real_, spec_, options_.gmm, options_.seed);
+  SERD_RETURN_IF_ERROR(o_fit.status());
   {
     std::lock_guard<std::mutex> lock(state_mu_);
-    o_real_ = ODistribution(pi, m_fit.value(), n_fit.value());
-    report_.m_components = static_cast<int>(m_fit->num_components());
-    report_.n_components = static_cast<int>(n_fit->num_components());
+    o_real_ = std::move(o_fit).value();
+    report_.m_components =
+        static_cast<int>(o_real_.m_distribution().num_components());
+    report_.n_components =
+        static_cast<int>(o_real_.n_distribution().num_components());
   }
   s1_span.Stop();
   if (metrics_ != nullptr) {
     metrics_->gauge("s1.m_components")->Set(report_.m_components);
     metrics_->gauge("s1.n_components")->Set(report_.n_components);
-    metrics_->gauge("s1.pi")->Set(pi);
+    metrics_->gauge("s1.pi")->Set(o_real_.pi());
   }
 
   // ----- Offline: one transformer bank per text column. -----
@@ -777,161 +762,25 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
   if (cancel != nullptr && cancel->cancelled()) return cancel_status();
 
   // --- S3: label remaining pairs by posterior (paper Section IV-C). ---
-  obs::TraceSpan s3_span(metrics_.get(), "s3.label");
-  const size_t nb_rows = syn.b.size();
   std::unordered_set<uint64_t> known;
   for (const auto& lp : linked) {
-    known.insert(static_cast<uint64_t>(lp.a_idx) * nb_rows + lp.b_idx);
+    known.insert(static_cast<uint64_t>(lp.a_idx) * syn.b.size() + lp.b_idx);
   }
-  const size_t total_pairs = syn.a.size() * nb_rows;
-
-  // Resolve the blocking decision: explicit qgram, or auto once the pair
-  // space is large enough that the exact scan dominates the run.
-  const std::vector<size_t> gram_cols = cached_sim_->GramColumns();
-  const bool blocked =
-      total_pairs > 0 && !gram_cols.empty() &&
-      (run.blocking == SerdOptions::BlockingMode::kQgram ||
-       (run.blocking == SerdOptions::BlockingMode::kAuto &&
-        total_pairs >= options_.blocking_auto_min_pairs));
-
-  // Blocked enumeration: index B's q-gram profiles, generate candidate
-  // pairs whose shared-gram count can clear the match threshold, and score
-  // only those. Candidates are re-scored by the same GMM posterior below,
-  // so blocked matches are a subset of the exact scan's (precision 1 by
-  // construction); the recall estimate follows the labeling pass.
-  block::CandidateSet cand;
-  if (blocked) {
-    obs::TraceSpan index_span(metrics_.get(), "s3.block_index");
-    auto index_grams = [&](size_t row,
-                           size_t col) -> const std::vector<uint32_t>& {
-      return b_digests[row].grams[gram_cols[col]];
-    };
-    block::QgramIndex index = block::QgramIndex::Build(
-        nb_rows, gram_cols.size(), index_grams, options_.block);
-    auto probe_grams = [&](size_t row,
-                           size_t col) -> const std::vector<uint32_t>& {
-      return a_digests[row].grams[gram_cols[col]];
-    };
-    cand = block::GenerateCandidates(index, syn.a.size(), probe_grams,
-                                     pool_.get());
-    if (metrics_ != nullptr) {
-      const block::IndexStats& is = index.stats();
-      metrics_->gauge("s3.block_distinct_grams")->Set(is.distinct_grams);
-      metrics_->gauge("s3.block_stop_grams")->Set(is.stop_grams);
-      metrics_->gauge("s3.block_pruned_postings")->Set(is.pruned_postings);
-      metrics_->gauge("s3.block_df_threshold")->Set(is.df_threshold);
-    }
-  }
-
-  // The pair stream: candidate pairs when blocked, the full cross product
-  // otherwise — both enumerate in ascending (i, j) order. A cap below the
-  // stream size labels a seeded uniform subsample without replacement
-  // (sorted, so the ascending order survives).
-  const size_t stream_size = blocked ? cand.num_pairs() : total_pairs;
-  const size_t scan_count =
-      options_.max_label_pairs == 0
-          ? stream_size
-          : std::min(stream_size, options_.max_label_pairs);
-  std::vector<size_t> subsample;
-  if (scan_count < stream_size) {
-    subsample = block::SampleDistinctSorted(stream_size, scan_count,
-                                            run.seed ^ 0x5e3b10cULL);
-  }
-  auto pair_at = [&](size_t k) -> std::pair<size_t, size_t> {
-    const size_t pos = subsample.empty() ? k : subsample[k];
-    if (blocked) return cand.PairAt(pos);
-    return {pos / nb_rows, pos % nb_rows};
-  };
-
-  // Scanned pairs are labeled concurrently into a flag array, then
-  // appended in ascending pair order, so the match list is identical to
-  // the serial scan for any thread count. The scored tally excludes pairs
-  // S2 already labeled (the `known` skips): its per-chunk sums commute, so
-  // the atomic total is deterministic too.
-  std::vector<uint8_t> is_match_flag(scan_count, 0);
-  std::atomic<long> scored_pairs{0};
-  runtime::ParallelFor(
-      pool_.get(), 0, scan_count, 512, [&](size_t lo, size_t hi) {
-        long scored = 0;
-        Vec x;
-        for (size_t k = lo; k < hi; ++k) {
-          auto [i, j] = pair_at(k);
-          uint64_t key = static_cast<uint64_t>(i) * nb_rows + j;
-          if (known.count(key)) continue;
-          ++scored;
-          cached_sim_->SimilarityVectorInto(a_digests[i], b_digests[j], &x);
-          if (o_real_.LabelAsMatch(x)) is_match_flag[k] = 1;
-        }
-        scored_pairs.fetch_add(scored, std::memory_order_relaxed);
-      });
-  size_t posterior_matches = 0;
-  for (size_t k = 0; k < scan_count; ++k) {
-    if (!is_match_flag[k]) continue;
-    auto [i, j] = pair_at(k);
-    syn.matches.push_back({i, j});
-    ++posterior_matches;
-  }
-
-  // Recall harness: estimate the matches blocking pruned away from a
-  // seeded uniform sample of the non-candidate pair space, scored by the
-  // same posterior. Pure function of (options, dataset) — the sampling RNG
-  // is separate from the synthesis stream, so dataset bytes are identical
-  // with the estimator on or off.
-  double block_recall = 1.0;
-  bool block_recall_estimated = false;
-  if (blocked && options_.block_recall_samples > 0 &&
-      cand.num_pairs() < total_pairs) {
-    block_recall_estimated = true;
-    obs::TraceSpan recall_span(metrics_.get(), "s3.block_recall_estimate");
-    Rng recall_rng(run.seed ^ 0xb10c4ec5ULL);
-    const size_t samples = std::min<size_t>(
-        static_cast<size_t>(options_.block_recall_samples), total_pairs);
-    size_t outside = 0, missed = 0;
-    Vec x;
-    for (size_t s = 0; s < samples; ++s) {
-      const size_t flat = recall_rng.UniformInt(total_pairs);
-      const size_t i = flat / nb_rows, j = flat % nb_rows;
-      if (cand.Contains(i, static_cast<uint32_t>(j))) continue;
-      if (known.count(static_cast<uint64_t>(flat))) continue;
-      ++outside;
-      cached_sim_->SimilarityVectorInto(a_digests[i], b_digests[j], &x);
-      if (o_real_.LabelAsMatch(x)) ++missed;
-    }
-    const double pruned =
-        static_cast<double>(total_pairs - cand.num_pairs());
-    const double est_missed =
-        outside > 0
-            ? (static_cast<double>(missed) / static_cast<double>(outside)) *
-                  pruned
-            : 0.0;
-    const double found = static_cast<double>(posterior_matches);
-    block_recall = found + est_missed > 0.0
-                       ? found / (found + est_missed)
-                       : 1.0;
-  }
-  s3_span.Stop();
-
-  report.s3_blocked = blocked;
-  report.s3_total_pairs = static_cast<long>(total_pairs);
-  report.s3_candidate_pairs = static_cast<long>(stream_size);
-  report.s3_pruned_pairs = static_cast<long>(total_pairs - stream_size);
-  report.s3_scanned_pairs = static_cast<long>(scan_count);
-  report.s3_scored_pairs = scored_pairs.load(std::memory_order_relaxed);
-  report.s3_posterior_matches = static_cast<long>(posterior_matches);
-  report.s3_block_recall = block_recall;
-  report.s3_block_recall_estimated = block_recall_estimated;
-  if (metrics_ != nullptr) {
-    metrics_->counter("s3.scanned_pairs")->Add(scan_count);
-    metrics_->counter("s3.scored_pairs")
-        ->Add(static_cast<uint64_t>(report.s3_scored_pairs));
-    metrics_->counter("s3.candidates")->Add(stream_size);
-    metrics_->counter("s3.pruned_pairs")->Add(total_pairs - stream_size);
-    metrics_->counter("s3.posterior_matches")->Add(posterior_matches);
-    metrics_->gauge("s3.block_recall")->Set(block_recall);
-    metrics_->gauge("s3.block_recall_estimated")
-        ->Set(block_recall_estimated ? 1.0 : 0.0);
-    metrics_->gauge("s3.blocked")->Set(blocked ? 1.0 : 0.0);
-  }
+  CrossPairLabels s3 = LabelCrossPairs(
+      o_real_, *cached_sim_, a_digests, b_digests, known, run.blocking,
+      options_.max_label_pairs, run.seed, pool_.get(), metrics_.get());
+  syn.matches.insert(syn.matches.end(), s3.matches.begin(),
+                     s3.matches.end());
+  report.s3_blocked = s3.blocked;
+  report.s3_total_pairs = static_cast<long>(s3.total_pairs);
+  report.s3_candidate_pairs = static_cast<long>(s3.candidate_pairs);
+  report.s3_pruned_pairs =
+      static_cast<long>(s3.total_pairs - s3.candidate_pairs);
+  report.s3_scanned_pairs = static_cast<long>(s3.scanned_pairs);
+  report.s3_scored_pairs = static_cast<long>(s3.scored_pairs);
+  report.s3_posterior_matches = static_cast<long>(s3.matches.size());
+  report.s3_block_recall = s3.block_recall;
+  report.s3_block_recall_estimated = s3.block_recall_estimated;
 
   if (m_syn != nullptr && n_syn != nullptr) {
     report.jsd_real_vs_syn = estimate_jsd(current_o_syn());
@@ -987,13 +836,6 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("match_link_rate", options_.match_link_rate);
   opts.Set("max_label_pairs", options_.max_label_pairs);
   opts.Set("blocking", BlockingModeName(options_.blocking));
-  opts.Set("blocking_auto_min_pairs", options_.blocking_auto_min_pairs);
-  opts.Set("block_max_df_frac", options_.block.max_df_frac);
-  opts.Set("block_min_df_rows", options_.block.min_df_rows);
-  opts.Set("block_min_shared_grams", options_.block.min_shared_grams);
-  opts.Set("block_jaccard_tau", options_.block.jaccard_tau);
-  opts.Set("block_prefix_jaccard", options_.block.prefix_jaccard);
-  opts.Set("block_recall_samples", options_.block_recall_samples);
   opts.Set("observability", options_.observability);
   opts.Set("incremental_decode", options_.string_bank.incremental_decode);
   opts.Set("model_dir", options_.model_dir);
@@ -1098,23 +940,9 @@ Result<double> SerdSynthesizer::EvaluateSyntheticJsd(const ERDataset& syn,
   if (!fitted_) {
     return Status::FailedPrecondition("Fit() must succeed first");
   }
-  Rng rng(seed);
-  LabeledPairSet pairs = BuildLabeledPairs(syn, options_.neg_pairs_per_match,
-                                           &rng, pool_.get());
-  std::vector<Vec> x_pos, x_neg;
-  ComputeSimilarityVectors(syn, spec_, pairs, &x_pos, &x_neg, pool_.get());
-  if (x_pos.empty() || x_neg.empty()) {
-    return Status::FailedPrecondition(
-        "synthesized dataset lacks matching or non-matching pairs");
-  }
-  auto m_fit = Gmm::FitWithAic(x_pos, options_.gmm);
-  SERD_RETURN_IF_ERROR(m_fit.status());
-  auto n_fit = Gmm::FitWithAic(x_neg, options_.gmm);
-  SERD_RETURN_IF_ERROR(n_fit.status());
-  double pi = static_cast<double>(x_pos.size()) /
-              static_cast<double>(x_pos.size() + x_neg.size());
-  ODistribution o_syn(pi, m_fit.value(), n_fit.value());
-  return EstimateJsd(o_syn, o_real_, jsd_samples, seed ^ 0x9e37ULL,
+  auto o_syn = FitODistribution(syn, spec_, options_.gmm, seed);
+  SERD_RETURN_IF_ERROR(o_syn.status());
+  return EstimateJsd(*o_syn, o_real_, jsd_samples, seed ^ 0x9e37ULL,
                      pool_.get());
 }
 

@@ -7,10 +7,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "block/candidates.h"
-#include "block/qgram_index.h"
 #include "common/cancel.h"
 #include "core/cached_sim.h"
+#include "core/distribution.h"
 #include "data/er_dataset.h"
 #include "gan/entity_gan.h"
 #include "gmm/incremental.h"
@@ -26,11 +25,8 @@ namespace serd {
 /// (Section VII): alpha = 1, beta = 0.6, 10 similarity intervals, 10
 /// candidate strings; model/corpus sizes are CPU-scale (DESIGN.md).
 struct SerdOptions {
-  // --- S1: distribution learning ---
+  // --- S1: distribution learning (FitODistribution) ---
   GmmFitOptions gmm;
-  /// Non-matching pairs sampled per matching pair when estimating the
-  /// N-distribution (the full cross product is quadratic).
-  double neg_pairs_per_match = 10.0;
 
   // --- S2: synthesis loop ---
   size_t target_a = 0;  ///< 0 = |A_real|
@@ -63,31 +59,15 @@ struct SerdOptions {
   GanConfig gan;
   EntityEncoderOptions encoder;
 
-  // --- S3: labeling ---
+  // --- S3: labeling (LabelCrossPairs) ---
   /// Cap on cross pairs examined in the final labeling pass (0 = all).
   /// When the pair stream exceeds the cap, a uniform sample without
   /// replacement (Floyd's algorithm, seeded from `seed`) is labeled.
   size_t max_label_pairs = 250000;
 
-  /// How S3 enumerates the cross-pair space (DESIGN.md Section 5j).
-  ///   kOff   — exact O(|A|·|B|) scan (the reference behavior).
-  ///   kQgram — only candidate pairs from the q-gram inverted index are
-  ///            scored. Candidates are re-scored by the same GMM
-  ///            posterior, so blocked matches are a subset of the exact
-  ///            ones (precision 1 by construction); the measured recall
-  ///            is estimated per run (SerdReport::s3_block_recall).
-  ///   kAuto  — kQgram when the pair count reaches
-  ///            blocking_auto_min_pairs, else the exact scan.
-  enum class BlockingMode { kOff, kQgram, kAuto };
+  /// How S3 enumerates the cross-pair space (serd::BlockingMode).
+  using BlockingMode = serd::BlockingMode;
   BlockingMode blocking = BlockingMode::kOff;
-  /// Pair-count threshold at which kAuto switches to the q-gram index.
-  size_t blocking_auto_min_pairs = 1u << 20;
-  /// Index construction / candidate generation knobs.
-  block::BlockOptions block;
-  /// Uniform pair draws behind the per-run recall estimate (0 disables;
-  /// the estimate then reports 1.0). Sampling is seeded and independent
-  /// of the synthesis RNG, so it never perturbs the dataset bytes.
-  int block_recall_samples = 2048;
 
   // --- artifact store (warm start; DESIGN.md Section 5g) ---
   /// What Fit() does with `model_dir` when it is non-empty.

@@ -23,21 +23,6 @@ Result<size_t> Schema::ColumnIndex(const std::string& name) const {
   return Status::NotFound("no column named " + name);
 }
 
-uint64_t Schema::Fingerprint() const {
-  // FNV-1a over each column's name bytes, a separator, and the type tag.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint8_t byte) {
-    h ^= byte;
-    h *= 1099511628211ULL;
-  };
-  for (const ColumnSpec& col : columns_) {
-    for (char ch : col.name) mix(static_cast<uint8_t>(ch));
-    mix(0xFF);  // separates "ab"+"c" from "a"+"bc"
-    mix(static_cast<uint8_t>(col.type));
-  }
-  return h;
-}
-
 bool Schema::operator==(const Schema& other) const {
   if (columns_.size() != other.columns_.size()) return false;
   for (size_t i = 0; i < columns_.size(); ++i) {

@@ -40,12 +40,6 @@ class Schema {
   /// Index of the column named `name`, or NotFound.
   Result<size_t> ColumnIndex(const std::string& name) const;
 
-  /// Order-sensitive FNV-1a digest of (name, type) per column. Two schemas
-  /// compare equal iff their fingerprints match for practical purposes;
-  /// the serving model pool uses it as a cache-key component so artifacts
-  /// trained against a different schema can never be shared.
-  uint64_t Fingerprint() const;
-
   bool operator==(const Schema& other) const;
 
  private:

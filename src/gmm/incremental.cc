@@ -4,26 +4,7 @@ namespace serd {
 
 IncrementalGmm::IncrementalGmm(const Gmm& model, const std::vector<Vec>& data,
                                double ridge)
-    : model_(model), ridge_(ridge) {
-  const size_t g = model.num_components();
-  const size_t d = model.dimension();
-  gamma_sum_.assign(g, 0.0);
-  weighted_sum_.assign(g, Vec(d, 0.0));
-  second_moment_.assign(g, Matrix(d, d));
-  for (const auto& x : data) {
-    Vec gamma = model_.Responsibilities(x);
-    for (size_t k = 0; k < g; ++k) {
-      gamma_sum_[k] += gamma[k];
-      for (size_t i = 0; i < d; ++i) {
-        weighted_sum_[k][i] += gamma[k] * x[i];
-        for (size_t j = 0; j < d; ++j) {
-          second_moment_[k](i, j) += gamma[k] * x[i] * x[j];
-        }
-      }
-    }
-  }
-  n_ = data.size();
-}
+    : model_(model), stats_(ComputeDelta(data)), ridge_(ridge) {}
 
 IncrementalGmm::Delta IncrementalGmm::ComputeDelta(
     const std::vector<Vec>& points) const {
@@ -49,68 +30,57 @@ IncrementalGmm::Delta IncrementalGmm::ComputeDelta(
   return delta;
 }
 
-Gmm IncrementalGmm::RebuildModel(const std::vector<double>& gamma,
-                                 const std::vector<Vec>& wsum,
-                                 const std::vector<Matrix>& smom,
-                                 size_t n) const {
+void IncrementalGmm::Accumulate(const Delta& delta, Delta* stats) {
+  for (size_t k = 0; k < stats->gamma_sum.size(); ++k) {
+    const size_t d = stats->weighted_sum[k].size();
+    stats->gamma_sum[k] += delta.gamma_sum[k];
+    for (size_t i = 0; i < d; ++i) {
+      stats->weighted_sum[k][i] += delta.weighted_sum[k][i];
+      for (size_t j = 0; j < d; ++j) {
+        stats->second_moment[k](i, j) += delta.second_moment[k](i, j);
+      }
+    }
+  }
+  stats->count += delta.count;
+}
+
+Gmm IncrementalGmm::RebuildModel(const Delta& stats) const {
   const size_t g = model_.num_components();
   const size_t d = model_.dimension();
   std::vector<double> weights(g);
   std::vector<MultivariateGaussian> comps;
   comps.reserve(g);
   for (size_t k = 0; k < g; ++k) {
-    if (gamma[k] < 1e-10) {
+    const double gamma = stats.gamma_sum[k];
+    if (gamma < 1e-10) {
       // Empty component: keep its previous parameters with a tiny weight.
       comps.push_back(model_.component(k));
       weights[k] = 1e-10;
       continue;
     }
-    Vec mu = wsum[k];
-    ScaleInPlace(&mu, 1.0 / gamma[k]);
+    Vec mu = stats.weighted_sum[k];
+    ScaleInPlace(&mu, 1.0 / gamma);
     Matrix cov(d, d);
     for (size_t i = 0; i < d; ++i) {
       for (size_t j = 0; j < d; ++j) {
-        cov(i, j) = smom[k](i, j) / gamma[k] - mu[i] * mu[j];
+        cov(i, j) = stats.second_moment[k](i, j) / gamma - mu[i] * mu[j];
       }
     }
     comps.emplace_back(std::move(mu), std::move(cov), ridge_);
-    weights[k] = gamma[k] / static_cast<double>(n);
+    weights[k] = gamma / static_cast<double>(stats.count);
   }
   return Gmm(std::move(weights), std::move(comps));
 }
 
 Gmm IncrementalGmm::PreviewModel(const Delta& delta) const {
-  const size_t g = model_.num_components();
-  const size_t d = model_.dimension();
-  std::vector<double> gamma(g);
-  std::vector<Vec> wsum(g, Vec(d, 0.0));
-  std::vector<Matrix> smom(g, Matrix(d, d));
-  for (size_t k = 0; k < g; ++k) {
-    gamma[k] = gamma_sum_[k] + delta.gamma_sum[k];
-    for (size_t i = 0; i < d; ++i) {
-      wsum[k][i] = weighted_sum_[k][i] + delta.weighted_sum[k][i];
-      for (size_t j = 0; j < d; ++j) {
-        smom[k](i, j) = second_moment_[k](i, j) + delta.second_moment[k](i, j);
-      }
-    }
-  }
-  return RebuildModel(gamma, wsum, smom, n_ + delta.count);
+  Delta stats = stats_;
+  Accumulate(delta, &stats);
+  return RebuildModel(stats);
 }
 
 void IncrementalGmm::Commit(const Delta& delta) {
-  const size_t g = model_.num_components();
-  const size_t d = model_.dimension();
-  for (size_t k = 0; k < g; ++k) {
-    gamma_sum_[k] += delta.gamma_sum[k];
-    for (size_t i = 0; i < d; ++i) {
-      weighted_sum_[k][i] += delta.weighted_sum[k][i];
-      for (size_t j = 0; j < d; ++j) {
-        second_moment_[k](i, j) += delta.second_moment[k](i, j);
-      }
-    }
-  }
-  n_ += delta.count;
-  model_ = RebuildModel(gamma_sum_, weighted_sum_, second_moment_, n_);
+  Accumulate(delta, &stats_);
+  model_ = RebuildModel(stats_);
 }
 
 }  // namespace serd

@@ -32,10 +32,12 @@ class IncrementalGmm {
   IncrementalGmm(const Gmm& model, const std::vector<Vec>& data,
                  double ridge = 1e-6);
 
-  size_t num_points() const { return n_; }
+  size_t num_points() const { return stats_.count; }
   const Gmm& model() const { return model_; }
 
-  /// The sufficient statistics after hypothetically adding `points`.
+  /// Sufficient statistics of a point set: per component Gamma_k, m_k and
+  /// S_k, plus the point count. Both the model's state and an update are
+  /// held this way.
   struct Delta {
     std::vector<double> gamma_sum;   // per component
     std::vector<Vec> weighted_sum;   // per component, dimension d
@@ -54,15 +56,15 @@ class IncrementalGmm {
   void Commit(const Delta& delta);
 
  private:
-  Gmm RebuildModel(const std::vector<double>& gamma,
-                   const std::vector<Vec>& wsum,
-                   const std::vector<Matrix>& smom, size_t n) const;
+  /// Adds `delta` into `stats`, statistic by statistic.
+  static void Accumulate(const Delta& delta, Delta* stats);
+
+  /// The model of `stats` (paper Eq. 9); components with no mass keep the
+  /// current model's parameters.
+  Gmm RebuildModel(const Delta& stats) const;
 
   Gmm model_;
-  std::vector<double> gamma_sum_;
-  std::vector<Vec> weighted_sum_;
-  std::vector<Matrix> second_moment_;
-  size_t n_ = 0;
+  Delta stats_;
   double ridge_ = 1e-6;
 };
 

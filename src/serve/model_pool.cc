@@ -35,12 +35,10 @@ std::string PoolKey::Token() const {
   // \x1f (ASCII unit separator) cannot appear in tenant names, paths, or
   // dataset ids, so the join is collision-free.
   std::string token;
-  token.reserve(tenant.size() + model_dir.size() + dataset_id.size() + 24);
+  token.reserve(tenant.size() + model_dir.size() + dataset_id.size() + 2);
   token += tenant;
   token += '\x1f';
   token += model_dir;
-  token += '\x1f';
-  token += std::to_string(schema_fingerprint);
   token += '\x1f';
   token += dataset_id;
   return token;

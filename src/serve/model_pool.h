@@ -20,14 +20,13 @@ namespace serd::serve {
 /// Identity of a warm synthesizer in the pool. Two jobs share one warm
 /// entry iff every component matches: the tenant (isolation — tenants
 /// never share loaded models even for the same artifact), the artifact
-/// directory, the schema fingerprint (a stale artifact for a changed
-/// schema must not alias a valid one), and the dataset identity (the
-/// synthesizer keeps a pointer to the real dataset it was built over, so
-/// an entry is only reusable for jobs over that exact dataset).
+/// directory, and the dataset identity (the synthesizer keeps a pointer
+/// to the real dataset it was built over, so an entry is only reusable
+/// for jobs over that exact dataset; the dataset kind also fixes the
+/// schema).
 struct PoolKey {
   std::string tenant;
   std::string model_dir;
-  uint64_t schema_fingerprint = 0;
   /// "kind@scale#data_seed" — the generator inputs that determine the
   /// real dataset bit-for-bit.
   std::string dataset_id;

@@ -62,20 +62,6 @@ Status GetInteger(const obs::Json& j, const std::string& key, double lo,
   return Status::OK();
 }
 
-/// Schemas are static per dataset kind; a minimal generation exposes one
-/// for fingerprinting without paying for a job-sized dataset.
-uint64_t SchemaFingerprintFor(DatasetKind kind) {
-  static std::mutex mu;
-  static std::map<int, uint64_t> cache;
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache.find(static_cast<int>(kind));
-  if (it != cache.end()) return it->second;
-  ERDataset tiny = datagen::Generate(kind, {.seed = 1, .scale = 0.01});
-  uint64_t fp = tiny.schema().Fingerprint();
-  cache.emplace(static_cast<int>(kind), fp);
-  return fp;
-}
-
 std::string FormatScale(double scale) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", scale);
@@ -281,7 +267,6 @@ PoolKey SerdServer::KeyFor(const JobParams& params) const {
   PoolKey key;
   key.tenant = params.tenant;
   key.model_dir = params.model_dir;
-  key.schema_fingerprint = SchemaFingerprintFor(params.kind);
   key.dataset_id = params.DatasetId();
   return key;
 }

@@ -102,24 +102,6 @@ double JaccardOfHashedSets(const std::vector<uint32_t>& a,
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-size_t OverlapOfHashedSets(const std::vector<uint32_t>& a,
-                           const std::vector<uint32_t>& b) {
-  size_t i = 0, j = 0, inter = 0;
-  while (i < a.size() && j < b.size()) {
-    const uint32_t x = a[i], y = b[j];
-    if (x == y) {
-      ++inter;
-      ++i;
-      ++j;
-    } else if (x < y) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return inter;
-}
-
 double QgramJaccard(std::string_view a, std::string_view b, int q) {
   return JaccardOfHashedSets(HashedQgramSet(a, q), HashedQgramSet(b, q));
 }

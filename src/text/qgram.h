@@ -41,14 +41,6 @@ double JaccardOfSortedSets(const std::vector<std::string>& a,
 double JaccardOfHashedSets(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b);
 
-/// |G(a) ∩ G(b)| of two hashed profiles from HashedQgramSet (linear
-/// merge). This is the quantity the q-gram blocking layer (src/block)
-/// thresholds on: a pair can only clear a Jaccard threshold tau when its
-/// overlap reaches tau / (1 + tau) * (|G(a)| + |G(b)|), so candidate
-/// generation counts shared grams instead of computing full similarities.
-size_t OverlapOfHashedSets(const std::vector<uint32_t>& a,
-                           const std::vector<uint32_t>& b);
-
 /// QgramJaccard as a named callable: the text-column similarity every
 /// string bank is built with. HillClimbToSimilarity recognizes it and
 /// hashes its fixed reference once per climb instead of once per proposal.

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "block/candidates.h"
 #include "block/qgram_index.h"
 #include "common/rng.h"
+#include "core/cached_sim.h"
+#include "core/distribution.h"
 #include "core/serd.h"
 #include "datagen/generators.h"
 #include "runtime/thread_pool.h"
@@ -16,7 +19,6 @@
 namespace serd {
 namespace {
 
-using block::BlockOptions;
 using block::CandidateSet;
 using block::QgramIndex;
 using datagen::DatasetKind;
@@ -48,169 +50,39 @@ QgramIndex::GramAccessor Accessor(const GramTable& table) {
   };
 }
 
-/// Count-mode options with no pruning: every gram survives regardless of
-/// frequency, and the adaptive Jaccard tier (on by default) is disabled
-/// so min_shared_grams counting is what gets exercised.
-BlockOptions Unpruned(int min_shared = 1) {
-  BlockOptions o;
-  o.max_df_frac = 1.0;
-  o.min_df_rows = 0;
-  o.min_shared_grams = min_shared;
-  o.jaccard_tau = 0.0;
-  return o;
-}
-
 // ------------------------------------------------------------- QgramIndex
 
 TEST(QgramIndexTest, PostingListsAndStats) {
   GramTable table = {{{1, 2}}, {{2, 3}}, {{2}}};
-  QgramIndex index = QgramIndex::Build(3, 1, Accessor(table), Unpruned());
+  QgramIndex index = QgramIndex::Build(3, 1, Accessor(table));
 
   EXPECT_EQ(index.num_rows(), 3u);
   EXPECT_EQ(index.stats().indexed_columns, 1u);
   EXPECT_EQ(index.stats().total_postings, 5u);
   EXPECT_EQ(index.stats().distinct_grams, 3u);
-  EXPECT_EQ(index.stats().stop_grams, 0u);
-  EXPECT_EQ(index.stats().pruned_postings, 0u);
-  // threshold = max(min_df_rows, ceil(1.0 * 3)) = 3: nothing pruned.
-  EXPECT_EQ(index.stats().df_threshold, 3u);
-  EXPECT_EQ(index.PostingCount(0, 1), 1u);
-  EXPECT_EQ(index.PostingCount(0, 2), 3u);
-  EXPECT_EQ(index.PostingCount(0, 3), 1u);
-  EXPECT_EQ(index.PostingCount(0, 99), 0u);
-}
-
-TEST(QgramIndexTest, StopGramPruning) {
-  GramTable table = {{{1, 2}}, {{2, 3}}, {{2}}};
-  BlockOptions opts;
-  opts.max_df_frac = 0.5;  // threshold = max(1, ceil(1.5)) = 2
-  opts.min_df_rows = 1;
-  QgramIndex index = QgramIndex::Build(3, 1, Accessor(table), opts);
-
-  EXPECT_EQ(index.stats().df_threshold, 2u);
-  EXPECT_EQ(index.stats().stop_grams, 1u);      // gram 2, df 3 > 2
-  EXPECT_EQ(index.stats().pruned_postings, 3u);
-  EXPECT_EQ(index.PostingCount(0, 2), 0u);
-  EXPECT_EQ(index.PostingCount(0, 1), 1u);
-  EXPECT_EQ(index.PostingCount(0, 3), 1u);
-}
-
-TEST(QgramIndexTest, CandidatesMatchBruteForceOverlap) {
-  // Against random profiles with no pruning, the candidate set of each
-  // probe must be exactly the rows whose cross-column shared-gram count
-  // clears min_shared_grams (oracle: OverlapOfHashedSets).
-  const GramTable indexed = RandomGramTable(60, 2, 40, 12, 11);
-  const GramTable probes = RandomGramTable(40, 2, 40, 12, 22);
-  for (int min_shared : {1, 2, 3}) {
-    QgramIndex index =
-        QgramIndex::Build(60, 2, Accessor(indexed), Unpruned(min_shared));
-    QgramIndex::Scratch scratch;
-    std::vector<uint32_t> got;
-    for (size_t p = 0; p < probes.size(); ++p) {
-      index.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &got);
-      std::vector<uint32_t> want;
-      for (size_t r = 0; r < indexed.size(); ++r) {
-        size_t overlap = 0;
-        for (size_t c = 0; c < 2; ++c) {
-          overlap += OverlapOfHashedSets(probes[p][c], indexed[r][c]);
-        }
-        if (overlap >= static_cast<size_t>(min_shared)) {
-          want.push_back(static_cast<uint32_t>(r));
-        }
-      }
-      ASSERT_EQ(got, want) << "probe " << p << " min_shared " << min_shared;
-    }
-  }
-}
-
-TEST(QgramIndexTest, PrunedCandidatesCountSurvivingGramsOnly) {
-  // With stop-gram pruning on, the oracle counts only grams whose posting
-  // list survived (PostingCount > 0).
-  const GramTable indexed = RandomGramTable(80, 1, 12, 8, 33);
-  const GramTable probes = RandomGramTable(30, 1, 12, 8, 44);
-  BlockOptions opts;
-  opts.max_df_frac = 0.2;
-  opts.min_df_rows = 4;
-  opts.min_shared_grams = 1;
-  opts.jaccard_tau = 0.0;  // exercise the count tier
-  QgramIndex index = QgramIndex::Build(80, 1, Accessor(indexed), opts);
-  ASSERT_GT(index.stats().stop_grams, 0u)
-      << "fixture too sparse to exercise pruning";
-
+  // Jaccard {2} vs each row: 1/2, 1/2, 1 — all reach tau = 0.35.
   QgramIndex::Scratch scratch;
   std::vector<uint32_t> got;
-  for (size_t p = 0; p < probes.size(); ++p) {
-    index.Candidates({&probes[p][0]}, &scratch, &got);
-    std::vector<uint32_t> want;
-    for (size_t r = 0; r < indexed.size(); ++r) {
-      size_t surviving = 0;
-      for (uint32_t g : probes[p][0]) {
-        if (index.PostingCount(0, g) == 0) continue;
-        if (std::binary_search(indexed[r][0].begin(), indexed[r][0].end(),
-                               g)) {
-          ++surviving;
-        }
-      }
-      if (surviving >= 1) want.push_back(static_cast<uint32_t>(r));
-    }
-    ASSERT_EQ(got, want) << "probe " << p;
-  }
-}
-
-TEST(QgramIndexTest, PrefixFilterKeepsEveryPairAboveTau) {
-  // The prefix tier's guarantee: with no df pruning and
-  // min_shared_grams = 1, every pair whose q-gram Jaccard reaches tau on
-  // some column is still generated, and the tier only ever shrinks the
-  // candidate set.
-  const GramTable indexed = RandomGramTable(70, 2, 30, 14, 55);
-  const GramTable probes = RandomGramTable(50, 2, 30, 14, 66);
-  for (double tau : {0.3, 0.6}) {
-    BlockOptions with_prefix = Unpruned();
-    with_prefix.prefix_jaccard = tau;
-    QgramIndex pruned = QgramIndex::Build(70, 2, Accessor(indexed),
-                                          with_prefix);
-    QgramIndex full = QgramIndex::Build(70, 2, Accessor(indexed), Unpruned());
-
-    QgramIndex::Scratch scratch;
-    std::vector<uint32_t> got, all;
-    for (size_t p = 0; p < probes.size(); ++p) {
-      pruned.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &got);
-      full.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &all);
-      ASSERT_TRUE(std::includes(all.begin(), all.end(), got.begin(),
-                                got.end()))
-          << "prefix tier added a candidate (probe " << p << ")";
-      for (size_t r = 0; r < indexed.size(); ++r) {
-        double best = 0.0;
-        for (size_t c = 0; c < 2; ++c) {
-          // Empty-vs-empty scores Jaccard 1.0 but shares no gram, so the
-          // guarantee (like candidate generation) only covers nonempty
-          // columns.
-          if (probes[p][c].empty() || indexed[r][c].empty()) continue;
-          best = std::max(
-              best, JaccardOfHashedSets(probes[p][c], indexed[r][c]));
-        }
-        if (best >= tau) {
-          ASSERT_TRUE(std::binary_search(got.begin(), got.end(),
-                                         static_cast<uint32_t>(r)))
-              << "pair (" << p << ", " << r << ") with Jaccard " << best
-              << " missed at tau " << tau;
-        }
-      }
-    }
-  }
+  const std::vector<uint32_t> common = {2};
+  index.Candidates({&common}, &scratch, &got);
+  EXPECT_EQ(got, (std::vector<uint32_t>{0, 1, 2}));
+  // {1}: 1/2 with row 0 only; a gram no row holds has no candidate.
+  const std::vector<uint32_t> rare = {1};
+  index.Candidates({&rare}, &scratch, &got);
+  EXPECT_EQ(got, (std::vector<uint32_t>{0}));
+  const std::vector<uint32_t> absent = {99};
+  index.Candidates({&absent}, &scratch, &got);
+  EXPECT_TRUE(got.empty());
 }
 
 TEST(QgramIndexTest, JaccardTauIsExactWithoutPruning) {
-  // With no stop-gram pruning the adaptive threshold has zero slack, so
-  // the tier is an exact per-column Jaccard filter: candidates are
-  // precisely the rows with q-gram Jaccard >= tau on some nonempty
+  // The candidate rule is an exact per-column Jaccard filter: candidates
+  // are precisely the rows with q-gram Jaccard >= tau on some nonempty
   // column — no superset, no misses.
   const GramTable indexed = RandomGramTable(70, 2, 30, 14, 91);
   const GramTable probes = RandomGramTable(45, 2, 30, 14, 92);
   for (double tau : {0.2, 0.35, 0.5, 0.8}) {
-    BlockOptions opts = Unpruned();
-    opts.jaccard_tau = tau;
-    QgramIndex index = QgramIndex::Build(70, 2, Accessor(indexed), opts);
+    QgramIndex index = QgramIndex::Build(70, 2, Accessor(indexed), tau);
     QgramIndex::Scratch scratch;
     std::vector<uint32_t> got;
     for (size_t p = 0; p < probes.size(); ++p) {
@@ -231,62 +103,17 @@ TEST(QgramIndexTest, JaccardTauIsExactWithoutPruning) {
   }
 }
 
-TEST(QgramIndexTest, JaccardTauGuaranteeSurvivesPruning) {
-  // With stop-gram pruning on, the slack term must keep every pair whose
-  // full-profile column Jaccard reaches tau; the candidate set may only
-  // grow less selective, never lose such a pair.
-  const GramTable indexed = RandomGramTable(90, 2, 10, 8, 93);
-  const GramTable probes = RandomGramTable(40, 2, 10, 8, 94);
-  BlockOptions opts;
-  opts.max_df_frac = 0.15;
-  opts.min_df_rows = 4;
-  opts.jaccard_tau = 0.4;
-  QgramIndex index = QgramIndex::Build(90, 2, Accessor(indexed), opts);
-  ASSERT_GT(index.stats().stop_grams, 0u)
-      << "fixture too sparse to exercise pruning";
-
-  QgramIndex::Scratch scratch;
-  std::vector<uint32_t> got;
-  for (size_t p = 0; p < probes.size(); ++p) {
-    index.Candidates({&probes[p][0], &probes[p][1]}, &scratch, &got);
-    for (size_t r = 0; r < indexed.size(); ++r) {
-      double best = 0.0;
-      size_t surviving_overlap = 0;
-      for (size_t c = 0; c < 2; ++c) {
-        if (probes[p][c].empty() || indexed[r][c].empty()) continue;
-        best =
-            std::max(best, JaccardOfHashedSets(probes[p][c], indexed[r][c]));
-        for (uint32_t g : probes[p][c]) {
-          if (index.PostingCount(c, g) > 0 &&
-              std::binary_search(indexed[r][c].begin(), indexed[r][c].end(),
-                                 g)) {
-            ++surviving_overlap;
-          }
-        }
-      }
-      // The clamp to >= 1 shared surviving gram is the tier's only
-      // escape hatch: pairs whose overlap lives entirely in stop grams
-      // are the documented residual risk.
-      if (best >= opts.jaccard_tau && surviving_overlap > 0) {
-        ASSERT_TRUE(std::binary_search(got.begin(), got.end(),
-                                       static_cast<uint32_t>(r)))
-            << "pair (" << p << ", " << r << ") with Jaccard " << best
-            << " lost under pruning";
-      }
-    }
-  }
-}
-
 // ----------------------------------------------------------- CandidateSet
 
 TEST(CandidateSetTest, PairAtEnumeratesAscendingAndContainsAgrees) {
   const GramTable indexed = RandomGramTable(50, 1, 25, 10, 7);
   const GramTable probes = RandomGramTable(35, 1, 25, 10, 8);
-  QgramIndex index = QgramIndex::Build(50, 1, Accessor(indexed), Unpruned());
+  QgramIndex index = QgramIndex::Build(50, 1, Accessor(indexed));
   CandidateSet cand =
       block::GenerateCandidates(index, probes.size(), Accessor(probes));
 
   ASSERT_EQ(cand.offsets.size(), probes.size() + 1);
+  ASSERT_GT(cand.num_pairs(), 0u) << "fixture yields no candidates";
   std::pair<size_t, size_t> prev{0, 0};
   for (size_t k = 0; k < cand.num_pairs(); ++k) {
     auto pair = cand.PairAt(k);
@@ -312,13 +139,14 @@ TEST(CandidateSetTest, PairAtEnumeratesAscendingAndContainsAgrees) {
 TEST(CandidateSetTest, GenerateCandidatesIsPoolInvariant) {
   const GramTable indexed = RandomGramTable(90, 2, 35, 12, 17);
   const GramTable probes = RandomGramTable(200, 2, 35, 12, 18);
-  QgramIndex index = QgramIndex::Build(90, 2, Accessor(indexed), Unpruned());
+  QgramIndex index = QgramIndex::Build(90, 2, Accessor(indexed));
 
   CandidateSet serial =
       block::GenerateCandidates(index, probes.size(), Accessor(probes));
   runtime::ThreadPool pool(4);
   CandidateSet pooled = block::GenerateCandidates(index, probes.size(),
                                                   Accessor(probes), &pool);
+  ASSERT_GT(serial.num_pairs(), 0u) << "fixture yields no candidates";
   EXPECT_EQ(serial.offsets, pooled.offsets);
   EXPECT_EQ(serial.cols, pooled.cols);
 }
@@ -535,6 +363,95 @@ TEST(BlockingPipelineTest, BlockedLabelingIsThreadCountInvariant) {
   for (size_t i = 0; i < cap1->matches.size(); ++i) {
     EXPECT_EQ(cap1->matches[i].a_idx, cap3->matches[i].a_idx) << i;
     EXPECT_EQ(cap1->matches[i].b_idx, cap3->matches[i].b_idx) << i;
+  }
+}
+
+// ------------------------------------------------- The S3 labeler on E_real
+
+/// A real dataset's labeler inputs: O_real from S1's fit and the digests
+/// of both tables. No synthesis is involved. Built in place, since `sim`
+/// points at `spec`.
+struct RealInputs {
+  RealInputs(DatasetKind kind, double scale)
+      : real(datagen::Generate(kind, {.seed = 5, .scale = scale})),
+        spec(SimilaritySpec::FromTables(real.schema(), {&real.a, &real.b})),
+        sim(spec) {
+    auto fit = FitODistribution(real, spec, GmmFitOptions(), 5);
+    EXPECT_TRUE(fit.ok()) << fit.status().ToString();
+    if (fit.ok()) o = std::move(fit).value();
+    for (const auto& row : real.a.rows()) a.push_back(sim.MakeDigest(row));
+    for (const auto& row : real.b.rows()) b.push_back(sim.MakeDigest(row));
+  }
+
+  ERDataset real;
+  SimilaritySpec spec;
+  CachedSimilarity sim;
+  ODistribution o;
+  std::vector<CachedSimilarity::Digest> a, b;
+};
+
+CrossPairLabels LabelReal(const RealInputs& in,
+                          const std::unordered_set<uint64_t>& known,
+                          BlockingMode blocking, size_t label_cap = 0,
+                          runtime::ThreadPool* pool = nullptr) {
+  return LabelCrossPairs(in.o, in.sim, in.a, in.b, known, blocking,
+                         label_cap, /*seed=*/9, pool, /*metrics=*/nullptr);
+}
+
+TEST(LabelCrossPairsTest, ExactAndBlockedAgreeOnRealData) {
+  for (const auto& [kind, scale] :
+       {std::pair{DatasetKind::kDblpAcm, 0.05},
+        std::pair{DatasetKind::kRestaurant, 0.2}}) {
+    RealInputs in(kind, scale);
+    CrossPairLabels exact = LabelReal(in, {}, BlockingMode::kOff);
+    CrossPairLabels blocked = LabelReal(in, {}, BlockingMode::kQgram);
+    EXPECT_FALSE(exact.blocked);
+    EXPECT_TRUE(blocked.blocked);
+    EXPECT_EQ(exact.scored_pairs, exact.total_pairs);
+    EXPECT_LT(blocked.candidate_pairs, blocked.total_pairs);
+    EXPECT_EQ(blocked.scanned_pairs, blocked.candidate_pairs);
+    ASSERT_FALSE(exact.matches.empty()) << in.real.name;
+    EXPECT_EQ(exact.matches, blocked.matches) << in.real.name;
+    // Nothing outside the candidates matches, so no sample can miss one.
+    EXPECT_TRUE(blocked.block_recall_estimated);
+    EXPECT_EQ(blocked.block_recall, 1.0);
+    // Below 2^20 pairs the automatic mode keeps the exact scan.
+    ASSERT_LT(exact.total_pairs, kBlockingAutoMinPairs);
+    EXPECT_FALSE(LabelReal(in, {}, BlockingMode::kAuto).blocked);
+  }
+}
+
+TEST(LabelCrossPairsTest, KnownPairsAreScannedButNotScored) {
+  RealInputs in(DatasetKind::kDblpAcm, 0.05);
+  const size_t nb = in.b.size();
+  for (BlockingMode mode : {BlockingMode::kOff, BlockingMode::kQgram}) {
+    CrossPairLabels all = LabelReal(in, {}, mode);
+    ASSERT_GE(all.matches.size(), 3u);
+    // Mark the first and last matches known, as S2 marks its links.
+    std::unordered_set<uint64_t> known;
+    for (const PairRef& m : {all.matches.front(), all.matches.back()}) {
+      known.insert(static_cast<uint64_t>(m.a_idx) * nb + m.b_idx);
+    }
+    CrossPairLabels rest = LabelReal(in, known, mode);
+    EXPECT_EQ(rest.scanned_pairs, all.scanned_pairs);
+    EXPECT_EQ(rest.scored_pairs, all.scored_pairs - known.size());
+    const std::vector<PairRef> unknown(all.matches.begin() + 1,
+                                       all.matches.end() - 1);
+    EXPECT_EQ(rest.matches, unknown);
+  }
+}
+
+TEST(LabelCrossPairsTest, CapSubsampleIsPoolInvariant) {
+  RealInputs in(DatasetKind::kDblpAcm, 0.05);
+  runtime::ThreadPool pool(3);
+  for (BlockingMode mode : {BlockingMode::kOff, BlockingMode::kQgram}) {
+    const size_t cap = LabelReal(in, {}, mode).candidate_pairs / 2;
+    CrossPairLabels serial = LabelReal(in, {}, mode, cap);
+    CrossPairLabels pooled = LabelReal(in, {}, mode, cap, &pool);
+    EXPECT_EQ(serial.scanned_pairs, cap);
+    ASSERT_FALSE(serial.matches.empty());
+    EXPECT_EQ(serial.matches, pooled.matches);
+    EXPECT_EQ(serial.scored_pairs, pooled.scored_pairs);
   }
 }
 

@@ -245,6 +245,31 @@ TEST_F(SerdPipelineTest, ORealPosteriorSeparates) {
   EXPECT_GT(o.PosteriorMatch(high), o.PosteriorMatch(low));
 }
 
+TEST_F(SerdPipelineTest, S1FitReproducesORealBitwise) {
+  // Fit's S1 is FitODistribution over E_real at the synthesizer's seed, on
+  // its pool; a serial call must give the same O_real bit for bit.
+  const SerdOptions opts = FastOptions();
+  auto fit = FitODistribution(fixture_->real, synth_->spec(), opts.gmm,
+                              opts.seed);
+  ASSERT_TRUE(fit.ok()) << fit.status().ToString();
+  const ODistribution& want = synth_->o_real();
+  EXPECT_EQ(fit->pi(), want.pi());
+  const std::pair<const Gmm*, const Gmm*> arms[] = {
+      {&fit->m_distribution(), &want.m_distribution()},
+      {&fit->n_distribution(), &want.n_distribution()}};
+  for (const auto& [got, expected] : arms) {
+    ASSERT_EQ(got->num_components(), expected->num_components());
+    EXPECT_EQ(got->weights(), expected->weights());
+    for (size_t k = 0; k < got->num_components(); ++k) {
+      EXPECT_EQ(got->component(k).mean(), expected->component(k).mean())
+          << "component " << k;
+      EXPECT_EQ(got->component(k).covariance().data(),
+                expected->component(k).covariance().data())
+          << "component " << k;
+    }
+  }
+}
+
 TEST_F(SerdPipelineTest, MatchIndicesValid) {
   for (const auto& m : syn_->matches) {
     EXPECT_LT(m.a_idx, syn_->a.size());

@@ -583,7 +583,7 @@ ModelPool::EntryLoader FakeLoader(std::atomic<int>* loads) {
 }
 
 PoolKey KeyOf(const std::string& tenant, const std::string& id) {
-  return PoolKey{tenant, "/models", 42, id};
+  return PoolKey{tenant, "/models", id};
 }
 
 TEST(ModelPoolTest, HitMissEvictCountersAndLru) {
@@ -1132,7 +1132,7 @@ std::map<std::string, std::string> RunJobSet(const std::string& artifact_dir,
 
   std::mutex mu;
   std::map<std::string, std::string> digests;
-  PoolKey key{"t", artifact_dir, 1, "dblp-acm@0.02#3"};
+  PoolKey key{"t", artifact_dir, "dblp-acm@0.02#3"};
   for (int i : order) {
     std::string seed_key = "job-" + std::to_string(i);
     EXPECT_TRUE(
@@ -1200,7 +1200,7 @@ TEST(ServeConcurrencyTest, SameTenantJobsOverlapOnOneWarmEntry) {
     if (!fit.ok()) return fit;
     return entry;
   };
-  const PoolKey key{"t", dir, 1, "dblp-acm@0.02#3"};
+  const PoolKey key{"t", dir, "dblp-acm@0.02#3"};
 
   // Each job holds its lease, waits until the other holds one too, then
   // runs; the two run intervals must overlap on the one entry.
@@ -1279,7 +1279,7 @@ std::map<std::string, std::string> RunTenantJobSet(
   std::mutex mu;
   std::map<std::string, std::string> digests;
   for (const auto& [tenant, i] : arrivals) {
-    PoolKey key{tenant, artifact_dir, 1, "dblp-acm@0.02#3"};
+    PoolKey key{tenant, artifact_dir, "dblp-acm@0.02#3"};
     std::string seed_key = tenant + "/job-" + std::to_string(i);
     EXPECT_TRUE(
         sched
@@ -1377,7 +1377,7 @@ TEST(ServeHotReloadTest, InFlightJobsFinishOnOldArtifactsDuringSwap) {
     if (!fit.ok()) return fit;
     return entry;
   };
-  PoolKey key{"t", dir_live, 1, "dblp-acm@0.02#3"};
+  PoolKey key{"t", dir_live, "dblp-acm@0.02#3"};
 
   auto live_fp = serve::ArtifactVersionFingerprint(file_live);
   ASSERT_TRUE(live_fp.ok());
