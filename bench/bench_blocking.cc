@@ -6,13 +6,17 @@
 // S1's fit (FitODistribution, seed 42), labels the real A x B cross space
 // both ways, and compares wall-clock, pairs scored and the match lists
 // with each other and with |M_real|. No synthesis is in the loop, so the
-// labeled count against |M_real| measures the rule alone.
+// labeled pairs against |M_real| measure the rule alone. A self-join
+// (Restaurant: one table against itself) passes its diagonal (i, i) as
+// known, since it is not a pair of E_real (ERDataset::NumTotalPairs), and
+// counts a labeled (i, j) and (j, i) as one unordered pair.
 //
-// Writes BENCH_blocking.json: per dataset, |M_real|, exact/blocked
-// wall-clock, pairs scored on each side, the scored-pairs reduction,
-// recall (blocked matches / exact matches; precision is 1.0 by
-// construction because both sides score with the same posterior), and
-// whether the match lists agree exactly.
+// Writes BENCH_blocking.json: per dataset, |M_real|, the labeled pairs
+// split into those in M_real and the rest, exact/blocked wall-clock,
+// pairs scored on each side, the scored-pairs reduction, recall (blocked
+// matches / exact matches; precision is 1.0 by construction because both
+// sides score with the same posterior), and whether the match lists
+// agree exactly.
 //
 // Flags:
 //   --datasets a,b,c   subset of dblp-acm,restaurant,walmart-amazon,
@@ -28,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -92,12 +97,25 @@ struct LabelRun {
   }
 };
 
-LabelRun Label(const Fitted& f, BlockingMode blocking) {
+/// The pairs outside E_real's pair space: a self-join's diagonal.
+std::unordered_set<uint64_t> KnownPairs(const Fitted& f) {
+  std::unordered_set<uint64_t> known;
+  if (!f.real.self_join) return known;
+  const size_t nb = f.b_digests.size();
+  const size_t n = std::min(f.a_digests.size(), nb);
+  for (size_t i = 0; i < n; ++i) {
+    known.insert(static_cast<uint64_t>(i) * nb + i);
+  }
+  return known;
+}
+
+LabelRun Label(const Fitted& f, const std::unordered_set<uint64_t>& known,
+               BlockingMode blocking) {
   obs::MetricsRegistry metrics;
   LabelRun run;
-  run.labels = LabelCrossPairs(f.o, *f.sim, f.a_digests, f.b_digests,
-                               /*known=*/{}, blocking, /*label_cap=*/0,
-                               kSeed, /*pool=*/nullptr, &metrics);
+  run.labels = LabelCrossPairs(f.o, *f.sim, f.a_digests, f.b_digests, known,
+                               blocking, /*label_cap=*/0, kSeed,
+                               /*pool=*/nullptr, &metrics);
   const size_t nb = f.b_digests.size();
   for (const PairRef& m : run.labels.matches) {
     run.keys.push_back(static_cast<uint64_t>(m.a_idx) * nb + m.b_idx);
@@ -111,6 +129,33 @@ LabelRun Label(const Fitted& f, BlockingMode blocking) {
   run.index_seconds = span_seconds("s3.block_index");
   run.recall_seconds = span_seconds("s3.block_recall_estimate");
   return run;
+}
+
+/// Labeled pairs against M_real: pairs counts the distinct pairs the
+/// labeler matched, unordered in a self-join, and in_real those of them
+/// in M_real (also unordered in a self-join).
+struct PairSplit {
+  size_t pairs = 0;
+  size_t in_real = 0;
+};
+
+PairSplit SplitByRealMatches(const Fitted& f,
+                             const std::vector<uint64_t>& keys) {
+  const size_t nb = f.b_digests.size();
+  auto pair_key = [&](size_t i, size_t j) {
+    if (f.real.self_join && j < i) std::swap(i, j);
+    return static_cast<uint64_t>(i) * nb + j;
+  };
+  std::unordered_set<uint64_t> real;
+  for (const PairRef& m : f.real.matches) {
+    real.insert(pair_key(m.a_idx, m.b_idx));
+  }
+  std::unordered_set<uint64_t> labeled;
+  for (uint64_t key : keys) labeled.insert(pair_key(key / nb, key % nb));
+  PairSplit split;
+  split.pairs = labeled.size();
+  for (uint64_t key : labeled) split.in_real += real.count(key);
+  return split;
 }
 
 /// The minimum over exact matches of the best per-column q-gram Jaccard:
@@ -146,13 +191,17 @@ struct BlockRow {
   size_t rows_a = 0, rows_b = 0;
   size_t total_pairs = 0;
   size_t real_matches = 0;  ///< |M_real|
+  /// Distinct labeled pairs (unordered in a self-join), from the exact
+  /// scan when it ran, else the blocked one; and how many are in M_real.
+  size_t labeled_pairs = 0;
+  size_t labeled_real = 0;
   bool exact_ran = false;
   double exact_seconds = 0.0;
   size_t exact_matches = 0;
   double blocked_seconds = 0.0;
   size_t blocked_matches = 0;
   size_t candidates = 0;
-  double reduction = 0.0;  ///< total_pairs / candidates
+  double reduction = 0.0;  ///< total_pairs / pairs the blocked pass scored
   double recall = 1.0;
   /// True when `recall` is the sampled estimate (exact scan skipped)
   /// rather than the measured blocked/exact ratio — blocked-only rows
@@ -166,21 +215,24 @@ void WriteJson(const std::vector<BlockRow>& rows, const char* path) {
   out << "{\n  \"benchmarks\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    char buf[576];
+    char buf[704];
     std::snprintf(
         buf, sizeof(buf),
         "    {\"name\": \"blocking_%s\", \"scale\": %.2f, "
         "\"rows_a\": %zu, \"rows_b\": %zu, \"total_pairs\": %zu, "
-        "\"real_matches\": %zu, "
+        "\"real_matches\": %zu, \"labeled_pairs\": %zu, "
+        "\"labeled_real\": %zu, \"labeled_other\": %zu, "
         "\"exact_ran\": %s, \"exact_seconds\": %.3f, "
         "\"exact_matches\": %zu, \"blocked_seconds\": %.3f, "
         "\"blocked_matches\": %zu, \"candidates\": %zu, "
         "\"scored_reduction\": %.2f, \"recall\": %.6f, "
         "\"recall_estimated\": %s, \"agree\": %s}%s\n",
         r.name.c_str(), r.scale, r.rows_a, r.rows_b, r.total_pairs,
-        r.real_matches, r.exact_ran ? "true" : "false", r.exact_seconds,
-        r.exact_matches, r.blocked_seconds, r.blocked_matches, r.candidates,
-        r.reduction, r.recall, r.recall_estimated ? "true" : "false",
+        r.real_matches, r.labeled_pairs, r.labeled_real,
+        r.labeled_pairs - r.labeled_real, r.exact_ran ? "true" : "false",
+        r.exact_seconds, r.exact_matches, r.blocked_seconds,
+        r.blocked_matches, r.candidates, r.reduction, r.recall,
+        r.recall_estimated ? "true" : "false",
         r.agree ? "true" : "false", i + 1 < rows.size() ? "," : "");
     out << buf;
   }
@@ -254,16 +306,18 @@ void Run(int argc, char** argv) {
     row.scale = tier.scale;
     row.rows_a = f.real.a.size();
     row.rows_b = f.real.b.size();
-    row.total_pairs = row.rows_a * row.rows_b;
+    row.total_pairs = f.real.NumTotalPairs();
     row.real_matches = f.real.matches.size();
-    std::printf("%s: |A|=%zu |B|=%zu -> %zu pairs, |M_real|=%zu\n",
+    std::printf("%s: |A|=%zu |B|=%zu -> %zu pairs%s, |M_real|=%zu\n",
                 name.c_str(), row.rows_a, row.rows_b, row.total_pairs,
+                f.real.self_join ? " (self-join, diagonal known)" : "",
                 row.real_matches);
+    const std::unordered_set<uint64_t> known = KnownPairs(f);
 
     std::vector<uint64_t> exact;
     row.exact_ran = exact_all || row.total_pairs <= kExactPairGate;
     if (row.exact_ran) {
-      LabelRun run = Label(f, BlockingMode::kOff);
+      LabelRun run = Label(f, known, BlockingMode::kOff);
       exact = std::move(run.keys);
       row.exact_seconds = run.seconds;
       row.exact_matches = exact.size();
@@ -275,13 +329,13 @@ void Run(int argc, char** argv) {
     }
     if (rarity && row.exact_ran) PrintRarity(f, exact);
 
-    LabelRun run = Label(f, BlockingMode::kQgram);
+    LabelRun run = Label(f, known, BlockingMode::kQgram);
     row.blocked_seconds = run.seconds;
     row.blocked_matches = run.keys.size();
     row.candidates = run.labels.candidate_pairs;
-    row.reduction = row.candidates > 0
+    row.reduction = run.labels.scored_pairs > 0
                         ? static_cast<double>(row.total_pairs) /
-                              static_cast<double>(row.candidates)
+                              static_cast<double>(run.labels.scored_pairs)
                         : 0.0;
     if (row.exact_ran) {
       row.recall = exact.empty() ? 1.0
@@ -309,6 +363,15 @@ void Run(int argc, char** argv) {
         row.reduction, row.recall,
         row.exact_ran ? (row.agree ? ", exact agreement" : ", DISAGREE")
                       : " (sampled estimate; exact scan skipped)");
+    const PairSplit split =
+        SplitByRealMatches(f, row.exact_ran ? exact : run.keys);
+    row.labeled_pairs = split.pairs;
+    row.labeled_real = split.in_real;
+    std::printf("  labeled: %zu %spairs = %zu in M_real + %zu others "
+                "(|M_real| %zu)\n",
+                split.pairs, f.real.self_join ? "unordered " : "",
+                split.in_real, split.pairs - split.in_real,
+                row.real_matches);
     rows.push_back(row);
   }
 

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/rng.h"
-
 namespace serd::artifact {
 
 namespace {
@@ -223,9 +221,8 @@ Result<std::unique_ptr<TransformerSeq2Seq>> DecodeTransformer(ByteReader* r) {
     r->Fail("dropout " + std::to_string(c.dropout) + " outside [0, 1)");
   }
   if (!r->ok()) return r->status();
-  // The init RNG is irrelevant: every weight is overwritten below.
-  Rng init_rng(0);
-  auto model = std::make_unique<TransformerSeq2Seq>(c, &init_rng);
+  // Built without an init draw: every weight is overwritten below.
+  auto model = std::make_unique<TransformerSeq2Seq>(c, /*rng=*/nullptr);
   SERD_RETURN_IF_ERROR(
       DecodeParamsInto(r, model->parameters(), "transformer"));
   return model;

@@ -34,16 +34,32 @@ std::vector<std::string> Split(std::string_view s, char sep) {
   return out;
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
+namespace {
+
+/// Calls f(word) for each run of non-whitespace bytes of `s`, in order.
+template <typename F>
+void ForEachWord(std::string_view s, const F& f) {
   size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     size_t start = i;
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    if (i > start) f(s.substr(start, i - start));
   }
+}
+
+}  // namespace
+
+std::vector<std::string> SplitWhitespace(std::string_view s) {
+  std::vector<std::string> out;
+  ForEachWord(s, [&](std::string_view w) { out.emplace_back(w); });
   return out;
+}
+
+void SplitWhitespace(std::string_view s,
+                     std::vector<std::string_view>* words) {
+  words->clear();
+  ForEachWord(s, [&](std::string_view w) { words->push_back(w); });
 }
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {

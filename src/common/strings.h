@@ -19,6 +19,10 @@ std::vector<std::string> Split(std::string_view s, char sep);
 /// Splits on runs of ASCII whitespace; no empty tokens are produced.
 std::vector<std::string> SplitWhitespace(std::string_view s);
 
+/// The same words as views of `s`, written into `words` (cleared first),
+/// so a caller that reuses the vector allocates nothing.
+void SplitWhitespace(std::string_view s, std::vector<std::string_view>* words);
+
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 

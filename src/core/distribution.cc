@@ -98,21 +98,44 @@ CrossPairLabels LabelCrossPairs(
 
   // Scanned pairs are labeled concurrently into a flag array, then
   // appended in ascending pair order, so the match list is identical to
-  // the serial scan for any thread count. The scored tally excludes the
-  // known pairs: its per-chunk sums commute, so the atomic total is
-  // deterministic too.
+  // the serial scan for any thread count. Each chunk gathers its pairs
+  // outside the known set into tiles of kBatchTile and scores a tile's
+  // posteriors in one batch, each bit-identical to PosteriorMatch of its
+  // pair. The scored tally excludes the known pairs: its per-chunk sums
+  // commute, so the atomic total is deterministic too.
   std::vector<uint8_t> is_match_flag(out.scanned_pairs, 0);
   std::atomic<size_t> scored_pairs{0};
   runtime::ParallelFor(
       pool, 0, out.scanned_pairs, 512, [&](size_t lo, size_t hi) {
+        constexpr size_t kTile = MultivariateGaussian::kBatchTile;
+        const size_t dim = o.dimension();
+        std::vector<double> xs(dim * kTile);
+        size_t tile_k[kTile], tile_i[kTile], tile_j[kTile];
+        double posterior[kTile];
         size_t scored = 0;
         Vec x;
-        for (size_t k = lo; k < hi; ++k) {
-          auto [i, j] = pair_at(k);
-          if (known.count(static_cast<uint64_t>(i) * nb + j)) continue;
-          ++scored;
-          sim.SimilarityVectorInto(a[i], b[j], &x);
-          if (o.LabelAsMatch(x)) is_match_flag[k] = 1;
+        size_t k = lo;
+        while (k < hi) {
+          size_t n = 0;
+          for (; k < hi && n < kTile; ++k) {
+            auto [i, j] = pair_at(k);
+            if (known.count(static_cast<uint64_t>(i) * nb + j)) continue;
+            tile_k[n] = k;
+            tile_i[n] = i;
+            tile_j[n] = j;
+            ++n;
+          }
+          // Coordinate c of the tile's point t at xs[c * n + t].
+          for (size_t t = 0; t < n; ++t) {
+            sim.SimilarityVectorInto(a[tile_i[t]], b[tile_j[t]], &x);
+            for (size_t c = 0; c < dim; ++c) xs[c * n + t] = x[c];
+          }
+          o.PosteriorMatchBatch(xs.data(), n, posterior);
+          for (size_t t = 0; t < n; ++t) {
+            // LabelAsMatch's rule: P_m(x) >= P_n(x).
+            if (posterior[t] >= 0.5) is_match_flag[tile_k[t]] = 1;
+          }
+          scored += n;
         }
         scored_pairs.fetch_add(scored, std::memory_order_relaxed);
       });

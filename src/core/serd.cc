@@ -562,6 +562,10 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
     return out;
   };
 
+  // Each attempt's partner similarity vectors, and the same vectors
+  // dimension-major for their posteriors.
+  std::vector<Vec> partner_vecs;
+  std::vector<double> partner_xs, partner_posteriors;
   size_t guard = 0;
   const size_t max_iterations = options_.max_loop_iterations > 0
                                     ? options_.max_loop_iterations
@@ -622,16 +626,14 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       // Induced pairs between the candidate and (a sample of) T_e
       // (paper Remark (1): sample t partners).
       auto digest = cached_sim_->MakeDigest(candidate);
-      delta_pos.clear();
-      delta_neg.clear();
+      partner_vecs.clear();
       size_t partners = source_table.size();
       size_t t_cap = static_cast<size_t>(
           std::max(1, options_.rejection_partner_sample));
       if (partners <= t_cap) {
         for (size_t s = 0; s < partners; ++s) {
-          Vec v = cached_sim_->SimilarityVector(source_digests[s], digest);
-          (o_real_.LabelAsMatch(v) ? delta_pos : delta_neg)
-              .push_back(std::move(v));
+          partner_vecs.push_back(
+              cached_sim_->SimilarityVector(source_digests[s], digest));
         }
       } else {
         // Floyd's algorithm: t_cap *distinct* partner indices in t_cap
@@ -646,10 +648,29 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
             pick = j;
             chosen.insert(pick);
           }
-          Vec v = cached_sim_->SimilarityVector(source_digests[pick], digest);
-          (o_real_.LabelAsMatch(v) ? delta_pos : delta_neg)
-              .push_back(std::move(v));
+          partner_vecs.push_back(
+              cached_sim_->SimilarityVector(source_digests[pick], digest));
         }
+      }
+      // The partners' posteriors are one batch; delta_pos and delta_neg
+      // keep partner order, the order ComputeDelta sums in.
+      const size_t num_partners = partner_vecs.size();
+      const size_t dim = o_real_.dimension();
+      partner_xs.resize(dim * num_partners);
+      partner_posteriors.resize(num_partners);
+      for (size_t t = 0; t < num_partners; ++t) {
+        for (size_t c = 0; c < dim; ++c) {
+          partner_xs[c * num_partners + t] = partner_vecs[t][c];
+        }
+      }
+      o_real_.PosteriorMatchBatch(partner_xs.data(), num_partners,
+                                  partner_posteriors.data());
+      delta_pos.clear();
+      delta_neg.clear();
+      for (size_t t = 0; t < num_partners; ++t) {
+        // LabelAsMatch's rule: P_m(x) >= P_n(x).
+        (partner_posteriors[t] >= 0.5 ? delta_pos : delta_neg)
+            .push_back(std::move(partner_vecs[t]));
       }
 
       bool forced_dist = false;

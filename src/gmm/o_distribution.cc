@@ -83,14 +83,43 @@ bool ODistribution::SampleUnclampedInto(Rng* rng, double* x,
 }
 
 double ODistribution::PosteriorMatch(const Vec& x) const {
-  if (pi_ <= 0.0) return 0.0;
-  if (pi_ >= 1.0) return 1.0;
-  double log_m = std::log(pi_) + m_.LogPdf(x);
-  double log_n = std::log(1.0 - pi_) + n_.LogPdf(x);
-  double hi = std::max(log_m, log_n);
-  double zm = std::exp(log_m - hi);
-  double zn = std::exp(log_n - hi);
-  return zm / (zm + zn);
+  SERD_CHECK_EQ(x.size(), dimension());
+  double out;
+  PosteriorMatchTile(x.data(), 1, 1, &out);
+  return out;
+}
+
+void ODistribution::PosteriorMatchBatch(const double* xs, size_t count,
+                                        double* out) const {
+  constexpr size_t kTile = MultivariateGaussian::kBatchTile;
+  for (size_t j0 = 0; j0 < count; j0 += kTile) {
+    PosteriorMatchTile(xs + j0, count, std::min(kTile, count - j0),
+                       out + j0);
+  }
+}
+
+void ODistribution::PosteriorMatchTile(const double* xs, size_t stride,
+                                       size_t n, double* out) const {
+  // A one-arm mixture decides every point without evaluating either GMM.
+  if (pi_ <= 0.0 || pi_ >= 1.0) {
+    const double posterior = pi_ <= 0.0 ? 0.0 : 1.0;
+    for (size_t j = 0; j < n; ++j) out[j] = posterior;
+    return;
+  }
+  double log_m[MultivariateGaussian::kBatchTile];
+  double log_n[MultivariateGaussian::kBatchTile];
+  m_.LogPdfTile(xs, stride, n, log_m);
+  n_.LogPdfTile(xs, stride, n, log_n);
+  const double log_pi = std::log(pi_);
+  const double log_1mpi = std::log(1.0 - pi_);
+  for (size_t j = 0; j < n; ++j) {
+    const double lm = log_pi + log_m[j];
+    const double ln = log_1mpi + log_n[j];
+    const double hi = std::max(lm, ln);
+    const double zm = std::exp(lm - hi);
+    const double zn = std::exp(ln - hi);
+    out[j] = zm / (zm + zn);
+  }
 }
 
 namespace {

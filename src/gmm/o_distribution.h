@@ -56,7 +56,14 @@ class ODistribution {
 
   /// Posterior probability that x belongs to the M-distribution
   /// (paper Section IV-C): P_m(x) = pi p_m(x) / (pi p_m(x) + (1-pi) p_n(x)).
+  /// The 1-point case of PosteriorMatchBatch.
   double PosteriorMatch(const Vec& x) const;
+
+  /// PosteriorMatch of `count` points stored dimension-major (coordinate i
+  /// of point j at xs[i * count + j]), a tile of points at a time; out[j]
+  /// is bit-identical to PosteriorMatch of point j.
+  void PosteriorMatchBatch(const double* xs, size_t count,
+                           double* out) const;
 
   /// Labels x as matching iff P_m(x) >= P_n(x) = 1 - P_m(x).
   bool LabelAsMatch(const Vec& x) const { return PosteriorMatch(x) >= 0.5; }
@@ -66,6 +73,9 @@ class ODistribution {
   /// coordinate i of point j at xs[i * stride + j].
   void LogPdfTile(const double* xs, size_t stride, size_t n,
                   double* out) const;
+  /// The posterior kernel, over a tile laid out as for LogPdfTile.
+  void PosteriorMatchTile(const double* xs, size_t stride, size_t n,
+                          double* out) const;
 
   double pi_ = 0.5;
   Gmm m_;

@@ -30,8 +30,11 @@ void Module::AddChild(Module* child) {
 
 Linear::Linear(size_t in_features, size_t out_features, Rng* rng, bool bias) {
   auto w = MakeTensor(in_features, out_features);
-  float limit = std::sqrt(6.0f / static_cast<float>(in_features + out_features));
-  w->FillUniform(rng, limit);
+  if (rng != nullptr) {
+    float limit =
+        std::sqrt(6.0f / static_cast<float>(in_features + out_features));
+    w->FillUniform(rng, limit);
+  }
   weight_ = AddParameter(w);
   if (bias) {
     bias_ = AddParameter(MakeTensor(1, out_features, 0.0f));
@@ -51,7 +54,7 @@ TensorPtr Linear::ForwardRelu(Tape* tape, const TensorPtr& x) const {
 
 Embedding::Embedding(size_t vocab_size, size_t dim, Rng* rng) {
   auto t = MakeTensor(vocab_size, dim);
-  t->FillGaussian(rng, 0.02f);
+  if (rng != nullptr) t->FillGaussian(rng, 0.02f);
   table_ = AddParameter(t);
 }
 

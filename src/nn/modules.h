@@ -33,7 +33,8 @@ class Module {
   std::vector<TensorPtr> params_;
 };
 
-/// Fully connected layer y = x W + b with Xavier-uniform init.
+/// Fully connected layer y = x W + b with Xavier-uniform init (zero
+/// weights when `rng` is null, for a caller that overwrites them).
 class Linear : public Module {
  public:
   Linear(size_t in_features, size_t out_features, Rng* rng,
@@ -52,7 +53,7 @@ class Linear : public Module {
   TensorPtr bias_;    // [1, out] or null
 };
 
-/// Token embedding table.
+/// Token embedding table, N(0, 0.02^2) init (zero when `rng` is null).
 class Embedding : public Module {
  public:
   Embedding(size_t vocab_size, size_t dim, Rng* rng);

@@ -23,9 +23,10 @@ StringSynthesisBank::StringSynthesisBank(StringBankOptions options,
        {"s2.bank_synth_calls", "s2.bank_fallback_calls",
         "s2.bank_refined_calls", "s2.bank_empty_decode_calls",
         "s2.decode_steps", "s2.encoder_cache_hits",
-        "s2.encoder_cache_misses"}) {
+        "s2.encoder_cache_misses", "s2.climb_proposals"}) {
     obs::GetCounter(options_.metrics, name);
   }
+  obs::GetTimer(options_.metrics, "s2.climb_seconds");
 }
 
 int StringSynthesisBank::BucketOf(double sim) const {
@@ -324,8 +325,7 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
     // The decoder missed the target: refine the candidate and also try a
     // pure perturbation-search synthesis, keeping whichever scores better.
     obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_refined_calls"));
-    std::string refined =
-        HillClimbToSimilarity(s, best, target_sim, sim_, word_pool_, rng);
+    std::string refined = Climb(s, best, target_sim, rng);
     std::string fallback = FallbackSynthesize(s, target_sim, rng);
     auto score_of = [&](const std::string& cand) {
       return std::fabs(sim_(s, cand) - target_sim) +
@@ -459,7 +459,25 @@ std::string StringSynthesisBank::FallbackSynthesize(const std::string& s,
   } else {
     start = corpus_[rng->UniformInt(corpus_.size())];
   }
-  return HillClimbToSimilarity(s, start, target_sim, sim_, word_pool_, rng);
+  return Climb(s, start, target_sim, rng);
+}
+
+std::string StringSynthesisBank::Climb(const std::string& s,
+                                       const std::string& start,
+                                       double target_sim, Rng* rng) const {
+  // With observability off, skip the metric lookups: each builds a name
+  // string, an allocation per climb.
+  if (options_.metrics == nullptr) {
+    return HillClimbToSimilarity(s, start, target_sim, sim_, word_pool_, rng);
+  }
+  WallTimer climb_timer;
+  long proposals = 0;
+  std::string out = HillClimbToSimilarity(s, start, target_sim, sim_,
+                                          word_pool_, rng, {}, &proposals);
+  options_.metrics->timer("s2.climb_seconds")->Record(climb_timer.Seconds());
+  options_.metrics->counter("s2.climb_proposals")
+      ->Add(static_cast<uint64_t>(proposals));
+  return out;
 }
 
 std::string StringSynthesisBank::Synthesize(const std::string& s,

@@ -58,8 +58,9 @@ struct StringBankOptions {
   /// s2.bank_synth_calls / s2.bank_fallback_calls / s2.bank_refined_calls
   /// / s2.bank_empty_decode_calls (model-backed calls whose decode kept no
   /// candidate) / s2.decode_steps / s2.encoder_cache_hits /
-  /// s2.encoder_cache_misses, histogram s2.bank_bucket (index of the model
-  /// actually used).
+  /// s2.encoder_cache_misses / s2.climb_proposals (hill-climb proposals
+  /// scored), timer s2.climb_seconds (wall time in the hill climb),
+  /// histogram s2.bank_bucket (index of the model actually used).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -201,6 +202,10 @@ class StringSynthesisBank {
                                   BankRun* run) const;
   std::string FallbackSynthesize(const std::string& s, double target_sim,
                                  Rng* rng) const;
+  /// HillClimbToSimilarity from `start` toward sim(s, ·) = target_sim over
+  /// the word pool, recorded in s2.climb_proposals and s2.climb_seconds.
+  std::string Climb(const std::string& s, const std::string& start,
+                    double target_sim, Rng* rng) const;
   /// The s2.bank_bucket histogram (null without a registry), created
   /// with bounds for the bank's final bucket count.
   obs::Histogram* BucketHistogram() const;

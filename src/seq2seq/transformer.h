@@ -88,6 +88,8 @@ class DecoderLayer : public nn::Module {
 /// decoding and id 2 (EOS) terminates it.
 class TransformerSeq2Seq : public nn::Module {
  public:
+  /// Draws the initial weights from `rng`; a null `rng` leaves them zero
+  /// without drawing (the artifact load, which overwrites every weight).
   TransformerSeq2Seq(const TransformerConfig& config, Rng* rng);
 
   const TransformerConfig& config() const { return config_; }

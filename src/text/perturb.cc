@@ -1,7 +1,7 @@
 #include "text/perturb.h"
 
-#include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "common/strings.h"
 #include "text/qgram.h"
@@ -11,33 +11,137 @@ namespace {
 
 constexpr char kLetters[] = "abcdefghijklmnopqrstuvwxyz";
 
-std::string JoinWords(const std::vector<std::string>& words) {
-  return Join(words, " ");
-}
+constexpr PerturbOp kOps[] = {
+    PerturbOp::kDropWord,       PerturbOp::kSwapWords,
+    PerturbOp::kAbbreviateWord, PerturbOp::kTypo,
+    PerturbOp::kInsertWord,     PerturbOp::kReplaceWord,
+    PerturbOp::kTruncate,       PerturbOp::kDuplicateWord,
+};
 
-std::string TypoOnce(const std::string& s, Rng* rng) {
-  if (s.empty()) {
-    return std::string(1, kLetters[rng->UniformInt(26u)]);
+/// Writes parts into a buffer with one space between consecutive parts,
+/// as Join(parts, " ") does: an empty part still gets its separators.
+class Joiner {
+ public:
+  explicit Joiner(std::string* out) : out_(out) { out_->clear(); }
+  void Add(std::string_view part) {
+    if (!first_) out_->push_back(' ');
+    first_ = false;
+    out_->append(part);
   }
-  std::string out = s;
+
+ private:
+  std::string* out_;
+  bool first_ = true;
+};
+
+/// One character substitution, insertion or deletion of the raw string.
+void WriteTypo(std::string_view s, Rng* rng, std::string* out) {
+  if (s.empty()) {
+    out->assign(1, kLetters[rng->UniformInt(26u)]);
+    return;
+  }
+  out->assign(s);
   switch (rng->UniformInt(3u)) {
     case 0: {  // substitute
-      size_t i = rng->UniformInt(out.size());
-      out[i] = kLetters[rng->UniformInt(26u)];
+      size_t i = rng->UniformInt(out->size());
+      (*out)[i] = kLetters[rng->UniformInt(26u)];
       break;
     }
     case 1: {  // insert
-      size_t i = rng->UniformInt(out.size() + 1);
-      out.insert(out.begin() + i, kLetters[rng->UniformInt(26u)]);
+      size_t i = rng->UniformInt(out->size() + 1);
+      out->insert(out->begin() + i, kLetters[rng->UniformInt(26u)]);
       break;
     }
     default: {  // delete
-      size_t i = rng->UniformInt(out.size());
-      out.erase(out.begin() + i);
+      size_t i = rng->UniformInt(out->size());
+      out->erase(out->begin() + i);
       break;
     }
   }
-  return out;
+}
+
+/// The one implementation of the ops: writes `op` applied to `s`, whose
+/// words are `words` (SplitWhitespace(s, &words)), into `out`, which must
+/// not alias `s`. Each op takes its draws in the order of a
+/// split-mutate-Join rewrite of the word list; see DESIGN.md §5h.
+void WritePerturbation(std::string_view s,
+                       const std::vector<std::string_view>& words,
+                       PerturbOp op, const std::vector<std::string>& pool,
+                       Rng* rng, std::string* out) {
+  const size_t n = words.size();
+  Joiner join(out);
+  switch (op) {
+    case PerturbOp::kDropWord: {
+      if (n < 2) return WriteTypo(s, rng, out);
+      const size_t drop = rng->UniformInt(n);
+      for (size_t k = 0; k < n; ++k) {
+        if (k != drop) join.Add(words[k]);
+      }
+      return;
+    }
+    case PerturbOp::kSwapWords: {
+      if (n < 2) return WriteTypo(s, rng, out);
+      const size_t i = rng->UniformInt(n);
+      const size_t j = rng->UniformInt(n);
+      for (size_t k = 0; k < n; ++k) {
+        join.Add(words[k == i ? j : k == j ? i : k]);
+      }
+      return;
+    }
+    case PerturbOp::kAbbreviateWord: {
+      // Abbreviate the first un-abbreviated word of length >= 3.
+      for (size_t a = 0; a < n; ++a) {
+        const std::string_view w = words[a];
+        if (w.size() < 3 || w.back() == '.') continue;
+        const char initial[2] = {w[0], '.'};
+        for (size_t k = 0; k < n; ++k) {
+          join.Add(k == a ? std::string_view(initial, 2) : words[k]);
+        }
+        return;
+      }
+      return WriteTypo(s, rng, out);
+    }
+    case PerturbOp::kTypo:
+      return WriteTypo(s, rng, out);
+    case PerturbOp::kInsertWord: {
+      if (pool.empty()) return WriteTypo(s, rng, out);
+      const std::string& w = pool[rng->UniformInt(pool.size())];
+      const size_t at = rng->UniformInt(n + 1);
+      for (size_t k = 0; k <= n; ++k) {
+        if (k == at) join.Add(w);
+        if (k < n) join.Add(words[k]);
+      }
+      return;
+    }
+    case PerturbOp::kReplaceWord: {
+      if (pool.empty() || n == 0) return WriteTypo(s, rng, out);
+      // The pool index is drawn first: the rewrite is
+      // words[UniformInt(n)] = pool[UniformInt(|pool|)], and an
+      // assignment evaluates its right operand first.
+      const std::string& w = pool[rng->UniformInt(pool.size())];
+      const size_t at = rng->UniformInt(n);
+      for (size_t k = 0; k < n; ++k) {
+        join.Add(k == at ? std::string_view(w) : words[k]);
+      }
+      return;
+    }
+    case PerturbOp::kTruncate: {
+      if (n < 2) return WriteTypo(s, rng, out);
+      const size_t keep = 1 + rng->UniformInt(n - 1);
+      for (size_t k = 0; k < keep; ++k) join.Add(words[k]);
+      return;
+    }
+    case PerturbOp::kDuplicateWord: {
+      if (n == 0) return WriteTypo(s, rng, out);
+      const size_t at = rng->UniformInt(n);
+      for (size_t k = 0; k < n; ++k) {
+        join.Add(words[k]);
+        if (k == at) join.Add(words[k]);
+      }
+      return;
+    }
+  }
+  out->assign(s);
 }
 
 }  // namespace
@@ -45,92 +149,40 @@ std::string TypoOnce(const std::string& s, Rng* rng) {
 std::string ApplyPerturbation(const std::string& s, PerturbOp op,
                               const std::vector<std::string>& pool,
                               Rng* rng) {
-  std::vector<std::string> words = SplitWhitespace(s);
-  switch (op) {
-    case PerturbOp::kDropWord: {
-      if (words.size() < 2) return TypoOnce(s, rng);
-      words.erase(words.begin() + rng->UniformInt(words.size()));
-      return JoinWords(words);
-    }
-    case PerturbOp::kSwapWords: {
-      if (words.size() < 2) return TypoOnce(s, rng);
-      size_t i = rng->UniformInt(words.size());
-      size_t j = rng->UniformInt(words.size());
-      std::swap(words[i], words[j]);
-      return JoinWords(words);
-    }
-    case PerturbOp::kAbbreviateWord: {
-      // Abbreviate the first un-abbreviated word of length >= 3.
-      for (auto& w : words) {
-        if (w.size() >= 3 && w.back() != '.') {
-          w = std::string(1, w[0]) + ".";
-          return JoinWords(words);
-        }
-      }
-      return TypoOnce(s, rng);
-    }
-    case PerturbOp::kTypo:
-      return TypoOnce(s, rng);
-    case PerturbOp::kInsertWord: {
-      if (pool.empty()) return TypoOnce(s, rng);
-      const std::string& w = pool[rng->UniformInt(pool.size())];
-      size_t i = rng->UniformInt(words.size() + 1);
-      words.insert(words.begin() + i, w);
-      return JoinWords(words);
-    }
-    case PerturbOp::kReplaceWord: {
-      if (pool.empty() || words.empty()) return TypoOnce(s, rng);
-      words[rng->UniformInt(words.size())] =
-          pool[rng->UniformInt(pool.size())];
-      return JoinWords(words);
-    }
-    case PerturbOp::kTruncate: {
-      if (words.size() < 2) return TypoOnce(s, rng);
-      size_t keep = 1 + rng->UniformInt(words.size() - 1);
-      words.resize(keep);
-      return JoinWords(words);
-    }
-    case PerturbOp::kDuplicateWord: {
-      if (words.empty()) return TypoOnce(s, rng);
-      size_t i = rng->UniformInt(words.size());
-      words.insert(words.begin() + i, words[i]);
-      return JoinWords(words);
-    }
-  }
-  return s;
+  std::vector<std::string_view> words;
+  SplitWhitespace(s, &words);
+  std::string out;
+  WritePerturbation(s, words, op, pool, rng, &out);
+  return out;
 }
 
 std::string RandomPerturbation(const std::string& s,
                                const std::vector<std::string>& pool,
                                Rng* rng) {
-  static constexpr PerturbOp kOps[] = {
-      PerturbOp::kDropWord,   PerturbOp::kSwapWords,
-      PerturbOp::kAbbreviateWord, PerturbOp::kTypo,
-      PerturbOp::kInsertWord, PerturbOp::kReplaceWord,
-      PerturbOp::kTruncate,   PerturbOp::kDuplicateWord,
-  };
   return ApplyPerturbation(s, kOps[rng->UniformInt(8u)], pool, rng);
 }
 
 namespace {
 
-/// The climb over `sim_to_reference(candidate)` = sim(reference,
-/// candidate), templated so the q-gram path calls it inline.
-template <typename SimToReference>
-std::string Climb(const std::string& start, double target,
-                  const SimToReference& sim_to_reference,
-                  const std::vector<std::string>& pool, Rng* rng,
-                  const HillClimbOptions& options) {
+/// The climb over an opaque sim(reference, candidate): one
+/// RandomPerturbation per proposal. The q-gram climb below must walk the
+/// same search.
+std::string PairwiseClimb(
+    const std::string& reference, const std::string& start, double target,
+    const std::function<double(const std::string&, const std::string&)>& sim,
+    const std::vector<std::string>& pool, Rng* rng,
+    const HillClimbOptions& options, long* proposals) {
   std::string current = start;
-  double current_err = std::fabs(sim_to_reference(current) - target);
+  double current_err = std::fabs(sim(reference, current) - target);
   for (int iter = 0; iter < options.max_iters; ++iter) {
     if (current_err <= options.tolerance) break;
     std::string best = current;
     double best_err = current_err;
     for (int p = 0; p < options.proposals_per_iter; ++p) {
+      ++*proposals;
       std::string candidate = RandomPerturbation(current, pool, rng);
       if (candidate.empty()) continue;
-      double err = std::fabs(sim_to_reference(candidate) - target);
+      double err = std::fabs(sim(reference, candidate) - target);
       if (err < best_err) {
         best_err = err;
         best = std::move(candidate);
@@ -144,27 +196,57 @@ std::string Climb(const std::string& start, double target,
   return current;
 }
 
+/// The climb for QgramJaccardSim: the reference's profile is built once,
+/// `current` is split once per iteration, and proposals are written into
+/// buffers the climb owns, so a proposal allocates nothing once the
+/// buffers have grown.
+std::string QgramClimb(const std::string& reference, const std::string& start,
+                       double target, int q,
+                       const std::vector<std::string>& pool, Rng* rng,
+                       const HillClimbOptions& options, long* proposals) {
+  QgramJaccardProfile profile(reference, q);
+  std::string current = start;
+  double current_err = std::fabs(profile.Jaccard(current) - target);
+  std::vector<std::string_view> words;  // views of `current`
+  std::string candidate, best;
+  for (int iter = 0; iter < options.max_iters; ++iter) {
+    if (current_err <= options.tolerance) break;
+    SplitWhitespace(current, &words);
+    double best_err = current_err;
+    for (int p = 0; p < options.proposals_per_iter; ++p) {
+      ++*proposals;
+      const PerturbOp op = kOps[rng->UniformInt(8u)];
+      WritePerturbation(current, words, op, pool, rng, &candidate);
+      if (candidate.empty()) continue;
+      const double err = std::fabs(profile.Jaccard(candidate) - target);
+      if (err < best_err) {
+        best_err = err;
+        best.swap(candidate);
+      }
+    }
+    if (best_err < current_err) {
+      current.swap(best);
+      current_err = best_err;
+    }
+  }
+  return current;
+}
+
 }  // namespace
 
 std::string HillClimbToSimilarity(
     const std::string& reference, const std::string& start, double target,
     const std::function<double(const std::string&, const std::string&)>& sim,
     const std::vector<std::string>& pool, Rng* rng,
-    const HillClimbOptions& options) {
+    const HillClimbOptions& options, long* proposals) {
+  long local = 0;
+  if (proposals == nullptr) proposals = &local;
   if (const auto* qgram = sim.target<QgramJaccardSim>()) {
-    const int q = qgram->q;
-    const std::vector<uint32_t> profile = HashedQgramSet(reference, q);
-    return Climb(
-        start, target,
-        [&](const std::string& candidate) {
-          return JaccardOfHashedSets(profile, HashedQgramSet(candidate, q));
-        },
-        pool, rng, options);
+    return QgramClimb(reference, start, target, qgram->q, pool, rng, options,
+                      proposals);
   }
-  return Climb(
-      start, target,
-      [&](const std::string& candidate) { return sim(reference, candidate); },
-      pool, rng, options);
+  return PairwiseClimb(reference, start, target, sim, pool, rng, options,
+                       proposals);
 }
 
 }  // namespace serd

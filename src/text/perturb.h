@@ -27,6 +27,9 @@ enum class PerturbOp {
 
 /// Applies `op` to `s`. Pool-based ops fall back to kTypo when `pool` is
 /// empty. Returns the (possibly unchanged, for degenerate inputs) result.
+/// Word ops act on the words of SplitWhitespace(s) and re-join them with
+/// single spaces; kTypo acts on the raw string. The hill climb writes the
+/// same ops into its own buffers with the same draws (DESIGN.md §5h).
 std::string ApplyPerturbation(const std::string& s, PerturbOp op,
                               const std::vector<std::string>& pool, Rng* rng);
 
@@ -40,8 +43,11 @@ std::string RandomPerturbation(const std::string& s,
 /// `tolerance` or `max_iters` proposals are spent. Used to refine
 /// transformer candidates whose achieved similarity misses the sampled one
 /// and to synthesize strings for buckets with too little training data.
-/// When `sim` holds a QgramJaccardSim, the reference's q-gram profile is
-/// computed once per climb; the result is the same either way.
+/// When `sim` holds a QgramJaccardSim, the climb scores proposals with a
+/// QgramJaccardProfile of the reference and writes them into buffers it
+/// owns; the result and the draws are the same as the climb over an
+/// opaque `sim`. `proposals`, when not null, is increased by the number
+/// of proposals made.
 struct HillClimbOptions {
   int max_iters = 60;
   int proposals_per_iter = 6;
@@ -52,7 +58,7 @@ std::string HillClimbToSimilarity(
     const std::string& reference, const std::string& start, double target,
     const std::function<double(const std::string&, const std::string&)>& sim,
     const std::vector<std::string>& pool, Rng* rng,
-    const HillClimbOptions& options = {});
+    const HillClimbOptions& options = {}, long* proposals = nullptr);
 
 }  // namespace serd
 

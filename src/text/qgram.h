@@ -41,9 +41,54 @@ double JaccardOfSortedSets(const std::vector<std::string>& a,
 double JaccardOfHashedSets(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b);
 
+/// Jaccard of many candidates against one fixed reference: Jaccard(c)
+/// equals JaccardOfHashedSets(HashedQgramSet(reference, q),
+/// HashedQgramSet(c, q)), computed from the same set sizes and
+/// intersection size without a sort or an allocation per candidate. The
+/// reference's gram hashes sit in an open-addressing set built once; each
+/// candidate's grams are deduplicated in a second set, sized from the
+/// candidate and cleared by a generation stamp. The scratch set makes
+/// Jaccard non-const: one profile per thread.
+class QgramJaccardProfile {
+ public:
+  QgramJaccardProfile(std::string_view reference, int q);
+
+  double Jaccard(std::string_view candidate);
+
+ private:
+  /// A set of 32-bit hashes with linear probing. A slot is occupied when
+  /// its stamp equals the current one, so Clear is O(1) once the table is
+  /// large enough.
+  class HashSet {
+   public:
+    /// Empties the set and makes room for `max_keys` keys.
+    void Clear(size_t max_keys);
+    /// Adds h; false when it was already present.
+    bool Insert(uint32_t h);
+    bool Contains(uint32_t h) const;
+
+   private:
+    struct Slot {
+      uint32_t key = 0;
+      uint32_t stamp = 0;
+    };
+    size_t Home(uint32_t h) const {
+      return static_cast<size_t>((h * 0x9E3779B1u) >> shift_);
+    }
+    std::vector<Slot> slots_;
+    uint32_t stamp_ = 0;
+    int shift_ = 28;
+  };
+
+  int q_;
+  HashSet reference_;
+  size_t reference_size_ = 0;
+  HashSet seen_;
+};
+
 /// QgramJaccard as a named callable: the text-column similarity every
 /// string bank is built with. HillClimbToSimilarity recognizes it and
-/// hashes its fixed reference once per climb instead of once per proposal.
+/// climbs with a QgramJaccardProfile of its fixed reference.
 struct QgramJaccardSim {
   int q = 3;
   double operator()(const std::string& a, const std::string& b) const {

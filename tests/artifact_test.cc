@@ -18,6 +18,7 @@
 #include "artifact/artifact_file.h"
 #include "artifact/bytes.h"
 #include "artifact/model_codec.h"
+#include "common/rng.h"
 #include "core/serd.h"
 #include "datagen/generators.h"
 #include "obs/json.h"
@@ -45,6 +46,45 @@ TEST(Crc32Test, MatchesKnownVectors) {
   EXPECT_EQ(artifact::Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(artifact::Crc32(""), 0x00000000u);
   EXPECT_NE(artifact::Crc32("abc"), artifact::Crc32("abd"));
+}
+
+/// The bytewise table loop: the reference Crc32's slice-by-8 is held to.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t size) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SliceBy8MatchesBytewiseReference) {
+  Rng rng(61);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& c : buf) {
+    c = static_cast<unsigned char>(rng.UniformInt(256u));
+  }
+  // Every length up to three 8-byte steps at every alignment, then random
+  // lengths and offsets.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 24; ++len) {
+      EXPECT_EQ(artifact::Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t offset = rng.UniformInt(8u);
+    const size_t len = rng.UniformInt(4097u);
+    EXPECT_EQ(artifact::Crc32(buf.data() + offset, len),
+              BytewiseCrc32(buf.data() + offset, len))
+        << "offset " << offset << " len " << len;
+  }
 }
 
 TEST(ByteCodecTest, PrimitivesRoundTrip) {

@@ -441,6 +441,36 @@ TEST(LabelCrossPairsTest, KnownPairsAreScannedButNotScored) {
   }
 }
 
+TEST(LabelCrossPairsTest, TiledPosteriorsMatchPerPairLabels) {
+  // Known pairs every 37th key, so most 64-pair tiles hold one or two and
+  // a chunk's tiles do not line up with its pairs.
+  RealInputs in(DatasetKind::kDblpAcm, 0.05);
+  const size_t nb = in.b.size();
+  std::unordered_set<uint64_t> known;
+  for (uint64_t key = 3; key < in.a.size() * nb; key += 37) known.insert(key);
+  // The per-pair reference: LabelAsMatch on each unknown pair in order.
+  std::vector<PairRef> want;
+  size_t scored = 0;
+  for (size_t i = 0; i < in.a.size(); ++i) {
+    for (size_t j = 0; j < nb; ++j) {
+      if (known.count(static_cast<uint64_t>(i) * nb + j)) continue;
+      ++scored;
+      if (in.o.LabelAsMatch(in.sim.SimilarityVector(in.a[i], in.b[j]))) {
+        want.push_back({i, j});
+      }
+    }
+  }
+  ASSERT_FALSE(want.empty());
+  runtime::ThreadPool pool(3);
+  for (runtime::ThreadPool* p : {static_cast<runtime::ThreadPool*>(nullptr),
+                                 &pool}) {
+    CrossPairLabels exact = LabelReal(in, known, BlockingMode::kOff, 0, p);
+    EXPECT_EQ(exact.matches, want);
+    EXPECT_EQ(exact.scored_pairs, scored);
+    EXPECT_EQ(LabelReal(in, known, BlockingMode::kQgram, 0, p).matches, want);
+  }
+}
+
 TEST(LabelCrossPairsTest, CapSubsampleIsPoolInvariant) {
   RealInputs in(DatasetKind::kDblpAcm, 0.05);
   runtime::ThreadPool pool(3);

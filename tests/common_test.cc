@@ -204,10 +204,17 @@ TEST(StringsTest, SplitPreservesEmptyFields) {
 }
 
 TEST(StringsTest, SplitWhitespaceSkipsRuns) {
-  auto parts = SplitWhitespace("  a \t b\n\nc ");
+  const std::string s = "  a \t b\n\nc ";
+  auto parts = SplitWhitespace(s);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[2], "c");
+  // The view overload finds the same words, as views of `s`, and clears
+  // what the vector held.
+  std::vector<std::string_view> views = {"stale"};
+  SplitWhitespace(s, &views);
+  EXPECT_EQ(std::vector<std::string>(views.begin(), views.end()), parts);
+  EXPECT_EQ(views[1].data(), s.data() + 6);
 }
 
 TEST(StringsTest, JoinRoundTrip) {

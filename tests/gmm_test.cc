@@ -503,6 +503,48 @@ TEST(ODistributionTest, LogPdfBatchMatchesPerPointReferenceBitwise) {
   }
 }
 
+/// PosteriorMatch spelled out per point over the reference GMM densities,
+/// with its pi = 0 and pi = 1 edges.
+double ReferencePosteriorMatch(const ODistribution& o, const Vec& x) {
+  if (o.pi() <= 0.0) return 0.0;
+  if (o.pi() >= 1.0) return 1.0;
+  const double log_m =
+      std::log(o.pi()) + ReferenceLogPdf(o.m_distribution(), x);
+  const double log_n =
+      std::log(1.0 - o.pi()) + ReferenceLogPdf(o.n_distribution(), x);
+  const double hi = std::max(log_m, log_n);
+  const double zm = std::exp(log_m - hi);
+  const double zn = std::exp(log_n - hi);
+  return zm / (zm + zn);
+}
+
+TEST(ODistributionTest, PosteriorMatchBatchMatchesPerPointReferenceBitwise) {
+  // BatchPoints puts every seventh point so far out that both arms are
+  // -inf; the counts straddle the 64-point tile.
+  Rng rng(53);
+  for (size_t d : BatchDimensions()) {
+    for (double pi : {0.0, 1.0 / 11.0, 0.5, 1.0}) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " pi=" + std::to_string(pi));
+      const ODistribution o(pi, RandomMixture(d, 4, &rng),
+                            RandomMixture(d, 2, &rng));
+      for (size_t count : kBatchCounts) {
+        SCOPED_TRACE("count=" + std::to_string(count));
+        const std::vector<Vec> points = BatchPoints(d, count, &rng);
+        const std::vector<double> xs = DimensionMajor(points);
+        std::vector<double> out(count);
+        o.PosteriorMatchBatch(xs.data(), count, out.data());
+        for (size_t j = 0; j < count; ++j) {
+          const double want = ReferencePosteriorMatch(o, points[j]);
+          EXPECT_TRUE(SameBits(out[j], want)) << "point " << j;
+          EXPECT_TRUE(SameBits(o.PosteriorMatch(points[j]), want))
+              << "point " << j;
+          EXPECT_EQ(o.LabelAsMatch(points[j]), want >= 0.5) << "point " << j;
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- JSD
 
 TEST(JsdTest, IdenticalDistributionsNearZero) {

@@ -17,6 +17,7 @@
 #include "seq2seq/model_bank.h"
 #include "seq2seq/trainer.h"
 #include "seq2seq/transformer.h"
+#include "text/perturb.h"
 #include "text/qgram.h"
 #include "text/token.h"
 
@@ -817,6 +818,36 @@ TEST(StringBankTest, UntrainedFallsBackToHillClimb) {
   std::string out = bank.Synthesize("some reference string here", 0.7, &rng);
   EXPECT_FALSE(out.empty());
   EXPECT_NEAR(Sim("some reference string here", out), 0.7, 0.3);
+}
+
+TEST(StringBankTest, ClimbCountersRecordEveryClimbAndProposal) {
+  obs::MetricsRegistry registry;
+  StringBankOptions opts = FastBankOptions();
+  opts.metrics = &registry;
+  StringSynthesisBank bank(opts, QgramJaccardSim{});
+  // Registered up front, so a manifest shows them before any climb.
+  auto snap = registry.TakeSnapshot();
+  ASSERT_EQ(snap.counters.count("s2.climb_proposals"), 1u);
+  EXPECT_EQ(snap.counters.at("s2.climb_proposals"), 0u);
+  ASSERT_EQ(snap.histograms.count("s2.climb_seconds"), 1u);
+  EXPECT_EQ(snap.histograms.at("s2.climb_seconds").count, 0u);
+  // An untrained bank (no corpus, no pool) serves each call with one climb
+  // from the source, so replaying the climbs counts the same proposals.
+  const std::string source = "adaptive query optimization";
+  const double targets[] = {0.2, 0.5, 0.8};
+  Rng rng(7);
+  for (double target : targets) bank.Synthesize(source, target, &rng);
+  Rng replay(7);
+  long proposals = 0;
+  for (double target : targets) {
+    HillClimbToSimilarity(source, source, target, QgramJaccardSim{}, {},
+                          &replay, {}, &proposals);
+  }
+  EXPECT_GT(proposals, 0);
+  snap = registry.TakeSnapshot();
+  EXPECT_EQ(snap.counters.at("s2.climb_proposals"),
+            static_cast<uint64_t>(proposals));
+  EXPECT_EQ(snap.histograms.at("s2.climb_seconds").count, 3u);
 }
 
 /// Property sweep: synthesized similarity tracks the target across the

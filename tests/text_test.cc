@@ -28,6 +28,27 @@ TEST(QgramTest, Lowercases) {
   EXPECT_EQ(QgramSet("ABC", 3), QgramSet("abc", 3));
 }
 
+TEST(QgramTest, ProfileMatchesHashedSetJaccard) {
+  // Candidates of every size against one profile, so its scratch set is
+  // regrown and reused; repeated grams, empty strings, q below 1.
+  const std::string long_text(2500, 'a');
+  const std::vector<std::string> strings = {
+      "", "a", "AB", "abc", "aaaa aaaa", "abcabcabc", long_text,
+      long_text + "bcd", "Data Base", "data  base\t", "caf\xc3\xa9"};
+  for (int q : {0, 1, 2, 3, 5}) {
+    for (const std::string& ref : strings) {
+      QgramJaccardProfile profile(ref, q);
+      const std::vector<uint32_t> ref_set = HashedQgramSet(ref, q);
+      for (const std::string& cand : strings) {
+        EXPECT_EQ(profile.Jaccard(cand),
+                  JaccardOfHashedSets(ref_set, HashedQgramSet(cand, q)))
+            << "q " << q << " ref '" << ref.substr(0, 12) << "' cand '"
+            << cand.substr(0, 12) << "'";
+      }
+    }
+  }
+}
+
 TEST(QgramTest, ShortStringIsSingleGram) {
   auto grams = QgramSet("ab", 3);
   ASSERT_EQ(grams.size(), 1u);
@@ -275,6 +296,159 @@ TEST(CharVocabTest, DecodeSkipsSpecialsAndUnknown) {
 
 // ---------------------------------------------------------------- Perturb
 
+/// One character substitution, insertion or deletion of the raw string,
+/// as the reference below applies it.
+std::string ReferenceTypo(const std::string& s, Rng* rng) {
+  static constexpr char kLetters[] = "abcdefghijklmnopqrstuvwxyz";
+  if (s.empty()) return std::string(1, kLetters[rng->UniformInt(26u)]);
+  std::string out = s;
+  switch (rng->UniformInt(3u)) {
+    case 0: {
+      size_t i = rng->UniformInt(out.size());
+      out[i] = kLetters[rng->UniformInt(26u)];
+      break;
+    }
+    case 1: {
+      size_t i = rng->UniformInt(out.size() + 1);
+      out.insert(out.begin() + i, kLetters[rng->UniformInt(26u)]);
+      break;
+    }
+    default: {
+      size_t i = rng->UniformInt(out.size());
+      out.erase(out.begin() + i);
+      break;
+    }
+  }
+  return out;
+}
+
+/// The ops as a split-mutate-Join rewrite of the word list: the reference
+/// that ApplyPerturbation, and the hill climb's buffer writer behind it,
+/// must match output for output and draw for draw.
+std::string ReferencePerturbation(const std::string& s, PerturbOp op,
+                                  const std::vector<std::string>& pool,
+                                  Rng* rng) {
+  std::vector<std::string> words = SplitWhitespace(s);
+  switch (op) {
+    case PerturbOp::kDropWord: {
+      if (words.size() < 2) return ReferenceTypo(s, rng);
+      words.erase(words.begin() + rng->UniformInt(words.size()));
+      return Join(words, " ");
+    }
+    case PerturbOp::kSwapWords: {
+      if (words.size() < 2) return ReferenceTypo(s, rng);
+      size_t i = rng->UniformInt(words.size());
+      size_t j = rng->UniformInt(words.size());
+      std::swap(words[i], words[j]);
+      return Join(words, " ");
+    }
+    case PerturbOp::kAbbreviateWord: {
+      for (auto& w : words) {
+        if (w.size() >= 3 && w.back() != '.') {
+          w = std::string(1, w[0]) + ".";
+          return Join(words, " ");
+        }
+      }
+      return ReferenceTypo(s, rng);
+    }
+    case PerturbOp::kTypo:
+      return ReferenceTypo(s, rng);
+    case PerturbOp::kInsertWord: {
+      if (pool.empty()) return ReferenceTypo(s, rng);
+      const std::string& w = pool[rng->UniformInt(pool.size())];
+      size_t i = rng->UniformInt(words.size() + 1);
+      words.insert(words.begin() + i, w);
+      return Join(words, " ");
+    }
+    case PerturbOp::kReplaceWord: {
+      if (pool.empty() || words.empty()) return ReferenceTypo(s, rng);
+      words[rng->UniformInt(words.size())] =
+          pool[rng->UniformInt(pool.size())];
+      return Join(words, " ");
+    }
+    case PerturbOp::kTruncate: {
+      if (words.size() < 2) return ReferenceTypo(s, rng);
+      size_t keep = 1 + rng->UniformInt(words.size() - 1);
+      words.resize(keep);
+      return Join(words, " ");
+    }
+    case PerturbOp::kDuplicateWord: {
+      if (words.empty()) return ReferenceTypo(s, rng);
+      size_t i = rng->UniformInt(words.size());
+      words.insert(words.begin() + i, words[i]);
+      return Join(words, " ");
+    }
+  }
+  return s;
+}
+
+constexpr PerturbOp kAllOps[] = {
+    PerturbOp::kDropWord,       PerturbOp::kSwapWords,
+    PerturbOp::kAbbreviateWord, PerturbOp::kTypo,
+    PerturbOp::kInsertWord,     PerturbOp::kReplaceWord,
+    PerturbOp::kTruncate,       PerturbOp::kDuplicateWord,
+};
+
+/// Edge inputs: empty, 1-2 characters, whitespace only, runs of spaces
+/// and tabs, uppercase, non-ASCII bytes, abbreviations.
+const std::vector<std::string>& PerturbInputs() {
+  static const std::vector<std::string> inputs = {
+      "",
+      "a",
+      "ab",
+      "x y",
+      " ",
+      " \t  \t",
+      "\tlead and trail  ",
+      "runs   of\t\tspaces \t and\ttabs",
+      "UPPER Case MiXeD WORDS",
+      "caf\xc3\xa9 na\xc3\xafve \xff\xfe\x80 bytes",
+      "D. E. Knuth",
+      "adaptive query evaluation over streaming data sources",
+  };
+  return inputs;
+}
+
+/// Word pools: empty (the pool ops fall back to a typo), one empty word,
+/// an empty word among others, and a word holding a space.
+const std::vector<std::vector<std::string>>& PerturbPools() {
+  static const std::vector<std::vector<std::string>> pools = {
+      {}, {""}, {"join", "", "Cache"}, {"two words", "x"}};
+  return pools;
+}
+
+TEST(PerturbTest, EveryOpMatchesSplitJoinReferenceAndDraws) {
+  for (PerturbOp op : kAllOps) {
+    for (const std::string& s : PerturbInputs()) {
+      for (const auto& pool : PerturbPools()) {
+        for (uint64_t seed = 0; seed < 12; ++seed) {
+          Rng got_rng(seed);
+          Rng want_rng(seed);
+          EXPECT_EQ(ApplyPerturbation(s, op, pool, &got_rng),
+                    ReferencePerturbation(s, op, pool, &want_rng))
+              << "op " << static_cast<int>(op) << " input '" << s
+              << "' pool size " << pool.size() << " seed " << seed;
+          EXPECT_EQ(got_rng.Next(), want_rng.Next())
+              << "op " << static_cast<int>(op) << " input '" << s << "'";
+        }
+      }
+    }
+  }
+}
+
+TEST(PerturbTest, RandomPerturbationDrawsTheOpFirst) {
+  for (const std::string& s : PerturbInputs()) {
+    Rng got_rng(17);
+    Rng want_rng(17);
+    for (int i = 0; i < 40; ++i) {
+      const PerturbOp op = kAllOps[want_rng.UniformInt(8u)];
+      EXPECT_EQ(RandomPerturbation(s, PerturbPools()[2], &got_rng),
+                ReferencePerturbation(s, op, PerturbPools()[2], &want_rng));
+    }
+    EXPECT_EQ(got_rng.Next(), want_rng.Next());
+  }
+}
+
 TEST(PerturbTest, DropWordRemovesOne) {
   Rng rng(1);
   std::string out =
@@ -368,6 +542,46 @@ TEST(HillClimbTest, ProfiledQgramClimbMatchesPairwiseClimb) {
         << "seed " << seed;
     EXPECT_EQ(profiled_rng.Next(), pairwise_rng.Next());
   }
+
+  // Random references, starts, targets and pools over the edge inputs,
+  // an empty reference, and strings longer than any fixed table, at
+  // several q: same result, same draws, same proposal count.
+  std::vector<std::string> inputs = PerturbInputs();
+  Rng gen(99);
+  std::string long_text;
+  while (long_text.size() < 3000) {
+    long_text += 'w';
+    long_text += std::to_string(gen.UniformInt(5000u));
+    long_text += ' ';
+  }
+  inputs.push_back(long_text);
+  for (int q : {2, 3, 4}) {
+    auto pairwise_q = [q](const std::string& a, const std::string& b) {
+      return QgramJaccard(a, b, q);
+    };
+    for (int trial = 0; trial < 60; ++trial) {
+      const std::string& climb_ref =
+          trial == 0 ? std::string() : inputs[gen.UniformInt(inputs.size())];
+      const std::string& start =
+          trial == 1 ? long_text : inputs[gen.UniformInt(inputs.size())];
+      const double target = gen.Uniform(0.0, 1.0);
+      const auto& climb_pool =
+          PerturbPools()[gen.UniformInt(PerturbPools().size())];
+      const uint64_t seed = gen.Next();
+      Rng profiled_rng(seed);
+      Rng pairwise_rng(seed);
+      long profiled_proposals = 0, pairwise_proposals = 0;
+      EXPECT_EQ(HillClimbToSimilarity(climb_ref, start, target,
+                                      QgramJaccardSim{q}, climb_pool,
+                                      &profiled_rng, {}, &profiled_proposals),
+                HillClimbToSimilarity(climb_ref, start, target, pairwise_q,
+                                      climb_pool, &pairwise_rng, {},
+                                      &pairwise_proposals))
+          << "q " << q << " trial " << trial;
+      EXPECT_EQ(profiled_rng.Next(), pairwise_rng.Next());
+      EXPECT_EQ(profiled_proposals, pairwise_proposals);
+    }
+  }
 }
 
 /// Property sweep: perturbation output stays non-degenerate across ops.
@@ -384,11 +598,7 @@ TEST_P(PerturbOpSweep, OutputNonEmptyForRealisticInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllOps, PerturbOpSweep,
-    testing::Values(PerturbOp::kDropWord, PerturbOp::kSwapWords,
-                    PerturbOp::kAbbreviateWord, PerturbOp::kTypo,
-                    PerturbOp::kInsertWord, PerturbOp::kReplaceWord,
-                    PerturbOp::kTruncate, PerturbOp::kDuplicateWord));
+    AllOps, PerturbOpSweep, testing::ValuesIn(kAllOps));
 
 }  // namespace
 }  // namespace serd
