@@ -26,6 +26,15 @@ cmake --build build -j "$JOBS"
 echo "==> ctest (full suite)"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "==> perf ledger: committed run reports agree on their work counts"
+# Each perf change commits its parent and change perfbench reports under
+# bench/ledger/NAME/ (bench/ledger/README.md). compare.py prints the
+# verdicts and exits 1 when runs of one program, workload and seed
+# report different work-identity counts.
+for entry in bench/ledger/*/; do
+  python3 perfbench/compare.py "${entry}parent" "${entry}change" >/dev/null
+done
+
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   echo "==> configure + build (ThreadSanitizer)"
   cmake -B build-tsan -S . -DSERD_SANITIZE=thread >/dev/null

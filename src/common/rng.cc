@@ -86,6 +86,10 @@ bool Rng::Bernoulli(double p) {
 }
 
 size_t Rng::Categorical(const std::vector<double>& weights) {
+  return CategoricalIndex(weights, Uniform());
+}
+
+size_t Rng::CategoricalIndex(const std::vector<double>& weights, double u) {
   SERD_CHECK(!weights.empty());
   double total = 0.0;
   for (double w : weights) {
@@ -93,7 +97,7 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
     total += w;
   }
   SERD_CHECK_GT(total, 0.0) << "categorical weights sum to zero";
-  double r = Uniform() * total;
+  double r = u * total;
   double acc = 0.0;
   for (size_t i = 0; i < weights.size(); ++i) {
     acc += weights[i];

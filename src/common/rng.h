@@ -48,6 +48,12 @@ class Rng {
   /// Requires a nonempty vector with nonnegative weights and positive sum.
   size_t Categorical(const std::vector<double>& weights);
 
+  /// The index Categorical(weights) returns when its uniform draw is u:
+  /// the first i whose running weight sum exceeds u * total, else the
+  /// last. Same requirements on `weights`.
+  static size_t CategoricalIndex(const std::vector<double>& weights,
+                                 double u);
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

@@ -474,6 +474,12 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       metrics_.get(), "s2.attempts_per_entity", obs::LinearBounds(1.0, 8.0, 8));
   obs::Histogram* h_jsd_seconds =
       obs::GetTimer(metrics_.get(), "s2.jsd_seconds");
+  // Per attempt: the discriminator test, and the O_syn preview (both
+  // ComputeDelta calls and both PreviewModel calls) that Eq. 10 scores.
+  obs::Histogram* h_discriminator_seconds =
+      obs::GetTimer(metrics_.get(), "s2.discriminator_seconds");
+  obs::Histogram* h_preview_seconds =
+      obs::GetTimer(metrics_.get(), "s2.preview_seconds");
 
   const size_t na = options_.target_a > 0 ? options_.target_a : real_->a.size();
   const size_t nb = options_.target_b > 0 ? options_.target_b : real_->b.size();
@@ -530,6 +536,15 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
     double v = run_jsd(o_syn);
     h_jsd_seconds->Record(jsd_timer.Seconds());
     return v;
+  };
+  auto rejected_by_discriminator = [&](const Entity& candidate) {
+    if (h_discriminator_seconds == nullptr) {
+      return RejectedByDiscriminator(candidate);
+    }
+    WallTimer discriminator_timer;
+    const bool rejected = RejectedByDiscriminator(candidate);
+    h_discriminator_seconds->Record(discriminator_timer.Seconds());
+    return rejected;
   };
   auto current_o_syn = [&]() {
     double pi_syn =
@@ -616,7 +631,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       Entity candidate = SynthesizeFrom(e, sample.x, &rng, &bank_run);
 
       bool forced_disc = false;
-      if (run.enable_rejection && RejectedByDiscriminator(candidate)) {
+      if (run.enable_rejection && rejected_by_discriminator(candidate)) {
         ++report.rejected_by_discriminator;
         obs::Inc(c_rej_disc);
         if (!last_attempt) continue;
@@ -676,17 +691,21 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       bool forced_dist = false;
       if (run.enable_rejection && m_syn != nullptr && n_syn != nullptr) {
         // Preview the updated O_syn and apply the paper's Eq. 10 test.
+        std::optional<WallTimer> preview_timer;
+        if (h_preview_seconds != nullptr) preview_timer.emplace();
         auto dp = m_syn->ComputeDelta(delta_pos);
         auto dn = n_syn->ComputeDelta(delta_neg);
         Gmm m_preview = m_syn->PreviewModel(dp);
         Gmm n_preview = n_syn->PreviewModel(dn);
+        if (preview_timer) h_preview_seconds->Record(preview_timer->Seconds());
         double pi_new =
             static_cast<double>(syn_pos_count + delta_pos.size()) /
             static_cast<double>(std::max<size_t>(
                 1, syn_pos_count + syn_neg_count + delta_pos.size() +
                        delta_neg.size()));
         pi_new = std::clamp(pi_new, 0.001, 0.999);
-        ODistribution o_syn_new(pi_new, m_preview, n_preview);
+        ODistribution o_syn_new(pi_new, std::move(m_preview),
+                                std::move(n_preview));
         double jsd_new = estimate_jsd(o_syn_new);
         if (jsd_new > options_.alpha * current_jsd && !forced_disc) {
           if (!last_attempt) {

@@ -8,7 +8,71 @@ namespace serd {
 
 namespace {
 constexpr double kLog2Pi = 1.8378770664093453;  // log(2*pi)
+
+// The AVX2 clone of the solve below only makes sense on x86-64 GCC/Clang
+// builds not already compiled for AVX2 (as in nn/kernels.cc and lse.cc).
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__AVX2__)
+#define SERD_GAUSSIAN_X86_DISPATCH 1
+#else
+#define SERD_GAUSSIAN_X86_DISPATCH 0
+#endif
+
+// The tile's solve L y = x - mu and quad[j] = ||y_j||^2. Its loops run
+// across the tile's points, so GCC vectorizes them at whatever width the
+// target gives; each element's operations and their order are the same at
+// any width, so the AVX2 clone (no FMA: "avx2" does not imply it) and the
+// baseline agree bit for bit. The clone inlines this body into an
+// avx2-target function and is picked once per process (no ifunc, which
+// ThreadSanitizer builds cannot resolve).
+__attribute__((always_inline)) inline void SolveTileBody(
+    const double* l, const double* mean, size_t d, const double* xs,
+    size_t stride, size_t n, double* y, double* quad) {
+  for (size_t j = 0; j < n; ++j) quad[j] = 0.0;
+  for (size_t i = 0; i < d; ++i) {
+    const double* li = l + i * d;
+    const double* xi = xs + i * stride;
+    const double mean_i = mean[i];
+    double* yi = y + i * n;
+    for (size_t j = 0; j < n; ++j) yi[j] = xi[j] - mean_i;
+    for (size_t k = 0; k < i; ++k) {
+      const double lik = li[k];
+      const double* yk = y + k * n;
+      for (size_t j = 0; j < n; ++j) yi[j] -= lik * yk[j];
+    }
+    const double lii = li[i];
+    for (size_t j = 0; j < n; ++j) {
+      yi[j] = yi[j] / lii;
+      quad[j] += yi[j] * yi[j];
+    }
+  }
 }
+
+#if SERD_GAUSSIAN_X86_DISPATCH
+__attribute__((target("avx2"))) void SolveTileAvx2(
+    const double* l, const double* mean, size_t d, const double* xs,
+    size_t stride, size_t n, double* y, double* quad) {
+  SolveTileBody(l, mean, d, xs, stride, n, y, quad);
+}
+
+bool UseAvx2() {
+  static const bool ok = __builtin_cpu_supports("avx2");
+  return ok;
+}
+#endif
+
+void SolveTile(const double* l, const double* mean, size_t d,
+               const double* xs, size_t stride, size_t n, double* y,
+               double* quad) {
+#if SERD_GAUSSIAN_X86_DISPATCH
+  if (UseAvx2()) {
+    SolveTileAvx2(l, mean, d, xs, stride, n, y, quad);
+    return;
+  }
+#endif
+  SolveTileBody(l, mean, d, xs, stride, n, y, quad);
+}
+
+}  // namespace
 
 MultivariateGaussian::MultivariateGaussian(Vec mean, Matrix covariance,
                                            double ridge)
@@ -79,25 +143,7 @@ void MultivariateGaussian::LogPdfTile(const double* xs, size_t stride,
     y = heap_y.get();
   }
   double quad[kBatchTile];
-  for (size_t j = 0; j < n; ++j) quad[j] = 0.0;
-  const double* l = chol_.data().data();
-  for (size_t i = 0; i < d; ++i) {
-    const double* li = l + i * d;
-    const double* xi = xs + i * stride;
-    const double mean_i = mean_[i];
-    double* yi = y + i * n;
-    for (size_t j = 0; j < n; ++j) yi[j] = xi[j] - mean_i;
-    for (size_t k = 0; k < i; ++k) {
-      const double lik = li[k];
-      const double* yk = y + k * n;
-      for (size_t j = 0; j < n; ++j) yi[j] -= lik * yk[j];
-    }
-    const double lii = li[i];
-    for (size_t j = 0; j < n; ++j) {
-      yi[j] = yi[j] / lii;
-      quad[j] += yi[j] * yi[j];
-    }
-  }
+  SolveTile(chol_.data().data(), mean_.data(), d, xs, stride, n, y, quad);
   const double base = static_cast<double>(d) * kLog2Pi + log_det_;
   for (size_t j = 0; j < n; ++j) out[j] = -0.5 * (base + quad[j]);
 }
@@ -120,6 +166,12 @@ void MultivariateGaussian::SampleInto(Rng* rng, double* x,
     z = heap_z.get();
   }
   for (size_t i = 0; i < d; ++i) z[i] = rng->Gaussian();
+  TransformInto(z, x, stride);
+}
+
+void MultivariateGaussian::TransformInto(const double* z, double* x,
+                                         size_t stride) const {
+  const size_t d = mean_.size();
   const double* l = chol_.data().data();
   for (size_t i = 0; i < d; ++i) {
     double s = 0.0;

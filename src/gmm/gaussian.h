@@ -64,6 +64,11 @@ class MultivariateGaussian {
   /// written to x[i * stride] for i < dimension().
   void SampleInto(Rng* rng, double* x, size_t stride) const;
 
+  /// x = mu + L z for dimension() given normals z, written to
+  /// x[i * stride]: SampleInto's arithmetic once its normals are drawn
+  /// (each row's sum starts at 0 and adds l[i][j] z[j] for j <= i).
+  void TransformInto(const double* z, double* x, size_t stride) const;
+
  private:
   friend class Gmm;
 

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 
+#include "gmm/lse.h"
 #include "obs/trace.h"
 #include "runtime/parallel_for.h"
 
@@ -48,23 +49,25 @@ Gmm Gmm::FromParts(std::vector<double> weights,
 double Gmm::LogPdf(const Vec& x) const {
   SERD_CHECK_EQ(x.size(), dimension());
   double out;
-  LogPdfTile(x.data(), 1, 1, &out);
+  EStepTile(x.data(), 1, 1, nullptr, &out);
   return out;
 }
 
 void Gmm::LogPdfBatch(const double* xs, size_t count, double* out) const {
   constexpr size_t kTile = MultivariateGaussian::kBatchTile;
   for (size_t j0 = 0; j0 < count; j0 += kTile) {
-    LogPdfTile(xs + j0, count, std::min(kTile, count - j0), out + j0);
+    EStepTile(xs + j0, count, std::min(kTile, count - j0), nullptr,
+              out + j0);
   }
 }
 
-void Gmm::LogPdfTile(const double* xs, size_t stride, size_t n,
-                     double* out) const {
+void Gmm::EStepTile(const double* xs, size_t stride, size_t n,
+                    double* gamma, double* log_pdf) const {
   SERD_CHECK(!components_.empty());
+  SERD_CHECK_LE(n, MultivariateGaussian::kBatchTile);
   const size_t g = components_.size();
-  // terms[k * n + j] = log w_k + log N_k(x_j); per point, the log-sum-exp
-  // below runs over k ascending exactly as a per-point loop would.
+  // terms[k * n + j] = log w_k + log N_k(x_j); per point, the maximum and
+  // both sums below run over k ascending exactly as a per-point loop would.
   double inline_terms[kInlineComponents * MultivariateGaussian::kBatchTile];
   std::unique_ptr<double[]> heap_terms;
   double* terms = inline_terms;
@@ -72,50 +75,63 @@ void Gmm::LogPdfTile(const double* xs, size_t stride, size_t n,
     heap_terms = std::make_unique<double[]>(g * n);
     terms = heap_terms.get();
   }
+  double max_term[MultivariateGaussian::kBatchTile];
+  for (size_t j = 0; j < n; ++j) {
+    max_term[j] = -std::numeric_limits<double>::infinity();
+  }
   for (size_t k = 0; k < g; ++k) {
     double* tk = terms + k * n;
     components_[k].LogPdfTile(xs, stride, n, tk);
     const double log_w = log_weights_[k];
-    for (size_t j = 0; j < n; ++j) tk[j] = log_w + tk[j];
+    for (size_t j = 0; j < n; ++j) {
+      tk[j] = log_w + tk[j];
+      max_term[j] = std::max(max_term[j], tk[j]);
+    }
   }
+  if (gamma != nullptr) {
+    // Responsibilities keep libm's exp, so the M-steps they feed are the
+    // ones a per-point loop computes.
+    for (size_t j = 0; j < n; ++j) {
+      double* gj = gamma + j * g;
+      if (!std::isfinite(max_term[j])) {
+        // All components give zero density: fall back to the prior weights.
+        for (size_t k = 0; k < g; ++k) gj[k] = weights_[k];
+        continue;
+      }
+      double total = 0.0;
+      for (size_t k = 0; k < g; ++k) {
+        gj[k] = std::exp(terms[k * n + j] - max_term[j]);
+        total += gj[k];
+      }
+      for (size_t k = 0; k < g; ++k) gj[k] /= total;
+    }
+  }
+  if (log_pdf == nullptr) return;
+  // The log-sum-exp through the lse kernels, terms overwritten in place.
+  double sum[MultivariateGaussian::kBatchTile];
+  for (size_t k = 0; k < g; ++k) {
+    double* tk = terms + k * n;
+    for (size_t j = 0; j < n; ++j) tk[j] = tk[j] - max_term[j];
+  }
+  lse::Exp(g * n, terms, terms);
+  for (size_t j = 0; j < n; ++j) sum[j] = 0.0;
+  for (size_t k = 0; k < g; ++k) {
+    const double* tk = terms + k * n;
+    for (size_t j = 0; j < n; ++j) sum[j] += tk[j];
+  }
+  lse::Log(n, sum, sum);
   for (size_t j = 0; j < n; ++j) {
-    double max_term = -std::numeric_limits<double>::infinity();
-    for (size_t k = 0; k < g; ++k) {
-      max_term = std::max(max_term, terms[k * n + j]);
-    }
-    if (!std::isfinite(max_term)) {
-      out[j] = max_term;
-      continue;
-    }
-    double sum = 0.0;
-    for (size_t k = 0; k < g; ++k) {
-      sum += std::exp(terms[k * n + j] - max_term);
-    }
-    out[j] = max_term + std::log(sum);
+    log_pdf[j] =
+        std::isfinite(max_term[j]) ? max_term[j] + sum[j] : max_term[j];
   }
 }
 
 double Gmm::Pdf(const Vec& x) const { return std::exp(LogPdf(x)); }
 
 Vec Gmm::Responsibilities(const Vec& x) const {
-  std::vector<double> terms(components_.size());
-  double max_term = -std::numeric_limits<double>::infinity();
-  for (size_t k = 0; k < components_.size(); ++k) {
-    terms[k] = log_weights_[k] + components_[k].LogPdf(x);
-    max_term = std::max(max_term, terms[k]);
-  }
-  Vec gamma(components_.size(), 0.0);
-  if (!std::isfinite(max_term)) {
-    // All components give zero density: fall back to the prior weights.
-    for (size_t k = 0; k < components_.size(); ++k) gamma[k] = weights_[k];
-    return gamma;
-  }
-  double total = 0.0;
-  for (size_t k = 0; k < components_.size(); ++k) {
-    gamma[k] = std::exp(terms[k] - max_term);
-    total += gamma[k];
-  }
-  for (double& g : gamma) g /= total;
+  SERD_CHECK_EQ(x.size(), dimension());
+  Vec gamma(components_.size());
+  EStepTile(x.data(), 1, 1, gamma.data(), nullptr);
   return gamma;
 }
 
@@ -167,6 +183,18 @@ Matrix SampleCovariance(const std::vector<Vec>& data, const Vec& mean) {
   return cov;
 }
 
+/// The points in EStepTile's layout: coordinate i of point j at
+/// [i * n + j].
+std::vector<double> DimensionMajor(const std::vector<Vec>& data) {
+  const size_t n = data.size();
+  const size_t d = data[0].size();
+  std::vector<double> xs(d * n);
+  for (size_t j = 0; j < n; ++j) {
+    for (size_t i = 0; i < d; ++i) xs[i * n + j] = data[j][i];
+  }
+  return xs;
+}
+
 /// Per-point work in the E-/M-steps is O(g * d^2); this grain keeps chunks
 /// in the tens-of-microseconds range. Fixed (never derived from the thread
 /// count) so chunked reductions associate identically for any pool size.
@@ -214,22 +242,35 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
     std::vector<Matrix> cov;
   };
 
-  double prev_ll = -std::numeric_limits<double>::infinity();
-  std::vector<Vec> gammas(n);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // E-step (paper Eq. 5) + log-likelihood. gammas[i] depends only on i;
-    // the log-likelihood is reduced in chunk order.
-    double ll = runtime::ParallelReduce<double>(
+  // The data in EStepTile's layout, and the log-likelihood of `fit` over
+  // it: tiles in point order within a chunk, chunks reduced in order. When
+  // `gammas` is non-null, point i's responsibilities land at
+  // gammas[i * g + k].
+  constexpr size_t kTile = MultivariateGaussian::kBatchTile;
+  const std::vector<double> xs = DimensionMajor(data);
+  auto e_step = [&](const Gmm& fit, double* gammas) {
+    return runtime::ParallelReduce<double>(
         pool, 0, n, kEmGrain, 0.0,
         [&](size_t lo, size_t hi) {
           double part = 0.0;
-          for (size_t i = lo; i < hi; ++i) {
-            gammas[i] = model.Responsibilities(data[i]);
-            part += model.LogPdf(data[i]);
+          double log_pdf[kTile];
+          for (size_t t0 = lo; t0 < hi; t0 += kTile) {
+            const size_t len = std::min(kTile, hi - t0);
+            fit.EStepTile(xs.data() + t0, n, len,
+                          gammas != nullptr ? gammas + t0 * g : nullptr,
+                          log_pdf);
+            for (size_t j = 0; j < len; ++j) part += log_pdf[j];
           }
           return part;
         },
         [](double a, double b) { return a + b; });
+  };
+
+  double prev_ll = -std::numeric_limits<double>::infinity();
+  std::vector<double> gammas(n * static_cast<size_t>(g));
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    // E-step (paper Eq. 5) + log-likelihood.
+    const double ll = e_step(model, gammas.data());
     if (iter > 0 && ll - prev_ll < options.tolerance) {
       return {model, ll, iter + 1};
     }
@@ -245,7 +286,7 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
           part.mu_sum.assign(g, Vec(d, 0.0));
           for (size_t i = lo; i < hi; ++i) {
             for (int k = 0; k < g; ++k) {
-              const double gk = gammas[i][k];
+              const double gk = gammas[i * g + k];
               part.gamma_sum[k] += gk;
               for (size_t j = 0; j < d; ++j) {
                 part.mu_sum[k][j] += gk * data[i][j];
@@ -275,11 +316,12 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
         [&](size_t lo, size_t hi) {
           CovPartial part;
           part.cov.assign(g, Matrix(d, d));
+          Vec diff(d);
           for (size_t i = lo; i < hi; ++i) {
             for (int k = 0; k < g; ++k) {
               if (moments.gamma_sum[k] < 1e-10) continue;
-              Vec diff = Sub(data[i], mu[k]);
-              const double gk = gammas[i][k];
+              for (size_t r = 0; r < d; ++r) diff[r] = data[i][r] - mu[k][r];
+              const double gk = gammas[i * g + k];
               Matrix& cov = part.cov[k];
               for (size_t r = 0; r < d; ++r) {
                 for (size_t c = 0; c < d; ++c) {
@@ -319,15 +361,7 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
     }
     model = Gmm(std::move(new_weights), std::move(new_comps));
   }
-  double ll = runtime::ParallelReduce<double>(
-      pool, 0, n, kEmGrain, 0.0,
-      [&](size_t lo, size_t hi) {
-        double part = 0.0;
-        for (size_t i = lo; i < hi; ++i) part += model.LogPdf(data[i]);
-        return part;
-      },
-      [](double a, double b) { return a + b; });
-  return {model, ll, options.max_iterations};
+  return {model, e_step(model, nullptr), options.max_iterations};
 }
 
 }  // namespace
@@ -374,6 +408,7 @@ Result<Gmm> Gmm::FitWithAic(const std::vector<Vec>& data,
   // in ascending-g order below, so the recorded total is thread-count
   // independent.
   std::vector<long> em_iters(max_g, 0);
+  const std::vector<double> xs = DimensionMajor(data);
   runtime::ParallelFor(
       options.pool, 0, static_cast<size_t>(max_g), 1,
       [&](size_t lo, size_t hi) {
@@ -384,8 +419,10 @@ Result<Gmm> Gmm::FitWithAic(const std::vector<Vec>& data,
             fits[gi] = std::move(fitted);
             continue;
           }
+          std::vector<double> log_pdf(data.size());
+          fitted->LogPdfBatch(xs.data(), data.size(), log_pdf.data());
           double ll = 0.0;
-          for (const auto& x : data) ll += fitted->LogPdf(x);
+          for (double v : log_pdf) ll += v;
           aics[gi] = 2.0 * NumFreeParameters(g, d) - 2.0 * ll;
           fits[gi] = std::move(fitted);
         }

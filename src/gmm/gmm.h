@@ -76,8 +76,20 @@ class Gmm {
   double Pdf(const Vec& x) const;
 
   /// Posterior responsibilities gamma_k(x) (paper Eq. 5). Returns a vector
-  /// of length num_components() summing to 1.
+  /// of length num_components() summing to 1: exp(term_k - max) over
+  /// their sum with libm's exp, or the weights where every term is -inf.
+  /// The 1-point case of EStepTile.
   Vec Responsibilities(const Vec& x) const;
+
+  /// The E-step of n <= MultivariateGaussian::kBatchTile points, coordinate
+  /// i of point j at xs[i * stride + j]: the component terms log w_k +
+  /// log N_k(x_j) are computed once, then gamma[j * g + k] is
+  /// Responsibilities(point j)[k] and log_pdf[j] is LogPdf(point j), bit
+  /// for bit (g = num_components()). Either output may be null. No heap
+  /// allocation up to kInlineComponents components and
+  /// MultivariateGaussian::kInlineDimension dimensions.
+  void EStepTile(const double* xs, size_t stride, size_t n, double* gamma,
+                 double* log_pdf) const;
 
   /// Draws a sample: component by weight, then from its Gaussian.
   Vec Sample(Rng* rng) const;
@@ -107,13 +119,6 @@ class Gmm {
   static double NumFreeParameters(int g, int d);
 
  private:
-  friend class ODistribution;
-
-  /// The batch kernel: n <= MultivariateGaussian::kBatchTile points,
-  /// coordinate i of point j at xs[i * stride + j].
-  void LogPdfTile(const double* xs, size_t stride, size_t n,
-                  double* out) const;
-
   /// Fills log_weights_ from weights_ (log w, or -inf for a zero weight);
   /// every constructor calls it once the weights are final.
   void CacheLogWeights();

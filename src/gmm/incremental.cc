@@ -1,5 +1,8 @@
 #include "gmm/incremental.h"
 
+#include <algorithm>
+#include <memory>
+
 namespace serd {
 
 IncrementalGmm::IncrementalGmm(const Gmm& model, const std::vector<Vec>& data,
@@ -8,20 +11,46 @@ IncrementalGmm::IncrementalGmm(const Gmm& model, const std::vector<Vec>& data,
 
 IncrementalGmm::Delta IncrementalGmm::ComputeDelta(
     const std::vector<Vec>& points) const {
+  constexpr size_t kTile = MultivariateGaussian::kBatchTile;
   const size_t g = model_.num_components();
   const size_t d = model_.dimension();
   Delta delta;
   delta.gamma_sum.assign(g, 0.0);
   delta.weighted_sum.assign(g, Vec(d, 0.0));
   delta.second_moment.assign(g, Matrix(d, d));
-  for (const auto& x : points) {
-    Vec gamma = model_.Responsibilities(x);  // paper Eq. 8
-    for (size_t k = 0; k < g; ++k) {
-      delta.gamma_sum[k] += gamma[k];
-      for (size_t i = 0; i < d; ++i) {
-        delta.weighted_sum[k][i] += gamma[k] * x[i];
-        for (size_t j = 0; j < d; ++j) {
-          delta.second_moment[k](i, j) += gamma[k] * x[i] * x[j];
+  // Responsibilities (paper Eq. 8) a tile at a time, then summed point by
+  // point in order. Up to the inline sizes the tile lives on the stack.
+  double inline_xs[MultivariateGaussian::kInlineDimension * kTile];
+  double inline_gamma[Gmm::kInlineComponents * kTile];
+  std::unique_ptr<double[]> heap_xs, heap_gamma;
+  double* xs = inline_xs;
+  double* gamma = inline_gamma;
+  if (d > MultivariateGaussian::kInlineDimension) {
+    heap_xs = std::make_unique<double[]>(d * kTile);
+    xs = heap_xs.get();
+  }
+  if (g > Gmm::kInlineComponents) {
+    heap_gamma = std::make_unique<double[]>(g * kTile);
+    gamma = heap_gamma.get();
+  }
+  for (size_t t0 = 0; t0 < points.size(); t0 += kTile) {
+    const size_t len = std::min(kTile, points.size() - t0);
+    for (size_t j = 0; j < len; ++j) {
+      const Vec& x = points[t0 + j];
+      SERD_CHECK_EQ(x.size(), d);
+      for (size_t i = 0; i < d; ++i) xs[i * len + j] = x[i];
+    }
+    model_.EStepTile(xs, len, len, gamma, nullptr);
+    for (size_t j = 0; j < len; ++j) {
+      const Vec& x = points[t0 + j];
+      const double* gj = gamma + j * g;
+      for (size_t k = 0; k < g; ++k) {
+        delta.gamma_sum[k] += gj[k];
+        for (size_t i = 0; i < d; ++i) {
+          delta.weighted_sum[k][i] += gj[k] * x[i];
+          for (size_t c = 0; c < d; ++c) {
+            delta.second_moment[k](i, c) += gj[k] * x[i] * x[c];
+          }
         }
       }
     }

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 
+#include "gmm/lse.h"
 #include "runtime/parallel_for.h"
 #include "runtime/sharded_rng.h"
 
@@ -39,26 +40,34 @@ void ODistribution::LogPdfTile(const double* xs, size_t stride, size_t n,
   double log_m[MultivariateGaussian::kBatchTile];
   double log_n[MultivariateGaussian::kBatchTile];
   if (pi_ > 0.0) {
-    m_.LogPdfTile(xs, stride, n, log_m);
+    m_.EStepTile(xs, stride, n, nullptr, log_m);
     const double log_pi = std::log(pi_);
     for (size_t j = 0; j < n; ++j) log_m[j] = log_pi + log_m[j];
   } else {
     for (size_t j = 0; j < n; ++j) log_m[j] = kNegInf;
   }
   if (pi_ < 1.0) {
-    n_.LogPdfTile(xs, stride, n, log_n);
+    n_.EStepTile(xs, stride, n, nullptr, log_n);
     const double log_1mpi = std::log(1.0 - pi_);
     for (size_t j = 0; j < n; ++j) log_n[j] = log_1mpi + log_n[j];
   } else {
     for (size_t j = 0; j < n; ++j) log_n[j] = kNegInf;
   }
+  // Per point hi + log(exp(log_m - hi) + exp(log_n - hi)) through the lse
+  // kernels, or hi itself where it is not finite; e holds the m terms,
+  // then the n terms.
+  double hi[MultivariateGaussian::kBatchTile];
+  double e[2 * MultivariateGaussian::kBatchTile];
   for (size_t j = 0; j < n; ++j) {
-    const double hi = std::max(log_m[j], log_n[j]);
-    if (!std::isfinite(hi)) {
-      out[j] = hi;
-      continue;
-    }
-    out[j] = hi + std::log(std::exp(log_m[j] - hi) + std::exp(log_n[j] - hi));
+    hi[j] = std::max(log_m[j], log_n[j]);
+    e[j] = log_m[j] - hi[j];
+    e[n + j] = log_n[j] - hi[j];
+  }
+  lse::Exp(2 * n, e, e);
+  for (size_t j = 0; j < n; ++j) e[j] = e[j] + e[n + j];
+  lse::Log(n, e, e);
+  for (size_t j = 0; j < n; ++j) {
+    out[j] = std::isfinite(hi[j]) ? hi[j] + e[j] : hi[j];
   }
 }
 
@@ -79,6 +88,16 @@ bool ODistribution::SampleUnclampedInto(Rng* rng, double* x,
   SERD_CHECK(rng != nullptr);
   const bool from_match = rng->Bernoulli(pi_);
   (from_match ? m_ : n_).SampleInto(rng, x, stride);
+  return from_match;
+}
+
+bool ODistribution::MapUnclampedInto(double u_arm, double u_component,
+                                     const double* z, double* x,
+                                     size_t stride) const {
+  const bool from_match = u_arm < pi_;
+  const Gmm& arm = from_match ? m_ : n_;
+  arm.component(Rng::CategoricalIndex(arm.weights(), u_component))
+      .TransformInto(z, x, stride);
   return from_match;
 }
 
@@ -108,18 +127,21 @@ void ODistribution::PosteriorMatchTile(const double* xs, size_t stride,
   }
   double log_m[MultivariateGaussian::kBatchTile];
   double log_n[MultivariateGaussian::kBatchTile];
-  m_.LogPdfTile(xs, stride, n, log_m);
-  n_.LogPdfTile(xs, stride, n, log_n);
+  m_.EStepTile(xs, stride, n, nullptr, log_m);
+  n_.EStepTile(xs, stride, n, nullptr, log_n);
   const double log_pi = std::log(pi_);
   const double log_1mpi = std::log(1.0 - pi_);
+  // z[j] = exp(lm - hi) and z[n + j] = exp(ln - hi) through the lse Exp.
+  double z[2 * MultivariateGaussian::kBatchTile];
   for (size_t j = 0; j < n; ++j) {
     const double lm = log_pi + log_m[j];
     const double ln = log_1mpi + log_n[j];
     const double hi = std::max(lm, ln);
-    const double zm = std::exp(lm - hi);
-    const double zn = std::exp(ln - hi);
-    out[j] = zm / (zm + zn);
+    z[j] = lm - hi;
+    z[n + j] = ln - hi;
   }
+  lse::Exp(2 * n, z, z);
+  for (size_t j = 0; j < n; ++j) out[j] = z[j] / (z[j] + z[n + j]);
 }
 
 namespace {
@@ -128,11 +150,26 @@ namespace {
 /// so the estimate is thread-count independent. Fixed by contract.
 constexpr size_t kJsdBlock = 64;
 
-/// log m(x) = log((p(x) + q(x)) / 2) from log p(x) and log q(x).
-double LogMix(double lp, double lq) {
+/// Sum over a block of len draws of side[j] - log m_j, where log m_j =
+/// log((p + q) / 2) = (log 1/2 + hi) + log(exp(lp - hi) + exp(lq - hi)),
+/// hi = max(lp, lq), through the lse kernels; summed in draw order.
+double KlBlockSum(const double* side, const double* lp, const double* lq,
+                  size_t len) {
   constexpr double kLogHalf = -0.6931471805599453;
-  const double hi = std::max(lp, lq);
-  return kLogHalf + hi + std::log(std::exp(lp - hi) + std::exp(lq - hi));
+  double hi[kJsdBlock];
+  double e[2 * kJsdBlock] = {};  // zeroed only to quiet GCC 12's
+                                 // -Wmaybe-uninitialized at lse::Exp
+  for (size_t j = 0; j < len; ++j) {
+    hi[j] = std::max(lp[j], lq[j]);
+    e[j] = lp[j] - hi[j];
+    e[len + j] = lq[j] - hi[j];
+  }
+  lse::Exp(2 * len, e, e);
+  for (size_t j = 0; j < len; ++j) e[j] = e[j] + e[len + j];
+  lse::Log(len, e, e);
+  double sum = 0.0;
+  for (size_t j = 0; j < len; ++j) sum += side[j] - (kLogHalf + hi[j] + e[j]);
+  return sum;
 }
 
 /// Draws in Monte-Carlo block `block`, which starts at draw
@@ -152,10 +189,19 @@ JsdEstimator::JsdEstimator(const ODistribution& q, int num_samples,
   num_blocks_ = (static_cast<size_t>(num_samples) + kJsdBlock - 1) / kJsdBlock;
   q_draws_.resize(static_cast<size_t>(num_samples) * d);
   log_q_.resize(static_cast<size_t>(num_samples));
+  p_uniforms_.resize(2 * static_cast<size_t>(num_samples));
+  p_normals_.resize(static_cast<size_t>(num_samples) * d);
   runtime::ParallelFor(pool, 0, num_blocks_, 1, [&](size_t lo, size_t hi) {
     for (size_t block = lo; block < hi; ++block) {
       const size_t start = block * kJsdBlock;
       const size_t len = BlockLength(block, num_samples_);
+      // p's raw randomness, in SampleUnclampedInto's order for 0 < pi < 1.
+      Rng p_rng(runtime::ShardedRng::DeriveSeed(seed_, 2 * block));
+      for (size_t s = start; s < start + len; ++s) {
+        p_uniforms_[2 * s] = p_rng.Uniform();
+        p_uniforms_[2 * s + 1] = p_rng.Uniform();
+        for (size_t i = 0; i < d; ++i) p_normals_[s * d + i] = p_rng.Gaussian();
+      }
       Rng rng(runtime::ShardedRng::DeriveSeed(seed_, 2 * block + 1));
       // Unclamped: the estimator must sample the density it scores (see
       // SampleUnclamped); clamped draws bias both KL terms at the cube
@@ -178,15 +224,22 @@ double JsdEstimator::DrawnBlockSum(const ODistribution& p,
     heap_xs = std::make_unique<double[]>(d * len);
     xs = heap_xs.get();
   }
-  Rng rng(runtime::ShardedRng::DeriveSeed(seed_, 2 * block));
-  for (size_t j = 0; j < len; ++j) p.SampleUnclampedInto(&rng, xs + j, len);
+  if (p.pi() > 0.0 && p.pi() < 1.0) {
+    const size_t start = block * kJsdBlock;
+    for (size_t j = 0; j < len; ++j) {
+      const size_t s = start + j;
+      p.MapUnclampedInto(p_uniforms_[2 * s], p_uniforms_[2 * s + 1],
+                         p_normals_.data() + s * d, xs + j, len);
+    }
+  } else {
+    Rng rng(runtime::ShardedRng::DeriveSeed(seed_, 2 * block));
+    for (size_t j = 0; j < len; ++j) p.SampleUnclampedInto(&rng, xs + j, len);
+  }
   double lp[kJsdBlock];
   double lq[kJsdBlock];
   p.LogPdfBatch(xs, len, lp);
   q_->LogPdfBatch(xs, len, lq);
-  double sum = 0.0;
-  for (size_t j = 0; j < len; ++j) sum += lp[j] - LogMix(lp[j], lq[j]);
-  return sum;
+  return KlBlockSum(lp, lp, lq, len);
 }
 
 double JsdEstimator::StoredBlockSum(const ODistribution& p,
@@ -196,9 +249,7 @@ double JsdEstimator::StoredBlockSum(const ODistribution& p,
   double lp[kJsdBlock];
   p.LogPdfBatch(q_draws_.data() + start * q_->dimension(), len, lp);
   const double* lq = log_q_.data() + start;
-  double sum = 0.0;
-  for (size_t j = 0; j < len; ++j) sum += lq[j] - LogMix(lp[j], lq[j]);
-  return sum;
+  return KlBlockSum(lq, lp, lq, len);
 }
 
 double JsdEstimator::Estimate(const ODistribution& p) const {

@@ -54,6 +54,16 @@ class ODistribution {
   /// written to x[i * stride] for i < dimension(). Returns from_match.
   bool SampleUnclampedInto(Rng* rng, double* x, size_t stride) const;
 
+  /// SampleUnclampedInto's value for given draws: the M arm iff u_arm <
+  /// pi (Rng::Bernoulli's rule), the arm's component
+  /// Rng::CategoricalIndex(weights, u_component) (Rng::Categorical's),
+  /// then its TransformInto(z). For 0 < pi < 1, SampleUnclampedInto draws
+  /// exactly u_arm, u_component and dimension() normals, in that order, so
+  /// the two agree bit for bit; at pi = 0 or 1 it draws no u_arm. Returns
+  /// from_match.
+  bool MapUnclampedInto(double u_arm, double u_component, const double* z,
+                        double* x, size_t stride) const;
+
   /// Posterior probability that x belongs to the M-distribution
   /// (paper Section IV-C): P_m(x) = pi p_m(x) / (pi p_m(x) + (1-pi) p_n(x)).
   /// The 1-point case of PosteriorMatchBatch.
@@ -93,6 +103,14 @@ class ODistribution {
 /// the same for every p: the constructor draws and scores it once and
 /// keeps num_samples * (dimension + 1) doubles.
 ///
+/// p's draws differ per p, but their raw randomness does not: for 0 < pi
+/// < 1 each draw takes its arm uniform, its component uniform and
+/// dimension normals from its block's stream, whatever p's weights and
+/// factors. The constructor draws those once too (num_samples * (dimension
+/// + 2) doubles), and Estimate maps them through p (MapUnclampedInto),
+/// bit-identical to drawing from the stream; a p with pi of 0 or 1 draws
+/// no arm uniform, so its blocks draw from their streams.
+///
 /// Estimate(p) draws p's blocks and scores log p and log q there, scores
 /// log p at the stored q draws, sums each block in draw order and folds
 /// the block sums in block order; blocks run on `pool` when given. The
@@ -123,6 +141,11 @@ class JsdEstimator {
   std::vector<double> q_draws_;
   /// log q at q_draws_, in draw order.
   std::vector<double> log_q_;
+  /// p's raw randomness, draw by draw: the arm and component uniforms of
+  /// draw s at p_uniforms_[2 s] and [2 s + 1], its normals at
+  /// p_normals_[s * d + i].
+  std::vector<double> p_uniforms_;
+  std::vector<double> p_normals_;
 };
 
 /// JsdEstimator(q, num_samples, seed, pool).Estimate(p): one estimate.

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace serd::obs {
@@ -137,19 +138,22 @@ class MetricsRegistry {
 };
 
 // ---- Null-safe recording helpers (the observability-off fast path). ----
+// Names are views: the std::string a registry lookup needs is built only
+// when there is a registry, so an observability-off site allocates nothing.
 
-inline Counter* GetCounter(MetricsRegistry* r, const std::string& name) {
-  return r != nullptr ? r->counter(name) : nullptr;
+inline Counter* GetCounter(MetricsRegistry* r, std::string_view name) {
+  return r != nullptr ? r->counter(std::string(name)) : nullptr;
 }
-inline Gauge* GetGauge(MetricsRegistry* r, const std::string& name) {
-  return r != nullptr ? r->gauge(name) : nullptr;
+inline Gauge* GetGauge(MetricsRegistry* r, std::string_view name) {
+  return r != nullptr ? r->gauge(std::string(name)) : nullptr;
 }
-inline Histogram* GetHistogram(MetricsRegistry* r, const std::string& name,
+inline Histogram* GetHistogram(MetricsRegistry* r, std::string_view name,
                                std::vector<double> bounds) {
-  return r != nullptr ? r->histogram(name, std::move(bounds)) : nullptr;
+  return r != nullptr ? r->histogram(std::string(name), std::move(bounds))
+                      : nullptr;
 }
-inline Histogram* GetTimer(MetricsRegistry* r, const std::string& name) {
-  return r != nullptr ? r->timer(name) : nullptr;
+inline Histogram* GetTimer(MetricsRegistry* r, std::string_view name) {
+  return r != nullptr ? r->timer(std::string(name)) : nullptr;
 }
 
 inline void Inc(Counter* c, uint64_t n = 1) {

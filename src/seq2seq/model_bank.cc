@@ -338,7 +338,9 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
 
 obs::Histogram* StringSynthesisBank::BucketHistogram() const {
   // One histogram bucket per bank bucket over the indices [0, K - 1];
-  // a one-bucket bank spans [0, 1], since the bounds need hi > lo.
+  // a one-bucket bank spans [0, 1], since the bounds need hi > lo. With
+  // observability off no bounds are built.
+  if (options_.metrics == nullptr) return nullptr;
   const int k = options_.num_buckets;
   return obs::GetHistogram(options_.metrics, "s2.bank_bucket",
                            obs::LinearBounds(0.0, std::max(1, k - 1), k));

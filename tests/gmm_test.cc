@@ -12,6 +12,7 @@
 #include "gmm/gaussian.h"
 #include "gmm/gmm.h"
 #include "gmm/incremental.h"
+#include "gmm/lse.h"
 #include "gmm/o_distribution.h"
 #include "runtime/sharded_rng.h"
 #include "runtime/thread_pool.h"
@@ -24,6 +25,171 @@ Matrix Diag2(double a, double b) {
   m(0, 0) = a;
   m(1, 1) = b;
   return m;
+}
+
+// ------------------------------------------------------------ lse kernels
+
+/// Ordered integer image of a double: adjacent doubles differ by 1, and
+/// -0 and +0 map to the same value.
+int64_t OrderedBits(double v) {
+  int64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b < 0 ? std::numeric_limits<int64_t>::min() - b : b;
+}
+
+/// Distance in ulps between two non-NaN doubles of the same sign.
+uint64_t UlpDistance(double a, double b) {
+  const int64_t ia = OrderedBits(a);
+  const int64_t ib = OrderedBits(b);
+  return ia > ib ? static_cast<uint64_t>(ia - ib)
+                 : static_cast<uint64_t>(ib - ia);
+}
+
+bool SameBitsExact(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+/// Every call length 1-64 at several starting offsets of `inputs`: each
+/// element of the dispatched call equals the scalar reference bit for bit
+/// (NaN payloads included), wherever it falls in the vector or the tail.
+void ExpectCallsMatchReference(void (*call)(size_t, const double*, double*),
+                               double (*reference)(double),
+                               const std::vector<double>& inputs) {
+  ASSERT_GE(inputs.size(), 64u + 7u);
+  for (size_t len = 1; len <= 64; ++len) {
+    for (size_t offset : {size_t{0}, size_t{1}, size_t{3}, size_t{7}}) {
+      std::vector<double> out(len);
+      call(len, inputs.data() + offset, out.data());
+      for (size_t i = 0; i < len; ++i) {
+        const double want = reference(inputs[offset + i]);
+        ASSERT_TRUE(SameBitsExact(out[i], want))
+            << "len " << len << " offset " << offset << " x "
+            << inputs[offset + i] << ": " << out[i] << " != " << want;
+      }
+      // In place.
+      std::vector<double> in_place(inputs.begin() + offset,
+                                   inputs.begin() + offset + len);
+      call(len, in_place.data(), in_place.data());
+      for (size_t i = 0; i < len; ++i) {
+        ASSERT_TRUE(SameBitsExact(in_place[i], out[i])) << len << "," << i;
+      }
+    }
+  }
+}
+
+TEST(LseKernelTest, ExpCallsMatchScalarReferenceBitwise) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> x = {0.0, -0.0, -inf, nan, -nan, -745.0, -708.0,
+                           -745.1332191019411, -745.1332191019412,
+                           -746.0, -1e300, -4.9e-324, -1e-300};
+  Rng rng(3);
+  // The subnormal range, then all scales of (-inf, 0].
+  while (x.size() < 48) x.push_back(rng.Uniform(-745.0, -708.0));
+  while (x.size() < 96) {
+    x.push_back(-std::ldexp(rng.Uniform(), static_cast<int>(
+                                               rng.UniformInt(int64_t{-60},
+                                                              int64_t{10}))));
+  }
+  ExpectCallsMatchReference(&lse::Exp, &lse::ReferenceExp, x);
+}
+
+TEST(LseKernelTest, LogCallsMatchScalarReferenceBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> x = {1.0, std::nextafter(1.0, 2.0), 2.0,
+                           std::sqrt(2.0), 1.4142135623730951, nan, -nan,
+                           1e300, std::numeric_limits<double>::max()};
+  Rng rng(5);
+  while (x.size() < 48) x.push_back(1.0 + rng.Uniform(0.0, 3.0));
+  while (x.size() < 96) {
+    x.push_back(1.0 + std::ldexp(rng.Uniform(),
+                                 static_cast<int>(rng.UniformInt(
+                                     int64_t{-60}, int64_t{900}))));
+  }
+  ExpectCallsMatchReference(&lse::Log, &lse::ReferenceLog, x);
+}
+
+TEST(LseKernelTest, ExpEdgeValuesExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x = {0.0, -0.0, -inf, -746.0, -1e300};
+  std::vector<double> out(x.size());
+  lse::Exp(x.size(), x.data(), out.data());
+  EXPECT_TRUE(SameBitsExact(out[0], 1.0));
+  EXPECT_TRUE(SameBitsExact(out[1], 1.0));
+  for (size_t i = 2; i < x.size(); ++i) {
+    EXPECT_TRUE(SameBitsExact(out[i], 0.0)) << x[i];  // +0, not -0
+  }
+  double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(lse::ReferenceExp(nan)));
+  EXPECT_TRUE(SameBitsExact(lse::ReferenceLog(1.0), 0.0));
+  EXPECT_TRUE(std::isnan(lse::ReferenceLog(nan)));
+}
+
+/// Sweeps `count` points through the dispatched call and counts those
+/// more than 1 ulp from libm.
+template <typename Libm>
+void ExpectWithinOneUlpOfLibm(void (*call)(size_t, const double*, double*),
+                              Libm libm, const std::vector<double>& x) {
+  std::vector<double> out(x.size());
+  call(x.size(), x.data(), out.data());
+  size_t beyond = 0;
+  uint64_t worst = 0;
+  double worst_x = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const uint64_t ulps = UlpDistance(out[i], libm(x[i]));
+    if (ulps > 1) ++beyond;
+    if (ulps > worst) {
+      worst = ulps;
+      worst_x = x[i];
+    }
+  }
+  EXPECT_EQ(beyond, 0u) << "worst " << worst << " ulps at " << worst_x;
+  EXPECT_LE(worst, 1u);
+}
+
+TEST(LseKernelTest, ExpWithinOneUlpOfLibmOnTenMillionPoints) {
+  // 8e6 points on a quadratic sweep of [-746, 0] (dense near 0, where a
+  // log-sum-exp's terms mostly fall), 2e6 at random scales 2^-60..2^10.
+  constexpr size_t kSweep = 8000000;
+  constexpr size_t kScales = 2000000;
+  std::vector<double> x(kSweep + kScales);
+  for (size_t i = 0; i < kSweep; ++i) {
+    const double u = static_cast<double>(i) / kSweep;
+    x[i] = -746.0 * u * u;
+  }
+  Rng rng(7);
+  for (size_t i = kSweep; i < x.size(); ++i) {
+    x[i] = -std::ldexp(rng.Uniform(),
+                       static_cast<int>(rng.UniformInt(int64_t{-60},
+                                                       int64_t{10})));
+  }
+  ExpectWithinOneUlpOfLibm(&lse::Exp, [](double v) { return std::exp(v); },
+                           x);
+}
+
+TEST(LseKernelTest, LogWithinOneUlpOfLibmOnTenMillionPoints) {
+  // 6e6 points on [1, 16] (a log-sum-exp's sum lies in [1, components]),
+  // 2e6 at 1 + 2^-60..1 + 2^-1, 2e6 over the whole exponent range.
+  constexpr size_t kSweep = 6000000;
+  constexpr size_t kNearOne = 2000000;
+  constexpr size_t kWide = 2000000;
+  std::vector<double> x(kSweep + kNearOne + kWide);
+  for (size_t i = 0; i < kSweep; ++i) {
+    x[i] = 1.0 + 15.0 * static_cast<double>(i) / kSweep;
+  }
+  Rng rng(11);
+  for (size_t i = kSweep; i < kSweep + kNearOne; ++i) {
+    x[i] = 1.0 + std::ldexp(rng.Uniform(),
+                            static_cast<int>(rng.UniformInt(int64_t{-60},
+                                                            int64_t{-1})));
+  }
+  for (size_t i = kSweep + kNearOne; i < x.size(); ++i) {
+    x[i] = std::ldexp(1.0 + rng.Uniform(),
+                      static_cast<int>(rng.UniformInt(int64_t{0},
+                                                      int64_t{1022})));
+  }
+  ExpectWithinOneUlpOfLibm(&lse::Log, [](double v) { return std::log(v); },
+                           x);
 }
 
 // --------------------------------------------------------------- Gaussian
@@ -76,8 +242,9 @@ double ReferenceLogPdf(const MultivariateGaussian& g, const Vec& x) {
 }
 
 /// log-sum-exp over components with a std::vector of terms, log(weight)
-/// taken per call and reference component densities; Gmm::LogPdf and
-/// LogPdfBatch must match it bit for bit.
+/// taken per call, reference component densities and the lse kernels'
+/// scalar references; Gmm::LogPdf and LogPdfBatch must match it bit for
+/// bit.
 double ReferenceLogPdf(const Gmm& gmm, const Vec& x) {
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> terms(gmm.num_components());
@@ -90,12 +257,13 @@ double ReferenceLogPdf(const Gmm& gmm, const Vec& x) {
   }
   if (!std::isfinite(max_term)) return max_term;
   double sum = 0.0;
-  for (double t : terms) sum += std::exp(t - max_term);
-  return max_term + std::log(sum);
+  for (double t : terms) sum += lse::ReferenceExp(t - max_term);
+  return max_term + lse::ReferenceLog(sum);
 }
 
 /// ODistribution::LogPdf spelled out per point over the reference GMM
-/// densities, with its pi = 0 and pi = 1 edges.
+/// densities and the lse scalar references, with its pi = 0 and pi = 1
+/// edges.
 double ReferenceLogPdf(const ODistribution& o, const Vec& x) {
   const double inf = std::numeric_limits<double>::infinity();
   const double log_m =
@@ -107,7 +275,8 @@ double ReferenceLogPdf(const ODistribution& o, const Vec& x) {
           : -inf;
   const double hi = std::max(log_m, log_n);
   if (!std::isfinite(hi)) return hi;
-  return hi + std::log(std::exp(log_m - hi) + std::exp(log_n - hi));
+  return hi + lse::ReferenceLog(lse::ReferenceExp(log_m - hi) +
+                                lse::ReferenceExp(log_n - hi));
 }
 
 /// A A^T + 0.1 I for a random A: symmetric positive definite.
@@ -262,6 +431,243 @@ std::vector<Vec> TwoClusterData(int n_per, Rng* rng) {
   return data;
 }
 
+/// Responsibilities spelled out per point with libm's exp over reference
+/// terms: the prior weights where every term is -inf.
+Vec ReferenceResponsibilities(const Gmm& gmm, const Vec& x) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const size_t g = gmm.num_components();
+  std::vector<double> terms(g);
+  double max_term = -inf;
+  for (size_t k = 0; k < g; ++k) {
+    const double w = gmm.weights()[k];
+    terms[k] = (w > 0.0 ? std::log(w) : -inf) +
+               ReferenceLogPdf(gmm.component(k), x);
+    max_term = std::max(max_term, terms[k]);
+  }
+  if (!std::isfinite(max_term)) return gmm.weights();
+  Vec gamma(g);
+  double total = 0.0;
+  for (size_t k = 0; k < g; ++k) {
+    gamma[k] = std::exp(terms[k] - max_term);
+    total += gamma[k];
+  }
+  for (double& v : gamma) v /= total;
+  return gamma;
+}
+
+TEST(GmmTest, EStepTileMatchesPerPointReferencesBitwise) {
+  Rng rng(31);
+  for (size_t d : BatchDimensions()) {
+    for (size_t g : {size_t{1}, size_t{3}, Gmm::kInlineComponents + 1}) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " g=" + std::to_string(g));
+      const Gmm gmm = RandomMixture(d, g, &rng);
+      for (size_t count : {size_t{1}, size_t{5}, size_t{64}}) {
+        const std::vector<Vec> points = BatchPoints(d, count, &rng);
+        const std::vector<double> xs = DimensionMajor(points);
+        std::vector<double> gamma(count * g), log_pdf(count);
+        gmm.EStepTile(xs.data(), count, count, gamma.data(), log_pdf.data());
+        std::vector<double> gamma_only(count * g);
+        gmm.EStepTile(xs.data(), count, count, gamma_only.data(), nullptr);
+        for (size_t j = 0; j < count; ++j) {
+          const Vec want = ReferenceResponsibilities(gmm, points[j]);
+          const Vec got = gmm.Responsibilities(points[j]);
+          for (size_t k = 0; k < g; ++k) {
+            EXPECT_TRUE(SameBits(gamma[j * g + k], want[k])) << j << "," << k;
+            EXPECT_TRUE(SameBits(gamma_only[j * g + k], want[k]));
+            EXPECT_TRUE(SameBits(got[k], want[k])) << j << "," << k;
+          }
+          EXPECT_TRUE(SameBits(log_pdf[j], ReferenceLogPdf(gmm, points[j])))
+              << "point " << j;
+        }
+      }
+    }
+  }
+}
+
+/// RunEmOnce as it ran per point before its E-step went into tiles:
+/// serial, ReferenceResponsibilities and ReferenceLogPdf per point, every
+/// sum chunked by 128 points and folded in chunk order as ParallelReduce
+/// folds it, and the same M-step.
+struct ReferenceEmRun {
+  Gmm model;
+  double log_likelihood = -std::numeric_limits<double>::infinity();
+};
+
+ReferenceEmRun ReferenceRunEmOnce(const std::vector<Vec>& data, int g,
+                                  const GmmFitOptions& options, Rng* rng) {
+  constexpr size_t kGrain = 128;
+  const size_t n = data.size();
+  const size_t d = data[0].size();
+  Vec global_mean(d, 0.0);
+  for (const auto& x : data) AddInPlace(&global_mean, x);
+  ScaleInPlace(&global_mean, 1.0 / static_cast<double>(n));
+  Matrix global_cov(d, d);
+  for (const auto& x : data) {
+    Vec diff = Sub(x, global_mean);
+    for (size_t i = 0; i < d; ++i) {
+      for (size_t j = 0; j < d; ++j) global_cov(i, j) += diff[i] * diff[j];
+    }
+  }
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (auto& v : global_cov.data()) v *= inv_n;
+  double mean_var = 0.0;
+  for (size_t i = 0; i < d; ++i) mean_var += global_cov(i, i);
+  mean_var /= static_cast<double>(d);
+  const double var_floor = std::max(options.ridge, 1e-3 * mean_var);
+  std::vector<MultivariateGaussian> comps;
+  for (int k = 0; k < g; ++k) {
+    comps.emplace_back(data[rng->UniformInt(n)], global_cov, var_floor);
+  }
+  Gmm model(std::vector<double>(g, 1.0 / g), std::move(comps));
+  auto log_likelihood = [&](std::vector<Vec>* gammas) {
+    double acc = 0.0;
+    for (size_t lo = 0; lo < n; lo += kGrain) {
+      double part = 0.0;
+      for (size_t i = lo; i < std::min(n, lo + kGrain); ++i) {
+        if (gammas != nullptr) {
+          (*gammas)[i] = ReferenceResponsibilities(model, data[i]);
+        }
+        part += ReferenceLogPdf(model, data[i]);
+      }
+      acc = acc + part;
+    }
+    return acc;
+  };
+  double prev_ll = -std::numeric_limits<double>::infinity();
+  std::vector<Vec> gammas(n);
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const double ll = log_likelihood(&gammas);
+    if (iter > 0 && ll - prev_ll < options.tolerance) return {model, ll};
+    prev_ll = ll;
+    std::vector<double> gamma_sum;
+    std::vector<Vec> mu_sum;
+    for (size_t lo = 0; lo < n; lo += kGrain) {
+      std::vector<double> part_gamma(g, 0.0);
+      std::vector<Vec> part_mu(g, Vec(d, 0.0));
+      for (size_t i = lo; i < std::min(n, lo + kGrain); ++i) {
+        for (int k = 0; k < g; ++k) {
+          part_gamma[k] += gammas[i][k];
+          for (size_t j = 0; j < d; ++j) {
+            part_mu[k][j] += gammas[i][k] * data[i][j];
+          }
+        }
+      }
+      if (gamma_sum.empty()) {
+        gamma_sum = part_gamma;
+        mu_sum = part_mu;
+        continue;
+      }
+      for (int k = 0; k < g; ++k) {
+        gamma_sum[k] += part_gamma[k];
+        AddInPlace(&mu_sum[k], part_mu[k]);
+      }
+    }
+    std::vector<Vec> mu(g, Vec(d, 0.0));
+    for (int k = 0; k < g; ++k) {
+      if (gamma_sum[k] < 1e-10) continue;
+      mu[k] = mu_sum[k];
+      ScaleInPlace(&mu[k], 1.0 / gamma_sum[k]);
+    }
+    std::vector<Matrix> covs;
+    for (size_t lo = 0; lo < n; lo += kGrain) {
+      std::vector<Matrix> part(g, Matrix(d, d));
+      for (size_t i = lo; i < std::min(n, lo + kGrain); ++i) {
+        for (int k = 0; k < g; ++k) {
+          if (gamma_sum[k] < 1e-10) continue;
+          Vec diff = Sub(data[i], mu[k]);
+          for (size_t r = 0; r < d; ++r) {
+            for (size_t c = 0; c < d; ++c) {
+              part[k](r, c) += gammas[i][k] * diff[r] * diff[c];
+            }
+          }
+        }
+      }
+      if (covs.empty()) {
+        covs = std::move(part);
+        continue;
+      }
+      for (int k = 0; k < g; ++k) {
+        for (size_t e = 0; e < covs[k].data().size(); ++e) {
+          covs[k].data()[e] += part[k].data()[e];
+        }
+      }
+    }
+    std::vector<double> weights(g);
+    std::vector<MultivariateGaussian> next;
+    for (int k = 0; k < g; ++k) {
+      if (gamma_sum[k] < 1e-10) {
+        next.emplace_back(data[rng->UniformInt(n)], global_cov, var_floor);
+        weights[k] = 1.0 / static_cast<double>(n);
+        continue;
+      }
+      Matrix cov = covs[k];
+      for (auto& v : cov.data()) v /= gamma_sum[k];
+      next.emplace_back(mu[k], std::move(cov), var_floor);
+      weights[k] = gamma_sum[k] / static_cast<double>(n);
+    }
+    model = Gmm(std::move(weights), std::move(next));
+  }
+  return {model, log_likelihood(nullptr)};
+}
+
+/// Gmm::FitEM's restarts over ReferenceRunEmOnce.
+Gmm ReferenceFitEm(const std::vector<Vec>& data, int g,
+                   const GmmFitOptions& options) {
+  g = std::max(1, std::min<int>(g, static_cast<int>(data.size())));
+  Rng rng(options.seed + static_cast<uint64_t>(g) * 1000003ULL);
+  ReferenceEmRun best{
+      Gmm({1.0}, {MultivariateGaussian({0.0}, Matrix::Identity(1))})};
+  for (int r = 0; r < std::max(1, options.num_restarts); ++r) {
+    ReferenceEmRun run = ReferenceRunEmOnce(data, g, options, &rng);
+    if (run.log_likelihood > best.log_likelihood) best = std::move(run);
+  }
+  return best.model;
+}
+
+void ExpectSameGmmBits(const Gmm& got, const Gmm& want) {
+  ASSERT_EQ(got.num_components(), want.num_components());
+  for (size_t k = 0; k < got.num_components(); ++k) {
+    EXPECT_TRUE(SameBits(got.weights()[k], want.weights()[k])) << k;
+    const auto& a = got.component(k);
+    const auto& b = want.component(k);
+    EXPECT_TRUE(SameBits(a.log_det(), b.log_det())) << k;
+    for (size_t i = 0; i < a.dimension(); ++i) {
+      EXPECT_TRUE(SameBits(a.mean()[i], b.mean()[i])) << k << "," << i;
+    }
+    for (size_t e = 0; e < a.cholesky().data().size(); ++e) {
+      EXPECT_TRUE(SameBits(a.covariance().data()[e], b.covariance().data()[e]));
+      EXPECT_TRUE(SameBits(a.cholesky().data()[e], b.cholesky().data()[e]));
+    }
+  }
+}
+
+TEST(GmmTest, FitEmMatchesPerPointLoopBitwise) {
+  // 300 points: chunks of 128, 128 and 44 points, tiles of 64 and tails.
+  Rng rng(43);
+  std::vector<Vec> data2 = TwoClusterData(150, &rng);
+  std::vector<Vec> data3;
+  for (int i = 0; i < 201; ++i) {
+    data3.push_back({rng.Gaussian(0.2 + 0.6 * (i % 3 == 0), 0.05),
+                     rng.Uniform(), rng.Gaussian(0.5, 0.2)});
+  }
+  runtime::ThreadPool pool(3);
+  for (const auto* data : {&data2, &data3}) {
+    for (int g = 1; g <= 4; ++g) {
+      SCOPED_TRACE("d=" + std::to_string((*data)[0].size()) +
+                   " g=" + std::to_string(g));
+      GmmFitOptions options;
+      const Gmm want = ReferenceFitEm(*data, g, options);
+      for (runtime::ThreadPool* p :
+           {static_cast<runtime::ThreadPool*>(nullptr), &pool}) {
+        options.pool = p;
+        auto fit = Gmm::FitEM(*data, g, options);
+        ASSERT_TRUE(fit.ok());
+        ExpectSameGmmBits(fit.value(), want);
+      }
+    }
+  }
+}
+
 TEST(GmmTest, FitRecoversTwoSeparatedClusters) {
   Rng rng(7);
   auto data = TwoClusterData(150, &rng);
@@ -402,6 +808,43 @@ TEST(IncrementalGmmTest, CommitMatchesBatchSufficientStats) {
   }
 }
 
+TEST(IncrementalGmmTest, ComputeDeltaMatchesPerPointSumsBitwise) {
+  // 150 points: two full tiles and a tail, summed point by point.
+  Rng rng(47);
+  auto initial = TwoClusterData(40, &rng);
+  auto fit = Gmm::FitEM(initial, 3, GmmFitOptions{});
+  ASSERT_TRUE(fit.ok());
+  const IncrementalGmm inc(fit.value(), initial);
+  const std::vector<Vec> points = TwoClusterData(75, &rng);
+  const auto delta = inc.ComputeDelta(points);
+  const size_t g = fit->num_components();
+  std::vector<double> gamma_sum(g, 0.0);
+  std::vector<Vec> weighted(g, Vec(2, 0.0));
+  std::vector<Matrix> second(g, Matrix(2, 2));
+  for (const auto& x : points) {
+    const Vec gamma = ReferenceResponsibilities(inc.model(), x);
+    for (size_t k = 0; k < g; ++k) {
+      gamma_sum[k] += gamma[k];
+      for (size_t i = 0; i < 2; ++i) {
+        weighted[k][i] += gamma[k] * x[i];
+        for (size_t j = 0; j < 2; ++j) {
+          second[k](i, j) += gamma[k] * x[i] * x[j];
+        }
+      }
+    }
+  }
+  ASSERT_EQ(delta.count, points.size());
+  for (size_t k = 0; k < g; ++k) {
+    EXPECT_TRUE(SameBits(delta.gamma_sum[k], gamma_sum[k])) << k;
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_TRUE(SameBits(delta.weighted_sum[k][i], weighted[k][i]));
+      for (size_t j = 0; j < 2; ++j) {
+        EXPECT_TRUE(SameBits(delta.second_moment[k](i, j), second[k](i, j)));
+      }
+    }
+  }
+}
+
 TEST(IncrementalGmmTest, PreviewDoesNotMutate) {
   Rng rng(31);
   auto initial = TwoClusterData(40, &rng);
@@ -503,8 +946,8 @@ TEST(ODistributionTest, LogPdfBatchMatchesPerPointReferenceBitwise) {
   }
 }
 
-/// PosteriorMatch spelled out per point over the reference GMM densities,
-/// with its pi = 0 and pi = 1 edges.
+/// PosteriorMatch spelled out per point over the reference GMM densities
+/// and the lse scalar reference Exp, with its pi = 0 and pi = 1 edges.
 double ReferencePosteriorMatch(const ODistribution& o, const Vec& x) {
   if (o.pi() <= 0.0) return 0.0;
   if (o.pi() >= 1.0) return 1.0;
@@ -513,8 +956,8 @@ double ReferencePosteriorMatch(const ODistribution& o, const Vec& x) {
   const double log_n =
       std::log(1.0 - o.pi()) + ReferenceLogPdf(o.n_distribution(), x);
   const double hi = std::max(log_m, log_n);
-  const double zm = std::exp(log_m - hi);
-  const double zn = std::exp(log_n - hi);
+  const double zm = lse::ReferenceExp(log_m - hi);
+  const double zn = lse::ReferenceExp(log_n - hi);
   return zm / (zm + zn);
 }
 
@@ -653,7 +1096,8 @@ Vec ReferenceSampleUnclamped(const ODistribution& o, Rng* rng) {
 }
 
 /// The per-point block sum EstimateJsd used before JsdEstimator: one draw
-/// at a time from the sampled side, both densities per draw.
+/// at a time from the sampled side's stream, both densities per draw, log m
+/// through the lse scalar references.
 double ReferenceJsdBlockSum(const ODistribution& sample_side,
                             const ODistribution& p, const ODistribution& q,
                             int lo, int hi, Rng* rng) {
@@ -664,8 +1108,9 @@ double ReferenceJsdBlockSum(const ODistribution& sample_side,
     double lp = ReferenceLogPdf(p, x);
     double lq = ReferenceLogPdf(q, x);
     double hi_l = std::max(lp, lq);
-    double log_mix = kLogHalf + hi_l + std::log(std::exp(lp - hi_l) +
-                                                std::exp(lq - hi_l));
+    double log_mix =
+        kLogHalf + hi_l + lse::ReferenceLog(lse::ReferenceExp(lp - hi_l) +
+                                            lse::ReferenceExp(lq - hi_l));
     sum += (&sample_side == &p ? lp : lq) - log_mix;
   }
   return sum;
@@ -742,6 +1187,56 @@ TEST(JsdTest, EstimatorMatchesPerPointReferenceBitwise) {
       }
       EXPECT_TRUE(SameBits(EstimateJsd(ps[0], q, n, seed, pool), want[0]));
     }
+  }
+}
+
+TEST(JsdTest, CachedDrawsMatchStreamPathBitwise) {
+  // For 0 < pi < 1 Estimate maps the draws its constructor cached; the
+  // reference draws every point from the block streams. Odd d makes the
+  // Box-Muller pairs straddle draws; d = 33 takes the heap buffers; pi = 0
+  // and pi = 1 draw no arm uniform and keep the stream path.
+  const uint64_t seed = 0x5eed;
+  for (size_t d : {size_t{1}, size_t{3}, size_t{4},
+                   MultivariateGaussian::kInlineDimension + 1}) {
+    Rng rng(59 + d);
+    const ODistribution q(0.3, RandomMixture(d, 2, &rng),
+                          RandomMixture(d, 3, &rng));
+    std::vector<ODistribution> ps;
+    for (double pi : {0.0, 1.0 / 11.0, 0.5, 1.0}) {
+      ps.emplace_back(pi, RandomMixture(d, 3, &rng),
+                      RandomMixture(d, 4, &rng));
+    }
+    for (int n : {1, 65, 130}) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " n=" + std::to_string(n));
+      const JsdEstimator estimator(q, n, seed);
+      for (const auto& p : ps) {
+        EXPECT_TRUE(SameBits(estimator.Estimate(p),
+                             ReferenceEstimateJsd(p, q, n, seed)))
+            << "pi=" << p.pi();
+      }
+    }
+  }
+}
+
+TEST(ODistributionTest, MapUnclampedMatchesSampleUnclampedBitwise) {
+  Rng build(61);
+  for (size_t d : {size_t{1}, size_t{3}}) {
+    const ODistribution o(0.4, RandomMixture(d, 3, &build),
+                          RandomMixture(d, 2, &build));
+    Rng stream(7), raw(7);
+    for (int draw = 0; draw < 50; ++draw) {
+      std::vector<double> want(d), got(d);
+      const bool want_match = o.SampleUnclampedInto(&stream, want.data(), 1);
+      const double u_arm = raw.Uniform();
+      const double u_component = raw.Uniform();
+      std::vector<double> z(d);
+      for (double& v : z) v = raw.Gaussian();
+      EXPECT_EQ(o.MapUnclampedInto(u_arm, u_component, z.data(), got.data(),
+                                   1),
+                want_match);
+      for (size_t i = 0; i < d; ++i) EXPECT_TRUE(SameBits(got[i], want[i]));
+    }
+    EXPECT_EQ(stream.Next(), raw.Next());
   }
 }
 
