@@ -16,6 +16,7 @@
 #include "bench/bench_common.h"
 #include "core/cached_sim.h"
 #include "datagen/generators.h"
+#include "gan/entity_encoder.h"
 #include "gmm/gmm.h"
 #include "gmm/incremental.h"
 #include "gmm/o_distribution.h"
@@ -297,6 +298,65 @@ void BM_QgramJaccardHashed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QgramJaccardHashed);
+
+/// dblp-acm titles and author lists: the text values a served job's climb,
+/// partner vectors and discriminator see.
+std::vector<std::string> DblpTextValues() {
+  auto ds = datagen::Generate(DatasetKind::kDblpAcm,
+                              {.seed = 5, .scale = 0.02});
+  std::vector<std::string> values;
+  for (const Table* t : {&ds.a, &ds.b}) {
+    for (const auto& r : t->rows()) {
+      values.push_back(r.values[0]);
+      values.push_back(r.values[1]);
+    }
+  }
+  return values;
+}
+
+void BM_QgramProfileJaccard(benchmark::State& state) {
+  // The climb's proposal scorer: one reference, many candidates.
+  const auto values = DblpTextValues();
+  QgramJaccardProfile profile(values[0], 3);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(profile.Jaccard(values[i]));
+    if (++i == values.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QgramProfileJaccard);
+
+void BM_JaccardOfHashedSets(benchmark::State& state) {
+  // Partner vectors, S3 and the categorical table: two digested sets.
+  const auto values = DblpTextValues();
+  std::vector<std::vector<uint32_t>> sets;
+  for (const auto& v : values) sets.push_back(HashedQgramSet(v, 3));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        JaccardOfHashedSets(sets[i], sets[i + 1 < sets.size() ? i + 1 : 0]));
+    if (++i == sets.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JaccardOfHashedSets);
+
+void BM_EntityEncode(benchmark::State& state) {
+  // The discriminator's input: one dblp-acm entity's features.
+  auto ds = datagen::Generate(DatasetKind::kDblpAcm,
+                              {.seed = 5, .scale = 0.02});
+  const SimilaritySpec spec =
+      SimilaritySpec::FromTables(ds.schema(), {&ds.a, &ds.b});
+  const EntityEncoder encoder(spec);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(encoder.Encode(ds.a.row(i)));
+    if (++i == ds.a.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EntityEncode);
 
 /// One forward/backward step of a small MLP on the tape; arg 0 selects
 /// heap allocation (0) or the tensor arena (1).

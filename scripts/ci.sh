@@ -76,8 +76,10 @@ echo "==> configure + build (SERD_NATIVE: portable kernel clone)"
 # with FMA contraction. The kernel tests hold the row-count and Exp
 # contracts, nn_test the activation gradients built on them; the KV-cache
 # oracles hold the decode; gmm_test holds the batched log-density and JSD
-# estimator oracles.
-NATIVE_TESTS=(kernels_test nn_test seq2seq_test gmm_test)
+# estimator oracles; text_test holds the q-gram kernels (portable hashing,
+# first occurrences, membership and intersection against the string
+# sets) and gan_test the encoder's text features built on them.
+NATIVE_TESTS=(kernels_test nn_test seq2seq_test gmm_test text_test gan_test)
 cmake -B build-native -S . -DSERD_NATIVE=ON >/dev/null
 cmake --build build-native -j "$JOBS" --target "${NATIVE_TESTS[@]}"
 

@@ -1,6 +1,7 @@
 #include "artifact/bytes.h"
 
 #include <array>
+#include <bit>
 #include <cstring>
 
 namespace serd::artifact {
@@ -28,6 +29,11 @@ CrcTables MakeCrcTables() {
   }
   return t;
 }
+
+/// On a little-endian host an element's bytes in memory are its artifact
+/// bytes, so a whole vector moves as one block.
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
+static_assert(sizeof(int) == 4, "I32Vec moves ints as 4-byte blocks");
 
 inline uint32_t LoadLe32(const unsigned char* p) {
   return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
@@ -92,19 +98,26 @@ void ByteWriter::StrVec(const std::vector<std::string>& v) {
   for (const auto& s : v) Str(s);
 }
 
-void ByteWriter::F32Vec(const std::vector<float>& v) {
+template <typename T, typename Put>
+void ByteWriter::Block(const std::vector<T>& v, const Put& put) {
   U32(static_cast<uint32_t>(v.size()));
-  for (float x : v) F32(x);
+  if constexpr (kLittleEndianHost) {
+    out_.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+  } else {
+    for (T x : v) put(x);
+  }
+}
+
+void ByteWriter::F32Vec(const std::vector<float>& v) {
+  Block(v, [this](float x) { F32(x); });
 }
 
 void ByteWriter::F64Vec(const std::vector<double>& v) {
-  U32(static_cast<uint32_t>(v.size()));
-  for (double x : v) F64(x);
+  Block(v, [this](double x) { F64(x); });
 }
 
 void ByteWriter::I32Vec(const std::vector<int>& v) {
-  U32(static_cast<uint32_t>(v.size()));
-  for (int x : v) I32(x);
+  Block(v, [this](int x) { I32(x); });
 }
 
 void ByteWriter::I64Vec(const std::vector<long>& v) {
@@ -199,31 +212,32 @@ std::vector<std::string> ByteReader::StrVec() {
   return v;
 }
 
-std::vector<float> ByteReader::F32Vec() {
-  uint32_t n = Count(4);
-  std::vector<float> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && ok(); ++i) v.push_back(F32());
-  if (!ok()) v.clear();
+template <typename T, typename Get>
+std::vector<T> ByteReader::Block(const Get& get) {
+  // Count checks the whole block against the remaining payload, so no
+  // element read below can fail.
+  const uint32_t n = Count(sizeof(T));
+  if (!ok()) return {};
+  std::vector<T> v(n);
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(v.data(), data_.data() + pos_, n * sizeof(T));
+    pos_ += n * sizeof(T);
+  } else {
+    for (T& x : v) x = get();
+  }
   return v;
+}
+
+std::vector<float> ByteReader::F32Vec() {
+  return Block<float>([this] { return F32(); });
 }
 
 std::vector<double> ByteReader::F64Vec() {
-  uint32_t n = Count(8);
-  std::vector<double> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && ok(); ++i) v.push_back(F64());
-  if (!ok()) v.clear();
-  return v;
+  return Block<double>([this] { return F64(); });
 }
 
 std::vector<int> ByteReader::I32Vec() {
-  uint32_t n = Count(4);
-  std::vector<int> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n && ok(); ++i) v.push_back(I32());
-  if (!ok()) v.clear();
-  return v;
+  return Block<int>([this] { return static_cast<int>(I32()); });
 }
 
 std::vector<long> ByteReader::I64Vec() {

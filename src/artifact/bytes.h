@@ -37,7 +37,7 @@ class ByteWriter {
   void Str(std::string_view s);
   /// u32 count + strings.
   void StrVec(const std::vector<std::string>& v);
-  /// u32 count + raw IEEE bits.
+  /// u32 count + raw IEEE bits (one block copy on little-endian hosts).
   void F32Vec(const std::vector<float>& v);
   void F64Vec(const std::vector<double>& v);
   void I32Vec(const std::vector<int>& v);
@@ -48,6 +48,11 @@ class ByteWriter {
   const std::string& bytes() const { return out_; }
 
  private:
+  /// u32 count, then the elements' bytes as one block on little-endian
+  /// hosts and one element at a time through `put` elsewhere.
+  template <typename T, typename Put>
+  void Block(const std::vector<T>& v, const Put& put);
+
   std::string out_;
 };
 
@@ -73,6 +78,8 @@ class ByteReader {
 
   std::string Str();
   std::vector<std::string> StrVec();
+  /// One length check and, on little-endian hosts, one block copy per
+  /// vector; a truncated vector fails Count's check.
   std::vector<float> F32Vec();
   std::vector<double> F64Vec();
   std::vector<int> I32Vec();
@@ -97,6 +104,12 @@ class ByteReader {
  private:
   /// True when `n` more bytes are available; fails the reader otherwise.
   bool Need(size_t n);
+
+  /// A counted vector of 4- or 8-byte elements: copied as one block on
+  /// little-endian hosts, read one element at a time through `get`
+  /// elsewhere.
+  template <typename T, typename Get>
+  std::vector<T> Block(const Get& get);
 
   std::string_view data_;
   size_t pos_ = 0;

@@ -104,19 +104,25 @@ SerdSynthesizer::SerdSynthesizer(const ERDataset& real, SerdOptions options)
   // Precompute the categorical similarity tables (CatSimTable). Domains
   // are small (distinct values of one column), so the O(|domain|^2) build
   // is paid once here instead of two O(|domain|) q-gram scans per
-  // synthesized categorical cell.
+  // synthesized categorical cell. Each value is hashed once; on a
+  // categorical column ColumnSimilarity is the Jaccard of these sets (an
+  // empty value has the empty set, which gives its 1 and 0 cases).
   const Schema& schema = spec_.schema();
   cat_sim_.resize(schema.num_columns());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     if (schema.column(c).type != ColumnType::kCategorical) continue;
     const auto& domain = spec_.stats()[c].domain;
     CatSimTable& table = cat_sim_[c];
-    table.rows.resize(domain.size());
+    table.grams.resize(domain.size());
     for (size_t i = 0; i < domain.size(); ++i) {
       table.index.emplace(domain[i], i);
+      table.grams[i] = HashedQgramSet(domain[i], 3);
+    }
+    table.rows.resize(domain.size());
+    for (size_t i = 0; i < domain.size(); ++i) {
       table.rows[i].resize(domain.size());
       for (size_t j = 0; j < domain.size(); ++j) {
-        table.rows[i][j] = spec_.ColumnSimilarity(c, domain[i], domain[j]);
+        table.rows[i][j] = JaccardOfHashedSets(table.grams[i], table.grams[j]);
       }
     }
   }
@@ -345,9 +351,10 @@ Entity SerdSynthesizer::SynthesizeFrom(const Entity& e, const Vec& x,
         } else {
           // Source value outside the domain (cold-start decode from the
           // background pool): compute its row once.
+          const std::vector<uint32_t> grams = HashedQgramSet(e.values[c], 3);
           fallback.resize(domain.size());
           for (size_t i = 0; i < domain.size(); ++i) {
-            fallback[i] = spec_.ColumnSimilarity(c, e.values[c], domain[i]);
+            fallback[i] = JaccardOfHashedSets(grams, table.grams[i]);
           }
           row = &fallback;
         }
@@ -480,6 +487,10 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       obs::GetTimer(metrics_.get(), "s2.discriminator_seconds");
   obs::Histogram* h_preview_seconds =
       obs::GetTimer(metrics_.get(), "s2.preview_seconds");
+  // Per attempt: the candidate's digest, its partner similarity vectors
+  // and their posterior labels.
+  obs::Histogram* h_partner_seconds =
+      obs::GetTimer(metrics_.get(), "s2.partner_seconds");
 
   const size_t na = options_.target_a > 0 ? options_.target_a : real_->a.size();
   const size_t nb = options_.target_b > 0 ? options_.target_b : real_->b.size();
@@ -494,17 +505,23 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
   a_digests.reserve(na);
   b_digests.reserve(nb);
 
-  auto append_entity = [&](bool to_a, Entity e) -> size_t {
+  // `digest` is MakeDigest(e), which does not read the id.
+  auto append_entity = [&](bool to_a, Entity e,
+                           CachedSimilarity::Digest digest) -> size_t {
     Table& t = to_a ? syn.a : syn.b;
     auto& digests = to_a ? a_digests : b_digests;
     e.id = (to_a ? "sa" : "sb") + std::to_string(t.size());
-    digests.push_back(cached_sim_->MakeDigest(e));
+    digests.push_back(std::move(digest));
     t.Append(std::move(e));
     return t.size() - 1;
   };
 
   // Bootstrap with one GAN-generated A-entity (paper step S2 start).
-  append_entity(true, ColdStartEntity(&rng));
+  {
+    Entity seed = ColdStartEntity(&rng);
+    CachedSimilarity::Digest seed_digest = cached_sim_->MakeDigest(seed);
+    append_entity(true, std::move(seed), std::move(seed_digest));
+  }
   ++report.accepted_entities;
   obs::Inc(c_accepted);
   obs::TraceSpan s2_span(metrics_.get(), "s2.loop");
@@ -521,19 +538,43 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
   // same seed, so O_real's half of it is drawn and scored once per run, by
   // the estimator the first evaluation builds (and times).
   std::optional<JsdEstimator> jsd_estimator;
-  auto run_jsd = [&](const ODistribution& o_syn) {
+  // An arm previewed without new pairs is its committed model, so its
+  // log-densities at the estimator's stored O_real draws carry over from
+  // the last estimate that computed them. Each cache holds its model, so
+  // the model cannot be freed and its address reused while cached.
+  struct StoredArm {
+    std::shared_ptr<const Gmm> model;
+    std::vector<double> log_pdf;
+  };
+  StoredArm m_stored, n_stored;
+  auto stored_log_pdf = [&](const IncrementalGmm::Update* update,
+                            StoredArm* arm) -> const double* {
+    if (update == nullptr || !update->unchanged) return nullptr;
+    if (arm->model != update->model) {
+      jsd_estimator->StoredArmLogPdf(*update->model, &arm->log_pdf);
+      arm->model = update->model;
+    }
+    return arm->log_pdf.data();
+  };
+  // The updates, when given, are the previews o_syn was built from.
+  auto run_jsd = [&](const ODistribution& o_syn,
+                     const IncrementalGmm::Update* m_update,
+                     const IncrementalGmm::Update* n_update) {
     if (!jsd_estimator.has_value()) {
       jsd_estimator.emplace(o_real_, options_.jsd_samples, jsd_seed,
                             pool_.get());
     }
-    return jsd_estimator->Estimate(o_syn);
+    return jsd_estimator->Estimate(o_syn, stored_log_pdf(m_update, &m_stored),
+                                   stored_log_pdf(n_update, &n_stored));
   };
-  auto estimate_jsd = [&](const ODistribution& o_syn) {
+  auto estimate_jsd = [&](const ODistribution& o_syn,
+                          const IncrementalGmm::Update* m_update = nullptr,
+                          const IncrementalGmm::Update* n_update = nullptr) {
     ++report.jsd_evaluations;
     obs::Inc(c_jsd_evals);
-    if (h_jsd_seconds == nullptr) return run_jsd(o_syn);
+    if (h_jsd_seconds == nullptr) return run_jsd(o_syn, m_update, n_update);
     WallTimer jsd_timer;
-    double v = run_jsd(o_syn);
+    double v = run_jsd(o_syn, m_update, n_update);
     h_jsd_seconds->Record(jsd_timer.Seconds());
     return v;
   };
@@ -551,7 +592,7 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
         static_cast<double>(syn_pos_count) /
         static_cast<double>(std::max<size_t>(1, syn_pos_count + syn_neg_count));
     pi_syn = std::clamp(pi_syn, 0.001, 0.999);
-    return ODistribution(pi_syn, m_syn->model(), n_syn->model());
+    return ODistribution(pi_syn, m_syn->shared_model(), n_syn->shared_model());
   };
 
   // Labels for sampled pairs (step S2-4).
@@ -577,10 +618,16 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
     return out;
   };
 
-  // Each attempt's partner similarity vectors, and the same vectors
-  // dimension-major for their posteriors.
-  std::vector<Vec> partner_vecs;
+  // Each attempt's partner similarity vectors, the same vectors
+  // dimension-major for their posteriors, and the vectors split by label.
+  // The three vector pools only grow, so once they have grown an attempt
+  // allocates no similarity vector (SimilarityVectorInto and swaps).
+  std::vector<Vec> partner_vecs, delta_pos, delta_neg;
   std::vector<double> partner_xs, partner_posteriors;
+  std::vector<size_t> chosen;  // Floyd's picks, at most t_cap
+  const size_t dim = o_real_.dimension();
+  const size_t t_cap =
+      static_cast<size_t>(std::max(1, options_.rejection_partner_sample));
   size_t guard = 0;
   const size_t max_iterations = options_.max_loop_iterations > 0
                                     ? options_.max_loop_iterations
@@ -618,8 +665,8 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
     // synthesized a fresh entity on force and committed nothing, letting
     // O_syn drift whenever the discriminator was strict.)
     Entity e_new;
+    CachedSimilarity::Digest e_new_digest;
     bool is_match = false;
-    std::vector<Vec> delta_pos, delta_neg;
     for (int attempt = 0; attempt <= options_.max_reject_retries;
          ++attempt) {
       // Per-attempt poll: rejection retries can dominate an iteration's
@@ -640,37 +687,38 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
 
       // Induced pairs between the candidate and (a sample of) T_e
       // (paper Remark (1): sample t partners).
-      auto digest = cached_sim_->MakeDigest(candidate);
-      partner_vecs.clear();
-      size_t partners = source_table.size();
-      size_t t_cap = static_cast<size_t>(
-          std::max(1, options_.rejection_partner_sample));
+      std::optional<WallTimer> partner_timer;
+      if (h_partner_seconds != nullptr) partner_timer.emplace();
+      CachedSimilarity::Digest digest = cached_sim_->MakeDigest(candidate);
+      const size_t partners = source_table.size();
+      const size_t num_partners = std::min(partners, t_cap);
+      if (partner_vecs.size() < num_partners) {
+        partner_vecs.resize(num_partners);
+      }
       if (partners <= t_cap) {
         for (size_t s = 0; s < partners; ++s) {
-          partner_vecs.push_back(
-              cached_sim_->SimilarityVector(source_digests[s], digest));
+          cached_sim_->SimilarityVectorInto(source_digests[s], digest,
+                                            &partner_vecs[s]);
         }
       } else {
         // Floyd's algorithm: t_cap *distinct* partner indices in t_cap
         // draws (one UniformInt per selection, like the old
         // with-replacement loop, which could feed duplicate pairs into
         // the Eq. 9 delta and double-count them).
-        std::unordered_set<size_t> chosen;
-        chosen.reserve(t_cap);
+        chosen.clear();
+        size_t t = 0;
         for (size_t j = partners - t_cap; j < partners; ++j) {
           size_t pick = rng.UniformInt(j + 1);
-          if (!chosen.insert(pick).second) {
+          if (std::find(chosen.begin(), chosen.end(), pick) != chosen.end()) {
             pick = j;
-            chosen.insert(pick);
           }
-          partner_vecs.push_back(
-              cached_sim_->SimilarityVector(source_digests[pick], digest));
+          chosen.push_back(pick);
+          cached_sim_->SimilarityVectorInto(source_digests[pick], digest,
+                                            &partner_vecs[t++]);
         }
       }
       // The partners' posteriors are one batch; delta_pos and delta_neg
       // keep partner order, the order ComputeDelta sums in.
-      const size_t num_partners = partner_vecs.size();
-      const size_t dim = o_real_.dimension();
       partner_xs.resize(dim * num_partners);
       partner_posteriors.resize(num_partners);
       for (size_t t = 0; t < num_partners; ++t) {
@@ -680,33 +728,36 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       }
       o_real_.PosteriorMatchBatch(partner_xs.data(), num_partners,
                                   partner_posteriors.data());
-      delta_pos.clear();
-      delta_neg.clear();
+      if (delta_pos.size() < num_partners) delta_pos.resize(num_partners);
+      if (delta_neg.size() < num_partners) delta_neg.resize(num_partners);
+      size_t num_pos = 0, num_neg = 0;
       for (size_t t = 0; t < num_partners; ++t) {
         // LabelAsMatch's rule: P_m(x) >= P_n(x).
-        (partner_posteriors[t] >= 0.5 ? delta_pos : delta_neg)
-            .push_back(std::move(partner_vecs[t]));
+        if (partner_posteriors[t] >= 0.5) {
+          delta_pos[num_pos++].swap(partner_vecs[t]);
+        } else {
+          delta_neg[num_neg++].swap(partner_vecs[t]);
+        }
       }
+      if (partner_timer) h_partner_seconds->Record(partner_timer->Seconds());
 
       bool forced_dist = false;
       if (run.enable_rejection && m_syn != nullptr && n_syn != nullptr) {
         // Preview the updated O_syn and apply the paper's Eq. 10 test.
         std::optional<WallTimer> preview_timer;
         if (h_preview_seconds != nullptr) preview_timer.emplace();
-        auto dp = m_syn->ComputeDelta(delta_pos);
-        auto dn = n_syn->ComputeDelta(delta_neg);
-        Gmm m_preview = m_syn->PreviewModel(dp);
-        Gmm n_preview = n_syn->PreviewModel(dn);
+        IncrementalGmm::Update m_update =
+            m_syn->Preview(delta_pos.data(), num_pos);
+        IncrementalGmm::Update n_update =
+            n_syn->Preview(delta_neg.data(), num_neg);
         if (preview_timer) h_preview_seconds->Record(preview_timer->Seconds());
         double pi_new =
-            static_cast<double>(syn_pos_count + delta_pos.size()) /
+            static_cast<double>(syn_pos_count + num_pos) /
             static_cast<double>(std::max<size_t>(
-                1, syn_pos_count + syn_neg_count + delta_pos.size() +
-                       delta_neg.size()));
+                1, syn_pos_count + syn_neg_count + num_pos + num_neg));
         pi_new = std::clamp(pi_new, 0.001, 0.999);
-        ODistribution o_syn_new(pi_new, std::move(m_preview),
-                                std::move(n_preview));
-        double jsd_new = estimate_jsd(o_syn_new);
+        const ODistribution o_syn_new(pi_new, m_update.model, n_update.model);
+        double jsd_new = estimate_jsd(o_syn_new, &m_update, &n_update);
         if (jsd_new > options_.alpha * current_jsd && !forced_disc) {
           if (!last_attempt) {
             ++report.rejected_by_distribution;
@@ -715,22 +766,24 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
           }
           forced_dist = true;
         }
-        // Accept: commit the deltas (forced accepts included — the pairs
+        // Accept: commit the previews (forced accepts included — the pairs
         // enter the dataset either way).
-        m_syn->Commit(dp);
-        n_syn->Commit(dn);
-        syn_pos_count += delta_pos.size();
-        syn_neg_count += delta_neg.size();
+        m_syn->Commit(std::move(m_update));
+        n_syn->Commit(std::move(n_update));
+        syn_pos_count += num_pos;
+        syn_neg_count += num_neg;
         current_jsd = jsd_new;
       } else {
         // Warmup: accumulate vectors until enough to fit O_syn.
-        for (auto& v : delta_pos) warm_pos.push_back(std::move(v));
-        for (auto& v : delta_neg) warm_neg.push_back(std::move(v));
+        warm_pos.insert(warm_pos.end(), delta_pos.begin(),
+                        delta_pos.begin() + num_pos);
+        warm_neg.insert(warm_neg.end(), delta_neg.begin(),
+                        delta_neg.begin() + num_neg);
       }
-      report.tracked_pairs_pos += static_cast<long>(delta_pos.size());
-      report.tracked_pairs_neg += static_cast<long>(delta_neg.size());
-      obs::Inc(c_tracked_pos, delta_pos.size());
-      obs::Inc(c_tracked_neg, delta_neg.size());
+      report.tracked_pairs_pos += static_cast<long>(num_pos);
+      report.tracked_pairs_neg += static_cast<long>(num_neg);
+      obs::Inc(c_tracked_pos, num_pos);
+      obs::Inc(c_tracked_neg, num_neg);
 
       if (forced_disc) {
         ++report.forced_accepts;
@@ -743,12 +796,14 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
       }
       obs::Observe(h_attempts, static_cast<double>(attempt + 1));
       e_new = std::move(candidate);
+      e_new_digest = std::move(digest);
       is_match = sample.from_match;
       break;
     }
 
     // --- S2-4: add e' to the opposite table and record the label. ---
-    size_t new_idx = append_entity(!e_from_a, std::move(e_new));
+    size_t new_idx =
+        append_entity(!e_from_a, std::move(e_new), std::move(e_new_digest));
     ++report.accepted_entities;
     obs::Inc(c_accepted);
     if (e_from_a) {

@@ -352,6 +352,8 @@ class SerdSynthesizer {
   /// their row on the fly.
   struct CatSimTable {
     std::unordered_map<std::string, size_t> index;
+    /// HashedQgramSet(domain[i], 3).
+    std::vector<std::vector<uint32_t>> grams;
     std::vector<std::vector<double>> rows;
   };
 

@@ -85,12 +85,12 @@ LabeledPairSet BuildLabeledPairs(const ERDataset& dataset, double neg_per_pos,
   // Hard negatives: for a random matched A-entity, find the B-entity with
   // the highest blocking-column q-gram similarity that is not its match.
   const size_t block_col = BlockingColumn(dataset);
-  std::vector<std::vector<std::string>> b_grams(dataset.b.size());
+  std::vector<std::vector<uint32_t>> b_grams(dataset.b.size());
   runtime::ParallelFor(pool, 0, dataset.b.size(), 64,
                        [&](size_t lo, size_t hi) {
                          for (size_t j = lo; j < hi; ++j) {
-                           b_grams[j] =
-                               QgramSet(dataset.b.row(j).values[block_col], 3);
+                           b_grams[j] = HashedQgramSet(
+                               dataset.b.row(j).values[block_col], 3);
                          }
                        });
 
@@ -100,7 +100,7 @@ LabeledPairSet BuildLabeledPairs(const ERDataset& dataset, double neg_per_pos,
   while (added < hard_target && attempts < hard_target * 8) {
     ++attempts;
     size_t i = rng->UniformInt(dataset.a.size());
-    auto a_grams = QgramSet(dataset.a.row(i).values[block_col], 3);
+    auto a_grams = HashedQgramSet(dataset.a.row(i).values[block_col], 3);
     // Scan a random window of B for the most similar non-match.
     double best = -1.0;
     size_t best_j = dataset.b.size();
@@ -110,7 +110,7 @@ LabeledPairSet BuildLabeledPairs(const ERDataset& dataset, double neg_per_pos,
       if (dataset.self_join && i == j) continue;
       uint64_t key = dataset.PairKey(i, j);
       if (used.count(key)) continue;
-      double s = JaccardOfSortedSets(a_grams, b_grams[j]);
+      double s = JaccardOfHashedSets(a_grams, b_grams[j]);
       if (s > best) {
         best = s;
         best_j = j;

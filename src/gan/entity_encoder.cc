@@ -8,11 +8,11 @@
 namespace serd {
 namespace {
 
-/// FNV-1a 64-bit hash for bucketing strings.
-uint64_t HashString(const std::string& s) {
+/// FNV-1a 64-bit hash of bytes[0, len), for bucketing strings and grams.
+uint64_t Fnv1a64(const unsigned char* bytes, size_t len) {
   uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
+  for (size_t i = 0; i < len; ++i) {
+    h ^= bytes[i];
     h *= 1099511628211ULL;
   }
   return h;
@@ -63,16 +63,23 @@ void EntityEncoder::EncodeColumn(size_t col, const std::string& value,
       return;
     }
     case ColumnType::kCategorical: {
-      size_t bucket = HashString(value) %
-                      static_cast<uint64_t>(options_.categorical_buckets);
+      size_t bucket =
+          Fnv1a64(reinterpret_cast<const unsigned char*>(value.data()),
+                  value.size()) %
+          static_cast<uint64_t>(options_.categorical_buckets);
       out[bucket] = 1.0f;
       return;
     }
     case ColumnType::kText: {
-      auto grams = QgramSet(value, 3);
+      // One count per distinct lowercased 3-gram, in the bucket of the
+      // gram's FNV-1a-64. Distinct 32-bit gram hashes are distinct grams
+      // (qgram.h), so no gram string is built and nothing is sorted.
+      thread_local QgramScan scan;
+      scan.Scan(value, 3);
       const size_t nb = static_cast<size_t>(options_.text_buckets);
-      for (const auto& g : grams) {
-        out[HashString(g) % nb] += 1.0f;
+      for (size_t k = 0; k < scan.num_distinct(); ++k) {
+        out[Fnv1a64(scan.lowered() + scan.first()[k], scan.gram_length()) %
+            nb] += 1.0f;
       }
       double norm_sq = 0.0;
       for (size_t i = 0; i < nb; ++i) norm_sq += out[i] * out[i];

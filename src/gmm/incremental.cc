@@ -7,13 +7,15 @@ namespace serd {
 
 IncrementalGmm::IncrementalGmm(const Gmm& model, const std::vector<Vec>& data,
                                double ridge)
-    : model_(model), stats_(ComputeDelta(data)), ridge_(ridge) {}
+    : model_(std::make_shared<const Gmm>(model)),
+      stats_(ComputeDelta(data)),
+      ridge_(ridge) {}
 
-IncrementalGmm::Delta IncrementalGmm::ComputeDelta(
-    const std::vector<Vec>& points) const {
+IncrementalGmm::Delta IncrementalGmm::ComputeDelta(const Vec* points,
+                                                   size_t count) const {
   constexpr size_t kTile = MultivariateGaussian::kBatchTile;
-  const size_t g = model_.num_components();
-  const size_t d = model_.dimension();
+  const size_t g = model_->num_components();
+  const size_t d = model_->dimension();
   Delta delta;
   delta.gamma_sum.assign(g, 0.0);
   delta.weighted_sum.assign(g, Vec(d, 0.0));
@@ -33,14 +35,14 @@ IncrementalGmm::Delta IncrementalGmm::ComputeDelta(
     heap_gamma = std::make_unique<double[]>(g * kTile);
     gamma = heap_gamma.get();
   }
-  for (size_t t0 = 0; t0 < points.size(); t0 += kTile) {
-    const size_t len = std::min(kTile, points.size() - t0);
+  for (size_t t0 = 0; t0 < count; t0 += kTile) {
+    const size_t len = std::min(kTile, count - t0);
     for (size_t j = 0; j < len; ++j) {
       const Vec& x = points[t0 + j];
       SERD_CHECK_EQ(x.size(), d);
       for (size_t i = 0; i < d; ++i) xs[i * len + j] = x[i];
     }
-    model_.EStepTile(xs, len, len, gamma, nullptr);
+    model_->EStepTile(xs, len, len, gamma, nullptr);
     for (size_t j = 0; j < len; ++j) {
       const Vec& x = points[t0 + j];
       const double* gj = gamma + j * g;
@@ -55,7 +57,7 @@ IncrementalGmm::Delta IncrementalGmm::ComputeDelta(
       }
     }
   }
-  delta.count = points.size();
+  delta.count = count;
   return delta;
 }
 
@@ -74,8 +76,8 @@ void IncrementalGmm::Accumulate(const Delta& delta, Delta* stats) {
 }
 
 Gmm IncrementalGmm::RebuildModel(const Delta& stats) const {
-  const size_t g = model_.num_components();
-  const size_t d = model_.dimension();
+  const size_t g = model_->num_components();
+  const size_t d = model_->dimension();
   std::vector<double> weights(g);
   std::vector<MultivariateGaussian> comps;
   comps.reserve(g);
@@ -83,7 +85,7 @@ Gmm IncrementalGmm::RebuildModel(const Delta& stats) const {
     const double gamma = stats.gamma_sum[k];
     if (gamma < 1e-10) {
       // Empty component: keep its previous parameters with a tiny weight.
-      comps.push_back(model_.component(k));
+      comps.push_back(model_->component(k));
       weights[k] = 1e-10;
       continue;
     }
@@ -101,6 +103,27 @@ Gmm IncrementalGmm::RebuildModel(const Delta& stats) const {
   return Gmm(std::move(weights), std::move(comps));
 }
 
+IncrementalGmm::Update IncrementalGmm::Preview(const Vec* points,
+                                               size_t count) const {
+  Update update;
+  if (count == 0 && rebuilt_) {
+    update.model = model_;
+    update.unchanged = true;
+    return update;
+  }
+  update.stats = stats_;
+  Accumulate(ComputeDelta(points, count), &update.stats);
+  update.model = std::make_shared<const Gmm>(RebuildModel(update.stats));
+  return update;
+}
+
+void IncrementalGmm::Commit(Update update) {
+  if (update.unchanged) return;
+  stats_ = std::move(update.stats);
+  model_ = std::move(update.model);
+  rebuilt_ = true;
+}
+
 Gmm IncrementalGmm::PreviewModel(const Delta& delta) const {
   Delta stats = stats_;
   Accumulate(delta, &stats);
@@ -109,7 +132,8 @@ Gmm IncrementalGmm::PreviewModel(const Delta& delta) const {
 
 void IncrementalGmm::Commit(const Delta& delta) {
   Accumulate(delta, &stats_);
-  model_ = RebuildModel(stats_);
+  model_ = std::make_shared<const Gmm>(RebuildModel(stats_));
+  rebuilt_ = true;
 }
 
 }  // namespace serd

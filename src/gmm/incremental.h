@@ -1,6 +1,7 @@
 #ifndef SERD_GMM_INCREMENTAL_H_
 #define SERD_GMM_INCREMENTAL_H_
 
+#include <memory>
 #include <vector>
 
 #include "gmm/gmm.h"
@@ -22,7 +23,7 @@ namespace serd {
 ///
 /// Updates are two-phase: Preview() computes the would-be model without
 /// mutating state, so the rejection test can discard it; Commit() adopts a
-/// previewed update.
+/// previewed update, model included, without rebuilding it.
 class IncrementalGmm {
  public:
   IncrementalGmm() = default;
@@ -33,7 +34,9 @@ class IncrementalGmm {
                  double ridge = 1e-6);
 
   size_t num_points() const { return stats_.count; }
-  const Gmm& model() const { return model_; }
+  const Gmm& model() const { return *model_; }
+  /// The current model, shared (it is never modified in place).
+  const std::shared_ptr<const Gmm>& shared_model() const { return model_; }
 
   /// Sufficient statistics of a point set: per component Gamma_k, m_k and
   /// S_k, plus the point count. Both the model's state and an update are
@@ -47,9 +50,33 @@ class IncrementalGmm {
 
   /// Computes the delta statistics for `points` (paper Eq. 8) against the
   /// current model. Does not mutate state.
-  Delta ComputeDelta(const std::vector<Vec>& points) const;
+  Delta ComputeDelta(const std::vector<Vec>& points) const {
+    return ComputeDelta(points.data(), points.size());
+  }
+  Delta ComputeDelta(const Vec* points, size_t count) const;
 
-  /// The model that would result from folding in `delta` (paper Eq. 9).
+  /// A previewed update: the statistics with a delta folded in and the
+  /// model rebuilt from them (paper Eq. 9).
+  struct Update {
+    Delta stats;
+    std::shared_ptr<const Gmm> model;
+    /// The delta held no points and the current model was already rebuilt
+    /// from the current statistics, so `model` is the current model and
+    /// `stats` is left empty. Every statistic is a sum that starts at +0,
+    /// which is never -0, so adding the zero delta changes no bit, and the
+    /// rebuild is a pure function of the statistics.
+    bool unchanged = false;
+  };
+
+  /// The update that folding in points[0, count) would make. Its model
+  /// equals PreviewModel(ComputeDelta(points)) bit for bit.
+  Update Preview(const Vec* points, size_t count) const;
+
+  /// Adopts a Preview of the current state: its statistics and model.
+  void Commit(Update update);
+
+  /// The model that would result from folding in `delta` (paper Eq. 9),
+  /// always rebuilt: the reference for Preview.
   Gmm PreviewModel(const Delta& delta) const;
 
   /// Adopts the delta: statistics and the current model are updated.
@@ -63,9 +90,12 @@ class IncrementalGmm {
   /// current model's parameters.
   Gmm RebuildModel(const Delta& stats) const;
 
-  Gmm model_;
+  std::shared_ptr<const Gmm> model_;
   Delta stats_;
   double ridge_ = 1e-6;
+  /// model_ is RebuildModel(stats_): true once anything was committed (the
+  /// seed model is the EM fit).
+  bool rebuilt_ = false;
 };
 
 }  // namespace serd

@@ -11,43 +11,64 @@
 
 namespace serd {
 
+ODistribution::ODistribution()
+    : m_(std::make_shared<const Gmm>()), n_(m_) {}
+
 ODistribution::ODistribution(double pi, Gmm m, Gmm n)
+    : ODistribution(pi, std::make_shared<const Gmm>(std::move(m)),
+                    std::make_shared<const Gmm>(std::move(n))) {}
+
+ODistribution::ODistribution(double pi, std::shared_ptr<const Gmm> m,
+                             std::shared_ptr<const Gmm> n)
     : pi_(pi), m_(std::move(m)), n_(std::move(n)) {
   SERD_CHECK(pi_ >= 0.0 && pi_ <= 1.0);
-  SERD_CHECK_EQ(m_.dimension(), n_.dimension());
+  SERD_CHECK(m_ != nullptr && n_ != nullptr);
+  SERD_CHECK_EQ(m_->dimension(), n_->dimension());
 }
 
 double ODistribution::LogPdf(const Vec& x) const {
   SERD_CHECK_EQ(x.size(), dimension());
   double out;
-  LogPdfTile(x.data(), 1, 1, &out);
+  LogPdfTile(x.data(), 1, 1, &out, nullptr, nullptr);
   return out;
 }
 
-void ODistribution::LogPdfBatch(const double* xs, size_t count,
-                                double* out) const {
+void ODistribution::LogPdfBatch(const double* xs, size_t count, double* out,
+                                const double* log_m,
+                                const double* log_n) const {
   constexpr size_t kTile = MultivariateGaussian::kBatchTile;
   for (size_t j0 = 0; j0 < count; j0 += kTile) {
-    LogPdfTile(xs + j0, count, std::min(kTile, count - j0), out + j0);
+    LogPdfTile(xs + j0, count, std::min(kTile, count - j0), out + j0,
+               log_m != nullptr ? log_m + j0 : nullptr,
+               log_n != nullptr ? log_n + j0 : nullptr);
   }
 }
 
 void ODistribution::LogPdfTile(const double* xs, size_t stride, size_t n,
-                               double* out) const {
+                               double* out, const double* known_m,
+                               const double* known_n) const {
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   // log(pi) + log p_m and log(1-pi) + log p_n per point; an arm with zero
   // weight is -inf and its GMM is not evaluated.
   double log_m[MultivariateGaussian::kBatchTile];
   double log_n[MultivariateGaussian::kBatchTile];
   if (pi_ > 0.0) {
-    m_.EStepTile(xs, stride, n, nullptr, log_m);
+    if (known_m != nullptr) {
+      std::copy(known_m, known_m + n, log_m);
+    } else {
+      m_->EStepTile(xs, stride, n, nullptr, log_m);
+    }
     const double log_pi = std::log(pi_);
     for (size_t j = 0; j < n; ++j) log_m[j] = log_pi + log_m[j];
   } else {
     for (size_t j = 0; j < n; ++j) log_m[j] = kNegInf;
   }
   if (pi_ < 1.0) {
-    n_.EStepTile(xs, stride, n, nullptr, log_n);
+    if (known_n != nullptr) {
+      std::copy(known_n, known_n + n, log_n);
+    } else {
+      n_->EStepTile(xs, stride, n, nullptr, log_n);
+    }
     const double log_1mpi = std::log(1.0 - pi_);
     for (size_t j = 0; j < n; ++j) log_n[j] = log_1mpi + log_n[j];
   } else {
@@ -87,7 +108,7 @@ bool ODistribution::SampleUnclampedInto(Rng* rng, double* x,
                                         size_t stride) const {
   SERD_CHECK(rng != nullptr);
   const bool from_match = rng->Bernoulli(pi_);
-  (from_match ? m_ : n_).SampleInto(rng, x, stride);
+  (from_match ? *m_ : *n_).SampleInto(rng, x, stride);
   return from_match;
 }
 
@@ -95,7 +116,7 @@ bool ODistribution::MapUnclampedInto(double u_arm, double u_component,
                                      const double* z, double* x,
                                      size_t stride) const {
   const bool from_match = u_arm < pi_;
-  const Gmm& arm = from_match ? m_ : n_;
+  const Gmm& arm = from_match ? *m_ : *n_;
   arm.component(Rng::CategoricalIndex(arm.weights(), u_component))
       .TransformInto(z, x, stride);
   return from_match;
@@ -127,8 +148,8 @@ void ODistribution::PosteriorMatchTile(const double* xs, size_t stride,
   }
   double log_m[MultivariateGaussian::kBatchTile];
   double log_n[MultivariateGaussian::kBatchTile];
-  m_.EStepTile(xs, stride, n, nullptr, log_m);
-  n_.EStepTile(xs, stride, n, nullptr, log_n);
+  m_->EStepTile(xs, stride, n, nullptr, log_m);
+  n_->EStepTile(xs, stride, n, nullptr, log_n);
   const double log_pi = std::log(pi_);
   const double log_1mpi = std::log(1.0 - pi_);
   // z[j] = exp(lm - hi) and z[n + j] = exp(ln - hi) through the lse Exp.
@@ -242,17 +263,34 @@ double JsdEstimator::DrawnBlockSum(const ODistribution& p,
   return KlBlockSum(lp, lp, lq, len);
 }
 
-double JsdEstimator::StoredBlockSum(const ODistribution& p,
-                                    size_t block) const {
+double JsdEstimator::StoredBlockSum(const ODistribution& p, size_t block,
+                                    const double* m_stored,
+                                    const double* n_stored) const {
   const size_t start = block * kJsdBlock;
   const size_t len = BlockLength(block, num_samples_);
   double lp[kJsdBlock];
-  p.LogPdfBatch(q_draws_.data() + start * q_->dimension(), len, lp);
+  p.LogPdfBatch(q_draws_.data() + start * q_->dimension(), len, lp,
+                m_stored != nullptr ? m_stored + start : nullptr,
+                n_stored != nullptr ? n_stored + start : nullptr);
   const double* lq = log_q_.data() + start;
   return KlBlockSum(lq, lp, lq, len);
 }
 
-double JsdEstimator::Estimate(const ODistribution& p) const {
+void JsdEstimator::StoredArmLogPdf(const Gmm& arm,
+                                   std::vector<double>* out) const {
+  SERD_CHECK_EQ(arm.dimension(), q_->dimension());
+  out->resize(static_cast<size_t>(num_samples_));
+  runtime::ParallelFor(pool_, 0, num_blocks_, 1, [&](size_t lo, size_t hi) {
+    for (size_t block = lo; block < hi; ++block) {
+      const size_t start = block * kJsdBlock;
+      arm.LogPdfBatch(q_draws_.data() + start * q_->dimension(),
+                      BlockLength(block, num_samples_), out->data() + start);
+    }
+  });
+}
+
+double JsdEstimator::Estimate(const ODistribution& p, const double* m_stored,
+                              const double* n_stored) const {
   SERD_CHECK_EQ(p.dimension(), q_->dimension());
   // Task b is block b / 2 of side p (even b) or side q (odd b), the side
   // whose RNG stream is DeriveSeed(seed, b). Block sums are folded in task
@@ -269,7 +307,7 @@ double JsdEstimator::Estimate(const ODistribution& p) const {
           if (b % 2 == 0) {
             part.kl_p += DrawnBlockSum(p, b / 2);
           } else {
-            part.kl_q += StoredBlockSum(p, b / 2);
+            part.kl_q += StoredBlockSum(p, b / 2, m_stored, n_stored);
           }
         }
         return part;

@@ -1,6 +1,7 @@
 #ifndef SERD_GMM_O_DISTRIBUTION_H_
 #define SERD_GMM_O_DISTRIBUTION_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,23 +13,31 @@ namespace serd {
 /// The paper's O-distribution: the mixture of the matching distribution
 /// (M, weight pi) and the non-matching distribution (N, weight 1-pi) over
 /// similarity vectors:  p(x) = pi * p_m(x) + (1-pi) * p_n(x).
+/// The arms are immutable and shared: a copy of a distribution, or one
+/// built from another's arms, copies no model.
 class ODistribution {
  public:
-  ODistribution() = default;
+  ODistribution();
   ODistribution(double pi, Gmm m, Gmm n);
+  ODistribution(double pi, std::shared_ptr<const Gmm> m,
+                std::shared_ptr<const Gmm> n);
 
   double pi() const { return pi_; }
-  const Gmm& m_distribution() const { return m_; }
-  const Gmm& n_distribution() const { return n_; }
-  size_t dimension() const { return m_.dimension(); }
+  const Gmm& m_distribution() const { return *m_; }
+  const Gmm& n_distribution() const { return *n_; }
+  size_t dimension() const { return m_->dimension(); }
 
   /// log p(x). The 1-point case of LogPdfBatch.
   double LogPdf(const Vec& x) const;
 
   /// LogPdf of `count` points stored dimension-major (coordinate i of
   /// point j at xs[i * count + j]), a tile of points at a time; out[j] is
-  /// bit-identical to LogPdf of point j.
-  void LogPdfBatch(const double* xs, size_t count, double* out) const;
+  /// bit-identical to LogPdf of point j. Where log_m (log_n) is non-null
+  /// it holds log p_m (log p_n) at the same points, as Gmm::LogPdfBatch
+  /// gives them, and that arm is not evaluated again.
+  void LogPdfBatch(const double* xs, size_t count, double* out,
+                   const double* log_m = nullptr,
+                   const double* log_n = nullptr) const;
 
   /// A sampled similarity vector plus which mixture arm produced it.
   struct SampleResult {
@@ -80,16 +89,17 @@ class ODistribution {
 
  private:
   /// The batch kernel: n <= MultivariateGaussian::kBatchTile points,
-  /// coordinate i of point j at xs[i * stride + j].
-  void LogPdfTile(const double* xs, size_t stride, size_t n,
-                  double* out) const;
+  /// coordinate i of point j at xs[i * stride + j]; known arm
+  /// log-densities as in LogPdfBatch, offset to the tile.
+  void LogPdfTile(const double* xs, size_t stride, size_t n, double* out,
+                  const double* known_m, const double* known_n) const;
   /// The posterior kernel, over a tile laid out as for LogPdfTile.
   void PosteriorMatchTile(const double* xs, size_t stride, size_t n,
                           double* out) const;
 
   double pi_ = 0.5;
-  Gmm m_;
-  Gmm n_;
+  std::shared_ptr<const Gmm> m_;
+  std::shared_ptr<const Gmm> n_;
 };
 
 /// Monte-Carlo estimates of the Jensen-Shannon divergence (paper Eq. 3)
@@ -117,18 +127,30 @@ class ODistribution {
 /// estimate is a pure function of (p, q, num_samples, seed) — the same for
 /// any pool size, including none. q must outlive the estimator; Estimate
 /// may be called concurrently.
+///
+/// A caller whose successive p share an arm (the S2 loop, whose arm with
+/// no new pairs is its committed model) can keep that arm's log-densities
+/// at the stored q draws (StoredArmLogPdf) and pass them to Estimate,
+/// which then skips that arm there, with the same result bit for bit.
 class JsdEstimator {
  public:
   JsdEstimator(const ODistribution& q, int num_samples, uint64_t seed,
                runtime::ThreadPool* pool = nullptr);
 
-  double Estimate(const ODistribution& p) const;
+  /// m_stored (n_stored), when non-null, is StoredArmLogPdf of p's M (N)
+  /// arm.
+  double Estimate(const ODistribution& p, const double* m_stored = nullptr,
+                  const double* n_stored = nullptr) const;
+
+  /// log p_arm at the stored q draws, in draw order (num_samples values).
+  void StoredArmLogPdf(const Gmm& arm, std::vector<double>* out) const;
 
  private:
   /// Sum over one block of p's draws of log p - log m.
   double DrawnBlockSum(const ODistribution& p, size_t block) const;
   /// Sum over one block of the stored q draws of log q - log m.
-  double StoredBlockSum(const ODistribution& p, size_t block) const;
+  double StoredBlockSum(const ODistribution& p, size_t block,
+                        const double* m_stored, const double* n_stored) const;
 
   const ODistribution* q_;
   int num_samples_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -21,15 +22,41 @@ const std::array<uint8_t, 256>& LowerTable() {
   return table;
 }
 
-/// FNV-1a over the lowercased bytes s[pos, pos+len).
-inline uint32_t Fnv1aLower(const std::array<uint8_t, 256>& lower,
-                           std::string_view s, size_t pos, size_t len) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < len; ++i) {
-    h ^= lower[static_cast<unsigned char>(s[pos + i])];
-    h *= 16777619u;
+/// Whether LowerTable is the ASCII rule (A-Z to a-z, every other byte
+/// kept), as std::tolower is in the "C" locale; then LowerAscii lowers
+/// eight bytes per step with the same result.
+bool LowerTableIsAscii() {
+  static const bool ascii = [] {
+    const std::array<uint8_t, 256>& table = LowerTable();
+    for (int c = 0; c < 256; ++c) {
+      const int want = c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c;
+      if (table[c] != want) return false;
+    }
+    return true;
+  }();
+  return ascii;
+}
+
+/// ASCII lowercasing of in[0, n) into out, eight bytes per step: a byte
+/// below 0x80 whose low seven bits lie in 'A'..'Z' gains 0x20.
+void LowerAscii(const char* in, size_t n, uint8_t* out) {
+  constexpr uint64_t kOnes = 0x0101010101010101ull;
+  constexpr uint64_t kHigh = 0x8080808080808080ull;
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t x;
+    std::memcpy(&x, in + i, 8);
+    const uint64_t low7 = x & ~kHigh;
+    const uint64_t at_least_a = low7 + (0x80 - 'A') * kOnes;
+    const uint64_t above_z = low7 + (0x7F - 'Z') * kOnes;
+    const uint64_t upper = at_least_a & ~above_z & ~x & kHigh;
+    x |= upper >> 2;
+    std::memcpy(out + i, &x, 8);
   }
-  return h;
+  for (; i < n; ++i) {
+    const uint8_t c = static_cast<uint8_t>(in[i]);
+    out[i] = c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c;
+  }
 }
 
 /// Grams HashedQgramSet hashes for `s`, duplicates included.
@@ -37,17 +64,6 @@ size_t NumGrams(std::string_view s, int q) {
   if (s.empty() || q <= 0) return 0;
   const size_t qu = static_cast<size_t>(q);
   return s.size() < qu ? 1 : s.size() - qu + 1;
-}
-
-/// Calls f(hash) for each of the NumGrams(s, q) gram hashes of `s`, in
-/// position order: the whole string when it is shorter than q.
-template <typename F>
-void ForEachGramHash(std::string_view s, int q, const F& f) {
-  const size_t n = NumGrams(s, q);
-  if (n == 0) return;
-  const std::array<uint8_t, 256>& lower = LowerTable();
-  const size_t len = std::min(s.size(), static_cast<size_t>(q));
-  for (size_t i = 0; i < n; ++i) f(Fnv1aLower(lower, s, i, len));
 }
 
 /// |A ∩ B| / |A ∪ B| from the set sizes and the intersection size: 1 for
@@ -79,11 +95,11 @@ std::vector<std::string> QgramSet(std::string_view s, int q) {
 }
 
 std::vector<uint32_t> HashedQgramSet(std::string_view s, int q) {
-  std::vector<uint32_t> grams;
-  grams.reserve(NumGrams(s, q));
-  ForEachGramHash(s, q, [&](uint32_t h) { grams.push_back(h); });
+  thread_local QgramScan scan;
+  scan.Scan(s, q);
+  std::vector<uint32_t> grams(scan.distinct(),
+                              scan.distinct() + scan.num_distinct());
   std::sort(grams.begin(), grams.end());
-  grams.erase(std::unique(grams.begin(), grams.end()), grams.end());
   return grams;
 }
 
@@ -110,75 +126,53 @@ double JaccardOfSortedSets(const std::vector<std::string>& a,
 
 double JaccardOfHashedSets(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b) {
-  // Branch-free merge: equal heads count and both advance, otherwise the
-  // smaller head advances.
-  size_t i = 0, j = 0, inter = 0;
-  while (i < a.size() && j < b.size()) {
-    const uint32_t x = a[i], y = b[j];
-    inter += x == y;
-    i += x <= y;
-    j += y <= x;
-  }
-  return JaccardOfCounts(inter, a.size(), b.size());
+  return JaccardOfCounts(
+      qgram::CountIntersection(a.data(), a.size(), b.data(), b.size()),
+      a.size(), b.size());
 }
 
-void QgramJaccardProfile::HashSet::Clear(size_t max_keys) {
-  // A load factor of at most 1/2 keeps probe runs short.
-  size_t capacity = 16;
-  int shift = 28;
-  while (capacity < 2 * max_keys) {
-    capacity *= 2;
-    --shift;
+void QgramScan::Scan(std::string_view s, int q) {
+  const size_t n = NumGrams(s, q);
+  gram_length_ = 0;
+  num_distinct_ = 0;
+  if (n == 0) return;
+  gram_length_ = std::min(s.size(), static_cast<size_t>(q));
+  // HashGrams reads whole blocks: through PaddedLength(n) + gram_length - 1
+  // bytes (at least |s|) and PaddedLength(n) hashes.
+  const size_t padded = qgram::PaddedLength(n);
+  const size_t bytes = padded + gram_length_ - 1;
+  if (lowered_.size() < bytes) lowered_.resize(bytes);
+  if (hashes_.size() < padded) {
+    hashes_.resize(padded);
+    first_.resize(padded);
+    distinct_.resize(padded);
   }
-  if (capacity > slots_.size()) {
-    slots_.assign(capacity, Slot{});
-    stamp_ = 0;
-    shift_ = shift;
-  }
-  if (++stamp_ == 0) {
-    for (Slot& slot : slots_) slot.stamp = 0;
-    stamp_ = 1;
-  }
-}
-
-bool QgramJaccardProfile::HashSet::Insert(uint32_t h) {
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = Home(h);; i = (i + 1) & mask) {
-    Slot& slot = slots_[i];
-    if (slot.stamp != stamp_) {
-      slot = {h, stamp_};
-      return true;
+  if (LowerTableIsAscii()) {
+    LowerAscii(s.data(), s.size(), lowered_.data());
+  } else {
+    // Local pointers: a store through uint8_t* may alias the vector's own
+    // fields, which would reload them every byte.
+    const uint8_t* lower = LowerTable().data();
+    const char* in = s.data();
+    uint8_t* out = lowered_.data();
+    for (size_t i = 0; i < s.size(); ++i) {
+      out[i] = lower[static_cast<unsigned char>(in[i])];
     }
-    if (slot.key == h) return false;
   }
-}
-
-bool QgramJaccardProfile::HashSet::Contains(uint32_t h) const {
-  const size_t mask = slots_.size() - 1;
-  for (size_t i = Home(h);; i = (i + 1) & mask) {
-    const Slot& slot = slots_[i];
-    if (slot.stamp != stamp_) return false;
-    if (slot.key == h) return true;
-  }
+  qgram::HashGrams(lowered_.data(), n, gram_length_, hashes_.data());
+  num_distinct_ = qgram::FirstOccurrences(hashes_.data(), n, first_.data(),
+                                          distinct_.data());
 }
 
 QgramJaccardProfile::QgramJaccardProfile(std::string_view reference, int q)
-    : q_(q) {
-  reference_.Clear(NumGrams(reference, q));
-  ForEachGramHash(reference, q,
-                  [&](uint32_t h) { reference_size_ += reference_.Insert(h); });
-}
+    : q_(q), reference_(HashedQgramSet(reference, q)) {}
 
 double QgramJaccardProfile::Jaccard(std::string_view candidate) {
-  seen_.Clear(NumGrams(candidate, q_));
-  size_t size = 0, inter = 0;
-  ForEachGramHash(candidate, q_, [&](uint32_t h) {
-    if (seen_.Insert(h)) {
-      ++size;
-      inter += reference_.Contains(h);
-    }
-  });
-  return JaccardOfCounts(inter, reference_size_, size);
+  scan_.Scan(candidate, q_);
+  const size_t count = scan_.num_distinct();
+  const size_t shared =
+      qgram::CountMembers(reference_, scan_.distinct(), count);
+  return JaccardOfCounts(shared, reference_.sorted.size(), count);
 }
 
 double QgramJaccard(std::string_view a, std::string_view b, int q) {

@@ -6,20 +6,22 @@
 #include <string_view>
 #include <vector>
 
+#include "text/qgram_kernels.h"
+
 namespace serd {
 
 /// Extracts the multiset-deduplicated set of character q-grams of `s`,
 /// lowercased. Strings shorter than q contribute the whole string as a
 /// single gram (so "ab" with q=3 yields {"ab"}); the empty string yields
-/// the empty set. The returned vector is sorted and unique, so set
-/// operations are linear merges.
+/// the empty set. The returned vector is sorted and unique.
 ///
-/// This is the reference representation; the hot paths use
-/// HashedQgramSet, which applies identical extraction rules to 32-bit
-/// gram hashes (no per-gram string allocation). The two agree on every
-/// Jaccard value unless two distinct grams of the compared strings
-/// collide under FNV-1a, which at q-gram set sizes (tens of grams) has
-/// probability ~ |G|^2 / 2^33 per pair (see DESIGN.md).
+/// This is the reference representation, kept for tests; every job path
+/// uses the 32-bit FNV-1a hashes of the same grams. For q = 3 the two are
+/// exact images of each other: FNV-1a-32 maps the 16,843,008 byte strings
+/// of length 1-3 to distinct hashes (checked exhaustively in
+/// tests/text_test.cc), so every hashed Jaccard equals the string-set one.
+/// For other q they agree unless two grams of the compared strings collide
+/// (DESIGN.md §5d).
 std::vector<std::string> QgramSet(std::string_view s, int q);
 
 /// Sorted unique 32-bit FNV-1a hashes of the lowercased q-grams of `s`
@@ -33,22 +35,56 @@ std::vector<uint32_t> HashedQgramSet(std::string_view s, int q);
 /// profiles.
 double QgramJaccard(std::string_view a, std::string_view b, int q = 3);
 
-/// Jaccard over two already-extracted sorted gram sets.
+/// Jaccard over two already-extracted sorted gram sets (the string-set
+/// reference of JaccardOfHashedSets, kept for tests).
 double JaccardOfSortedSets(const std::vector<std::string>& a,
                            const std::vector<std::string>& b);
 
-/// Jaccard over two hashed profiles from HashedQgramSet (linear merge).
+/// Jaccard over two hashed profiles from HashedQgramSet; the intersection
+/// is qgram::CountIntersection (8x8 blocks on AVX2 hosts).
 double JaccardOfHashedSets(const std::vector<uint32_t>& a,
                            const std::vector<uint32_t>& b);
+
+/// One string's q-grams at a time, in buffers the scan owns and reuses:
+/// the lowercased bytes, each gram's FNV-1a-32 hash in position order
+/// (qgram::HashGrams), and the positions and values of each distinct hash's
+/// first occurrence (qgram::FirstOccurrences). A scan allocates nothing
+/// once its buffers have grown; one scan per thread.
+class QgramScan {
+ public:
+  /// Scans `s` under HashedQgramSet's extraction rules: NumGrams grams of
+  /// min(|s|, q) bytes each, none for an empty `s` or q <= 0.
+  void Scan(std::string_view s, int q);
+
+  /// Bytes per gram of the last scan.
+  size_t gram_length() const { return gram_length_; }
+  /// The lowercased string: gram i is lowered()[i, i + gram_length()).
+  const uint8_t* lowered() const { return lowered_.data(); }
+  /// Distinct hashes (= distinct grams for q <= 3) of the last scan.
+  size_t num_distinct() const { return num_distinct_; }
+  /// Positions of their first occurrences, increasing.
+  const uint32_t* first() const { return first_.data(); }
+  /// The distinct hashes in that order, readable through
+  /// qgram::PaddedLength(num_distinct()) entries.
+  const uint32_t* distinct() const { return distinct_.data(); }
+
+ private:
+  std::vector<uint8_t> lowered_;
+  std::vector<uint32_t> hashes_;
+  std::vector<uint32_t> first_;
+  std::vector<uint32_t> distinct_;
+  size_t gram_length_ = 0;
+  size_t num_distinct_ = 0;
+};
 
 /// Jaccard of many candidates against one fixed reference: Jaccard(c)
 /// equals JaccardOfHashedSets(HashedQgramSet(reference, q),
 /// HashedQgramSet(c, q)), computed from the same set sizes and
 /// intersection size without a sort or an allocation per candidate. The
-/// reference's gram hashes sit in an open-addressing set built once; each
-/// candidate's grams are deduplicated in a second set, sized from the
-/// candidate and cleared by a generation stamp. The scratch set makes
-/// Jaccard non-const: one profile per thread.
+/// reference's hashes are held as a qgram::MemberSet; each candidate is
+/// scanned (QgramScan) and its distinct hashes are looked up there
+/// (qgram::CountMembers). The scan's buffers make Jaccard non-const: one
+/// profile per thread.
 class QgramJaccardProfile {
  public:
   QgramJaccardProfile(std::string_view reference, int q);
@@ -56,34 +92,9 @@ class QgramJaccardProfile {
   double Jaccard(std::string_view candidate);
 
  private:
-  /// A set of 32-bit hashes with linear probing. A slot is occupied when
-  /// its stamp equals the current one, so Clear is O(1) once the table is
-  /// large enough.
-  class HashSet {
-   public:
-    /// Empties the set and makes room for `max_keys` keys.
-    void Clear(size_t max_keys);
-    /// Adds h; false when it was already present.
-    bool Insert(uint32_t h);
-    bool Contains(uint32_t h) const;
-
-   private:
-    struct Slot {
-      uint32_t key = 0;
-      uint32_t stamp = 0;
-    };
-    size_t Home(uint32_t h) const {
-      return static_cast<size_t>((h * 0x9E3779B1u) >> shift_);
-    }
-    std::vector<Slot> slots_;
-    uint32_t stamp_ = 0;
-    int shift_ = 28;
-  };
-
   int q_;
-  HashSet reference_;
-  size_t reference_size_ = 0;
-  HashSet seen_;
+  qgram::MemberSet reference_;
+  QgramScan scan_;
 };
 
 /// QgramJaccard as a named callable: the text-column similarity every

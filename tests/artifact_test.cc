@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -123,6 +124,92 @@ TEST(ByteCodecTest, PrimitivesRoundTrip) {
   EXPECT_EQ(r.I64Vec(), (std::vector<long>{-5, 5}));
   EXPECT_EQ(r.BoolVec(), (std::vector<bool>{true, false, true}));
   EXPECT_TRUE(r.Finish().ok()) << r.Finish().ToString();
+}
+
+/// The vectors of F32Vec, F64Vec and I32Vec as a per-element codec
+/// reads them: the count, then one value at a time.
+struct ElementVectors {
+  std::vector<float> f32;
+  std::vector<double> f64;
+  std::vector<int> i32;
+};
+
+ElementVectors ReadElementByElement(ByteReader* r) {
+  ElementVectors v;
+  for (uint32_t n = r->Count(4), i = 0; i < n && r->ok(); ++i) {
+    v.f32.push_back(r->F32());
+  }
+  for (uint32_t n = r->Count(8), i = 0; i < n && r->ok(); ++i) {
+    v.f64.push_back(r->F64());
+  }
+  for (uint32_t n = r->Count(4), i = 0; i < n && r->ok(); ++i) {
+    v.i32.push_back(r->I32());
+  }
+  return v;
+}
+
+TEST(ByteCodecTest, BulkVectorsMatchElementCodecBitwise) {
+  // NaNs with payloads (quiet and signaling), both zeros, infinities and
+  // subnormals must keep their bits through the block copies.
+  const std::vector<uint32_t> f32_bits = {0x7FC00001u, 0xFFA00000u,
+                                          0x7F800001u, 0x80000000u,
+                                          0x00000001u, 0x7F800000u,
+                                          0x3F800000u, 0xC1200000u};
+  const std::vector<uint64_t> f64_bits = {
+      0x7FF8000000000001ull, 0xFFF4000000000000ull, 0x8000000000000000ull,
+      0x0000000000000001ull, 0xFFF0000000000000ull, 0x3FF0000000000000ull};
+  std::vector<float> f32(f32_bits.size());
+  std::vector<double> f64(f64_bits.size());
+  std::memcpy(f32.data(), f32_bits.data(), f32_bits.size() * 4);
+  std::memcpy(f64.data(), f64_bits.data(), f64_bits.size() * 8);
+  const std::vector<int> i32 = {-1, 0, 1, 0x7FFFFFFF, -0x7FFFFFFF - 1};
+
+  ByteWriter bulk;
+  bulk.F32Vec(f32);
+  bulk.F64Vec(f64);
+  bulk.I32Vec(i32);
+  ByteWriter element;
+  element.U32(static_cast<uint32_t>(f32.size()));
+  for (float x : f32) element.F32(x);
+  element.U32(static_cast<uint32_t>(f64.size()));
+  for (double x : f64) element.F64(x);
+  element.U32(static_cast<uint32_t>(i32.size()));
+  for (int x : i32) element.I32(x);
+  ASSERT_EQ(bulk.bytes(), element.bytes());
+
+  const std::string& bytes = bulk.bytes();
+  ByteReader r(bytes);
+  const std::vector<float> got_f32 = r.F32Vec();
+  const std::vector<double> got_f64 = r.F64Vec();
+  const std::vector<int> got_i32 = r.I32Vec();
+  ASSERT_TRUE(r.Finish().ok()) << r.Finish().ToString();
+  ASSERT_EQ(got_f32.size(), f32.size());
+  ASSERT_EQ(got_f64.size(), f64.size());
+  EXPECT_EQ(std::memcmp(got_f32.data(), f32_bits.data(), f32.size() * 4), 0);
+  EXPECT_EQ(std::memcmp(got_f64.data(), f64_bits.data(), f64.size() * 8), 0);
+  EXPECT_EQ(got_i32, i32);
+
+  // Every truncation: the bulk reader fails with the per-element reader's
+  // Status and hands back no partial vector.
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    const std::string_view prefix(bytes.data(), len);
+    ByteReader fast(prefix);
+    const std::vector<float> a = fast.F32Vec();
+    const std::vector<double> b = fast.F64Vec();
+    const std::vector<int> c = fast.I32Vec();
+    ByteReader slow(prefix);
+    (void)ReadElementByElement(&slow);
+    ASSERT_FALSE(fast.ok()) << "len " << len;
+    EXPECT_EQ(fast.status().ToString(), slow.status().ToString())
+        << "len " << len;
+    if (a.size() != f32.size()) {
+      EXPECT_TRUE(a.empty()) << "len " << len;
+    }
+    if (b.size() != f64.size()) {
+      EXPECT_TRUE(b.empty()) << "len " << len;
+    }
+    EXPECT_TRUE(c.empty()) << "len " << len;
+  }
 }
 
 TEST(ByteCodecTest, ReadPastEndIsStickyAndReturnsZeros) {

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
+#include "common/rng.h"
 #include "datagen/generators.h"
 #include "gan/entity_encoder.h"
 #include "gan/entity_gan.h"
+#include "text/qgram.h"
 
 namespace serd {
 namespace {
@@ -68,6 +73,73 @@ TEST_F(EncoderTest, NumericEncodingIsMinMaxNormalized) {
   // year is the last feature.
   EXPECT_NEAR(flo.back(), 0.0f, 1e-6);
   EXPECT_NEAR(fhi.back(), 1.0f, 1e-6);
+}
+
+/// A text column's features as the encoder computed them from string
+/// grams: one count per distinct QgramSet gram in the bucket of the gram's
+/// FNV-1a-64, L2-normalized, then the length feature.
+std::vector<float> StringGramTextFeatures(const std::string& value,
+                                          const EntityEncoderOptions& o) {
+  const size_t nb = static_cast<size_t>(o.text_buckets);
+  std::vector<float> out(nb + 1, 0.0f);
+  for (const std::string& g : QgramSet(value, 3)) {
+    uint64_t h = 1469598103934665603ULL;
+    for (char c : g) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+    out[h % nb] += 1.0f;
+  }
+  double norm_sq = 0.0;
+  for (size_t i = 0; i < nb; ++i) norm_sq += out[i] * out[i];
+  if (norm_sq > 0.0) {
+    const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
+    for (size_t i = 0; i < nb; ++i) out[i] *= inv;
+  }
+  out[nb] = static_cast<float>(std::min(1.0, value.size() / o.max_text_len));
+  return out;
+}
+
+TEST_F(EncoderTest, TextFeaturesMatchStringGramEncoderBitwise) {
+  // Real titles and authors, then fuzzed values: uppercase, bytes >= 0x80,
+  // whitespace runs, repeated grams, strings shorter than a gram, empty.
+  std::vector<std::string> values;
+  for (const Table* t : {&dataset_.a, &dataset_.b}) {
+    for (const Entity& e : t->rows()) {
+      values.push_back(e.values[0]);
+      values.push_back(e.values[1]);
+    }
+  }
+  Rng rng(26);
+  const std::string alphabet = "abcXYZ019 \t\x80\xc3\xa9\xff.-";
+  for (int i = 0; i < 300; ++i) {
+    std::string v;
+    const size_t len = rng.UniformInt(120u);
+    for (size_t k = 0; k < len; ++k) {
+      v.push_back(alphabet[rng.UniformInt(alphabet.size())]);
+    }
+    values.push_back(v);
+  }
+  for (const char* v : {"", "a", "AB", "aaaa", "abcabcabc"}) {
+    values.push_back(v);
+  }
+
+  const EntityEncoderOptions options;
+  const size_t width = static_cast<size_t>(options.text_buckets) + 1;
+  Entity e = dataset_.a.row(0);
+  for (size_t i = 0; i + 1 < values.size(); i += 2) {
+    e.values[0] = values[i];
+    e.values[1] = values[i + 1];
+    const std::vector<float> f = encoder_->Encode(e);
+    for (size_t col = 0; col < 2; ++col) {
+      const std::vector<float> expected =
+          StringGramTextFeatures(values[i + col], options);
+      EXPECT_EQ(std::memcmp(f.data() + col * width, expected.data(),
+                            width * sizeof(float)),
+                0)
+          << "value '" << values[i + col] << "'";
+    }
+  }
 }
 
 // --------------------------------------------------------------- EntityGan

@@ -886,6 +886,38 @@ TEST(IncrementalGmmTest, MeanShiftsTowardNewData) {
   EXPECT_NEAR(inc.model().component(0).mean()[0], 0.5, 0.05);
 }
 
+TEST(IncrementalGmmTest, AdoptedAndEmptyPreviewsMatchRebuildBitwise) {
+  // The S2 loop previews, then commits what it previewed; an arm with no
+  // new points previews as its committed model once that model was
+  // rebuilt. Both must equal the always-rebuilt PreviewModel, and a twin
+  // committing deltas the reference way must end on the same bits.
+  Rng rng(43);
+  auto initial = TwoClusterData(40, &rng);
+  auto fit = Gmm::FitEM(initial, 3, GmmFitOptions{});
+  ASSERT_TRUE(fit.ok());
+  IncrementalGmm inc(fit.value(), initial);
+  IncrementalGmm twin(fit.value(), initial);
+  const std::vector<std::vector<Vec>> batches = {
+      {}, TwoClusterData(3, &rng), {}, {}, TwoClusterData(1, &rng), {}};
+  for (size_t b = 0; b < batches.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const std::vector<Vec>& points = batches[b];
+    const Gmm rebuilt = inc.PreviewModel(inc.ComputeDelta(points));
+    IncrementalGmm::Update update = inc.Preview(points.data(), points.size());
+    // Only the first batch meets the EM fit, which an empty delta rebuilds.
+    EXPECT_EQ(update.unchanged, points.empty() && b > 0);
+    if (update.unchanged) {
+      EXPECT_EQ(update.model, inc.shared_model());
+    }
+    ExpectSameGmmBits(*update.model, rebuilt);
+    inc.Commit(std::move(update));
+    twin.Commit(twin.ComputeDelta(points));
+    ExpectSameGmmBits(inc.model(), rebuilt);
+    ExpectSameGmmBits(twin.model(), rebuilt);
+    EXPECT_EQ(inc.num_points(), twin.num_points());
+  }
+}
+
 // --------------------------------------------------------- ODistribution
 
 ODistribution MakeODistribution(double pi, double m_center, double n_center) {
@@ -1186,6 +1218,33 @@ TEST(JsdTest, EstimatorMatchesPerPointReferenceBitwise) {
         EXPECT_TRUE(SameBits(estimator.Estimate(ps[i]), want[i])) << i;
       }
       EXPECT_TRUE(SameBits(EstimateJsd(ps[0], q, n, seed, pool), want[0]));
+    }
+  }
+}
+
+TEST(JsdTest, StoredArmLogPdfReuseMatchesEstimateBitwise) {
+  // Handing Estimate an arm's log-densities at the stored draws, as the S2
+  // loop does for an arm with no new pairs, must not move a bit.
+  Rng rng(57);
+  const size_t d = 4;
+  const ODistribution q(0.2, RandomMixture(d, 3, &rng),
+                        RandomMixture(d, 2, &rng));
+  const ODistribution p(0.3, RandomMixture(d, 2, &rng),
+                        RandomMixture(d, 3, &rng));
+  runtime::ThreadPool pool(2);
+  for (int n : {1, 63, 64, 65, 192}) {
+    for (runtime::ThreadPool* pl :
+         {static_cast<runtime::ThreadPool*>(nullptr), &pool}) {
+      const JsdEstimator estimator(q, n, 0x15d0, pl);
+      std::vector<double> m_stored, n_stored;
+      estimator.StoredArmLogPdf(p.m_distribution(), &m_stored);
+      estimator.StoredArmLogPdf(p.n_distribution(), &n_stored);
+      const double want = estimator.Estimate(p);
+      EXPECT_TRUE(SameBits(estimator.Estimate(p, m_stored.data()), want));
+      EXPECT_TRUE(
+          SameBits(estimator.Estimate(p, nullptr, n_stored.data()), want));
+      EXPECT_TRUE(SameBits(
+          estimator.Estimate(p, m_stored.data(), n_stored.data()), want));
     }
   }
 }

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/strings.h"
@@ -10,6 +12,7 @@
 #include "text/edit_distance.h"
 #include "text/perturb.h"
 #include "text/qgram.h"
+#include "text/qgram_kernels.h"
 #include "text/token.h"
 
 namespace serd {
@@ -104,6 +107,187 @@ TEST(HashedQgramTest, JaccardMatchesStringSetsOnFuzzedCorpus) {
       double strings = JaccardOfSortedSets(QgramSet(a, q), QgramSet(b, q));
       EXPECT_DOUBLE_EQ(hashed, strings)
           << "a=\"" << a << "\" b=\"" << b << "\" q=" << q;
+    }
+  }
+}
+
+// --------------------------------------------------------- Qgram kernels
+
+/// Bytes the q-gram kernels meet in real values and at their edges:
+/// lowercase, uppercase, digits, whitespace runs and bytes >= 0x80.
+std::string KernelFuzzString(Rng* rng, size_t len) {
+  static const std::string kAscii =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789.-&'";
+  std::string s;
+  while (s.size() < len) {
+    const uint64_t kind = rng->UniformInt(8u);
+    if (kind == 0) {
+      s.append(1 + rng->UniformInt(4u), rng->Bernoulli(0.5) ? ' ' : '\t');
+    } else if (kind == 1) {
+      s.push_back(static_cast<char>(0x80 + rng->UniformInt(128u)));
+    } else {
+      s.push_back(kAscii[rng->UniformInt(kAscii.size())]);
+    }
+  }
+  s.resize(len);
+  return s;
+}
+
+/// `values` padded to whole kernel blocks with `pad`.
+std::vector<uint32_t> Padded(std::vector<uint32_t> values, uint32_t pad) {
+  values.resize(qgram::PaddedLength(values.size()), pad);
+  return values;
+}
+
+TEST(QgramKernelTest, HashGramsMatchesReference) {
+  Rng rng(2601);
+  for (size_t len = 0; len <= 300; ++len) {
+    const std::string s = KernelFuzzString(&rng, len);
+    for (size_t gram = 1; gram <= 4; ++gram) {
+      const size_t n = len < gram ? (len == 0 ? 0 : 1) : len - gram + 1;
+      const size_t glen = std::min(len, gram);
+      // Junk past the string: the padding lanes must not matter.
+      std::vector<uint8_t> bytes(qgram::PaddedLength(n) + gram, 0xA5);
+      std::memcpy(bytes.data(), s.data(), s.size());
+      std::vector<uint32_t> fast(qgram::PaddedLength(n) + 1);
+      std::vector<uint32_t> ref(n);
+      qgram::HashGrams(bytes.data(), n, glen, fast.data());
+      qgram::ReferenceHashGrams(bytes.data(), n, glen, ref.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(fast[i], ref[i]) << "len " << len << " gram " << gram
+                                   << " at " << i;
+      }
+    }
+  }
+}
+
+TEST(QgramKernelTest, FirstOccurrencesMatchesReference) {
+  // Hash ranges from dense (many repeats) to sparse, lengths across the
+  // block edges and past kScanLimit, junk in the padding lanes.
+  Rng rng(2602);
+  for (size_t n = 0; n <= 300; ++n) {
+    for (uint64_t range : {4ull, 64ull, 1ull << 32}) {
+      std::vector<uint32_t> h(n);
+      for (auto& v : h) v = static_cast<uint32_t>(rng.UniformInt(range));
+      h = Padded(h, static_cast<uint32_t>(rng.UniformInt(range)));
+      std::vector<uint32_t> fast(h.size()), fast_h(h.size());
+      std::vector<uint32_t> ref(h.size()), ref_h(h.size());
+      const size_t nf =
+          qgram::FirstOccurrences(h.data(), n, fast.data(), fast_h.data());
+      const size_t nr = qgram::ReferenceFirstOccurrences(
+          h.data(), n, ref.data(), ref_h.data());
+      ASSERT_EQ(nf, nr) << "n " << n << " range " << range;
+      for (size_t k = 0; k < nf; ++k) {
+        ASSERT_EQ(fast[k], ref[k]);
+        ASSERT_EQ(fast_h[k], ref_h[k]);
+        ASSERT_EQ(ref_h[k], h[ref[k]]);
+      }
+    }
+  }
+}
+
+TEST(QgramKernelTest, CountMembersMatchesReference) {
+  // Sets across the table's growth steps, hashes that collide in the
+  // table, hit and miss, and one equal to its free-slot marker.
+  Rng rng(2603);
+  for (size_t m = 0; m <= 300; m += (m < 40 ? 1 : 13)) {
+    std::vector<uint32_t> values;
+    while (values.size() < m) {
+      values.push_back(static_cast<uint32_t>(rng.UniformInt(4 * m + 8)));
+      std::sort(values.begin(), values.end());
+      values.erase(std::unique(values.begin(), values.end()), values.end());
+    }
+    const qgram::MemberSet set(values);
+    for (size_t n : {0, 1, 7, 8, 9, 17, 40}) {
+      std::vector<uint32_t> h(qgram::PaddedLength(n) + 1, 0xDEADBEEFu);
+      for (size_t i = 0; i < n; ++i) {
+        h[i] = i == 0 ? set.empty
+                      : static_cast<uint32_t>(rng.UniformInt(4 * m + 8));
+      }
+      EXPECT_EQ(qgram::CountMembers(set, h.data(), n),
+                qgram::ReferenceCountMembers(set, h.data(), n))
+          << "m " << m << " n " << n;
+    }
+  }
+}
+
+TEST(QgramKernelTest, CountIntersectionMatchesReference) {
+  // Sizes around the 8-lane edges, overlaps from none to total.
+  Rng rng(2604);
+  const std::vector<size_t> sizes = {0,  1,  2,  7,  8,  9,  15, 16,
+                                     17, 23, 24, 25, 63, 64, 65, 200};
+  auto sorted_set = [&](size_t size, uint64_t range) {
+    std::vector<uint32_t> v;
+    while (v.size() < size) {
+      v.push_back(static_cast<uint32_t>(rng.UniformInt(range)));
+      std::sort(v.begin(), v.end());
+      v.erase(std::unique(v.begin(), v.end()), v.end());
+    }
+    return v;
+  };
+  for (size_t na : sizes) {
+    for (size_t nb : sizes) {
+      for (uint64_t spread : {1ull, 2ull, 8ull}) {
+        const uint64_t range = spread * (na + nb) + 1;
+        const auto a = sorted_set(na, range);
+        const auto b = sorted_set(nb, range);
+        std::vector<uint32_t> both;
+        std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                              std::back_inserter(both));
+        EXPECT_EQ(qgram::CountIntersection(a.data(), na, b.data(), nb),
+                  both.size());
+        EXPECT_EQ(qgram::ReferenceCountIntersection(a.data(), na, b.data(),
+                                                    nb),
+                  both.size());
+      }
+    }
+  }
+}
+
+TEST(QgramKernelTest, Fnv1aIsInjectiveOnOneToThreeByteStrings) {
+  // 256 + 256^2 + 256^3 = 16,843,008 strings, one hash each: no two may
+  // collide, which makes every q = 3 hashed set an exact image of its
+  // string set (qgram.h, DESIGN.md §5d).
+  std::vector<uint32_t> hashes;
+  hashes.reserve(16843008);
+  uint8_t bytes[3];
+  for (size_t len = 1; len <= 3; ++len) {
+    const uint32_t count = 1u << (8 * len);
+    for (uint32_t v = 0; v < count; ++v) {
+      for (size_t i = 0; i < len; ++i) bytes[i] = (v >> (8 * i)) & 0xFF;
+      uint32_t h;
+      qgram::ReferenceHashGrams(bytes, 1, len, &h);
+      hashes.push_back(h);
+    }
+  }
+  ASSERT_EQ(hashes.size(), 16843008u);
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+}
+
+TEST(QgramKernelTest, ProfileAndHashedSetsMatchStringSetsBitwise) {
+  // The vector paths of the climb's scorer and of JaccardOfHashedSets
+  // against the string-set reference, on the kernel fuzz alphabet.
+  Rng rng(2605);
+  for (int iter = 0; iter < 400; ++iter) {
+    const std::string ref = KernelFuzzString(&rng, rng.UniformInt(301u));
+    for (int q = 2; q <= 4; ++q) {
+      QgramJaccardProfile profile(ref, q);
+      const auto ref_strings = QgramSet(ref, q);
+      const auto ref_hashes = HashedQgramSet(ref, q);
+      for (int c = 0; c < 4; ++c) {
+        std::string cand =
+            c == 0 ? ref : KernelFuzzString(&rng, rng.UniformInt(301u));
+        if (c == 1 && ref.size() > 4) {
+          cand = ref.substr(rng.UniformInt(ref.size() / 2));  // overlapping
+        }
+        const double expected =
+            JaccardOfSortedSets(ref_strings, QgramSet(cand, q));
+        EXPECT_EQ(profile.Jaccard(cand), expected) << "q " << q;
+        EXPECT_EQ(JaccardOfHashedSets(ref_hashes, HashedQgramSet(cand, q)),
+                  expected)
+            << "q " << q;
+      }
     }
   }
 }
