@@ -135,17 +135,10 @@ inline Pipeline RunPipeline(DatasetKind kind, uint64_t seed = 42,
   double scale = scale_override > 0.0 ? scale_override : BenchScale(kind);
   p.real = datagen::Generate(kind, {.seed = seed, .scale = scale});
 
-  std::vector<std::vector<std::string>> corpora;
-  size_t i = 0;
-  for (const auto& col : p.real.schema().columns()) {
-    if (col.type != ColumnType::kText) continue;
-    corpora.push_back(
-        datagen::BackgroundCorpus(kind, col.name, 120, seed * 31 + i++));
-  }
-  Table background = datagen::BackgroundEntities(kind, 100, seed * 7 + 1);
-
+  const datagen::Background background =
+      datagen::StandardBackground(kind, seed);
   p.synth = std::make_unique<SerdSynthesizer>(p.real, BenchSerdOptions(seed));
-  auto fit = p.synth->Fit(corpora, background);
+  auto fit = p.synth->Fit(background.corpora, background.entities);
   SERD_CHECK(fit.ok()) << fit.ToString();
 
   p.serd = std::move(p.synth->Synthesize()).value();

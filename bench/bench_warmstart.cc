@@ -84,14 +84,8 @@ void Run() {
     const uint64_t seed = 42;
     auto real =
         datagen::Generate(kind, {.seed = seed, .scale = BenchScale(kind)});
-    std::vector<std::vector<std::string>> corpora;
-    size_t i = 0;
-    for (const auto& col : real.schema().columns()) {
-      if (col.type != ColumnType::kText) continue;
-      corpora.push_back(
-          datagen::BackgroundCorpus(kind, col.name, 120, seed * 31 + i++));
-    }
-    Table background = datagen::BackgroundEntities(kind, 100, seed * 7 + 1);
+    const datagen::Background background =
+        datagen::StandardBackground(kind, seed);
     const std::string model_dir = model_root + "/" + real.name;
 
     // Cold: train and save.
@@ -99,7 +93,7 @@ void Run() {
     cold_opts.model_dir = model_dir;
     cold_opts.artifact_mode = SerdOptions::ArtifactMode::kSave;
     SerdSynthesizer cold(real, cold_opts);
-    auto cold_fit = cold.Fit(corpora, background);
+    auto cold_fit = cold.Fit(background.corpora, background.entities);
     SERD_CHECK(cold_fit.ok()) << cold_fit.ToString();
     auto cold_syn = cold.Synthesize();
     SERD_CHECK(cold_syn.ok()) << cold_syn.status().ToString();
@@ -109,7 +103,7 @@ void Run() {
     warm_opts.model_dir = model_dir;
     warm_opts.artifact_mode = SerdOptions::ArtifactMode::kLoad;
     SerdSynthesizer warm(real, warm_opts);
-    auto warm_fit = warm.Fit(corpora, background);
+    auto warm_fit = warm.Fit(background.corpora, background.entities);
     SERD_CHECK(warm_fit.ok()) << warm_fit.ToString();
     SERD_CHECK(warm.report().warm_started);
     auto warm_syn = warm.Synthesize();

@@ -145,17 +145,10 @@ int main(int argc, char** argv) {
   std::printf("real %s: |A|=%zu |B|=%zu matches=%zu\n", real.name.c_str(),
               real.a.size(), real.b.size(), real.matches.size());
 
-  std::vector<std::vector<std::string>> corpora;
-  size_t i = 0;
-  for (const auto& col : real.schema().columns()) {
-    if (col.type != ColumnType::kText) continue;
-    corpora.push_back(
-        datagen::BackgroundCorpus(kind, col.name, 120, seed * 31 + i++));
-  }
-  Table background = datagen::BackgroundEntities(kind, 100, seed * 7 + 1);
-
+  const datagen::Background background =
+      datagen::StandardBackground(kind, seed);
   SerdSynthesizer synth(real, options);
-  Status fit = synth.Fit(corpora, background);
+  Status fit = synth.Fit(background.corpora, background.entities);
   if (!fit.ok()) {
     if (options.artifact_mode == SerdOptions::ArtifactMode::kLoad) {
       // One actionable line: the path the user gave, the failure class

@@ -121,14 +121,14 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
     > "$SMOKE_DIR/warm_s2.txt"
   diff "$SMOKE_DIR/cold_s2.txt" "$SMOKE_DIR/warm_s2.txt"
 
-  echo "==> smoke: cold releases are byte-identical at 1 and 4 threads"
+  echo "==> smoke: cold release digests agree at 1 and 4 threads"
   # DP-SGD training runs each lot's examples and noise draw, then its
   # merge and finish split by parameter, on the pool; the trained weights,
-  # and so every released byte, must not depend on the thread count.
-  COLD=(--dataset dblp-acm --scale 0.02 --seed 7)
-  "$CLI" "${COLD[@]}" --threads 1 --out "$SMOKE_DIR/threads1" >/dev/null
-  "$CLI" "${COLD[@]}" --threads 4 --out "$SMOKE_DIR/threads4" >/dev/null
-  diff -r "$SMOKE_DIR/threads1" "$SMOKE_DIR/threads4"
+  # and so every released byte, must not depend on the thread count. The
+  # quick digest set (dblp-acm@0.02 seed 7, restaurant@0.1 seed 11, cold)
+  # fails when a case's two thread counts release different bytes or
+  # print different JSD, rejection or S3 lines.
+  scripts/release_digests.sh --quick build
 
   echo "==> smoke: a one-bucket string bank synthesizes end to end"
   # The bank builds its s2.bank_bucket histogram, whose bounds a single

@@ -238,7 +238,7 @@ void EncodeEntityGan(const EntityGan& gan, ByteWriter* w) {
   w->F32(c.lr);
   w->U64(c.seed);
   w->Bool(gan.trained());
-  // Both networks: ColdStartEntity samples the generator, the rejection
+  // Both networks: S2's cold start samples the generator, the rejection
   // rule scores with the discriminator — a warm start needs each.
   EncodeParams(gan.generator_parameters(), w);
   EncodeParams(gan.discriminator_parameters(), w);

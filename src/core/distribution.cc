@@ -35,6 +35,22 @@ Result<ODistribution> FitODistribution(const ERDataset& dataset,
                        std::move(n_fit).value());
 }
 
+void PairLabeler::Add(const CachedSimilarity::Digest& first,
+                      const CachedSimilarity::Digest& second) {
+  if (vectors_.size() == size_) vectors_.emplace_back();
+  sim_->SimilarityVectorInto(first, second, &vectors_[size_++]);
+}
+
+void PairLabeler::Label() {
+  const size_t dim = o_->dimension();
+  xs_.resize(dim * size_);
+  posterior_.resize(size_);
+  for (size_t t = 0; t < size_; ++t) {
+    for (size_t c = 0; c < dim; ++c) xs_[c * size_ + t] = vectors_[t][c];
+  }
+  o_->PosteriorMatchBatch(xs_.data(), size_, posterior_.data());
+}
+
 CrossPairLabels LabelCrossPairs(
     const ODistribution& o, const CachedSimilarity& sim,
     const std::vector<CachedSimilarity::Digest>& a,
@@ -98,44 +114,32 @@ CrossPairLabels LabelCrossPairs(
 
   // Scanned pairs are labeled concurrently into a flag array, then
   // appended in ascending pair order, so the match list is identical to
-  // the serial scan for any thread count. Each chunk gathers its pairs
-  // outside the known set into tiles of kBatchTile and scores a tile's
-  // posteriors in one batch, each bit-identical to PosteriorMatch of its
-  // pair. The scored tally excludes the known pairs: its per-chunk sums
-  // commute, so the atomic total is deterministic too.
+  // the serial scan for any thread count. Each chunk labels its pairs
+  // outside the known set a tile of kBatchTile at a time. The scored tally
+  // excludes the known pairs: its per-chunk sums commute, so the atomic
+  // total is deterministic too.
   std::vector<uint8_t> is_match_flag(out.scanned_pairs, 0);
   std::atomic<size_t> scored_pairs{0};
   runtime::ParallelFor(
       pool, 0, out.scanned_pairs, 512, [&](size_t lo, size_t hi) {
         constexpr size_t kTile = MultivariateGaussian::kBatchTile;
-        const size_t dim = o.dimension();
-        std::vector<double> xs(dim * kTile);
-        size_t tile_k[kTile], tile_i[kTile], tile_j[kTile];
-        double posterior[kTile];
+        PairLabeler labeler(o, sim);
+        size_t tile_k[kTile];
         size_t scored = 0;
-        Vec x;
         size_t k = lo;
         while (k < hi) {
-          size_t n = 0;
-          for (; k < hi && n < kTile; ++k) {
+          labeler.Clear();
+          for (; k < hi && labeler.size() < kTile; ++k) {
             auto [i, j] = pair_at(k);
             if (known.count(static_cast<uint64_t>(i) * nb + j)) continue;
-            tile_k[n] = k;
-            tile_i[n] = i;
-            tile_j[n] = j;
-            ++n;
+            tile_k[labeler.size()] = k;
+            labeler.Add(a[i], b[j]);
           }
-          // Coordinate c of the tile's point t at xs[c * n + t].
-          for (size_t t = 0; t < n; ++t) {
-            sim.SimilarityVectorInto(a[tile_i[t]], b[tile_j[t]], &x);
-            for (size_t c = 0; c < dim; ++c) xs[c * n + t] = x[c];
+          labeler.Label();
+          for (size_t t = 0; t < labeler.size(); ++t) {
+            if (labeler.match(t)) is_match_flag[tile_k[t]] = 1;
           }
-          o.PosteriorMatchBatch(xs.data(), n, posterior);
-          for (size_t t = 0; t < n; ++t) {
-            // LabelAsMatch's rule: P_m(x) >= P_n(x).
-            if (posterior[t] >= 0.5) is_match_flag[tile_k[t]] = 1;
-          }
-          scored += n;
+          scored += labeler.size();
         }
         scored_pairs.fetch_add(scored, std::memory_order_relaxed);
       });
@@ -155,15 +159,17 @@ CrossPairLabels LabelCrossPairs(
     Rng recall_rng(seed ^ 0xb10c4ec5ULL);
     const size_t samples = std::min(kBlockRecallSamples, out.total_pairs);
     size_t outside = 0, missed = 0;
-    Vec x;
+    PairLabeler labeler(o, sim);
     for (size_t s = 0; s < samples; ++s) {
       const size_t flat = recall_rng.UniformInt(out.total_pairs);
       const size_t i = flat / nb, j = flat % nb;
       if (cand.Contains(i, static_cast<uint32_t>(j))) continue;
       if (known.count(static_cast<uint64_t>(flat))) continue;
       ++outside;
-      sim.SimilarityVectorInto(a[i], b[j], &x);
-      if (o.LabelAsMatch(x)) ++missed;
+      labeler.Clear();
+      labeler.Add(a[i], b[j]);
+      labeler.Label();
+      if (labeler.match(0)) ++missed;
     }
     const double pruned =
         static_cast<double>(out.total_pairs - cand.num_pairs());

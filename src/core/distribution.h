@@ -33,6 +33,43 @@ Result<ODistribution> FitODistribution(const ERDataset& dataset,
                                        const GmmFitOptions& gmm,
                                        uint64_t seed);
 
+/// The one labeling rule of S2's partner pairs and S3's cross pairs: a
+/// pair is a match iff P_m(x) >= P_n(x) under `o`, x being its similarity
+/// vector. Pairs are added one at a time and scored together in one
+/// PosteriorMatchBatch; each label equals LabelAsMatch of the pair's
+/// SimilarityVector bit for bit. The buffers only grow, so a reused
+/// labeler stops allocating once it has seen its largest batch.
+class PairLabeler {
+ public:
+  /// `o` and `sim` must outlive the labeler.
+  PairLabeler(const ODistribution& o, const CachedSimilarity& sim)
+      : o_(&o), sim_(&sim) {}
+
+  /// Drops the added pairs, keeping their buffers.
+  void Clear() { size_ = 0; }
+  /// Adds the pair (first, second); vector(size()) becomes its similarity
+  /// vector.
+  void Add(const CachedSimilarity::Digest& first,
+           const CachedSimilarity::Digest& second);
+  /// Scores every added pair.
+  void Label();
+
+  size_t size() const { return size_; }
+  /// Pair t's label, after Label(): LabelAsMatch's rule.
+  bool match(size_t t) const { return posterior_[t] >= 0.5; }
+  /// Pair t's similarity vector. A caller may swap it out; the labeler
+  /// then reuses what it is left with.
+  Vec& vector(size_t t) { return vectors_[t]; }
+
+ private:
+  const ODistribution* o_;
+  const CachedSimilarity* sim_;
+  size_t size_ = 0;
+  std::vector<Vec> vectors_;
+  std::vector<double> xs_;  ///< coordinate c of pair t at xs_[c * size_ + t]
+  std::vector<double> posterior_;
+};
+
 /// How S3 enumerates the cross-pair space (DESIGN.md Section 5j).
 ///   kOff   — exact O(|A|·|B|) scan (the reference behavior).
 ///   kQgram — only candidate pairs from the q-gram index are scored:

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -170,7 +172,31 @@ Status SerdSynthesizer::Fit(
     metrics_->gauge("s1.pi")->Set(o_real_.pi());
   }
 
-  // ----- Offline: one transformer bank per text column. -----
+  SERD_RETURN_IF_ERROR(TrainStringBanks(background_text_corpora));
+  SERD_RETURN_IF_ERROR(TrainGan(background_entities));
+
+  // ----- Offline: each trained bucket's keep rate gates its decode. -----
+  obs::TraceSpan keep_span(metrics_.get(), "offline.keep_measurement");
+  MeasureBankKeepCounts();
+  keep_span.Stop();
+
+  {
+    std::lock_guard<std::mutex> lock(state_mu_);
+    report_.offline_seconds = timer.Seconds();
+    source_offline_seconds_ = report_.offline_seconds;
+    report_.warm_started = false;
+    report_ = OfflineReportLocked();
+    fitted_ = true;
+  }
+
+  if (!options_.model_dir.empty()) {
+    SERD_RETURN_IF_ERROR(SaveModels(options_.model_dir));
+  }
+  return Status::OK();
+}
+
+Status SerdSynthesizer::TrainStringBanks(
+    const std::vector<std::vector<std::string>>& background_text_corpora) {
   const Schema& schema = spec_.schema();
   size_t text_columns = 0;
   for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -207,13 +233,13 @@ Status SerdSynthesizer::Fit(
     banks_[c] = std::move(bank);
     ++corpus_idx;
   }
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    report_.mean_bank_epsilon = eps_count > 0 ? total_eps / eps_count : 0.0;
-  }
-  banks_span.Stop();
+  std::lock_guard<std::mutex> lock(state_mu_);
+  report_.mean_bank_epsilon = eps_count > 0 ? total_eps / eps_count : 0.0;
+  return Status::OK();
+}
 
-  // ----- Offline: GAN over background entity encodings. -----
+Status SerdSynthesizer::TrainGan(const Table& background_entities) {
+  const Schema& schema = spec_.schema();
   if (!(background_entities.schema() == schema)) {
     return Status::InvalidArgument(
         "background entities must share the dataset schema");
@@ -221,7 +247,7 @@ Status SerdSynthesizer::Fit(
   if (background_entities.empty()) {
     return Status::InvalidArgument("background entities table is empty");
   }
-  encoder_ = std::make_unique<EntityEncoder>(spec_, options_.encoder);
+  encoder_ = std::make_unique<EntityEncoder>(spec_);
   std::vector<std::vector<float>> features;
   features.reserve(background_entities.size());
   for (const auto& row : background_entities.rows()) {
@@ -234,24 +260,6 @@ Status SerdSynthesizer::Fit(
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     decode_pools_[c] = background_entities.ColumnValues(c);
     if (decode_pools_[c].empty()) decode_pools_[c].push_back("");
-  }
-
-  // ----- Offline: each trained bucket's keep rate gates its decode. -----
-  obs::TraceSpan keep_span(metrics_.get(), "offline.keep_measurement");
-  MeasureBankKeepCounts();
-  keep_span.Stop();
-
-  {
-    std::lock_guard<std::mutex> lock(state_mu_);
-    report_.offline_seconds = timer.Seconds();
-    source_offline_seconds_ = report_.offline_seconds;
-    report_.warm_started = false;
-    report_ = OfflineReportLocked();
-    fitted_ = true;
-  }
-
-  if (!options_.model_dir.empty()) {
-    SERD_RETURN_IF_ERROR(SaveModels(options_.model_dir));
   }
   return Status::OK();
 }
@@ -382,20 +390,6 @@ Entity SerdSynthesizer::SynthesizeFrom(const Entity& e, const Vec& x,
   return out;
 }
 
-Entity SerdSynthesizer::ColdStartEntity(Rng* rng) const {
-  SERD_CHECK(gan_ != nullptr && encoder_ != nullptr);
-  std::vector<float> features = gan_->GenerateFeatures(rng);
-  Entity e = encoder_->Decode(features, decode_pools_);
-  e.id = "seed";
-  return e;
-}
-
-bool SerdSynthesizer::RejectedByDiscriminator(const Entity& e) const {
-  if (gan_ == nullptr || !gan_->trained()) return false;
-  double score = gan_->DiscriminatorScore(encoder_->Encode(e));
-  return score < options_.beta;
-}
-
 SerdReport SerdSynthesizer::OfflineReportLocked() const {
   SerdReport report;
   report.offline_seconds = report_.offline_seconds;
@@ -428,11 +422,521 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const CancelToken* cancel) {
   return syn;
 }
 
+namespace {
+
+/// Entities S2 accepts before the warm-up fit of O_syn; from then on every
+/// attempt faces the Eq. 10 test.
+constexpr size_t kOSynWarmup = 12;
+
+/// One kind of S2 event: Add() bumps its report field and its live counter
+/// together (callers poll the counters mid-run).
+template <typename Field>
+struct S2Event {
+  Field* field;
+  obs::Counter* counter;
+  void Add(size_t n = 1) {
+    *field += static_cast<Field>(n);
+    obs::Inc(counter, n);
+  }
+};
+
+/// O_syn (paper Section V, case 2), the synthesized pairs' M- and
+/// N-distributions: kept as vectors until the warm-up fit, then tracked
+/// incrementally (Eq. 9) with their JSD to O_real. Every estimate is
+/// against O_real with the same seed, so O_real's half of it is drawn and
+/// scored once per run, by the estimator the first estimate builds.
+class OSynTracker {
+ public:
+  /// An attempt's O_syn: each arm with the attempt's pairs folded in, and
+  /// its JSD to O_real.
+  struct Preview {
+    IncrementalGmm::Update m, n;
+    size_t num_pos, num_neg;
+    double jsd = 0.0;
+  };
+
+  OSynTracker(const ODistribution& o_real, int jsd_samples, uint64_t jsd_seed,
+              runtime::ThreadPool* pool, obs::MetricsRegistry* metrics,
+              S2Event<long> jsd_evaluations)
+      : o_real_(&o_real),
+        jsd_samples_(jsd_samples),
+        jsd_seed_(jsd_seed),
+        pool_(pool),
+        jsd_evaluations_(jsd_evaluations),
+        jsd_seconds_(obs::GetTimer(metrics, "s2.jsd_seconds")),
+        preview_seconds_(obs::GetTimer(metrics, "s2.preview_seconds")) {}
+
+  /// True once the warm-up fit has succeeded.
+  bool tracking() const { return m_syn_ != nullptr; }
+  /// The committed O_syn's JSD: the bar of the next Eq. 10 test.
+  double jsd() const { return jsd_; }
+
+  void AddWarmUp(const Vec* pos, size_t num_pos, const Vec* neg,
+                 size_t num_neg) {
+    warm_pos_.insert(warm_pos_.end(), pos, pos + num_pos);
+    warm_neg_.insert(warm_neg_.end(), neg, neg + num_neg);
+  }
+
+  /// Once each arm holds 4 vectors, an AIC fit of each (at most S1's
+  /// component count) starts the tracking, and the fitted O_syn's JSD is
+  /// the first bar. A failed fit leaves the tracker warming up.
+  void FitWarmUp(GmmFitOptions fit, int m_components, int n_components) {
+    if (warm_pos_.size() < 4 || warm_neg_.size() < 4) return;
+    fit.max_components = std::max(m_components, 1);
+    auto m0 = Gmm::FitWithAic(warm_pos_, fit);
+    fit.max_components = std::max(n_components, 1);
+    auto n0 = Gmm::FitWithAic(warm_neg_, fit);
+    if (!m0.ok() || !n0.ok()) return;
+    m_syn_ = std::make_unique<IncrementalGmm>(m0.value(), warm_pos_);
+    n_syn_ = std::make_unique<IncrementalGmm>(n0.value(), warm_neg_);
+    pos_count_ = warm_pos_.size();
+    neg_count_ = warm_neg_.size();
+    jsd_ = EstimateCommitted();
+  }
+
+  Preview PreviewWith(const Vec* pos, size_t num_pos, const Vec* neg,
+                      size_t num_neg) {
+    obs::TraceSpan preview_span(preview_seconds_);
+    Preview p{m_syn_->Preview(pos, num_pos), n_syn_->Preview(neg, num_neg),
+              num_pos, num_neg};
+    preview_span.Stop();
+    p.jsd = Estimate(ODistribution(PiSyn(pos_count_ + num_pos,
+                                         neg_count_ + num_neg),
+                                   p.m.model, p.n.model),
+                     &p.m, &p.n);
+    return p;
+  }
+
+  /// Adopts an accepted attempt's preview as it was built.
+  void Commit(Preview p) {
+    m_syn_->Commit(std::move(p.m));
+    n_syn_->Commit(std::move(p.n));
+    pos_count_ += p.num_pos;
+    neg_count_ += p.num_neg;
+    jsd_ = p.jsd;
+  }
+
+  double EstimateCommitted() {
+    return Estimate(ODistribution(PiSyn(pos_count_, neg_count_),
+                                  m_syn_->shared_model(),
+                                  n_syn_->shared_model()));
+  }
+
+ private:
+  /// An arm previewed without new pairs is its committed model, so its
+  /// log-densities at the estimator's stored O_real draws carry over from
+  /// the last estimate that computed them. Each cache holds its model, so
+  /// the model cannot be freed and its address reused while cached.
+  struct StoredArm {
+    std::shared_ptr<const Gmm> model;
+    std::vector<double> log_pdf;
+  };
+
+  /// π_syn, the tracked pairs' match share, kept inside [0.001, 0.999] so
+  /// that neither arm's weight vanishes.
+  static double PiSyn(size_t pos, size_t neg) {
+    const double pi = static_cast<double>(pos) /
+                      static_cast<double>(std::max<size_t>(1, pos + neg));
+    return std::clamp(pi, 0.001, 0.999);
+  }
+
+  /// The updates, when given, are the previews o_syn was built from.
+  double Estimate(const ODistribution& o_syn,
+                  const IncrementalGmm::Update* m_update = nullptr,
+                  const IncrementalGmm::Update* n_update = nullptr) {
+    jsd_evaluations_.Add();
+    obs::TraceSpan span(jsd_seconds_);
+    if (!estimator_.has_value()) {
+      estimator_.emplace(*o_real_, jsd_samples_, jsd_seed_, pool_);
+    }
+    return estimator_->Estimate(o_syn, StoredLogPdf(m_update, &m_stored_),
+                                StoredLogPdf(n_update, &n_stored_));
+  }
+
+  const double* StoredLogPdf(const IncrementalGmm::Update* update,
+                             StoredArm* arm) {
+    if (update == nullptr || !update->unchanged) return nullptr;
+    if (arm->model != update->model) {
+      estimator_->StoredArmLogPdf(*update->model, &arm->log_pdf);
+      arm->model = update->model;
+    }
+    return arm->log_pdf.data();
+  }
+
+  const ODistribution* o_real_;
+  const int jsd_samples_;
+  const uint64_t jsd_seed_;
+  runtime::ThreadPool* pool_;
+  S2Event<long> jsd_evaluations_;
+  obs::Histogram* jsd_seconds_;
+  obs::Histogram* preview_seconds_;
+  std::vector<Vec> warm_pos_, warm_neg_;
+  std::unique_ptr<IncrementalGmm> m_syn_, n_syn_;
+  size_t pos_count_ = 0, neg_count_ = 0;
+  double jsd_ = 0.0;
+  std::optional<JsdEstimator> estimator_;
+  StoredArm m_stored_, n_stored_;
+};
+
+}  // namespace
+
+/// One Synthesize(const RunOptions&, SerdReport*) call. Every piece of run
+/// state lives here, so concurrent runs never interact and a cancelled run
+/// leaves nothing behind. The methods are the steps of paper Sections
+/// III-V (DESIGN.md §5e).
+class SerdSynthesizer::Run {
+ public:
+  Run(const SerdSynthesizer& synth, const RunOptions& run, SerdReport report)
+      : s_(synth),
+        run_(run),
+        pool_before_(s_.pool_ != nullptr ? s_.pool_->stats()
+                                         : runtime::ThreadPool::Stats()),
+        report_(std::move(report)),
+        rng_(run.seed ^ 0x51e2d5ULL),
+        na_(opt().target_a > 0 ? opt().target_a : s_.real_->a.size()),
+        nb_(opt().target_b > 0 ? opt().target_b : s_.real_->b.size()),
+        // O_real's arms with π = |M_real| / (n_a + n_b) (DESIGN.md §5b).
+        link_(std::clamp(static_cast<double>(s_.real_->matches.size()) /
+                             static_cast<double>(na_ + nb_),
+                         0.02, 0.9),
+              s_.o_real_.m_distribution(), s_.o_real_.n_distribution()),
+        t_cap_(static_cast<size_t>(
+            std::max(1, opt().rejection_partner_sample))),
+        max_iterations_(opt().max_loop_iterations > 0
+                            ? opt().max_loop_iterations
+                            : 60 * (na_ + nb_) + 1000),
+        o_syn_(s_.o_real_, opt().jsd_samples, run.seed ^ 0x15d0ULL,
+               s_.pool_.get(), metrics(),
+               {&report_.jsd_evaluations, LiveCounter("s2.jsd_evaluations")}),
+        labeler_(s_.o_real_, *s_.cached_sim_) {
+    SERD_CHECK(na_ > 0 && nb_ > 0);
+    // The token also reaches the string banks' decode early-stop
+    // callbacks, so a trip interrupts a decode already in flight.
+    bank_run_.cancel = run.cancel;
+    syn_.name = s_.real_->name + "-SERD" + (run.enable_rejection ? "" : "-");
+    syn_.a = Table(s_.spec_.schema());
+    syn_.b = Table(s_.spec_.schema());
+    a_digests_.reserve(na_);
+    b_digests_.reserve(nb_);
+  }
+  Run(const Run&) = delete;
+  Run& operator=(const Run&) = delete;
+
+  /// OK until the run's cancel token trips, then the token's cause.
+  Status CancelPoll() const {
+    const CancelToken* cancel = run_.cancel;
+    if (cancel == nullptr || !cancel->cancelled()) return Status::OK();
+    Status cause = cancel->cause();
+    return cause.ok() ? Status::Cancelled("synthesis cancelled") : cause;
+  }
+
+  /// S2: one cold-start A-entity (paper Section IV-B2: GAN features
+  /// decoded against the background pools), then one accepted entity per
+  /// guard-loop iteration until both tables reach their targets or the
+  /// guard trips. Fails only when cancelled.
+  Status SynthesizeEntities() {
+    SERD_CHECK(s_.gan_ != nullptr && s_.encoder_ != nullptr);
+    Entity seed = s_.encoder_->Decode(s_.gan_->GenerateFeatures(&rng_),
+                                      s_.decode_pools_);
+    CachedSimilarity::Digest seed_digest = s_.cached_sim_->MakeDigest(seed);
+    Append(true, std::move(seed), std::move(seed_digest));
+    accepted_.Add();
+
+    obs::TraceSpan s2_span(metrics(), "s2.loop");
+    size_t guard = 0;
+    while ((syn_.a.size() < na_ || syn_.b.size() < nb_) &&
+           guard++ < max_iterations_) {
+      // One relaxed atomic load per accepted entity, so a tripped token
+      // stops the run within one loop iteration.
+      SERD_RETURN_IF_ERROR(CancelPoll());
+      const auto [e_from_a, e_idx] = ChooseSource();
+      SERD_RETURN_IF_ERROR(AddLinkedEntity(e_from_a, e_idx));
+      WarmUpFit();
+    }
+    s2_span.Stop();
+
+    if (syn_.a.size() < na_ || syn_.b.size() < nb_) {
+      // The guard tripped before the targets were reached: report the
+      // shortfall loudly instead of silently handing back less.
+      report_.guard_exhausted = true;
+      report_.shortfall_a = na_ - syn_.a.size();
+      report_.shortfall_b = nb_ - syn_.b.size();
+      obs::Inc(guard_exhausted_);
+      SERD_LOG(kWarning) << syn_.name << ": S2 guard exhausted after "
+                         << max_iterations_ << " iterations; returning "
+                         << syn_.a.size() << "/" << na_ << " A and "
+                         << syn_.b.size() << "/" << nb_ << " B entities";
+    }
+    return Status::OK();
+  }
+
+  /// S3 (paper Section IV-C): S2's links keep their labels, and every
+  /// other cross pair is labeled by O_real's posterior.
+  void LabelPairs() {
+    std::unordered_set<uint64_t> known;
+    for (const PairRef& link : links_) {
+      known.insert(static_cast<uint64_t>(link.a_idx) * syn_.b.size() +
+                   link.b_idx);
+    }
+    CrossPairLabels s3 = LabelCrossPairs(
+        s_.o_real_, *s_.cached_sim_, a_digests_, b_digests_, known,
+        run_.blocking, opt().max_label_pairs, run_.seed, s_.pool_.get(),
+        metrics());
+    syn_.matches.insert(syn_.matches.end(), s3.matches.begin(),
+                        s3.matches.end());
+    report_.s3_blocked = s3.blocked;
+    report_.s3_total_pairs = static_cast<long>(s3.total_pairs);
+    report_.s3_candidate_pairs = static_cast<long>(s3.candidate_pairs);
+    report_.s3_pruned_pairs =
+        static_cast<long>(s3.total_pairs - s3.candidate_pairs);
+    report_.s3_scanned_pairs = static_cast<long>(s3.scanned_pairs);
+    report_.s3_scored_pairs = static_cast<long>(s3.scored_pairs);
+    report_.s3_posterior_matches = static_cast<long>(s3.matches.size());
+    report_.s3_block_recall = s3.block_recall;
+    report_.s3_block_recall_estimated = s3.block_recall_estimated;
+  }
+
+  /// The report step; copies the report to `report_out` when it is not
+  /// null and returns the dataset.
+  ERDataset Finish(SerdReport* report_out) {
+    if (o_syn_.tracking()) {
+      report_.jsd_real_vs_syn = o_syn_.EstimateCommitted();
+    }
+    if (s_.pool_ != nullptr) {
+      runtime::ThreadPool::Stats delta = s_.pool_->stats();
+      delta.busy_seconds -= pool_before_.busy_seconds;
+      delta.wall_seconds -= pool_before_.wall_seconds;
+      report_.parallel_speedup = delta.Speedup();
+    }
+    report_.forced_accepts = report_.forced_accepts_discriminator +
+                             report_.forced_accepts_distribution;
+    report_.decode_steps = bank_run_.decode_steps;
+    report_.encoder_cache_hits = bank_run_.encoder_cache_hits;
+    report_.encoder_cache_misses = bank_run_.encoder_cache_misses;
+    report_.online_seconds = timer_.Seconds();
+    if (metrics() != nullptr) {
+      metrics()->gauge("run.online_seconds")->Set(report_.online_seconds);
+      metrics()->gauge("run.parallel_speedup")->Set(report_.parallel_speedup);
+    }
+    if (report_out != nullptr) *report_out = report_;
+    return std::move(syn_);
+  }
+
+ private:
+  using Digests = std::vector<CachedSimilarity::Digest>;
+  /// An attempt's e', whether its x came from the M arm (the label of its
+  /// link to e), and its digest once the partner step has built it.
+  struct Candidate {
+    Entity entity;
+    bool from_match;
+    CachedSimilarity::Digest digest;
+  };
+
+  const SerdOptions& opt() const { return s_.options_; }
+  obs::MetricsRegistry* metrics() const { return s_.metrics_.get(); }
+  obs::Counter* LiveCounter(std::string_view name) const {
+    return obs::GetCounter(metrics(), name);
+  }
+
+  /// `digest` is MakeDigest(e), which does not read the id.
+  size_t Append(bool to_a, Entity e, CachedSimilarity::Digest digest) {
+    Table& t = to_a ? syn_.a : syn_.b;
+    e.id = (to_a ? "sa" : "sb") + std::to_string(t.size());
+    (to_a ? a_digests_ : b_digests_).push_back(std::move(digest));
+    t.Append(std::move(e));
+    return t.size() - 1;
+  }
+
+  /// S2-1: the source entity e, as (from A, row). e' joins the other
+  /// table, so a full table is the source; otherwise A or B is picked in
+  /// proportion to their sizes. A holds the cold-start entity and a full
+  /// B is non-empty, so the source never is.
+  std::pair<bool, size_t> ChooseSource() {
+    bool e_from_a;
+    if (syn_.a.size() >= na_) {
+      e_from_a = true;
+    } else if (syn_.b.size() >= nb_) {
+      e_from_a = false;
+    } else {
+      e_from_a =
+          rng_.UniformInt(syn_.a.size() + syn_.b.size()) < syn_.a.size();
+    }
+    return {e_from_a, rng_.UniformInt((e_from_a ? syn_.a : syn_.b).size())};
+  }
+
+  /// S2-2 to S2-4 for one source entity. Every call accepts exactly one
+  /// entity: the last attempt's candidate is kept even when a rejection
+  /// test fails (a "forced accept", counted by cause), and it runs through
+  /// the same partner, O_syn and commit steps as any other, so O_syn
+  /// tracks every pair the dataset contains (DESIGN.md §5e).
+  Status AddLinkedEntity(bool e_from_a, size_t e_idx) {
+    const Entity& e = (e_from_a ? syn_.a : syn_.b).row(e_idx);
+    for (int attempt = 0;; ++attempt) {
+      // Retries can dominate an iteration's wall time, so a deadline that
+      // trips mid-iteration is honored between attempts too.
+      SERD_RETURN_IF_ERROR(CancelPoll());
+      const bool last_attempt = attempt >= opt().max_reject_retries;
+      Candidate c = SynthesizeCandidate(e);
+      bool forced_disc = false;
+      if (run_.enable_rejection && RejectedByDiscriminator(c.entity)) {
+        rejected_disc_.Add();
+        if (!last_attempt) continue;
+        forced_disc = true;
+      }
+      PartnerDeltas(e_from_a ? a_digests_ : b_digests_, &c);
+      bool forced_dist = false;
+      if (run_.enable_rejection && o_syn_.tracking()) {
+        OSynTracker::Preview preview = o_syn_.PreviewWith(
+            delta_pos_.data(), num_pos_, delta_neg_.data(), num_neg_);
+        if (RejectedByDistribution(preview) && !forced_disc) {
+          if (!last_attempt) {
+            rejected_dist_.Add();
+            continue;
+          }
+          forced_dist = true;
+        }
+        o_syn_.Commit(std::move(preview));
+      } else if (run_.enable_rejection) {
+        o_syn_.AddWarmUp(delta_pos_.data(), num_pos_, delta_neg_.data(),
+                         num_neg_);
+      }
+      tracked_pos_.Add(num_pos_);
+      tracked_neg_.Add(num_neg_);
+      if (forced_disc) {
+        forced_disc_.Add();
+      } else if (forced_dist) {
+        forced_dist_.Add();
+      }
+      obs::Observe(attempts_, static_cast<double>(attempt + 1));
+      Commit(e_from_a, e_idx, std::move(c));
+      return Status::OK();
+    }
+  }
+
+  /// S2-2: x drawn from the link distribution, e' synthesized from e
+  /// toward it.
+  Candidate SynthesizeCandidate(const Entity& e) {
+    ODistribution::SampleResult x = link_.Sample(&rng_);
+    return {s_.SynthesizeFrom(e, x.x, &rng_, &bank_run_), x.from_match, {}};
+  }
+
+  /// S2-3, case 1: a discriminator score below beta rejects e'.
+  bool RejectedByDiscriminator(const Entity& candidate) {
+    obs::TraceSpan span(discriminator_seconds_);
+    if (s_.gan_ == nullptr || !s_.gan_->trained()) return false;
+    return s_.gan_->DiscriminatorScore(s_.encoder_->Encode(candidate)) <
+           opt().beta;
+  }
+
+  /// The pairs e' induces with up to t partners in e's table (paper
+  /// Remark (1)), labeled by O_real's posterior into delta_pos_ and
+  /// delta_neg_ in partner order, the order ComputeDelta sums in.
+  void PartnerDeltas(const Digests& source_digests, Candidate* c) {
+    obs::TraceSpan span(partner_seconds_);
+    c->digest = s_.cached_sim_->MakeDigest(c->entity);
+    const size_t partners = source_digests.size();
+    labeler_.Clear();
+    if (partners <= t_cap_) {
+      for (const auto& partner : source_digests) {
+        labeler_.Add(partner, c->digest);
+      }
+    } else {
+      // Floyd's algorithm: t_cap *distinct* partner indices in t_cap
+      // draws (one UniformInt per selection, like the old
+      // with-replacement loop, which could feed duplicate pairs into the
+      // Eq. 9 delta and double-count them).
+      chosen_.clear();
+      for (size_t j = partners - t_cap_; j < partners; ++j) {
+        size_t pick = rng_.UniformInt(j + 1);
+        if (std::find(chosen_.begin(), chosen_.end(), pick) != chosen_.end()) {
+          pick = j;
+        }
+        chosen_.push_back(pick);
+        labeler_.Add(source_digests[pick], c->digest);
+      }
+    }
+    labeler_.Label();
+    // The vectors are swapped out of the labeler, so once the pools have
+    // grown an attempt allocates no similarity vector.
+    if (delta_pos_.size() < labeler_.size()) delta_pos_.resize(labeler_.size());
+    if (delta_neg_.size() < labeler_.size()) delta_neg_.resize(labeler_.size());
+    num_pos_ = num_neg_ = 0;
+    for (size_t t = 0; t < labeler_.size(); ++t) {
+      (labeler_.match(t) ? delta_pos_[num_pos_++] : delta_neg_[num_neg_++])
+          .swap(labeler_.vector(t));
+    }
+  }
+
+  /// S2-3, case 2 (paper Eq. 10): e' is rejected when its pairs would take
+  /// O_syn's JSD to O_real above alpha times the committed one.
+  bool RejectedByDistribution(const OSynTracker::Preview& preview) const {
+    return preview.jsd > opt().alpha * o_syn_.jsd();
+  }
+
+  /// S2-4: e' joins the table opposite e, linked to e; the link is a
+  /// match when x came from the M arm.
+  void Commit(bool e_from_a, size_t e_idx, Candidate c) {
+    const size_t new_idx =
+        Append(!e_from_a, std::move(c.entity), std::move(c.digest));
+    accepted_.Add();
+    links_.push_back(e_from_a ? PairRef{e_idx, new_idx}
+                              : PairRef{new_idx, e_idx});
+    if (c.from_match) syn_.matches.push_back(links_.back());
+  }
+
+  /// O_syn's warm-up fit, tried after each accepted entity from the
+  /// kOSynWarmup-th on until it succeeds; without rejection, never.
+  void WarmUpFit() {
+    if (run_.enable_rejection && !o_syn_.tracking() &&
+        static_cast<size_t>(report_.accepted_entities) >= kOSynWarmup) {
+      o_syn_.FitWarmUp(opt().gmm, report_.m_components, report_.n_components);
+    }
+  }
+
+  const SerdSynthesizer& s_;
+  const RunOptions& run_;
+  WallTimer timer_;
+  const runtime::ThreadPool::Stats pool_before_;
+  SerdReport report_;
+  Rng rng_;
+  BankRun bank_run_;
+  const size_t na_, nb_;
+  const ODistribution link_;
+  const size_t t_cap_;  ///< t of paper Remark (1)
+  const size_t max_iterations_;
+  ERDataset syn_;
+  Digests a_digests_, b_digests_;
+  std::vector<PairRef> links_;  ///< S2's links, labeled by their arm
+  S2Event<int> accepted_{&report_.accepted_entities,
+                         LiveCounter("s2.accepted")};
+  S2Event<int> rejected_disc_{&report_.rejected_by_discriminator,
+                              LiveCounter("s2.rejected_discriminator")};
+  S2Event<int> rejected_dist_{&report_.rejected_by_distribution,
+                              LiveCounter("s2.rejected_distribution")};
+  S2Event<int> forced_disc_{&report_.forced_accepts_discriminator,
+                            LiveCounter("s2.forced_accepts_discriminator")};
+  S2Event<int> forced_dist_{&report_.forced_accepts_distribution,
+                            LiveCounter("s2.forced_accepts_distribution")};
+  S2Event<long> tracked_pos_{&report_.tracked_pairs_pos,
+                             LiveCounter("s2.tracked_pairs_pos")};
+  S2Event<long> tracked_neg_{&report_.tracked_pairs_neg,
+                             LiveCounter("s2.tracked_pairs_neg")};
+  obs::Counter* guard_exhausted_ = LiveCounter("s2.guard_exhausted");
+  obs::Histogram* attempts_ = obs::GetHistogram(
+      metrics(), "s2.attempts_per_entity", obs::LinearBounds(1.0, 8.0, 8));
+  obs::Histogram* discriminator_seconds_ =
+      obs::GetTimer(metrics(), "s2.discriminator_seconds");
+  obs::Histogram* partner_seconds_ =
+      obs::GetTimer(metrics(), "s2.partner_seconds");
+  OSynTracker o_syn_;
+  PairLabeler labeler_;
+  std::vector<Vec> delta_pos_, delta_neg_;  // by label, in partner order
+  size_t num_pos_ = 0, num_neg_ = 0;
+  std::vector<size_t> chosen_;  // Floyd's picks, at most t_cap_
+};
+
 Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
                                               SerdReport* report_out) const {
-  // Every piece of run state — report, bank accounting, O_syn trackers,
-  // the dataset — lives in this frame, so concurrent runs never interact
-  // and every `return cancel_status()` below leaves nothing behind.
   SerdReport report;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -442,468 +946,64 @@ Result<ERDataset> SerdSynthesizer::Synthesize(const RunOptions& run,
     }
     report = OfflineReportLocked();
   }
-  const CancelToken* cancel = run.cancel;
-  auto cancel_status = [cancel]() -> Status {
-    Status cause = cancel->cause();
-    return cause.ok() ? Status::Cancelled("synthesis cancelled") : cause;
-  };
-  // The token also reaches the string banks' decode early-stop callbacks,
-  // so a trip interrupts a candidate decode already in flight, not just
-  // the next loop iteration.
-  BankRun bank_run;
-  bank_run.cancel = cancel;
-  WallTimer timer;
-  const runtime::ThreadPool::Stats pool_before =
-      pool_ != nullptr ? pool_->stats() : runtime::ThreadPool::Stats();
-  Rng rng(run.seed ^ 0x51e2d5ULL);
-
-  // Metric handles resolved once, outside the loop (all null when
-  // observability is off; recording through them is then one pointer test
-  // per site).
-  obs::Counter* c_accepted = obs::GetCounter(metrics_.get(), "s2.accepted");
-  obs::Counter* c_rej_disc =
-      obs::GetCounter(metrics_.get(), "s2.rejected_discriminator");
-  obs::Counter* c_rej_dist =
-      obs::GetCounter(metrics_.get(), "s2.rejected_distribution");
-  obs::Counter* c_forced_disc =
-      obs::GetCounter(metrics_.get(), "s2.forced_accepts_discriminator");
-  obs::Counter* c_forced_dist =
-      obs::GetCounter(metrics_.get(), "s2.forced_accepts_distribution");
-  obs::Counter* c_tracked_pos =
-      obs::GetCounter(metrics_.get(), "s2.tracked_pairs_pos");
-  obs::Counter* c_tracked_neg =
-      obs::GetCounter(metrics_.get(), "s2.tracked_pairs_neg");
-  obs::Counter* c_jsd_evals =
-      obs::GetCounter(metrics_.get(), "s2.jsd_evaluations");
-  obs::Counter* c_guard =
-      obs::GetCounter(metrics_.get(), "s2.guard_exhausted");
-  obs::Histogram* h_attempts = obs::GetHistogram(
-      metrics_.get(), "s2.attempts_per_entity", obs::LinearBounds(1.0, 8.0, 8));
-  obs::Histogram* h_jsd_seconds =
-      obs::GetTimer(metrics_.get(), "s2.jsd_seconds");
-  // Per attempt: the discriminator test, and the O_syn preview (both
-  // ComputeDelta calls and both PreviewModel calls) that Eq. 10 scores.
-  obs::Histogram* h_discriminator_seconds =
-      obs::GetTimer(metrics_.get(), "s2.discriminator_seconds");
-  obs::Histogram* h_preview_seconds =
-      obs::GetTimer(metrics_.get(), "s2.preview_seconds");
-  // Per attempt: the candidate's digest, its partner similarity vectors
-  // and their posterior labels.
-  obs::Histogram* h_partner_seconds =
-      obs::GetTimer(metrics_.get(), "s2.partner_seconds");
-
-  const size_t na = options_.target_a > 0 ? options_.target_a : real_->a.size();
-  const size_t nb = options_.target_b > 0 ? options_.target_b : real_->b.size();
-  SERD_CHECK(na > 0 && nb > 0);
-
-  ERDataset syn;
-  syn.name = real_->name + "-SERD" + (run.enable_rejection ? "" : "-");
-  syn.a = Table(spec_.schema());
-  syn.b = Table(spec_.schema());
-
-  std::vector<CachedSimilarity::Digest> a_digests, b_digests;
-  a_digests.reserve(na);
-  b_digests.reserve(nb);
-
-  // `digest` is MakeDigest(e), which does not read the id.
-  auto append_entity = [&](bool to_a, Entity e,
-                           CachedSimilarity::Digest digest) -> size_t {
-    Table& t = to_a ? syn.a : syn.b;
-    auto& digests = to_a ? a_digests : b_digests;
-    e.id = (to_a ? "sa" : "sb") + std::to_string(t.size());
-    digests.push_back(std::move(digest));
-    t.Append(std::move(e));
-    return t.size() - 1;
-  };
-
-  // Bootstrap with one GAN-generated A-entity (paper step S2 start).
-  {
-    Entity seed = ColdStartEntity(&rng);
-    CachedSimilarity::Digest seed_digest = cached_sim_->MakeDigest(seed);
-    append_entity(true, std::move(seed), std::move(seed_digest));
-  }
-  ++report.accepted_entities;
-  obs::Inc(c_accepted);
-  obs::TraceSpan s2_span(metrics_.get(), "s2.loop");
-
-  // O_syn tracking state (paper Section V, case 2).
-  std::vector<Vec> warm_pos, warm_neg;
-  std::unique_ptr<IncrementalGmm> m_syn, n_syn;
-  size_t syn_pos_count = 0, syn_neg_count = 0;
-  double current_jsd = 0.0;
-  const uint64_t jsd_seed = run.seed ^ 0x15d0ULL;
-  // All JSD estimates during the run go through this wrapper so the
-  // evaluation count and (when observability is on) the per-call wall time
-  // are accounted in one place. Every estimate is against O_real with the
-  // same seed, so O_real's half of it is drawn and scored once per run, by
-  // the estimator the first evaluation builds (and times).
-  std::optional<JsdEstimator> jsd_estimator;
-  // An arm previewed without new pairs is its committed model, so its
-  // log-densities at the estimator's stored O_real draws carry over from
-  // the last estimate that computed them. Each cache holds its model, so
-  // the model cannot be freed and its address reused while cached.
-  struct StoredArm {
-    std::shared_ptr<const Gmm> model;
-    std::vector<double> log_pdf;
-  };
-  StoredArm m_stored, n_stored;
-  auto stored_log_pdf = [&](const IncrementalGmm::Update* update,
-                            StoredArm* arm) -> const double* {
-    if (update == nullptr || !update->unchanged) return nullptr;
-    if (arm->model != update->model) {
-      jsd_estimator->StoredArmLogPdf(*update->model, &arm->log_pdf);
-      arm->model = update->model;
-    }
-    return arm->log_pdf.data();
-  };
-  // The updates, when given, are the previews o_syn was built from.
-  auto run_jsd = [&](const ODistribution& o_syn,
-                     const IncrementalGmm::Update* m_update,
-                     const IncrementalGmm::Update* n_update) {
-    if (!jsd_estimator.has_value()) {
-      jsd_estimator.emplace(o_real_, options_.jsd_samples, jsd_seed,
-                            pool_.get());
-    }
-    return jsd_estimator->Estimate(o_syn, stored_log_pdf(m_update, &m_stored),
-                                   stored_log_pdf(n_update, &n_stored));
-  };
-  auto estimate_jsd = [&](const ODistribution& o_syn,
-                          const IncrementalGmm::Update* m_update = nullptr,
-                          const IncrementalGmm::Update* n_update = nullptr) {
-    ++report.jsd_evaluations;
-    obs::Inc(c_jsd_evals);
-    if (h_jsd_seconds == nullptr) return run_jsd(o_syn, m_update, n_update);
-    WallTimer jsd_timer;
-    double v = run_jsd(o_syn, m_update, n_update);
-    h_jsd_seconds->Record(jsd_timer.Seconds());
-    return v;
-  };
-  auto rejected_by_discriminator = [&](const Entity& candidate) {
-    if (h_discriminator_seconds == nullptr) {
-      return RejectedByDiscriminator(candidate);
-    }
-    WallTimer discriminator_timer;
-    const bool rejected = RejectedByDiscriminator(candidate);
-    h_discriminator_seconds->Record(discriminator_timer.Seconds());
-    return rejected;
-  };
-  auto current_o_syn = [&]() {
-    double pi_syn =
-        static_cast<double>(syn_pos_count) /
-        static_cast<double>(std::max<size_t>(1, syn_pos_count + syn_neg_count));
-    pi_syn = std::clamp(pi_syn, 0.001, 0.999);
-    return ODistribution(pi_syn, m_syn->shared_model(), n_syn->shared_model());
-  };
-
-  // Labels for sampled pairs (step S2-4).
-  struct LinkedPair {
-    size_t a_idx, b_idx;
-    bool match;
-  };
-  std::vector<LinkedPair> linked;
-
-  // Arm-sampling rate for S2-2 (see SerdOptions::match_link_rate).
-  double link_rate = options_.match_link_rate;
-  if (link_rate <= 0.0) {
-    link_rate = static_cast<double>(real_->matches.size()) /
-                static_cast<double>(na + nb);
-    link_rate = std::clamp(link_rate, 0.02, 0.9);
-  }
-  auto sample_vector = [&](Rng* r) {
-    ODistribution::SampleResult out;
-    out.from_match = r->Bernoulli(link_rate);
-    out.x = out.from_match ? o_real_.m_distribution().Sample(r)
-                           : o_real_.n_distribution().Sample(r);
-    for (double& v : out.x) v = std::clamp(v, 0.0, 1.0);
-    return out;
-  };
-
-  // Each attempt's partner similarity vectors, the same vectors
-  // dimension-major for their posteriors, and the vectors split by label.
-  // The three vector pools only grow, so once they have grown an attempt
-  // allocates no similarity vector (SimilarityVectorInto and swaps).
-  std::vector<Vec> partner_vecs, delta_pos, delta_neg;
-  std::vector<double> partner_xs, partner_posteriors;
-  std::vector<size_t> chosen;  // Floyd's picks, at most t_cap
-  const size_t dim = o_real_.dimension();
-  const size_t t_cap =
-      static_cast<size_t>(std::max(1, options_.rejection_partner_sample));
-  size_t guard = 0;
-  const size_t max_iterations = options_.max_loop_iterations > 0
-                                    ? options_.max_loop_iterations
-                                    : 60 * (na + nb) + 1000;
-  while ((syn.a.size() < na || syn.b.size() < nb) &&
-         guard++ < max_iterations) {
-    // Deadline/cancellation poll: one relaxed atomic load per accepted
-    // entity, so a tripped token stops the run within one loop iteration.
-    if (cancel != nullptr && cancel->cancelled()) return cancel_status();
-    // --- S2-1: choose the source entity e. ---
-    bool a_full = syn.a.size() >= na;
-    bool b_full = syn.b.size() >= nb;
-    bool e_from_a;
-    if (a_full) {
-      e_from_a = true;  // e' must go to B
-    } else if (b_full) {
-      e_from_a = false;  // e' must go to A
-    } else {
-      size_t total = syn.a.size() + syn.b.size();
-      e_from_a = rng.UniformInt(total) < syn.a.size();
-    }
-    const Table& source_table = e_from_a ? syn.a : syn.b;
-    const auto& source_digests = e_from_a ? a_digests : b_digests;
-    if (source_table.empty()) continue;
-    size_t e_idx = rng.UniformInt(source_table.size());
-    const Entity& e = source_table.row(e_idx);
-
-    // --- S2-2 + S2-3 with rejection retries. ---
-    // Every guard iteration accepts exactly one entity: the final
-    // attempt's candidate is kept even when a rejection test fails (a
-    // "forced accept", split by cause below). Crucially, forced accepts
-    // run through the same delta-compute/commit path as normal accepts —
-    // only the Eq. 10 rejection *decision* is skipped — so O_syn tracking
-    // covers every pair the dataset actually contains. (The pre-fix code
-    // synthesized a fresh entity on force and committed nothing, letting
-    // O_syn drift whenever the discriminator was strict.)
-    Entity e_new;
-    CachedSimilarity::Digest e_new_digest;
-    bool is_match = false;
-    for (int attempt = 0; attempt <= options_.max_reject_retries;
-         ++attempt) {
-      // Per-attempt poll: rejection retries can dominate an iteration's
-      // wall time (each one decodes candidates and estimates a JSD), so a
-      // deadline that trips mid-iteration is honored between attempts too.
-      if (cancel != nullptr && cancel->cancelled()) return cancel_status();
-      const bool last_attempt = attempt == options_.max_reject_retries;
-      auto sample = sample_vector(&rng);
-      Entity candidate = SynthesizeFrom(e, sample.x, &rng, &bank_run);
-
-      bool forced_disc = false;
-      if (run.enable_rejection && rejected_by_discriminator(candidate)) {
-        ++report.rejected_by_discriminator;
-        obs::Inc(c_rej_disc);
-        if (!last_attempt) continue;
-        forced_disc = true;  // retries exhausted: keep it anyway
-      }
-
-      // Induced pairs between the candidate and (a sample of) T_e
-      // (paper Remark (1): sample t partners).
-      std::optional<WallTimer> partner_timer;
-      if (h_partner_seconds != nullptr) partner_timer.emplace();
-      CachedSimilarity::Digest digest = cached_sim_->MakeDigest(candidate);
-      const size_t partners = source_table.size();
-      const size_t num_partners = std::min(partners, t_cap);
-      if (partner_vecs.size() < num_partners) {
-        partner_vecs.resize(num_partners);
-      }
-      if (partners <= t_cap) {
-        for (size_t s = 0; s < partners; ++s) {
-          cached_sim_->SimilarityVectorInto(source_digests[s], digest,
-                                            &partner_vecs[s]);
-        }
-      } else {
-        // Floyd's algorithm: t_cap *distinct* partner indices in t_cap
-        // draws (one UniformInt per selection, like the old
-        // with-replacement loop, which could feed duplicate pairs into
-        // the Eq. 9 delta and double-count them).
-        chosen.clear();
-        size_t t = 0;
-        for (size_t j = partners - t_cap; j < partners; ++j) {
-          size_t pick = rng.UniformInt(j + 1);
-          if (std::find(chosen.begin(), chosen.end(), pick) != chosen.end()) {
-            pick = j;
-          }
-          chosen.push_back(pick);
-          cached_sim_->SimilarityVectorInto(source_digests[pick], digest,
-                                            &partner_vecs[t++]);
-        }
-      }
-      // The partners' posteriors are one batch; delta_pos and delta_neg
-      // keep partner order, the order ComputeDelta sums in.
-      partner_xs.resize(dim * num_partners);
-      partner_posteriors.resize(num_partners);
-      for (size_t t = 0; t < num_partners; ++t) {
-        for (size_t c = 0; c < dim; ++c) {
-          partner_xs[c * num_partners + t] = partner_vecs[t][c];
-        }
-      }
-      o_real_.PosteriorMatchBatch(partner_xs.data(), num_partners,
-                                  partner_posteriors.data());
-      if (delta_pos.size() < num_partners) delta_pos.resize(num_partners);
-      if (delta_neg.size() < num_partners) delta_neg.resize(num_partners);
-      size_t num_pos = 0, num_neg = 0;
-      for (size_t t = 0; t < num_partners; ++t) {
-        // LabelAsMatch's rule: P_m(x) >= P_n(x).
-        if (partner_posteriors[t] >= 0.5) {
-          delta_pos[num_pos++].swap(partner_vecs[t]);
-        } else {
-          delta_neg[num_neg++].swap(partner_vecs[t]);
-        }
-      }
-      if (partner_timer) h_partner_seconds->Record(partner_timer->Seconds());
-
-      bool forced_dist = false;
-      if (run.enable_rejection && m_syn != nullptr && n_syn != nullptr) {
-        // Preview the updated O_syn and apply the paper's Eq. 10 test.
-        std::optional<WallTimer> preview_timer;
-        if (h_preview_seconds != nullptr) preview_timer.emplace();
-        IncrementalGmm::Update m_update =
-            m_syn->Preview(delta_pos.data(), num_pos);
-        IncrementalGmm::Update n_update =
-            n_syn->Preview(delta_neg.data(), num_neg);
-        if (preview_timer) h_preview_seconds->Record(preview_timer->Seconds());
-        double pi_new =
-            static_cast<double>(syn_pos_count + num_pos) /
-            static_cast<double>(std::max<size_t>(
-                1, syn_pos_count + syn_neg_count + num_pos + num_neg));
-        pi_new = std::clamp(pi_new, 0.001, 0.999);
-        const ODistribution o_syn_new(pi_new, m_update.model, n_update.model);
-        double jsd_new = estimate_jsd(o_syn_new, &m_update, &n_update);
-        if (jsd_new > options_.alpha * current_jsd && !forced_disc) {
-          if (!last_attempt) {
-            ++report.rejected_by_distribution;
-            obs::Inc(c_rej_dist);
-            continue;
-          }
-          forced_dist = true;
-        }
-        // Accept: commit the previews (forced accepts included — the pairs
-        // enter the dataset either way).
-        m_syn->Commit(std::move(m_update));
-        n_syn->Commit(std::move(n_update));
-        syn_pos_count += num_pos;
-        syn_neg_count += num_neg;
-        current_jsd = jsd_new;
-      } else {
-        // Warmup: accumulate vectors until enough to fit O_syn.
-        warm_pos.insert(warm_pos.end(), delta_pos.begin(),
-                        delta_pos.begin() + num_pos);
-        warm_neg.insert(warm_neg.end(), delta_neg.begin(),
-                        delta_neg.begin() + num_neg);
-      }
-      report.tracked_pairs_pos += static_cast<long>(num_pos);
-      report.tracked_pairs_neg += static_cast<long>(num_neg);
-      obs::Inc(c_tracked_pos, num_pos);
-      obs::Inc(c_tracked_neg, num_neg);
-
-      if (forced_disc) {
-        ++report.forced_accepts;
-        ++report.forced_accepts_discriminator;
-        obs::Inc(c_forced_disc);
-      } else if (forced_dist) {
-        ++report.forced_accepts;
-        ++report.forced_accepts_distribution;
-        obs::Inc(c_forced_dist);
-      }
-      obs::Observe(h_attempts, static_cast<double>(attempt + 1));
-      e_new = std::move(candidate);
-      e_new_digest = std::move(digest);
-      is_match = sample.from_match;
-      break;
-    }
-
-    // --- S2-4: add e' to the opposite table and record the label. ---
-    size_t new_idx =
-        append_entity(!e_from_a, std::move(e_new), std::move(e_new_digest));
-    ++report.accepted_entities;
-    obs::Inc(c_accepted);
-    if (e_from_a) {
-      linked.push_back({e_idx, new_idx, is_match});
-    } else {
-      linked.push_back({new_idx, e_idx, is_match});
-    }
-
-    // Initialize the O_syn trackers once warmed up.
-    if (run.enable_rejection && m_syn == nullptr &&
-        static_cast<size_t>(report.accepted_entities) >=
-            options_.o_syn_warmup &&
-        warm_pos.size() >= 4 && warm_neg.size() >= 4) {
-      GmmFitOptions syn_fit = options_.gmm;
-      syn_fit.max_components = std::max(report.m_components, 1);
-      auto m0 = Gmm::FitWithAic(warm_pos, syn_fit);
-      syn_fit.max_components = std::max(report.n_components, 1);
-      auto n0 = Gmm::FitWithAic(warm_neg, syn_fit);
-      if (m0.ok() && n0.ok()) {
-        m_syn = std::make_unique<IncrementalGmm>(m0.value(), warm_pos);
-        n_syn = std::make_unique<IncrementalGmm>(n0.value(), warm_neg);
-        syn_pos_count = warm_pos.size();
-        syn_neg_count = warm_neg.size();
-        current_jsd = estimate_jsd(current_o_syn());
-      }
-    }
-  }
-  s2_span.Stop();
-
-  if (syn.a.size() < na || syn.b.size() < nb) {
-    // The guard tripped before the targets were reached: report the
-    // shortfall loudly instead of silently handing back a smaller dataset.
-    report.guard_exhausted = true;
-    report.shortfall_a = na - syn.a.size();
-    report.shortfall_b = nb - syn.b.size();
-    obs::Inc(c_guard);
-    SERD_LOG(kWarning) << syn.name << ": S2 guard exhausted after "
-                       << max_iterations << " iterations; returning "
-                       << syn.a.size() << "/" << na << " A and "
-                       << syn.b.size() << "/" << nb << " B entities";
-  }
-
-  // --- S2-4 bookkeeping: explicit matching links. ---
-  for (const auto& lp : linked) {
-    if (lp.match) syn.matches.push_back({lp.a_idx, lp.b_idx});
-  }
-
+  Run r(*this, run, std::move(report));
+  SERD_RETURN_IF_ERROR(r.SynthesizeEntities());
   // Last poll before the S3 scan commits to labeling the full pair
   // stream (the scan itself is not interrupted; at serving scales it is
   // bounded by max_label_pairs).
-  if (cancel != nullptr && cancel->cancelled()) return cancel_status();
-
-  // --- S3: label remaining pairs by posterior (paper Section IV-C). ---
-  std::unordered_set<uint64_t> known;
-  for (const auto& lp : linked) {
-    known.insert(static_cast<uint64_t>(lp.a_idx) * syn.b.size() + lp.b_idx);
-  }
-  CrossPairLabels s3 = LabelCrossPairs(
-      o_real_, *cached_sim_, a_digests, b_digests, known, run.blocking,
-      options_.max_label_pairs, run.seed, pool_.get(), metrics_.get());
-  syn.matches.insert(syn.matches.end(), s3.matches.begin(),
-                     s3.matches.end());
-  report.s3_blocked = s3.blocked;
-  report.s3_total_pairs = static_cast<long>(s3.total_pairs);
-  report.s3_candidate_pairs = static_cast<long>(s3.candidate_pairs);
-  report.s3_pruned_pairs =
-      static_cast<long>(s3.total_pairs - s3.candidate_pairs);
-  report.s3_scanned_pairs = static_cast<long>(s3.scanned_pairs);
-  report.s3_scored_pairs = static_cast<long>(s3.scored_pairs);
-  report.s3_posterior_matches = static_cast<long>(s3.matches.size());
-  report.s3_block_recall = s3.block_recall;
-  report.s3_block_recall_estimated = s3.block_recall_estimated;
-
-  if (m_syn != nullptr && n_syn != nullptr) {
-    report.jsd_real_vs_syn = estimate_jsd(current_o_syn());
-  }
-  if (pool_ != nullptr) {
-    runtime::ThreadPool::Stats delta = pool_->stats();
-    delta.busy_seconds -= pool_before.busy_seconds;
-    delta.wall_seconds -= pool_before.wall_seconds;
-    report.parallel_speedup = delta.Speedup();
-  }
-  report.decode_steps = bank_run.decode_steps;
-  report.encoder_cache_hits = bank_run.encoder_cache_hits;
-  report.encoder_cache_misses = bank_run.encoder_cache_misses;
-  report.online_seconds = timer.Seconds();
-  if (metrics_ != nullptr) {
-    metrics_->gauge("run.online_seconds")->Set(report.online_seconds);
-    metrics_->gauge("run.parallel_speedup")->Set(report.parallel_speedup);
-  }
-  if (options_.verbose) {
-    SERD_LOG(kInfo) << syn.name << ": accepted=" << report.accepted_entities
-                    << " rej_disc=" << report.rejected_by_discriminator
-                    << " rej_dist=" << report.rejected_by_distribution
-                    << " forced=" << report.forced_accepts
-                    << " jsd=" << report.jsd_real_vs_syn;
-  }
-  if (report_out != nullptr) *report_out = report;
-  return syn;
+  SERD_RETURN_IF_ERROR(r.CancelPoll());
+  r.LabelPairs();
+  return r.Finish(report_out);
 }
+
+namespace {
+
+/// The run manifest's "report" object.
+obs::Json ReportJson(const SerdReport& report) {
+  obs::Json rep = obs::Json::Object();
+  rep.Set("offline_seconds", report.offline_seconds);
+  rep.Set("online_seconds", report.online_seconds);
+  rep.Set("accepted_entities", report.accepted_entities);
+  rep.Set("rejected_by_discriminator", report.rejected_by_discriminator);
+  rep.Set("rejected_by_distribution", report.rejected_by_distribution);
+  rep.Set("forced_accepts", report.forced_accepts);
+  rep.Set("forced_accepts_discriminator",
+          report.forced_accepts_discriminator);
+  rep.Set("forced_accepts_distribution",
+          report.forced_accepts_distribution);
+  rep.Set("tracked_pairs_pos", static_cast<int64_t>(report.tracked_pairs_pos));
+  rep.Set("tracked_pairs_neg", static_cast<int64_t>(report.tracked_pairs_neg));
+  rep.Set("jsd_evaluations", static_cast<int64_t>(report.jsd_evaluations));
+  rep.Set("decode_steps", static_cast<int64_t>(report.decode_steps));
+  rep.Set("encoder_cache_hits",
+          static_cast<int64_t>(report.encoder_cache_hits));
+  rep.Set("encoder_cache_misses",
+          static_cast<int64_t>(report.encoder_cache_misses));
+  rep.Set("s3_blocked", report.s3_blocked);
+  rep.Set("s3_total_pairs", static_cast<int64_t>(report.s3_total_pairs));
+  rep.Set("s3_candidate_pairs",
+          static_cast<int64_t>(report.s3_candidate_pairs));
+  rep.Set("s3_pruned_pairs", static_cast<int64_t>(report.s3_pruned_pairs));
+  rep.Set("s3_scanned_pairs", static_cast<int64_t>(report.s3_scanned_pairs));
+  rep.Set("s3_scored_pairs", static_cast<int64_t>(report.s3_scored_pairs));
+  rep.Set("s3_posterior_matches",
+          static_cast<int64_t>(report.s3_posterior_matches));
+  rep.Set("s3_block_recall", report.s3_block_recall);
+  rep.Set("s3_block_recall_estimated", report.s3_block_recall_estimated);
+  rep.Set("guard_exhausted", report.guard_exhausted);
+  rep.Set("shortfall_a", report.shortfall_a);
+  rep.Set("shortfall_b", report.shortfall_b);
+  rep.Set("mean_bank_epsilon", report.mean_bank_epsilon);
+  rep.Set("warm_started", report.warm_started);
+  rep.Set("jsd_real_vs_syn", report.jsd_real_vs_syn);
+  rep.Set("m_components", report.m_components);
+  rep.Set("n_components", report.n_components);
+  rep.Set("threads_used", report.threads_used);
+  rep.Set("parallel_speedup", report.parallel_speedup);
+  return rep;
+}
+
+}  // namespace
 
 obs::Json SerdSynthesizer::RunManifestJson() const {
   // Snapshot read: holds the state mutex for the whole build, pairing
@@ -924,11 +1024,9 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("max_reject_retries", options_.max_reject_retries);
   opts.Set("rejection_partner_sample", options_.rejection_partner_sample);
   opts.Set("jsd_samples", options_.jsd_samples);
-  opts.Set("o_syn_warmup", options_.o_syn_warmup);
   opts.Set("max_loop_iterations", options_.max_loop_iterations);
   opts.Set("target_a", options_.target_a);
   opts.Set("target_b", options_.target_b);
-  opts.Set("match_link_rate", options_.match_link_rate);
   opts.Set("max_label_pairs", options_.max_label_pairs);
   opts.Set("blocking", BlockingModeName(options_.blocking));
   opts.Set("observability", options_.observability);
@@ -937,47 +1035,7 @@ obs::Json SerdSynthesizer::RunManifestJson() const {
   opts.Set("artifact_mode", static_cast<int>(options_.artifact_mode));
   root.Set("options", std::move(opts));
 
-  obs::Json rep = obs::Json::Object();
-  rep.Set("offline_seconds", report_.offline_seconds);
-  rep.Set("online_seconds", report_.online_seconds);
-  rep.Set("accepted_entities", report_.accepted_entities);
-  rep.Set("rejected_by_discriminator", report_.rejected_by_discriminator);
-  rep.Set("rejected_by_distribution", report_.rejected_by_distribution);
-  rep.Set("forced_accepts", report_.forced_accepts);
-  rep.Set("forced_accepts_discriminator",
-          report_.forced_accepts_discriminator);
-  rep.Set("forced_accepts_distribution",
-          report_.forced_accepts_distribution);
-  rep.Set("tracked_pairs_pos", static_cast<int64_t>(report_.tracked_pairs_pos));
-  rep.Set("tracked_pairs_neg", static_cast<int64_t>(report_.tracked_pairs_neg));
-  rep.Set("jsd_evaluations", static_cast<int64_t>(report_.jsd_evaluations));
-  rep.Set("decode_steps", static_cast<int64_t>(report_.decode_steps));
-  rep.Set("encoder_cache_hits",
-          static_cast<int64_t>(report_.encoder_cache_hits));
-  rep.Set("encoder_cache_misses",
-          static_cast<int64_t>(report_.encoder_cache_misses));
-  rep.Set("s3_blocked", report_.s3_blocked);
-  rep.Set("s3_total_pairs", static_cast<int64_t>(report_.s3_total_pairs));
-  rep.Set("s3_candidate_pairs",
-          static_cast<int64_t>(report_.s3_candidate_pairs));
-  rep.Set("s3_pruned_pairs", static_cast<int64_t>(report_.s3_pruned_pairs));
-  rep.Set("s3_scanned_pairs", static_cast<int64_t>(report_.s3_scanned_pairs));
-  rep.Set("s3_scored_pairs", static_cast<int64_t>(report_.s3_scored_pairs));
-  rep.Set("s3_posterior_matches",
-          static_cast<int64_t>(report_.s3_posterior_matches));
-  rep.Set("s3_block_recall", report_.s3_block_recall);
-  rep.Set("s3_block_recall_estimated", report_.s3_block_recall_estimated);
-  rep.Set("guard_exhausted", report_.guard_exhausted);
-  rep.Set("shortfall_a", report_.shortfall_a);
-  rep.Set("shortfall_b", report_.shortfall_b);
-  rep.Set("mean_bank_epsilon", report_.mean_bank_epsilon);
-  rep.Set("warm_started", report_.warm_started);
-  rep.Set("jsd_real_vs_syn", report_.jsd_real_vs_syn);
-  rep.Set("m_components", report_.m_components);
-  rep.Set("n_components", report_.n_components);
-  rep.Set("threads_used", report_.threads_used);
-  rep.Set("parallel_speedup", report_.parallel_speedup);
-  root.Set("report", std::move(rep));
+  root.Set("report", ReportJson(report_));
 
   // Per text column, each bucket's fit-time keep measurement and whether
   // the bucket decodes (DESIGN.md §2).

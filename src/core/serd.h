@@ -31,21 +31,12 @@ struct SerdOptions {
   // --- S2: synthesis loop ---
   size_t target_a = 0;  ///< 0 = |A_real|
   size_t target_b = 0;  ///< 0 = |B_real|
-  /// Probability that S2-2 samples the similarity vector from the
-  /// M-distribution (i.e., that the new entity is linked as a match). The
-  /// paper uses the mixture weight pi, but pi is relative to the labeled
-  /// pair sample, not to entity insertions; to make |M_syn| track |M_real|
-  /// the link rate must be |M_real| / (n_a + n_b). 0 (the default) selects
-  /// that automatic rate (clamped to [0.02, 0.9]); set explicitly to
-  /// override (e.g. to the raw pi for a paper-literal run).
-  double match_link_rate = 0.0;
   bool enable_rejection = true;  ///< false reproduces the SERD- baseline
   double alpha = 1.0;   ///< distribution-rejection slack (paper Eq. 10)
   double beta = 0.6;    ///< discriminator acceptance threshold
   int max_reject_retries = 4;   ///< re-synthesis attempts before forcing
   int rejection_partner_sample = 24;  ///< t of paper Remark (1)
   int jsd_samples = 192;        ///< Monte-Carlo draws per JSD estimate
-  size_t o_syn_warmup = 12;     ///< entities accepted before O_syn tracking
   /// Hard cap on S2 guard-loop iterations; 0 selects the automatic bound
   /// 60 * (target_a + target_b) + 1000. Exhausting the cap returns an
   /// undersized dataset and sets SerdReport::guard_exhausted (+ shortfall
@@ -57,7 +48,6 @@ struct SerdOptions {
 
   // --- GAN (cold start + rejection case 1) ---
   GanConfig gan;
-  EntityEncoderOptions encoder;
 
   // --- S3: labeling (LabelCrossPairs) ---
   /// Cap on cross pairs examined in the final labeling pass (0 = all).
@@ -86,7 +76,6 @@ struct SerdOptions {
   ArtifactMode artifact_mode = ArtifactMode::kAuto;
 
   uint64_t seed = 2024;
-  bool verbose = false;
 
   // --- observability ---
   /// When true the synthesizer owns an obs::MetricsRegistry and every
@@ -118,10 +107,10 @@ struct SerdReport {
   /// (paper Section V case 1) vs. the Eq. 10 distribution test (case 2).
   int forced_accepts_discriminator = 0;
   int forced_accepts_distribution = 0;
-  /// Similarity vectors fed into O_syn tracking (warmup accumulation plus
-  /// committed deltas), split by the Eq. 9 label. Forced accepts
-  /// contribute here too — O_syn must track every pair the dataset
-  /// actually contains.
+  /// Partner pairs of accepted entities, split by the Eq. 9 label: with
+  /// rejection on, what O_syn tracked (warm-up vectors plus committed
+  /// deltas). Forced accepts contribute here too — O_syn must track
+  /// every pair the dataset actually contains.
   long tracked_pairs_pos = 0;
   long tracked_pairs_neg = 0;
   long jsd_evaluations = 0;      ///< EstimateJsd calls during Synthesize()
@@ -338,10 +327,9 @@ class SerdSynthesizer {
                                       uint64_t seed = 12345) const;
 
  private:
-  struct PendingEntity {
-    Entity entity;
-    CachedSimilarity::Digest digest;
-  };
+  /// One Synthesize(const RunOptions&, SerdReport*) call: its state and
+  /// the paper's S2 and S3 steps over it (serd.cc).
+  class Run;
 
   /// Precomputed categorical similarities for one column:
   /// rows[index[v]][j] == ColumnSimilarity(c, v, domain[j]). Synthesizing a
@@ -361,16 +349,16 @@ class SerdSynthesizer {
   Entity SynthesizeFrom(const Entity& e, const Vec& x, Rng* rng,
                         BankRun* bank_run) const;
 
-  /// Cold start (paper Section IV-B2): GAN features decoded against the
-  /// background pools.
-  Entity ColdStartEntity(Rng* rng) const;
+  /// Fit()'s offline steps after S1: one DP-trained string bank per text
+  /// column, then the GAN over the background entities' encodings and
+  /// the cold-start decode pools.
+  Status TrainStringBanks(
+      const std::vector<std::vector<std::string>>& background_text_corpora);
+  Status TrainGan(const Table& background_entities);
 
   /// Measures every trained bucket's keep count on background sources
   /// and installs it into the banks; the last step of a training Fit().
   void MeasureBankKeepCounts();
-
-  /// Case-1 rejection: discriminator score < beta.
-  bool RejectedByDiscriminator(const Entity& e) const;
 
   /// A run's starting report: the fitted state's offline fields, every
   /// online field at its default. Caller holds state_mu_.

@@ -261,7 +261,7 @@ Status SerdSynthesizer::LoadModels(const std::string& dir) {
   auto gan = artifact::DecodeEntityGan(&gan_reader);
   if (!gan.ok()) return fail(gan.status());
   if (Status s = FinishSection(gan_reader, "gan"); !s.ok()) return fail(s);
-  auto encoder = std::make_unique<EntityEncoder>(spec_, options_.encoder);
+  auto encoder = std::make_unique<EntityEncoder>(spec_);
   if (gan.value()->feature_dim() != encoder->feature_dim()) {
     return fail(Status::InvalidArgument(
         "artifact schema mismatch: GAN feature_dim " +

@@ -732,4 +732,16 @@ Table BackgroundEntities(DatasetKind kind, size_t n, uint64_t seed) {
   return {};
 }
 
+Background StandardBackground(DatasetKind kind, uint64_t seed) {
+  Background out;
+  out.entities = BackgroundEntities(kind, 100, seed * 7 + 1);
+  size_t i = 0;
+  for (const auto& col : out.entities.schema().columns()) {
+    if (col.type != ColumnType::kText) continue;
+    out.corpora.push_back(
+        BackgroundCorpus(kind, col.name, 120, seed * 31 + i++));
+  }
+  return out;
+}
+
 }  // namespace serd::datagen

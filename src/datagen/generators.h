@@ -62,6 +62,18 @@ std::vector<std::string> BackgroundCorpus(DatasetKind kind,
 /// cold-start decode pools.
 Table BackgroundEntities(DatasetKind kind, size_t n, uint64_t seed);
 
+/// The background data SERD fits against for a dataset of `kind`
+/// generated at `seed`: 100 entities (BackgroundEntities at seed * 7 + 1)
+/// and one corpus of 120 strings per text column, in schema order (the
+/// i-th text column's at seed * 31 + i). serd_cli, the serving front end
+/// and the benches all fit against it, which is what makes a served job
+/// and a serd_cli release of one seed byte-identical.
+struct Background {
+  std::vector<std::vector<std::string>> corpora;
+  Table entities;
+};
+Background StandardBackground(DatasetKind kind, uint64_t seed);
+
 }  // namespace serd::datagen
 
 #endif  // SERD_DATAGEN_GENERATORS_H_

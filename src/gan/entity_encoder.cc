@@ -20,10 +20,7 @@ uint64_t Fnv1a64(const unsigned char* bytes, size_t len) {
 
 }  // namespace
 
-EntityEncoder::EntityEncoder(const SimilaritySpec& spec, Options options)
-    : spec_(&spec), options_(options) {
-  SERD_CHECK_GT(options_.categorical_buckets, 0);
-  SERD_CHECK_GT(options_.text_buckets, 0);
+EntityEncoder::EntityEncoder(const SimilaritySpec& spec) : spec_(&spec) {
   offsets_.resize(spec.schema().num_columns());
   size_t off = 0;
   for (size_t c = 0; c < spec.schema().num_columns(); ++c) {
@@ -39,9 +36,9 @@ size_t EntityEncoder::ColumnWidth(size_t col) const {
     case ColumnType::kDate:
       return 1;
     case ColumnType::kCategorical:
-      return static_cast<size_t>(options_.categorical_buckets);
+      return kEncoderCategoricalBuckets;
     case ColumnType::kText:
-      return static_cast<size_t>(options_.text_buckets) + 1;  // +length
+      return kEncoderTextBuckets + 1;  // +length
   }
   return 0;
 }
@@ -66,7 +63,7 @@ void EntityEncoder::EncodeColumn(size_t col, const std::string& value,
       size_t bucket =
           Fnv1a64(reinterpret_cast<const unsigned char*>(value.data()),
                   value.size()) %
-          static_cast<uint64_t>(options_.categorical_buckets);
+          kEncoderCategoricalBuckets;
       out[bucket] = 1.0f;
       return;
     }
@@ -76,7 +73,7 @@ void EntityEncoder::EncodeColumn(size_t col, const std::string& value,
       // (qgram.h), so no gram string is built and nothing is sorted.
       thread_local QgramScan scan;
       scan.Scan(value, 3);
-      const size_t nb = static_cast<size_t>(options_.text_buckets);
+      const size_t nb = kEncoderTextBuckets;
       for (size_t k = 0; k < scan.num_distinct(); ++k) {
         out[Fnv1a64(scan.lowered() + scan.first()[k], scan.gram_length()) %
             nb] += 1.0f;
@@ -88,7 +85,7 @@ void EntityEncoder::EncodeColumn(size_t col, const std::string& value,
         for (size_t i = 0; i < nb; ++i) out[i] *= inv;
       }
       out[nb] = static_cast<float>(
-          std::min(1.0, value.size() / options_.max_text_len));
+          std::min(1.0, value.size() / kEncoderMaxTextLen));
       return;
     }
   }

@@ -1,6 +1,7 @@
 #ifndef SERD_GAN_ENTITY_ENCODER_H_
 #define SERD_GAN_ENTITY_ENCODER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -9,23 +10,22 @@
 
 namespace serd {
 
+/// Hashed one-hot width of a categorical column's features.
+inline constexpr size_t kEncoderCategoricalBuckets = 8;
+/// Hashed 3-gram count width of a text column's features.
+inline constexpr size_t kEncoderTextBuckets = 24;
+/// A text column's length feature is min(1, length / kEncoderMaxTextLen).
+inline constexpr double kEncoderMaxTextLen = 80.0;
+
 /// Maps entities to fixed-width float feature vectors for the GAN
 /// (the "entity in a matrix form" of paper Section IV-B2):
 ///  - numeric/date columns: min-max normalized scalar,
-///  - categorical columns: hashed one-hot over `categorical_buckets`,
-///  - text columns: hashed character 3-gram counts over `text_buckets`,
-///    L2-normalized, plus a normalized length feature.
-struct EntityEncoderOptions {
-  int categorical_buckets = 8;
-  int text_buckets = 24;
-  double max_text_len = 80.0;  ///< length-feature normalizer
-};
-
+///  - categorical columns: hashed one-hot over kEncoderCategoricalBuckets,
+///  - text columns: hashed character 3-gram counts over
+///    kEncoderTextBuckets, L2-normalized, plus a normalized length feature.
 class EntityEncoder {
  public:
-  using Options = EntityEncoderOptions;
-
-  EntityEncoder(const SimilaritySpec& spec, Options options = Options());
+  explicit EntityEncoder(const SimilaritySpec& spec);
 
   size_t feature_dim() const { return feature_dim_; }
 
@@ -44,7 +44,6 @@ class EntityEncoder {
   size_t ColumnWidth(size_t col) const;
 
   const SimilaritySpec* spec_;
-  Options options_;
   size_t feature_dim_;
   std::vector<size_t> offsets_;  // per-column start in the feature vector
 };

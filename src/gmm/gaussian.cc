@@ -4,18 +4,12 @@
 #include <cmath>
 #include <memory>
 
+#include "common/cpu.h"
+
 namespace serd {
 
 namespace {
 constexpr double kLog2Pi = 1.8378770664093453;  // log(2*pi)
-
-// The AVX2 clone of the solve below only makes sense on x86-64 GCC/Clang
-// builds not already compiled for AVX2 (as in nn/kernels.cc and lse.cc).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__AVX2__)
-#define SERD_GAUSSIAN_X86_DISPATCH 1
-#else
-#define SERD_GAUSSIAN_X86_DISPATCH 0
-#endif
 
 // The tile's solve L y = x - mu and quad[j] = ||y_j||^2. Its loops run
 // across the tile's points, so GCC vectorizes them at whatever width the
@@ -47,24 +41,19 @@ __attribute__((always_inline)) inline void SolveTileBody(
   }
 }
 
-#if SERD_GAUSSIAN_X86_DISPATCH
+#if SERD_X86_DISPATCH
 __attribute__((target("avx2"))) void SolveTileAvx2(
     const double* l, const double* mean, size_t d, const double* xs,
     size_t stride, size_t n, double* y, double* quad) {
   SolveTileBody(l, mean, d, xs, stride, n, y, quad);
-}
-
-bool UseAvx2() {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
 }
 #endif
 
 void SolveTile(const double* l, const double* mean, size_t d,
                const double* xs, size_t stride, size_t n, double* y,
                double* quad) {
-#if SERD_GAUSSIAN_X86_DISPATCH
-  if (UseAvx2()) {
+#if SERD_X86_DISPATCH
+  if (cpu::X86().avx2) {
     SolveTileAvx2(l, mean, d, xs, stride, n, y, quad);
     return;
   }

@@ -3,16 +3,9 @@
 #include <cstdint>
 #include <cstring>
 
-// The AVX2 clones below only make sense on x86-64 GCC/Clang builds that
-// are not already compiled for AVX2 (SERD_NATIVE on such a host runs the
-// portable bodies, as nn/kernels.cc does).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__AVX2__)
-#define SERD_LSE_X86_DISPATCH 1
-#else
-#define SERD_LSE_X86_DISPATCH 0
-#endif
+#include "common/cpu.h"
 
-#if SERD_LSE_X86_DISPATCH
+#if SERD_X86_DISPATCH
 #include <immintrin.h>
 #endif
 
@@ -238,7 +231,7 @@ inline double ExpCore(double x) {
   return (scale + scale * tmp) * kTwoM1022;
 }
 
-#if SERD_LSE_X86_DISPATCH
+#if SERD_X86_DISPATCH
 // Compiled for AVX2 without FMA, so the multiply-adds round as the
 // portable bodies' do. As in nn/kernels.cc: internal linkage and no
 // standard-library templates inside the target region.
@@ -391,12 +384,7 @@ void Log(std::size_t n, const double* x, double* out) {
 
 }  // namespace avx2
 #pragma GCC pop_options
-
-bool UseAvx2() {
-  static const bool ok = __builtin_cpu_supports("avx2");
-  return ok;
-}
-#endif  // SERD_LSE_X86_DISPATCH
+#endif  // SERD_X86_DISPATCH
 
 }  // namespace
 
@@ -428,8 +416,8 @@ double ReferenceLog(double x) {
 }
 
 void Exp(std::size_t n, const double* x, double* out) {
-#if SERD_LSE_X86_DISPATCH
-  if (UseAvx2()) {
+#if SERD_X86_DISPATCH
+  if (cpu::X86().avx2) {
     avx2::Exp(n, x, out);
     return;
   }
@@ -438,8 +426,8 @@ void Exp(std::size_t n, const double* x, double* out) {
 }
 
 void Log(std::size_t n, const double* x, double* out) {
-#if SERD_LSE_X86_DISPATCH
-  if (UseAvx2()) {
+#if SERD_X86_DISPATCH
+  if (cpu::X86().avx2) {
     avx2::Log(n, x, out);
     return;
   }

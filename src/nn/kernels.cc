@@ -6,16 +6,9 @@
 #include <cstring>
 #include <vector>
 
-// The AVX2+FMA clone below only makes sense on x86-64 GCC/Clang builds
-// that are not already compiled for AVX2 (SERD_NATIVE on such a host).
-#if defined(__x86_64__) && defined(__GNUC__) && \
-    !(defined(__AVX2__) && defined(__FMA__))
-#define SERD_KERNELS_X86_DISPATCH 1
-#else
-#define SERD_KERNELS_X86_DISPATCH 0
-#endif
+#include "common/cpu.h"
 
-#if SERD_KERNELS_X86_DISPATCH
+#if SERD_X86_DISPATCH
 #include <immintrin.h>
 #endif
 
@@ -49,7 +42,7 @@ constexpr std::size_t kNr = 8;
 #include "nn/kernels_gemm.inc"
 }  // namespace portable
 
-#if SERD_KERNELS_X86_DISPATCH
+#if SERD_X86_DISPATCH
 // Runtime-dispatched clone for AVX2+FMA hosts: the baseline (SSE2) build
 // still reaches fused 256-bit arithmetic where the CPU has it. The
 // selection is a per-process constant, so results remain bit-identical
@@ -67,12 +60,9 @@ constexpr std::size_t kNr = 16;
 }  // namespace avx2
 #pragma GCC pop_options
 
-bool UseAvx2() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
-}
-#endif  // SERD_KERNELS_X86_DISPATCH
+/// The GEMM's clone runs on AVX2 + FMA hosts, and Exp's with it.
+bool UseAvx2() { return cpu::X86().avx2 && cpu::X86().fma; }
+#endif  // SERD_X86_DISPATCH
 
 // Exp (Cephes expf form). Inputs are clamped to [kExpLo, kExpHi]; below
 // kExpLo the result is replaced by +0. n = round(x log2 e) comes from the
@@ -95,7 +85,7 @@ constexpr float kExpP3 = 4.1665795894e-2f;
 constexpr float kExpP4 = 1.6666665459e-1f;
 constexpr float kExpP5 = 5.0000001201e-1f;
 
-#if SERD_KERNELS_X86_DISPATCH
+#if SERD_X86_DISPATCH
 // The Exp clone is compiled for AVX2 *without* FMA: in an "avx2,fma"
 // region GCC contracts the multiply-adds below into FMAs, which round
 // differently from the portable body. The same two rules as the GEMM clone
@@ -155,7 +145,7 @@ void Exp(std::size_t n, const float* x, float* out) {
 
 }  // namespace avx2_exp
 #pragma GCC pop_options
-#endif  // SERD_KERNELS_X86_DISPATCH
+#endif  // SERD_X86_DISPATCH
 
 constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
 
@@ -193,7 +183,7 @@ void GemmStrided(std::size_t m, std::size_t n, std::size_t k, const float* a,
     const std::size_t nc_pad = std::min(kNc, n) + 16;
     if (bpack.size() < kc_max * nc_pad) bpack.resize(kc_max * nc_pad);
   }
-#if SERD_KERNELS_X86_DISPATCH
+#if SERD_X86_DISPATCH
   if (UseAvx2()) {
     avx2::GemmStridedImpl(m, n, k, a, ars, acs, b, brs, bcs, c, accumulate,
                           bpack.data());
@@ -294,7 +284,7 @@ float ReferenceExp(float x) {
 }
 
 void Exp(std::size_t n, const float* x, float* out) {
-#if SERD_KERNELS_X86_DISPATCH
+#if SERD_X86_DISPATCH
   if (UseAvx2()) {
     avx2_exp::Exp(n, x, out);
     return;

@@ -18,6 +18,12 @@ namespace serd::obs {
 class TraceSpan {
  public:
   TraceSpan(MetricsRegistry* registry, const std::string& name);
+
+  /// A stage timer: records into `hist`, a timing histogram resolved once
+  /// outside the loop that times the stage, and keeps no `.calls` counter.
+  /// A null `hist` reads no clock.
+  explicit TraceSpan(Histogram* hist);
+
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "obs/trace.h"
 #include "runtime/parallel_for.h"
 #include "text/perturb.h"
 #include "text/token.h"
@@ -321,7 +322,7 @@ std::string StringSynthesisBank::SynthesizeWithModel(int bucket,
     obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_empty_decode_calls"));
     return FallbackSynthesize(s, target_sim, rng);
   }
-  if (best_err > options_.refine_threshold) {
+  if (best_err > kRefineThreshold) {
     // The decoder missed the target: refine the candidate and also try a
     // pure perturbation-search synthesis, keeping whichever scores better.
     obs::Inc(obs::GetCounter(options_.metrics, "s2.bank_refined_calls"));
@@ -350,7 +351,7 @@ bool StringSynthesisBank::KeepsCandidate(const std::string& candidate,
                                          double* pool_fraction) const {
   if (candidate.empty()) return false;
   *pool_fraction = PoolWordFraction(candidate, word_pool_);
-  return *pool_fraction >= options_.min_pool_word_fraction;
+  return *pool_fraction >= kMinPoolWordFraction;
 }
 
 void StringSynthesisBank::DecodeCandidates(
@@ -467,18 +468,13 @@ std::string StringSynthesisBank::FallbackSynthesize(const std::string& s,
 std::string StringSynthesisBank::Climb(const std::string& s,
                                        const std::string& start,
                                        double target_sim, Rng* rng) const {
-  // With observability off, skip the metric lookups: each builds a name
-  // string, an allocation per climb.
-  if (options_.metrics == nullptr) {
-    return HillClimbToSimilarity(s, start, target_sim, sim_, word_pool_, rng);
-  }
-  WallTimer climb_timer;
+  obs::TraceSpan span(obs::GetTimer(options_.metrics, "s2.climb_seconds"));
   long proposals = 0;
   std::string out = HillClimbToSimilarity(s, start, target_sim, sim_,
                                           word_pool_, rng, {}, &proposals);
-  options_.metrics->timer("s2.climb_seconds")->Record(climb_timer.Seconds());
-  options_.metrics->counter("s2.climb_proposals")
-      ->Add(static_cast<uint64_t>(proposals));
+  span.Stop();
+  obs::Inc(obs::GetCounter(options_.metrics, "s2.climb_proposals"),
+           static_cast<uint64_t>(proposals));
   return out;
 }
 

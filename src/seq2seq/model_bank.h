@@ -31,21 +31,6 @@ struct StringBankOptions {
   int min_pairs_per_bucket = 6;   ///< buckets below this are left untrained
   int random_pair_samples = 4000; ///< background pairs examined for bucketing
 
-  /// When the best transformer candidate misses the target similarity by
-  /// more than this, a hill-climbing refinement pass nudges it toward the
-  /// target (keeps the pipeline usable at CPU-scale model capacity; see
-  /// DESIGN.md). Deliberately loose by default: a synthesis step that can
-  /// miss is what the paper's entity rejection (Section V) exists to
-  /// police — SERD rejects the misses, SERD- keeps them. Set >= 1 to
-  /// disable refinement entirely.
-  double refine_threshold = 0.22;
-
-  /// Decoder outputs whose fraction of known-pool words falls below this
-  /// are discarded as degenerate. Low by default for the same reason as
-  /// refine_threshold: implausible entities should reach the GAN
-  /// discriminator, whose rejection is the paper's case-1 mechanism.
-  double min_pool_word_fraction = 0.15;
-
   /// Decode candidates through the KV-cached incremental path
   /// (IncrementalDecoder + shared encoder memory + per-thread
   /// encoder-memory cache). Off = the original per-candidate full
@@ -63,6 +48,20 @@ struct StringBankOptions {
   /// histogram s2.bank_bucket (index of the model actually used).
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// When the best decoded candidate misses the target similarity by more
+/// than this, a hill-climbing refinement pass nudges it toward the target
+/// (keeps the pipeline usable at CPU-scale model capacity; see DESIGN.md).
+/// Deliberately loose: a synthesis step that can miss is what the paper's
+/// entity rejection (Section V) exists to police — SERD rejects the
+/// misses, SERD- keeps them.
+inline constexpr double kRefineThreshold = 0.22;
+
+/// Decoded candidates whose fraction of known-pool words falls below this
+/// are discarded as degenerate. Low for the same reason as
+/// kRefineThreshold: implausible entities should reach the GAN
+/// discriminator, whose rejection is the paper's case-1 mechanism.
+inline constexpr double kMinPoolWordFraction = 0.15;
 
 /// One bucket model's fit-time keep measurement (DESIGN.md §2):
 /// candidates decoded from background sources, and how many passed the
@@ -214,7 +213,7 @@ class StringSynthesisBank {
                              const std::vector<std::string>& sources,
                              uint64_t seed) const;
   /// The keep test: a decoded candidate is kept when it is non-empty and
-  /// at least min_pool_word_fraction of its words are pool words (the
+  /// at least kMinPoolWordFraction of its words are pool words (the
   /// fraction is returned through `pool_fraction`).
   bool KeepsCandidate(const std::string& candidate,
                       double* pool_fraction) const;

@@ -192,10 +192,6 @@ Seq2SeqTrainReport TrainSeq2Seq(
     obs::Observe(obs::GetHistogram(options.metrics, "seq2seq.epoch_loss",
                                    obs::LinearBounds(0.0, 16.0, 16)),
                  last_epoch_loss);
-    if (options.verbose) {
-      SERD_LOG(kInfo) << "seq2seq epoch " << epoch << " loss "
-                      << last_epoch_loss;
-    }
   }
   report.final_loss = last_epoch_loss;
 

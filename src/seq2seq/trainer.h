@@ -21,7 +21,6 @@ struct Seq2SeqTrainOptions {
   float learning_rate = 2e-3f;
   DpSgdConfig dp;          ///< clip bound V, noise scale sigma
   uint64_t seed = 7;
-  bool verbose = false;
   /// Worker pool for each lot's per-example forward/backward + clipping,
   /// its noise draw, and its merge and finish split by parameter (not
   /// owned; nullptr = serial). Each example draws its dropout stream from

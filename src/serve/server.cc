@@ -287,21 +287,13 @@ ModelPool::EntryLoader SerdServer::LoaderFor(const JobParams& params) const {
     options.artifact_mode = p.artifact_mode;
     entry->synth = std::make_unique<SerdSynthesizer>(entry->real, options);
 
-    std::vector<std::vector<std::string>> corpora;
-    Table background;
+    datagen::Background background;
     if (p.artifact_mode != SerdOptions::ArtifactMode::kLoad) {
       // kLoad never trains, so it needs no background data; Fit() returns
       // right after the artifact is restored.
-      size_t i = 0;
-      for (const auto& col : entry->real.schema().columns()) {
-        if (col.type != ColumnType::kText) continue;
-        corpora.push_back(datagen::BackgroundCorpus(
-            p.kind, col.name, 120, p.data_seed * 31 + i++));
-      }
-      background =
-          datagen::BackgroundEntities(p.kind, 100, p.data_seed * 7 + 1);
+      background = datagen::StandardBackground(p.kind, p.data_seed);
     }
-    Status fit = entry->synth->Fit(corpora, background);
+    Status fit = entry->synth->Fit(background.corpora, background.entities);
     if (!fit.ok()) return fit;
     return entry;
   };

@@ -4,16 +4,9 @@
 #include <utility>
 #include <vector>
 
-// As in gmm/lse.cc: the AVX2 clones are for x86-64 GCC/Clang builds not
-// already compiled for AVX2 (SERD_NATIVE on such a host runs the portable
-// bodies).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__AVX2__)
-#define SERD_QGRAM_X86_DISPATCH 1
-#else
-#define SERD_QGRAM_X86_DISPATCH 0
-#endif
+#include "common/cpu.h"
 
-#if SERD_QGRAM_X86_DISPATCH
+#if SERD_X86_DISPATCH
 #include <immintrin.h>
 #endif
 
@@ -70,7 +63,7 @@ constexpr PackIndex MakePackIndex() {
 }
 constexpr PackIndex kPackIndex = MakePackIndex();
 
-#if SERD_QGRAM_X86_DISPATCH
+#if SERD_X86_DISPATCH
 // Internal linkage and no standard-library templates inside the target
 // region (as in gmm/lse.cc).
 #pragma GCC push_options
@@ -268,12 +261,9 @@ size_t CountIntersection(const uint32_t* a, size_t na, const uint32_t* b,
 }  // namespace avx2
 #pragma GCC pop_options
 
-bool UseAvx2() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt");
-  return ok;
-}
-#endif  // SERD_QGRAM_X86_DISPATCH
+/// The clones run on AVX2 + popcnt hosts.
+bool UseAvx2() { return cpu::X86().avx2 && cpu::X86().popcnt; }
+#endif  // SERD_X86_DISPATCH
 
 }  // namespace
 
@@ -290,7 +280,7 @@ void ReferenceHashGrams(const uint8_t* bytes, size_t n, size_t len,
 }
 
 void HashGrams(const uint8_t* bytes, size_t n, size_t len, uint32_t* out) {
-#if SERD_QGRAM_X86_DISPATCH
+#if SERD_X86_DISPATCH
   if (UseAvx2()) {
     avx2::HashGrams(bytes, n, len, out);
     return;
@@ -315,7 +305,7 @@ size_t ReferenceFirstOccurrences(const uint32_t* h, size_t n, uint32_t* pos,
 size_t FirstOccurrences(const uint32_t* h, size_t n, uint32_t* pos,
                         uint32_t* distinct) {
   if (n > kScanLimit) return SortedFirstOccurrences(h, n, pos, distinct);
-#if SERD_QGRAM_X86_DISPATCH
+#if SERD_X86_DISPATCH
   if (UseAvx2()) return avx2::FirstOccurrences(h, n, pos, distinct);
 #endif
   return ReferenceFirstOccurrences(h, n, pos, distinct);
@@ -352,7 +342,7 @@ size_t ReferenceCountMembers(const MemberSet& set, const uint32_t* h,
 }
 
 size_t CountMembers(const MemberSet& set, const uint32_t* h, size_t count) {
-#if SERD_QGRAM_X86_DISPATCH
+#if SERD_X86_DISPATCH
   if (UseAvx2()) {
     return avx2::CountMembers(set.slots.data(), set.slots.size(), set.empty,
                               set.shift, h, count);
@@ -377,7 +367,7 @@ size_t ReferenceCountIntersection(const uint32_t* a, size_t na,
 
 size_t CountIntersection(const uint32_t* a, size_t na, const uint32_t* b,
                          size_t nb) {
-#if SERD_QGRAM_X86_DISPATCH
+#if SERD_X86_DISPATCH
   if (UseAvx2()) return avx2::CountIntersection(a, na, b, nb);
 #endif
   return ReferenceCountIntersection(a, na, b, nb);

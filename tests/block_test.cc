@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -468,6 +470,38 @@ TEST(LabelCrossPairsTest, TiledPosteriorsMatchPerPairLabels) {
     EXPECT_EQ(exact.matches, want);
     EXPECT_EQ(exact.scored_pairs, scored);
     EXPECT_EQ(LabelReal(in, known, BlockingMode::kQgram, 0, p).matches, want);
+  }
+
+  // The labeler behind both, as S2's partner step uses it: batches below,
+  // at and around one 64-pair tile, half of them matches, through one
+  // labeler (its buffers carry over), under O_real and the one-arm
+  // mixtures pi = 0 and pi = 1.
+  for (const ODistribution& o :
+       {in.o, ODistribution(0.0, in.o.m_distribution(), in.o.n_distribution()),
+        ODistribution(1.0, in.o.m_distribution(), in.o.n_distribution())}) {
+    PairLabeler labeler(o, in.sim);
+    for (size_t n : {1, 63, 64, 65, 130}) {
+      SCOPED_TRACE("pi " + std::to_string(o.pi()) + " n " + std::to_string(n));
+      std::vector<PairRef> pairs;
+      labeler.Clear();
+      for (size_t k = 0; k < n; ++k) {
+        pairs.push_back(k % 2 == 1 ? want[(k / 2) % want.size()]
+                                   : PairRef{k % in.a.size(), 7 * k % nb});
+        labeler.Add(in.a[pairs[k].a_idx], in.b[pairs[k].b_idx]);
+      }
+      ASSERT_EQ(labeler.size(), n);
+      labeler.Label();
+      for (size_t k = 0; k < n; ++k) {
+        const Vec x =
+            in.sim.SimilarityVector(in.a[pairs[k].a_idx], in.b[pairs[k].b_idx]);
+        EXPECT_EQ(labeler.match(k), o.LabelAsMatch(x)) << k;
+        ASSERT_EQ(labeler.vector(k).size(), x.size());
+        EXPECT_EQ(std::memcmp(labeler.vector(k).data(), x.data(),
+                              x.size() * sizeof(double)),
+                  0)
+            << k;
+      }
+    }
   }
 }
 

@@ -78,9 +78,8 @@ TEST_F(EncoderTest, NumericEncodingIsMinMaxNormalized) {
 /// A text column's features as the encoder computed them from string
 /// grams: one count per distinct QgramSet gram in the bucket of the gram's
 /// FNV-1a-64, L2-normalized, then the length feature.
-std::vector<float> StringGramTextFeatures(const std::string& value,
-                                          const EntityEncoderOptions& o) {
-  const size_t nb = static_cast<size_t>(o.text_buckets);
+std::vector<float> StringGramTextFeatures(const std::string& value) {
+  const size_t nb = kEncoderTextBuckets;
   std::vector<float> out(nb + 1, 0.0f);
   for (const std::string& g : QgramSet(value, 3)) {
     uint64_t h = 1469598103934665603ULL;
@@ -96,7 +95,8 @@ std::vector<float> StringGramTextFeatures(const std::string& value,
     const float inv = static_cast<float>(1.0 / std::sqrt(norm_sq));
     for (size_t i = 0; i < nb; ++i) out[i] *= inv;
   }
-  out[nb] = static_cast<float>(std::min(1.0, value.size() / o.max_text_len));
+  out[nb] =
+      static_cast<float>(std::min(1.0, value.size() / kEncoderMaxTextLen));
   return out;
 }
 
@@ -124,8 +124,7 @@ TEST_F(EncoderTest, TextFeaturesMatchStringGramEncoderBitwise) {
     values.push_back(v);
   }
 
-  const EntityEncoderOptions options;
-  const size_t width = static_cast<size_t>(options.text_buckets) + 1;
+  const size_t width = kEncoderTextBuckets + 1;
   Entity e = dataset_.a.row(0);
   for (size_t i = 0; i + 1 < values.size(); i += 2) {
     e.values[0] = values[i];
@@ -133,7 +132,7 @@ TEST_F(EncoderTest, TextFeaturesMatchStringGramEncoderBitwise) {
     const std::vector<float> f = encoder_->Encode(e);
     for (size_t col = 0; col < 2; ++col) {
       const std::vector<float> expected =
-          StringGramTextFeatures(values[i + col], options);
+          StringGramTextFeatures(values[i + col]);
       EXPECT_EQ(std::memcmp(f.data() + col * width, expected.data(),
                             width * sizeof(float)),
                 0)

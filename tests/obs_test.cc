@@ -153,6 +153,19 @@ TEST(TraceSpanTest, NullRegistrySpanIsInert) {
   EXPECT_EQ(span.Stop(), 0.0);
 }
 
+TEST(TraceSpanTest, StageTimerRecordsOnlyItsHistogram) {
+  MetricsRegistry reg;
+  obs::Histogram* hist = reg.timer("stage.z");
+  {
+    obs::TraceSpan span(hist);
+  }
+  auto snap = reg.TakeSnapshot();
+  EXPECT_EQ(snap.histograms.at("stage.z").count, 1u);
+  EXPECT_EQ(snap.counters.count("stage.z.calls"), 0u);
+  obs::TraceSpan inert(static_cast<obs::Histogram*>(nullptr));
+  EXPECT_EQ(inert.Stop(), 0.0);
+}
+
 TEST(ShardedTallyTest, FoldSumsSlotsInShardOrder) {
   obs::ShardedTally<long> tally(4);
   tally.slot(2) += 10;

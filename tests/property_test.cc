@@ -600,6 +600,10 @@ TEST_P(RunOptionsFuzz, RunContractsHoldUnderRandomOptions) {
   EXPECT_EQ(after["s3.scored_pairs"], report.s3_scored_pairs);
   EXPECT_EQ(after["s3.candidates"], report.s3_candidate_pairs);
   EXPECT_EQ(after["s3.posterior_matches"], report.s3_posterior_matches);
+  EXPECT_EQ(report.forced_accepts, report.forced_accepts_discriminator +
+                                       report.forced_accepts_distribution);
+  EXPECT_EQ(report.s3_pruned_pairs,
+            report.s3_total_pairs - report.s3_candidate_pairs);
   if (!run.enable_rejection) {
     EXPECT_EQ(report.rejected_by_discriminator +
                   report.rejected_by_distribution,
