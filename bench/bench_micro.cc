@@ -568,6 +568,23 @@ void BM_MixtureLogSumExp(benchmark::State& state) {
 }
 BENCHMARK(BM_MixtureLogSumExp)->Arg(64);
 
+// One S2 attempt's O_syn preview: 24 partner vectors folded into a
+// 4-component arm (d = 4) and its model rebuilt (IncrementalGmm::Preview).
+// Arg 0 drops each preview, as a rejected attempt does; arg 1 commits it.
+void BM_OSynPreview(benchmark::State& state) {
+  const std::vector<Vec> data = ClusterData(200, 47);
+  auto fit = Gmm::FitEM(data, 4, GmmFitOptions{});
+  IncrementalGmm inc(fit.value(), data);
+  const std::vector<Vec> points = ClusterData(24, 53);
+  const bool commit = state.range(0) != 0;
+  for (auto _ : state) {
+    IncrementalGmm::Update update = inc.Preview(points.data(), points.size());
+    benchmark::DoNotOptimize(update.model.get());
+    if (commit) inc.Commit(std::move(update));
+  }
+}
+BENCHMARK(BM_OSynPreview)->Arg(0)->Arg(1);
+
 // The per-job O_syn warm-up fit's shape: FitWithAic over 16 match and 64
 // non-match vectors (d = 4) with up to 3 and 4 components, serial.
 void BM_EmFit(benchmark::State& state) {

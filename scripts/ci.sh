@@ -128,7 +128,14 @@ if [[ "${SKIP_SMOKE:-0}" != "1" ]]; then
   # quick digest set (dblp-acm@0.02 seed 7, restaurant@0.1 seed 11, cold)
   # fails when a case's two thread counts release different bytes or
   # print different JSD, rejection or S3 lines.
-  scripts/release_digests.sh --quick build
+  scripts/release_digests.sh --quick build > "$SMOKE_DIR/digests.txt"
+  cat "$SMOKE_DIR/digests.txt"
+
+  echo "==> smoke: the quick digests are the committed ones"
+  # scripts/release_digests.quick holds the quick set's lines as the last
+  # change that moved released bytes left them; a change that moves them
+  # must update the file and say why.
+  diff scripts/release_digests.quick "$SMOKE_DIR/digests.txt"
 
   echo "==> smoke: a one-bucket string bank synthesizes end to end"
   # The bank builds its s2.bank_bucket histogram, whose bounds a single

@@ -4,6 +4,12 @@
 #include <bit>
 #include <cstring>
 
+#include "common/cpu.h"
+
+#if SERD_X86_DISPATCH
+#include <immintrin.h>
+#endif
+
 namespace serd::artifact {
 
 namespace {
@@ -40,14 +46,11 @@ inline uint32_t LoadLe32(const unsigned char* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
-}  // namespace
-
-uint32_t Crc32(const void* data, size_t size) {
+/// The running (inverted) CRC state after `size` more bytes, eight per
+/// step: the first four fold into the running CRC, and each byte's table
+/// accounts for the bytes that follow it in the step.
+uint32_t SliceBy8(uint32_t crc, const unsigned char* p, size_t size) {
   static const CrcTables kT = MakeCrcTables();
-  const auto* p = static_cast<const unsigned char*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  // Eight bytes per step: the first four fold into the running CRC, and
-  // each byte's table accounts for the bytes that follow it in the step.
   for (; size >= 8; p += 8, size -= 8) {
     const uint32_t lo = LoadLe32(p) ^ crc;
     const uint32_t hi = LoadLe32(p + 4);
@@ -59,7 +62,103 @@ uint32_t Crc32(const void* data, size_t size) {
   for (; size > 0; ++p, --size) {
     crc = kT[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
-  return crc ^ 0xFFFFFFFFu;
+  return crc;
+}
+
+#if SERD_X86_DISPATCH
+// The carry-less multiplication clone. Its constants are the white
+// paper's for the bit-reflected polynomial: each x^n mod P(x), bit-reflected
+// and shifted left by one (33 bits), so that a product of a 64-bit lane
+// and one lands aligned for the next XOR.
+#pragma GCC push_options
+#pragma GCC target("pclmul")
+namespace pclmul {
+
+constexpr long long kFold512Lo = 0x154442bd4;  // k1: folds by 4 x 128 bits
+constexpr long long kFold512Hi = 0x1c6e41596;  // k2
+constexpr long long kFold128Lo = 0x1751997d0;  // k3: folds by 128 bits
+constexpr long long kFold128Hi = 0x0ccaa009e;  // k4
+constexpr long long kFold64 = 0x163cd6124;     // k5: 64 to 32 bits
+constexpr long long kPoly = 0x1db710641;       // P(x)', bit-reflected
+constexpr long long kMu = 0x1f7011641;         // floor(x^64 / P(x))'
+
+inline __m128i Load(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// x's 128 bits carried 128 (or 512) bits further, plus the next block.
+inline __m128i Fold(__m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(
+      _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                    _mm_clmulepi64_si128(x, k, 0x11)),
+      next);
+}
+
+/// SliceBy8(crc, p, size) for size >= 64 and a multiple of 16: four
+/// 128-bit lanes fold 64 bytes per step, then fold into one lane, which
+/// takes the remaining 16-byte blocks; that lane is reduced to 64 and then
+/// 32 bits, the last by Barrett reduction.
+uint32_t Blocks(uint32_t crc, const unsigned char* p, size_t size) {
+  __m128i x0 = _mm_xor_si128(Load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = Load(p + 16);
+  __m128i x2 = Load(p + 32);
+  __m128i x3 = Load(p + 48);
+  p += 64;
+  size -= 64;
+  const __m128i k512 = _mm_set_epi64x(kFold512Hi, kFold512Lo);
+  for (; size >= 64; p += 64, size -= 64) {
+    x0 = Fold(x0, k512, Load(p));
+    x1 = Fold(x1, k512, Load(p + 16));
+    x2 = Fold(x2, k512, Load(p + 32));
+    x3 = Fold(x3, k512, Load(p + 48));
+  }
+  const __m128i k128 = _mm_set_epi64x(kFold128Hi, kFold128Lo);
+  x0 = Fold(x0, k128, x1);
+  x0 = Fold(x0, k128, x2);
+  x0 = Fold(x0, k128, x3);
+  for (; size >= 16; p += 16, size -= 16) x0 = Fold(x0, k128, Load(p));
+
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  // 128 to 64 bits: the low half times k4 into the high half.
+  __m128i x = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                            _mm_clmulepi64_si128(x0, k128, 0x10));
+  // 64 to 32 bits: the low 32 bits times k5 into the rest.
+  x = _mm_xor_si128(
+      _mm_srli_si128(x, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x, low32),
+                           _mm_set_epi64x(0, kFold64), 0x00));
+  // Barrett: q = (low 32 bits * mu) mod x^32, then x ^= q * P.
+  const __m128i barrett = _mm_set_epi64x(kMu, kPoly);
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  x = _mm_xor_si128(x, q);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x, 4)));
+}
+
+}  // namespace pclmul
+#pragma GCC pop_options
+#endif  // SERD_X86_DISPATCH
+
+}  // namespace
+
+uint32_t Crc32(const void* data, size_t size) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t crc = 0xFFFFFFFFu;
+#if SERD_X86_DISPATCH
+  if (size >= 64 && cpu::X86().pclmul) {
+    const size_t blocks = size & ~size_t{15};
+    crc = pclmul::Blocks(crc, p, blocks);
+    p += blocks;
+    size -= blocks;
+  }
+#endif
+  return SliceBy8(crc, p, size) ^ 0xFFFFFFFFu;
+}
+
+uint32_t ReferenceCrc32(const void* data, size_t size) {
+  return SliceBy8(0xFFFFFFFFu, static_cast<const unsigned char*>(data),
+                  size) ^
+         0xFFFFFFFFu;
 }
 
 // ----------------------------------------------------------- ByteWriter

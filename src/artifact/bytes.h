@@ -12,11 +12,19 @@ namespace serd::artifact {
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `data`. Every artifact
 /// section carries one so that a flipped bit anywhere in a payload is
-/// detected before any value is interpreted.
+/// detected before any value is interpreted. Where the host has PCLMULQDQ
+/// (cpu::X86().pclmul), inputs of 64 bytes and more fold 16-byte blocks by
+/// carry-less multiplication (Intel, "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction", 2009) and finish their last
+/// bytes by table; elsewhere this is ReferenceCrc32. Both give the same
+/// CRC for every input.
 uint32_t Crc32(const void* data, size_t size);
 inline uint32_t Crc32(std::string_view data) {
   return Crc32(data.data(), data.size());
 }
+
+/// CRC-32 by slice-by-8 tables: the reference and the fallback of Crc32.
+uint32_t ReferenceCrc32(const void* data, size_t size);
 
 /// Little-endian binary encoder for artifact payloads. All multi-byte
 /// values are written byte-by-byte, so the emitted bytes are identical on

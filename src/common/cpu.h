@@ -22,6 +22,7 @@ struct X86Features {
   bool avx2 = false;
   bool fma = false;
   bool popcnt = false;
+  bool pclmul = false;
 };
 
 /// The host's features, probed once per process, so every dispatch
@@ -33,6 +34,7 @@ inline const X86Features& X86() {
     SERD_CPU_PROBE(avx2);
     SERD_CPU_PROBE(fma);
     SERD_CPU_PROBE(popcnt);
+    SERD_CPU_PROBE(pclmul);
 #undef SERD_CPU_PROBE
     return f;
   }();

@@ -88,26 +88,37 @@ std::string Matrix::ToString() const {
 }
 
 Result<Matrix> Cholesky(const Matrix& a) {
-  SERD_CHECK_EQ(a.rows(), a.cols());
-  const size_t n = a.rows();
-  Matrix l(n, n);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j <= i; ++j) {
-      double sum = a(i, j);
-      for (size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
-      if (i == j) {
-        if (sum <= 0.0 || !std::isfinite(sum)) {
-          return Status::FailedPrecondition(
-              "matrix is not positive definite at pivot " +
-              std::to_string(i));
-        }
-        l(i, j) = std::sqrt(sum);
-      } else {
-        l(i, j) = sum / l(j, j);
-      }
-    }
+  Matrix l = a;
+  const size_t pivot = CholeskyInPlace(&l);
+  if (pivot < l.rows()) {
+    return Status::FailedPrecondition(
+        "matrix is not positive definite at pivot " + std::to_string(pivot));
   }
   return l;
+}
+
+size_t CholeskyInPlace(Matrix* a) {
+  SERD_CHECK_EQ(a->rows(), a->cols());
+  const size_t n = a->rows();
+  double* l = a->data().data();
+  // Row i reads a(i, j) before overwriting it, and only L's entries left of
+  // column j in rows i and j, which are already L's.
+  for (size_t i = 0; i < n; ++i) {
+    double* li = l + i * n;
+    for (size_t j = 0; j <= i; ++j) {
+      const double* lj = l + j * n;
+      double sum = li[j];
+      for (size_t k = 0; k < j; ++k) sum -= li[k] * lj[k];
+      if (i == j) {
+        if (sum <= 0.0 || !std::isfinite(sum)) return i;
+        li[j] = std::sqrt(sum);
+      } else {
+        li[j] = sum / lj[j];
+      }
+    }
+    for (size_t j = i + 1; j < n; ++j) li[j] = 0.0;
+  }
+  return n;
 }
 
 Vec ForwardSolve(const Matrix& l, const Vec& b) {

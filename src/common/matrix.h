@@ -74,6 +74,12 @@ class Matrix {
 /// positive definite.
 Result<Matrix> Cholesky(const Matrix& a);
 
+/// Cholesky's factorization in place: overwrites square `a` with L (zeros
+/// above the diagonal), the same operations in the same order, and
+/// returns a.rows(). Where a pivot is not positive (or not finite), stops
+/// there, leaving `a` partly overwritten, and returns that pivot's index.
+size_t CholeskyInPlace(Matrix* a);
+
 /// Solves L y = b for lower-triangular L (forward substitution).
 Vec ForwardSolve(const Matrix& l, const Vec& b);
 

@@ -97,13 +97,7 @@ size_t Rng::CategoricalIndex(const std::vector<double>& weights, double u) {
     total += w;
   }
   SERD_CHECK_GT(total, 0.0) << "categorical weights sum to zero";
-  double r = u * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;  // Numerical edge: fall to the last bucket.
+  return CategoricalPick(weights.data(), weights.size(), total, u);
 }
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xa5a5a5a5deadbeefULL); }

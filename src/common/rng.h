@@ -54,6 +54,19 @@ class Rng {
   static size_t CategoricalIndex(const std::vector<double>& weights,
                                  double u);
 
+  /// CategoricalIndex's pick once `total`, the weights summed in order,
+  /// is known; no checks.
+  static size_t CategoricalPick(const double* weights, size_t count,
+                                double total, double u) {
+    const double r = u * total;
+    double acc = 0.0;
+    for (size_t i = 0; i < count; ++i) {
+      acc += weights[i];
+      if (r < acc) return i;
+    }
+    return count - 1;  // Numerical edge: fall to the last bucket.
+  }
+
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

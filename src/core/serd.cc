@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string_view>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "core/o_syn_tracker.h"
 #include "obs/manifest.h"
 #include "obs/trace.h"
 #include "text/qgram.h"
@@ -428,156 +428,6 @@ namespace {
 /// attempt faces the Eq. 10 test.
 constexpr size_t kOSynWarmup = 12;
 
-/// One kind of S2 event: Add() bumps its report field and its live counter
-/// together (callers poll the counters mid-run).
-template <typename Field>
-struct S2Event {
-  Field* field;
-  obs::Counter* counter;
-  void Add(size_t n = 1) {
-    *field += static_cast<Field>(n);
-    obs::Inc(counter, n);
-  }
-};
-
-/// O_syn (paper Section V, case 2), the synthesized pairs' M- and
-/// N-distributions: kept as vectors until the warm-up fit, then tracked
-/// incrementally (Eq. 9) with their JSD to O_real. Every estimate is
-/// against O_real with the same seed, so O_real's half of it is drawn and
-/// scored once per run, by the estimator the first estimate builds.
-class OSynTracker {
- public:
-  /// An attempt's O_syn: each arm with the attempt's pairs folded in, and
-  /// its JSD to O_real.
-  struct Preview {
-    IncrementalGmm::Update m, n;
-    size_t num_pos, num_neg;
-    double jsd = 0.0;
-  };
-
-  OSynTracker(const ODistribution& o_real, int jsd_samples, uint64_t jsd_seed,
-              runtime::ThreadPool* pool, obs::MetricsRegistry* metrics,
-              S2Event<long> jsd_evaluations)
-      : o_real_(&o_real),
-        jsd_samples_(jsd_samples),
-        jsd_seed_(jsd_seed),
-        pool_(pool),
-        jsd_evaluations_(jsd_evaluations),
-        jsd_seconds_(obs::GetTimer(metrics, "s2.jsd_seconds")),
-        preview_seconds_(obs::GetTimer(metrics, "s2.preview_seconds")) {}
-
-  /// True once the warm-up fit has succeeded.
-  bool tracking() const { return m_syn_ != nullptr; }
-  /// The committed O_syn's JSD: the bar of the next Eq. 10 test.
-  double jsd() const { return jsd_; }
-
-  void AddWarmUp(const Vec* pos, size_t num_pos, const Vec* neg,
-                 size_t num_neg) {
-    warm_pos_.insert(warm_pos_.end(), pos, pos + num_pos);
-    warm_neg_.insert(warm_neg_.end(), neg, neg + num_neg);
-  }
-
-  /// Once each arm holds 4 vectors, an AIC fit of each (at most S1's
-  /// component count) starts the tracking, and the fitted O_syn's JSD is
-  /// the first bar. A failed fit leaves the tracker warming up.
-  void FitWarmUp(GmmFitOptions fit, int m_components, int n_components) {
-    if (warm_pos_.size() < 4 || warm_neg_.size() < 4) return;
-    fit.max_components = std::max(m_components, 1);
-    auto m0 = Gmm::FitWithAic(warm_pos_, fit);
-    fit.max_components = std::max(n_components, 1);
-    auto n0 = Gmm::FitWithAic(warm_neg_, fit);
-    if (!m0.ok() || !n0.ok()) return;
-    m_syn_ = std::make_unique<IncrementalGmm>(m0.value(), warm_pos_);
-    n_syn_ = std::make_unique<IncrementalGmm>(n0.value(), warm_neg_);
-    pos_count_ = warm_pos_.size();
-    neg_count_ = warm_neg_.size();
-    jsd_ = EstimateCommitted();
-  }
-
-  Preview PreviewWith(const Vec* pos, size_t num_pos, const Vec* neg,
-                      size_t num_neg) {
-    obs::TraceSpan preview_span(preview_seconds_);
-    Preview p{m_syn_->Preview(pos, num_pos), n_syn_->Preview(neg, num_neg),
-              num_pos, num_neg};
-    preview_span.Stop();
-    p.jsd = Estimate(ODistribution(PiSyn(pos_count_ + num_pos,
-                                         neg_count_ + num_neg),
-                                   p.m.model, p.n.model),
-                     &p.m, &p.n);
-    return p;
-  }
-
-  /// Adopts an accepted attempt's preview as it was built.
-  void Commit(Preview p) {
-    m_syn_->Commit(std::move(p.m));
-    n_syn_->Commit(std::move(p.n));
-    pos_count_ += p.num_pos;
-    neg_count_ += p.num_neg;
-    jsd_ = p.jsd;
-  }
-
-  double EstimateCommitted() {
-    return Estimate(ODistribution(PiSyn(pos_count_, neg_count_),
-                                  m_syn_->shared_model(),
-                                  n_syn_->shared_model()));
-  }
-
- private:
-  /// An arm previewed without new pairs is its committed model, so its
-  /// log-densities at the estimator's stored O_real draws carry over from
-  /// the last estimate that computed them. Each cache holds its model, so
-  /// the model cannot be freed and its address reused while cached.
-  struct StoredArm {
-    std::shared_ptr<const Gmm> model;
-    std::vector<double> log_pdf;
-  };
-
-  /// π_syn, the tracked pairs' match share, kept inside [0.001, 0.999] so
-  /// that neither arm's weight vanishes.
-  static double PiSyn(size_t pos, size_t neg) {
-    const double pi = static_cast<double>(pos) /
-                      static_cast<double>(std::max<size_t>(1, pos + neg));
-    return std::clamp(pi, 0.001, 0.999);
-  }
-
-  /// The updates, when given, are the previews o_syn was built from.
-  double Estimate(const ODistribution& o_syn,
-                  const IncrementalGmm::Update* m_update = nullptr,
-                  const IncrementalGmm::Update* n_update = nullptr) {
-    jsd_evaluations_.Add();
-    obs::TraceSpan span(jsd_seconds_);
-    if (!estimator_.has_value()) {
-      estimator_.emplace(*o_real_, jsd_samples_, jsd_seed_, pool_);
-    }
-    return estimator_->Estimate(o_syn, StoredLogPdf(m_update, &m_stored_),
-                                StoredLogPdf(n_update, &n_stored_));
-  }
-
-  const double* StoredLogPdf(const IncrementalGmm::Update* update,
-                             StoredArm* arm) {
-    if (update == nullptr || !update->unchanged) return nullptr;
-    if (arm->model != update->model) {
-      estimator_->StoredArmLogPdf(*update->model, &arm->log_pdf);
-      arm->model = update->model;
-    }
-    return arm->log_pdf.data();
-  }
-
-  const ODistribution* o_real_;
-  const int jsd_samples_;
-  const uint64_t jsd_seed_;
-  runtime::ThreadPool* pool_;
-  S2Event<long> jsd_evaluations_;
-  obs::Histogram* jsd_seconds_;
-  obs::Histogram* preview_seconds_;
-  std::vector<Vec> warm_pos_, warm_neg_;
-  std::unique_ptr<IncrementalGmm> m_syn_, n_syn_;
-  size_t pos_count_ = 0, neg_count_ = 0;
-  double jsd_ = 0.0;
-  std::optional<JsdEstimator> estimator_;
-  StoredArm m_stored_, n_stored_;
-};
-
 }  // namespace
 
 /// One Synthesize(const RunOptions&, SerdReport*) call. Every piece of run
@@ -699,9 +549,9 @@ class SerdSynthesizer::Run {
   /// The report step; copies the report to `report_out` when it is not
   /// null and returns the dataset.
   ERDataset Finish(SerdReport* report_out) {
-    if (o_syn_.tracking()) {
-      report_.jsd_real_vs_syn = o_syn_.EstimateCommitted();
-    }
+    // The committed O_syn's JSD, as its commit (or the warm-up fit)
+    // estimated it.
+    if (o_syn_.tracking()) report_.jsd_real_vs_syn = o_syn_.jsd();
     if (s_.pool_ != nullptr) {
       runtime::ThreadPool::Stats delta = s_.pool_->stats();
       delta.busy_seconds -= pool_before_.busy_seconds;

@@ -68,20 +68,29 @@ MultivariateGaussian::MultivariateGaussian(Vec mean, Matrix covariance,
     : mean_(std::move(mean)), covariance_(std::move(covariance)) {
   SERD_CHECK_EQ(covariance_.rows(), mean_.size());
   SERD_CHECK_EQ(covariance_.cols(), mean_.size());
-  Matrix regularized = covariance_;
+  Factor(ridge);
+}
+
+void MultivariateGaussian::Factor(double ridge) {
   double r = ridge;
   for (int attempt = 0; attempt < 12; ++attempt) {
-    regularized = covariance_;
-    regularized.AddDiagonal(r);
-    auto chol = Cholesky(regularized);
-    if (chol.ok()) {
-      chol_ = std::move(chol).value();
+    chol_ = covariance_;
+    chol_.AddDiagonal(r);
+    if (CholeskyInPlace(&chol_) == chol_.rows()) {
       log_det_ = LogDetFromCholesky(chol_);
+      CacheInverseDiagonal();
       return;
     }
     r = (r == 0.0) ? 1e-8 : r * 10.0;
   }
   SERD_CHECK(false) << "covariance could not be regularized to SPD";
+}
+
+void MultivariateGaussian::CacheInverseDiagonal() {
+  const size_t d = chol_.rows();
+  inv_diag_.resize(d);
+  const double* l = chol_.data().data();
+  for (size_t i = 0; i < d; ++i) inv_diag_[i] = 1.0 / l[i * d + i];
 }
 
 MultivariateGaussian MultivariateGaussian::FromParts(Vec mean,
@@ -97,7 +106,12 @@ MultivariateGaussian MultivariateGaussian::FromParts(Vec mean,
   g.covariance_ = std::move(covariance);
   g.chol_ = std::move(chol);
   g.log_det_ = log_det;
+  g.CacheInverseDiagonal();
   return g;
+}
+
+double MultivariateGaussian::LogNormBase() const {
+  return static_cast<double>(mean_.size()) * kLog2Pi + log_det_;
 }
 
 double MultivariateGaussian::LogPdf(const Vec& x) const {
@@ -133,7 +147,7 @@ void MultivariateGaussian::LogPdfTile(const double* xs, size_t stride,
   }
   double quad[kBatchTile];
   SolveTile(chol_.data().data(), mean_.data(), d, xs, stride, n, y, quad);
-  const double base = static_cast<double>(d) * kLog2Pi + log_det_;
+  const double base = LogNormBase();
   for (size_t j = 0; j < n; ++j) out[j] = -0.5 * (base + quad[j]);
 }
 
@@ -156,17 +170,6 @@ void MultivariateGaussian::SampleInto(Rng* rng, double* x,
   }
   for (size_t i = 0; i < d; ++i) z[i] = rng->Gaussian();
   TransformInto(z, x, stride);
-}
-
-void MultivariateGaussian::TransformInto(const double* z, double* x,
-                                         size_t stride) const {
-  const size_t d = mean_.size();
-  const double* l = chol_.data().data();
-  for (size_t i = 0; i < d; ++i) {
-    double s = 0.0;
-    for (size_t j = 0; j <= i; ++j) s += l[i * d + j] * z[j];
-    x[i * stride] = mean_[i] + s;
-  }
 }
 
 }  // namespace serd

@@ -37,6 +37,9 @@ class MultivariateGaussian {
   /// Lower-triangular factor of the regularized covariance (serialization).
   const Matrix& cholesky() const { return chol_; }
   double log_det() const { return log_det_; }
+  /// 1 / cholesky()(i, i): the fused mixture tile's solve multiplies by
+  /// these instead of dividing (mixture_tile.h).
+  const Vec& inverse_diagonal() const { return inv_diag_; }
 
   /// Dimensions up to this size evaluate and draw without a heap
   /// allocation; wider ones use a heap buffer (same arithmetic either way).
@@ -47,8 +50,9 @@ class MultivariateGaussian {
   static constexpr size_t kBatchTile = 64;
 
   /// log N(x; mu, Sigma). Bit-identical to -0.5 * (d log 2pi + log_det +
-  /// Dot(y, y)) with y = ForwardSolve(cholesky(), Sub(x, mean)). The
-  /// 1-point case of LogPdfBatch.
+  /// Dot(y, y)) with y = ForwardSolve(cholesky(), Sub(x, mean)), the
+  /// dividing solve that EM's E-step (Gmm::EStepTile) runs. The 1-point
+  /// case of LogPdfBatch.
   double LogPdf(const Vec& x) const;
 
   /// LogPdf of `count` points stored dimension-major: coordinate i of
@@ -67,19 +71,38 @@ class MultivariateGaussian {
   /// x = mu + L z for dimension() given normals z, written to
   /// x[i * stride]: SampleInto's arithmetic once its normals are drawn
   /// (each row's sum starts at 0 and adds l[i][j] z[j] for j <= i).
-  void TransformInto(const double* z, double* x, size_t stride) const;
+  void TransformInto(const double* z, double* x, size_t stride) const {
+    const size_t d = mean_.size();
+    const double* l = chol_.data().data();
+    for (size_t i = 0; i < d; ++i) {
+      double s = 0.0;
+      for (size_t j = 0; j <= i; ++j) s += l[i * d + j] * z[j];
+      x[i * stride] = mean_[i] + s;
+    }
+  }
 
  private:
   friend class Gmm;
+  friend class IncrementalGmm;
 
   /// The batch kernel: n <= kBatchTile points, coordinate i of point j at
   /// xs[i * stride + j].
   void LogPdfTile(const double* xs, size_t stride, size_t n,
                   double* out) const;
 
+  /// Factors covariance_ + r I into chol_ for r = ridge, growing r (x10,
+  /// from 1e-8 when it is 0) until the factorization exists, then sets
+  /// log_det_ and inv_diag_. In place: once the sizes are set, no
+  /// allocation.
+  void Factor(double ridge);
+  void CacheInverseDiagonal();
+  /// d log 2pi + log det Sigma, the constant of -2 log N.
+  double LogNormBase() const;
+
   Vec mean_;
   Matrix covariance_;
   Matrix chol_;      // lower-triangular factor of the regularized covariance
+  Vec inv_diag_;     // 1 / chol_(i, i)
   double log_det_ = 0.0;
 };
 

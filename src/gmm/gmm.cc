@@ -16,6 +16,10 @@ Gmm::Gmm(std::vector<double> weights,
     : weights_(std::move(weights)), components_(std::move(components)) {
   SERD_CHECK_EQ(weights_.size(), components_.size());
   SERD_CHECK(!components_.empty());
+  NormalizeWeights();
+}
+
+void Gmm::NormalizeWeights() {
   double total = 0.0;
   for (double w : weights_) {
     SERD_CHECK_GE(w, 0.0);
@@ -46,19 +50,32 @@ Gmm Gmm::FromParts(std::vector<double> weights,
   return gmm;
 }
 
+Gmm::TileView::TileView(const Gmm& gmm) : count_(gmm.components_.size()) {
+  mixture_tile::Component* out = inline_;
+  if (count_ > kInlineComponents) {
+    heap_.resize(count_);
+    out = heap_.data();
+  }
+  for (size_t k = 0; k < count_; ++k) {
+    const MultivariateGaussian& c = gmm.components_[k];
+    out[k] = {c.mean_.data(), c.chol_.data().data(), c.inv_diag_.data(),
+              c.LogNormBase(), gmm.log_weights_[k]};
+  }
+  components_ = out;
+}
+
 double Gmm::LogPdf(const Vec& x) const {
   SERD_CHECK_EQ(x.size(), dimension());
   double out;
-  EStepTile(x.data(), 1, 1, nullptr, &out);
+  mixture_tile::ArmLogPdf(TileView(*this).arm(), dimension(), x.data(), 1, 1,
+                          &out);
   return out;
 }
 
 void Gmm::LogPdfBatch(const double* xs, size_t count, double* out) const {
-  constexpr size_t kTile = MultivariateGaussian::kBatchTile;
-  for (size_t j0 = 0; j0 < count; j0 += kTile) {
-    EStepTile(xs + j0, count, std::min(kTile, count - j0), nullptr,
-              out + j0);
-  }
+  SERD_CHECK(!components_.empty());
+  mixture_tile::ArmLogPdf(TileView(*this).arm(), dimension(), xs, count,
+                          count, out);
 }
 
 void Gmm::EStepTile(const double* xs, size_t stride, size_t n,
@@ -237,10 +254,13 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
     std::vector<double> gamma_sum;
     std::vector<Vec> mu_sum;
   };
-  // Per-chunk second moments: responsibility-weighted outer products.
-  struct CovPartial {
-    std::vector<Matrix> cov;
-  };
+  // Per-chunk second moments, responsibility-weighted outer products: chunk
+  // c's g d x d sums at cov_parts[c * g d^2], with its scratch difference
+  // vector at diff_parts[c * d].
+  const size_t num_chunks = (n + kEmGrain - 1) / kEmGrain;
+  const size_t cov_size = static_cast<size_t>(g) * d * d;
+  std::vector<double> cov_parts(num_chunks * cov_size);
+  std::vector<double> diff_parts(num_chunks * d);
 
   // The data in EStepTile's layout, and the log-likelihood of `fit` over
   // it: tiles in point order within a chunk, chunks reduced in order. When
@@ -311,36 +331,32 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
       ScaleInPlace(&mu[k], 1.0 / moments.gamma_sum[k]);
     }
 
-    CovPartial covs = runtime::ParallelReduce<CovPartial>(
-        pool, 0, n, kEmGrain, CovPartial{},
-        [&](size_t lo, size_t hi) {
-          CovPartial part;
-          part.cov.assign(g, Matrix(d, d));
-          Vec diff(d);
-          for (size_t i = lo; i < hi; ++i) {
-            for (int k = 0; k < g; ++k) {
-              if (moments.gamma_sum[k] < 1e-10) continue;
-              for (size_t r = 0; r < d; ++r) diff[r] = data[i][r] - mu[k][r];
-              const double gk = gammas[i * g + k];
-              Matrix& cov = part.cov[k];
-              for (size_t r = 0; r < d; ++r) {
-                for (size_t c = 0; c < d; ++c) {
-                  cov(r, c) += gk * diff[r] * diff[c];
-                }
-              }
-            }
+    std::fill(cov_parts.begin(), cov_parts.end(), 0.0);
+    runtime::ParallelFor(pool, 0, n, kEmGrain, [&](size_t lo, size_t hi) {
+      const size_t chunk = lo / kEmGrain;
+      double* part = cov_parts.data() + chunk * cov_size;
+      double* diff = diff_parts.data() + chunk * d;
+      for (size_t i = lo; i < hi; ++i) {
+        const double* x = data[i].data();
+        for (int k = 0; k < g; ++k) {
+          if (moments.gamma_sum[k] < 1e-10) continue;
+          const double* mu_k = mu[k].data();
+          for (size_t r = 0; r < d; ++r) diff[r] = x[r] - mu_k[r];
+          const double gk = gammas[i * g + k];
+          double* cov = part + static_cast<size_t>(k) * d * d;
+          for (size_t r = 0; r < d; ++r) {
+            double* row = cov + r * d;
+            for (size_t c = 0; c < d; ++c) row[c] += gk * diff[r] * diff[c];
           }
-          return part;
-        },
-        [](CovPartial acc, CovPartial part) {
-          if (acc.cov.empty()) return part;
-          for (size_t k = 0; k < acc.cov.size(); ++k) {
-            auto& a = acc.cov[k].data();
-            const auto& p = part.cov[k].data();
-            for (size_t i = 0; i < a.size(); ++i) a[i] += p[i];
-          }
-          return acc;
-        });
+        }
+      }
+    });
+    // The chunks' sums folded into chunk 0's in chunk order, as
+    // ParallelReduce folds.
+    for (size_t c = 1; c < num_chunks; ++c) {
+      const double* part = cov_parts.data() + c * cov_size;
+      for (size_t e = 0; e < cov_size; ++e) cov_parts[e] += part[e];
+    }
 
     std::vector<double> new_weights(g);
     std::vector<MultivariateGaussian> new_comps;
@@ -354,8 +370,9 @@ EmRun RunEmOnce(const std::vector<Vec>& data, int g,
         new_weights[k] = 1.0 / static_cast<double>(n);
         continue;
       }
-      Matrix cov = std::move(covs.cov[k]);
-      for (auto& v : cov.data()) v /= gamma_sum;
+      Matrix cov(d, d);
+      const double* sum = cov_parts.data() + static_cast<size_t>(k) * d * d;
+      for (size_t e = 0; e < d * d; ++e) cov.data()[e] = sum[e] / gamma_sum;
       new_comps.emplace_back(std::move(mu[k]), std::move(cov), var_floor);
       new_weights[k] = gamma_sum / static_cast<double>(n);
     }

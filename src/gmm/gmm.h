@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "gmm/gaussian.h"
+#include "gmm/mixture_tile.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 
@@ -63,13 +64,13 @@ class Gmm {
   /// allocation; larger ones use a heap buffer (same arithmetic).
   static constexpr size_t kInlineComponents = 16;
 
-  /// log p(x) via log-sum-exp over components. The 1-point case of
-  /// LogPdfBatch.
+  /// log p(x) via log-sum-exp over components, through the fused mixture
+  /// tile (mixture_tile::ArmLogPdf). The 1-point case of LogPdfBatch.
   double LogPdf(const Vec& x) const;
 
   /// LogPdf of `count` points stored dimension-major (coordinate i of
-  /// point j at xs[i * count + j]), a tile of points at a time; out[j] is
-  /// bit-identical to LogPdf of point j.
+  /// point j at xs[i * count + j]); out[j] is bit-identical to LogPdf of
+  /// point j.
   void LogPdfBatch(const double* xs, size_t count, double* out) const;
 
   /// p(x) = exp(LogPdf(x)).
@@ -83,11 +84,14 @@ class Gmm {
 
   /// The E-step of n <= MultivariateGaussian::kBatchTile points, coordinate
   /// i of point j at xs[i * stride + j]: the component terms log w_k +
-  /// log N_k(x_j) are computed once, then gamma[j * g + k] is
-  /// Responsibilities(point j)[k] and log_pdf[j] is LogPdf(point j), bit
-  /// for bit (g = num_components()). Either output may be null. No heap
-  /// allocation up to kInlineComponents components and
-  /// MultivariateGaussian::kInlineDimension dimensions.
+  /// log N_k(x_j) are computed once, by the dividing solve of
+  /// MultivariateGaussian::LogPdf, then gamma[j * g + k] is
+  /// Responsibilities(point j)[k] and log_pdf[j] is their log-sum-exp
+  /// (g = num_components()). EM runs on it, so every fitted model keeps
+  /// its bits (DESIGN.md §5d); LogPdf's fused tile may differ from
+  /// log_pdf by ulps. Either output may be null. No heap allocation up to
+  /// kInlineComponents components and MultivariateGaussian::kInlineDimension
+  /// dimensions.
   void EStepTile(const double* xs, size_t stride, size_t n, double* gamma,
                  double* log_pdf) const;
 
@@ -118,7 +122,33 @@ class Gmm {
   /// Number of free parameters (for AIC): (g-1) + g*d + g*d*(d+1)/2.
   static double NumFreeParameters(int g, int d);
 
+  /// The mixture's components as the fused tile reads them: pointers into
+  /// this mixture, which must outlive the view and not change under it.
+  /// No heap allocation up to kInlineComponents components.
+  class TileView {
+   public:
+    explicit TileView(const Gmm& gmm);
+    TileView(const TileView&) = delete;
+    TileView& operator=(const TileView&) = delete;
+    /// The mixture as an arm of weight log_weight, with its log-densities
+    /// at the call's points given by `known` when it is not null.
+    mixture_tile::Arm arm(double log_weight = 0.0,
+                          const double* known = nullptr) const {
+      return {components_, count_, log_weight, known};
+    }
+
+   private:
+    mixture_tile::Component inline_[kInlineComponents];
+    std::vector<mixture_tile::Component> heap_;
+    const mixture_tile::Component* components_;
+    size_t count_;
+  };
+
  private:
+  friend class IncrementalGmm;
+
+  /// Divides each weight by their sum, then caches their logs.
+  void NormalizeWeights();
   /// Fills log_weights_ from weights_ (log w, or -inf for a zero weight);
   /// every constructor calls it once the weights are final.
   void CacheLogWeights();

@@ -6,8 +6,9 @@
 namespace serd::lse {
 
 /// The double-precision exp/log pair behind every mixture log-sum-exp in
-/// src/gmm: Gmm and ODistribution log-densities, the posterior match
-/// probability and the JSD estimator's log m. Each entry point is a
+/// src/gmm: EM's log-likelihoods (Gmm::EStepTile) here, and, through the
+/// same lane bodies (lse_lanes.inc), the fused mixture tile's
+/// log-densities, posteriors and JSD terms (mixture_tile.h). Each entry point is a
 /// portable scalar reference plus an AVX2 clone picked once per process
 /// (as nn::kernels::Exp is), compiled without FMA; a short call or a
 /// call's tail is padded into a full vector, so every element goes

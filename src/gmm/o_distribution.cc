@@ -5,7 +5,6 @@
 #include <limits>
 #include <memory>
 
-#include "gmm/lse.h"
 #include "runtime/parallel_for.h"
 #include "runtime/sharded_rng.h"
 
@@ -26,70 +25,29 @@ ODistribution::ODistribution(double pi, std::shared_ptr<const Gmm> m,
   SERD_CHECK_EQ(m_->dimension(), n_->dimension());
 }
 
+ODistribution::TileView::TileView(const ODistribution& o,
+                                  const double* known_m,
+                                  const double* known_n)
+    : m_(*o.m_), n_(*o.n_) {
+  // log(pi) + log p_m and log(1-pi) + log p_n; an arm with zero weight is
+  // -inf and its GMM is not evaluated.
+  if (o.pi_ > 0.0) arms_.m = m_.arm(std::log(o.pi_), known_m);
+  if (o.pi_ < 1.0) arms_.n = n_.arm(std::log(1.0 - o.pi_), known_n);
+}
+
 double ODistribution::LogPdf(const Vec& x) const {
   SERD_CHECK_EQ(x.size(), dimension());
   double out;
-  LogPdfTile(x.data(), 1, 1, &out, nullptr, nullptr);
+  mixture_tile::OLogPdf(TileView(*this).arms(), dimension(), x.data(), 1, 1,
+                        &out);
   return out;
 }
 
 void ODistribution::LogPdfBatch(const double* xs, size_t count, double* out,
                                 const double* log_m,
                                 const double* log_n) const {
-  constexpr size_t kTile = MultivariateGaussian::kBatchTile;
-  for (size_t j0 = 0; j0 < count; j0 += kTile) {
-    LogPdfTile(xs + j0, count, std::min(kTile, count - j0), out + j0,
-               log_m != nullptr ? log_m + j0 : nullptr,
-               log_n != nullptr ? log_n + j0 : nullptr);
-  }
-}
-
-void ODistribution::LogPdfTile(const double* xs, size_t stride, size_t n,
-                               double* out, const double* known_m,
-                               const double* known_n) const {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  // log(pi) + log p_m and log(1-pi) + log p_n per point; an arm with zero
-  // weight is -inf and its GMM is not evaluated.
-  double log_m[MultivariateGaussian::kBatchTile];
-  double log_n[MultivariateGaussian::kBatchTile];
-  if (pi_ > 0.0) {
-    if (known_m != nullptr) {
-      std::copy(known_m, known_m + n, log_m);
-    } else {
-      m_->EStepTile(xs, stride, n, nullptr, log_m);
-    }
-    const double log_pi = std::log(pi_);
-    for (size_t j = 0; j < n; ++j) log_m[j] = log_pi + log_m[j];
-  } else {
-    for (size_t j = 0; j < n; ++j) log_m[j] = kNegInf;
-  }
-  if (pi_ < 1.0) {
-    if (known_n != nullptr) {
-      std::copy(known_n, known_n + n, log_n);
-    } else {
-      n_->EStepTile(xs, stride, n, nullptr, log_n);
-    }
-    const double log_1mpi = std::log(1.0 - pi_);
-    for (size_t j = 0; j < n; ++j) log_n[j] = log_1mpi + log_n[j];
-  } else {
-    for (size_t j = 0; j < n; ++j) log_n[j] = kNegInf;
-  }
-  // Per point hi + log(exp(log_m - hi) + exp(log_n - hi)) through the lse
-  // kernels, or hi itself where it is not finite; e holds the m terms,
-  // then the n terms.
-  double hi[MultivariateGaussian::kBatchTile];
-  double e[2 * MultivariateGaussian::kBatchTile];
-  for (size_t j = 0; j < n; ++j) {
-    hi[j] = std::max(log_m[j], log_n[j]);
-    e[j] = log_m[j] - hi[j];
-    e[n + j] = log_n[j] - hi[j];
-  }
-  lse::Exp(2 * n, e, e);
-  for (size_t j = 0; j < n; ++j) e[j] = e[j] + e[n + j];
-  lse::Log(n, e, e);
-  for (size_t j = 0; j < n; ++j) {
-    out[j] = std::isfinite(hi[j]) ? hi[j] + e[j] : hi[j];
-  }
+  mixture_tile::OLogPdf(TileView(*this, log_m, log_n).arms(), dimension(), xs,
+                        count, count, out);
 }
 
 ODistribution::SampleResult ODistribution::Sample(Rng* rng) const {
@@ -112,57 +70,54 @@ bool ODistribution::SampleUnclampedInto(Rng* rng, double* x,
   return from_match;
 }
 
+namespace {
+
+/// An arm's weights summed in order, as Rng::CategoricalIndex sums them.
+double WeightTotal(const Gmm& arm) {
+  double total = 0.0;
+  for (double w : arm.weights()) total += w;
+  return total;
+}
+
+/// MapUnclampedInto's rule, with each arm's WeightTotal given.
+inline bool MapDraw(const ODistribution& o, double m_total, double n_total,
+                    double u_arm, double u_component, const double* z,
+                    double* x, size_t stride) {
+  const bool from_match = u_arm < o.pi();
+  const Gmm& arm = from_match ? o.m_distribution() : o.n_distribution();
+  const std::vector<double>& w = arm.weights();
+  arm.component(Rng::CategoricalPick(w.data(), w.size(),
+                                     from_match ? m_total : n_total,
+                                     u_component))
+      .TransformInto(z, x, stride);
+  return from_match;
+}
+
+}  // namespace
+
 bool ODistribution::MapUnclampedInto(double u_arm, double u_component,
                                      const double* z, double* x,
                                      size_t stride) const {
-  const bool from_match = u_arm < pi_;
-  const Gmm& arm = from_match ? *m_ : *n_;
-  arm.component(Rng::CategoricalIndex(arm.weights(), u_component))
-      .TransformInto(z, x, stride);
-  return from_match;
+  return MapDraw(*this, WeightTotal(*m_), WeightTotal(*n_), u_arm,
+                 u_component, z, x, stride);
 }
 
 double ODistribution::PosteriorMatch(const Vec& x) const {
   SERD_CHECK_EQ(x.size(), dimension());
   double out;
-  PosteriorMatchTile(x.data(), 1, 1, &out);
+  PosteriorMatchBatch(x.data(), 1, &out);
   return out;
 }
 
 void ODistribution::PosteriorMatchBatch(const double* xs, size_t count,
                                         double* out) const {
-  constexpr size_t kTile = MultivariateGaussian::kBatchTile;
-  for (size_t j0 = 0; j0 < count; j0 += kTile) {
-    PosteriorMatchTile(xs + j0, count, std::min(kTile, count - j0),
-                       out + j0);
-  }
-}
-
-void ODistribution::PosteriorMatchTile(const double* xs, size_t stride,
-                                       size_t n, double* out) const {
   // A one-arm mixture decides every point without evaluating either GMM.
   if (pi_ <= 0.0 || pi_ >= 1.0) {
-    const double posterior = pi_ <= 0.0 ? 0.0 : 1.0;
-    for (size_t j = 0; j < n; ++j) out[j] = posterior;
+    std::fill(out, out + count, pi_ <= 0.0 ? 0.0 : 1.0);
     return;
   }
-  double log_m[MultivariateGaussian::kBatchTile];
-  double log_n[MultivariateGaussian::kBatchTile];
-  m_->EStepTile(xs, stride, n, nullptr, log_m);
-  n_->EStepTile(xs, stride, n, nullptr, log_n);
-  const double log_pi = std::log(pi_);
-  const double log_1mpi = std::log(1.0 - pi_);
-  // z[j] = exp(lm - hi) and z[n + j] = exp(ln - hi) through the lse Exp.
-  double z[2 * MultivariateGaussian::kBatchTile];
-  for (size_t j = 0; j < n; ++j) {
-    const double lm = log_pi + log_m[j];
-    const double ln = log_1mpi + log_n[j];
-    const double hi = std::max(lm, ln);
-    z[j] = lm - hi;
-    z[n + j] = ln - hi;
-  }
-  lse::Exp(2 * n, z, z);
-  for (size_t j = 0; j < n; ++j) out[j] = z[j] / (z[j] + z[n + j]);
+  mixture_tile::Posterior(TileView(*this).arms(), dimension(), xs, count,
+                          count, out);
 }
 
 namespace {
@@ -170,28 +125,6 @@ namespace {
 /// Draws per Monte-Carlo block; each block owns an independent RNG stream
 /// so the estimate is thread-count independent. Fixed by contract.
 constexpr size_t kJsdBlock = 64;
-
-/// Sum over a block of len draws of side[j] - log m_j, where log m_j =
-/// log((p + q) / 2) = (log 1/2 + hi) + log(exp(lp - hi) + exp(lq - hi)),
-/// hi = max(lp, lq), through the lse kernels; summed in draw order.
-double KlBlockSum(const double* side, const double* lp, const double* lq,
-                  size_t len) {
-  constexpr double kLogHalf = -0.6931471805599453;
-  double hi[kJsdBlock];
-  double e[2 * kJsdBlock] = {};  // zeroed only to quiet GCC 12's
-                                 // -Wmaybe-uninitialized at lse::Exp
-  for (size_t j = 0; j < len; ++j) {
-    hi[j] = std::max(lp[j], lq[j]);
-    e[j] = lp[j] - hi[j];
-    e[len + j] = lq[j] - hi[j];
-  }
-  lse::Exp(2 * len, e, e);
-  for (size_t j = 0; j < len; ++j) e[j] = e[j] + e[len + j];
-  lse::Log(len, e, e);
-  double sum = 0.0;
-  for (size_t j = 0; j < len; ++j) sum += side[j] - (kLogHalf + hi[j] + e[j]);
-  return sum;
-}
 
 /// Draws in Monte-Carlo block `block`, which starts at draw
 /// block * kJsdBlock.
@@ -201,6 +134,24 @@ size_t BlockLength(size_t block, int num_samples) {
 }
 
 }  // namespace
+
+/// One p of Estimate, ready for its blocks: its arms as the tile reads
+/// them and each arm's weight total for mapping draws.
+struct JsdEstimator::Prepared {
+  Prepared(const ODistribution& p, const double* m_stored,
+           const double* n_stored)
+      : o(p),
+        view(p),
+        m_total(WeightTotal(p.m_distribution())),
+        n_total(WeightTotal(p.n_distribution())),
+        m_stored(m_stored),
+        n_stored(n_stored) {}
+  const ODistribution& o;
+  ODistribution::TileView view;
+  double m_total, n_total;
+  const double* m_stored;
+  const double* n_stored;
+};
 
 JsdEstimator::JsdEstimator(const ODistribution& q, int num_samples,
                            uint64_t seed, runtime::ThreadPool* pool)
@@ -234,10 +185,11 @@ JsdEstimator::JsdEstimator(const ODistribution& q, int num_samples,
   });
 }
 
-double JsdEstimator::DrawnBlockSum(const ODistribution& p,
+double JsdEstimator::DrawnBlockSum(const Prepared& p,
+                                   const mixture_tile::OArms& q,
                                    size_t block) const {
   const size_t len = BlockLength(block, num_samples_);
-  const size_t d = p.dimension();
+  const size_t d = q_->dimension();
   double inline_xs[MultivariateGaussian::kInlineDimension * kJsdBlock];
   std::unique_ptr<double[]> heap_xs;
   double* xs = inline_xs;
@@ -245,35 +197,38 @@ double JsdEstimator::DrawnBlockSum(const ODistribution& p,
     heap_xs = std::make_unique<double[]>(d * len);
     xs = heap_xs.get();
   }
-  if (p.pi() > 0.0 && p.pi() < 1.0) {
+  const double pi = p.o.pi();
+  if (pi > 0.0 && pi < 1.0) {
     const size_t start = block * kJsdBlock;
     for (size_t j = 0; j < len; ++j) {
       const size_t s = start + j;
-      p.MapUnclampedInto(p_uniforms_[2 * s], p_uniforms_[2 * s + 1],
-                         p_normals_.data() + s * d, xs + j, len);
+      MapDraw(p.o, p.m_total, p.n_total, p_uniforms_[2 * s],
+              p_uniforms_[2 * s + 1], p_normals_.data() + s * d, xs + j, len);
     }
   } else {
     Rng rng(runtime::ShardedRng::DeriveSeed(seed_, 2 * block));
-    for (size_t j = 0; j < len; ++j) p.SampleUnclampedInto(&rng, xs + j, len);
+    for (size_t j = 0; j < len; ++j) p.o.SampleUnclampedInto(&rng, xs + j, len);
   }
-  double lp[kJsdBlock];
-  double lq[kJsdBlock];
-  p.LogPdfBatch(xs, len, lp);
-  q_->LogPdfBatch(xs, len, lq);
-  return KlBlockSum(lp, lp, lq, len);
+  return mixture_tile::KlSum(p.view.arms(), q, nullptr, /*side_p=*/true, d,
+                             xs, len, len);
 }
 
-double JsdEstimator::StoredBlockSum(const ODistribution& p, size_t block,
-                                    const double* m_stored,
-                                    const double* n_stored) const {
+double JsdEstimator::StoredBlockSum(const Prepared& p, size_t block) const {
   const size_t start = block * kJsdBlock;
   const size_t len = BlockLength(block, num_samples_);
-  double lp[kJsdBlock];
-  p.LogPdfBatch(q_draws_.data() + start * q_->dimension(), len, lp,
-                m_stored != nullptr ? m_stored + start : nullptr,
-                n_stored != nullptr ? n_stored + start : nullptr);
-  const double* lq = log_q_.data() + start;
-  return KlBlockSum(lq, lp, lq, len);
+  // The stored arms' log-densities at this block's draws; an arm of zero
+  // weight stays -inf.
+  mixture_tile::OArms arms = p.view.arms();
+  if (p.m_stored != nullptr && arms.m.count > 0) {
+    arms.m.known = p.m_stored + start;
+  }
+  if (p.n_stored != nullptr && arms.n.count > 0) {
+    arms.n.known = p.n_stored + start;
+  }
+  const size_t d = q_->dimension();
+  return mixture_tile::KlSum(arms, {}, log_q_.data() + start,
+                             /*side_p=*/false, d, q_draws_.data() + start * d,
+                             len, len);
 }
 
 void JsdEstimator::StoredArmLogPdf(const Gmm& arm,
@@ -292,6 +247,8 @@ void JsdEstimator::StoredArmLogPdf(const Gmm& arm,
 double JsdEstimator::Estimate(const ODistribution& p, const double* m_stored,
                               const double* n_stored) const {
   SERD_CHECK_EQ(p.dimension(), q_->dimension());
+  const Prepared prepared(p, m_stored, n_stored);
+  const ODistribution::TileView q(*q_);
   // Task b is block b / 2 of side p (even b) or side q (odd b), the side
   // whose RNG stream is DeriveSeed(seed, b). Block sums are folded in task
   // order.
@@ -305,9 +262,9 @@ double JsdEstimator::Estimate(const ODistribution& p, const double* m_stored,
         KlPair part;
         for (size_t b = lo; b < hi; ++b) {
           if (b % 2 == 0) {
-            part.kl_p += DrawnBlockSum(p, b / 2);
+            part.kl_p += DrawnBlockSum(prepared, q.arms(), b / 2);
           } else {
-            part.kl_q += StoredBlockSum(p, b / 2, m_stored, n_stored);
+            part.kl_q += StoredBlockSum(prepared, b / 2);
           }
         }
         return part;

@@ -27,14 +27,15 @@ class ODistribution {
   const Gmm& n_distribution() const { return *n_; }
   size_t dimension() const { return m_->dimension(); }
 
-  /// log p(x). The 1-point case of LogPdfBatch.
+  /// log p(x), through the fused mixture tile (mixture_tile::OLogPdf).
+  /// The 1-point case of LogPdfBatch.
   double LogPdf(const Vec& x) const;
 
   /// LogPdf of `count` points stored dimension-major (coordinate i of
-  /// point j at xs[i * count + j]), a tile of points at a time; out[j] is
-  /// bit-identical to LogPdf of point j. Where log_m (log_n) is non-null
-  /// it holds log p_m (log p_n) at the same points, as Gmm::LogPdfBatch
-  /// gives them, and that arm is not evaluated again.
+  /// point j at xs[i * count + j]); out[j] is bit-identical to LogPdf of
+  /// point j. Where log_m (log_n) is non-null it holds log p_m (log p_n)
+  /// at the same points, as Gmm::LogPdfBatch gives them, and that arm is
+  /// not evaluated again.
   void LogPdfBatch(const double* xs, size_t count, double* out,
                    const double* log_m = nullptr,
                    const double* log_n = nullptr) const;
@@ -79,24 +80,30 @@ class ODistribution {
   double PosteriorMatch(const Vec& x) const;
 
   /// PosteriorMatch of `count` points stored dimension-major (coordinate i
-  /// of point j at xs[i * count + j]), a tile of points at a time; out[j]
-  /// is bit-identical to PosteriorMatch of point j.
+  /// of point j at xs[i * count + j]), through the fused mixture tile
+  /// (mixture_tile::Posterior); out[j] is bit-identical to PosteriorMatch
+  /// of point j.
   void PosteriorMatchBatch(const double* xs, size_t count,
                            double* out) const;
 
   /// Labels x as matching iff P_m(x) >= P_n(x) = 1 - P_m(x).
   bool LabelAsMatch(const Vec& x) const { return PosteriorMatch(x) >= 0.5; }
 
- private:
-  /// The batch kernel: n <= MultivariateGaussian::kBatchTile points,
-  /// coordinate i of point j at xs[i * stride + j]; known arm
-  /// log-densities as in LogPdfBatch, offset to the tile.
-  void LogPdfTile(const double* xs, size_t stride, size_t n, double* out,
-                  const double* known_m, const double* known_n) const;
-  /// The posterior kernel, over a tile laid out as for LogPdfTile.
-  void PosteriorMatchTile(const double* xs, size_t stride, size_t n,
-                          double* out) const;
+  /// The distribution's arms as the fused tile reads them, pointing into
+  /// its models (which must outlive the view): an arm of zero weight is
+  /// left empty (-inf), and known_m / known_n are as in LogPdfBatch.
+  class TileView {
+   public:
+    explicit TileView(const ODistribution& o, const double* known_m = nullptr,
+                      const double* known_n = nullptr);
+    const mixture_tile::OArms& arms() const { return arms_; }
 
+   private:
+    Gmm::TileView m_, n_;
+    mixture_tile::OArms arms_;
+  };
+
+ private:
   double pi_ = 0.5;
   std::shared_ptr<const Gmm> m_;
   std::shared_ptr<const Gmm> n_;
@@ -117,13 +124,15 @@ class ODistribution {
 /// < 1 each draw takes its arm uniform, its component uniform and
 /// dimension normals from its block's stream, whatever p's weights and
 /// factors. The constructor draws those once too (num_samples * (dimension
-/// + 2) doubles), and Estimate maps them through p (MapUnclampedInto),
-/// bit-identical to drawing from the stream; a p with pi of 0 or 1 draws
-/// no arm uniform, so its blocks draw from their streams.
+/// + 2) doubles), and Estimate maps a block of them through p at a time
+/// by MapUnclampedInto's rule, bit-identical to drawing from the stream; a
+/// p with pi of 0 or 1 draws no arm uniform, so its blocks draw from their
+/// streams.
 ///
-/// Estimate(p) draws p's blocks and scores log p and log q there, scores
-/// log p at the stored q draws, sums each block in draw order and folds
-/// the block sums in block order; blocks run on `pool` when given. The
+/// Estimate(p) draws p's blocks, then scores log p and log q there and
+/// sums the block's KL terms in draw order in one fused pass
+/// (mixture_tile::KlSum); the stored q draws take one such pass with log
+/// p; the block sums fold in block order; blocks run on `pool` when given. The
 /// estimate is a pure function of (p, q, num_samples, seed) — the same for
 /// any pool size, including none. q must outlive the estimator; Estimate
 /// may be called concurrently.
@@ -146,11 +155,15 @@ class JsdEstimator {
   void StoredArmLogPdf(const Gmm& arm, std::vector<double>* out) const;
 
  private:
-  /// Sum over one block of p's draws of log p - log m.
-  double DrawnBlockSum(const ODistribution& p, size_t block) const;
-  /// Sum over one block of the stored q draws of log q - log m.
-  double StoredBlockSum(const ODistribution& p, size_t block,
-                        const double* m_stored, const double* n_stored) const;
+  struct Prepared;
+  /// Sum over one block of p's draws of log p - log m: the block's draws
+  /// mapped through p, then one fused pass (mixture_tile::KlSum) scoring
+  /// them under p and q.
+  double DrawnBlockSum(const Prepared& p, const mixture_tile::OArms& q,
+                       size_t block) const;
+  /// Sum over one block of the stored q draws of log q - log m, in one
+  /// fused pass with p's stored arms.
+  double StoredBlockSum(const Prepared& p, size_t block) const;
 
   const ODistribution* q_;
   int num_samples_;

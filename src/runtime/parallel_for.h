@@ -41,6 +41,16 @@ T ParallelReduce(ThreadPool* pool, size_t begin, size_t end, size_t grain,
   if (grain == 0) grain = 1;
   const size_t n = end - begin;
   const size_t num_chunks = (n + grain - 1) / grain;
+  if (pool == nullptr || pool->num_threads() == 0 || num_chunks == 1) {
+    // ParallelFor's serial path, each partial folded as it is made: the
+    // same combines in the same order, and no partials vector.
+    T acc = std::move(init);
+    for (size_t c = 0; c < num_chunks; ++c) {
+      const size_t lo = begin + c * grain;
+      acc = combine(std::move(acc), map(lo, std::min(end, lo + grain)));
+    }
+    return acc;
+  }
   std::vector<T> partials(num_chunks);
   ParallelFor(pool, 0, num_chunks, 1, [&](size_t cb, size_t ce) {
     for (size_t c = cb; c < ce; ++c) {

@@ -77,6 +77,9 @@ TEST(Crc32Test, SliceBy8MatchesBytewiseReference) {
       EXPECT_EQ(artifact::Crc32(buf.data() + offset, len),
                 BytewiseCrc32(buf.data() + offset, len))
           << "offset " << offset << " len " << len;
+      EXPECT_EQ(artifact::ReferenceCrc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
     }
   }
   for (int trial = 0; trial < 300; ++trial) {
@@ -85,6 +88,39 @@ TEST(Crc32Test, SliceBy8MatchesBytewiseReference) {
     EXPECT_EQ(artifact::Crc32(buf.data() + offset, len),
               BytewiseCrc32(buf.data() + offset, len))
         << "offset " << offset << " len " << len;
+    EXPECT_EQ(artifact::ReferenceCrc32(buf.data() + offset, len),
+              BytewiseCrc32(buf.data() + offset, len))
+        << "offset " << offset << " len " << len;
+  }
+}
+
+TEST(Crc32Test, CarrylessFoldMatchesSliceBy8) {
+  // Crc32 folds 16-byte blocks by carry-less multiplication on a host with
+  // PCLMULQDQ: it must equal the slice-by-8 reference at every length
+  // 0-4096 (below, at and past the 64-byte fold, every tail length) and
+  // every start offset 0-15.
+  Rng rng(67);
+  std::vector<unsigned char> buf(4096 + 16);
+  for (unsigned char& c : buf) {
+    c = static_cast<unsigned char>(rng.UniformInt(256u));
+  }
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const uint32_t got = artifact::Crc32(buf.data() + offset, len);
+      const uint32_t want = artifact::ReferenceCrc32(buf.data() + offset, len);
+      if (got != want && mismatches++ < 5) {
+        ADD_FAILURE() << "offset " << offset << " len " << len << ": " << got
+                      << " != " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // All-ones and all-zero blocks, where a dropped carry would show.
+  for (unsigned char fill : {0x00, 0xFF}) {
+    std::vector<unsigned char> flat(1024, fill);
+    EXPECT_EQ(artifact::Crc32(flat.data(), flat.size()),
+              artifact::ReferenceCrc32(flat.data(), flat.size()));
   }
 }
 

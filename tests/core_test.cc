@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 
+#include "core/o_syn_tracker.h"
 #include "core/serd.h"
 #include "datagen/generators.h"
 #include "text/qgram.h"
@@ -118,6 +119,67 @@ TEST(CachedSimilarityTest, HashedGramsMatchStringSetReference) {
 }
 
 // --------------------------------------------------------------- Fit errors
+
+/// A similarity vector near `center` in every coordinate.
+Vec NoisyVector(double center, Rng* rng) {
+  Vec x(4);
+  for (double& v : x) v = center + rng->Gaussian(0.0, 0.08);
+  return x;
+}
+
+TEST(OSynTrackerTest, CommittedJsdMatchesFreshEstimateBitwise) {
+  // Previews, commits and rejects in a seeded order, with attempts that
+  // change both arms and attempts that leave one arm (or both) stored:
+  // after each commit the bar jsd() must be a fresh estimate of the
+  // committed O_syn, bit for bit, so the report can take it as is.
+  Rng rng(71);
+  std::vector<Vec> m_real, n_real;
+  for (int i = 0; i < 60; ++i) m_real.push_back(NoisyVector(0.85, &rng));
+  for (int i = 0; i < 200; ++i) n_real.push_back(NoisyVector(0.2, &rng));
+  GmmFitOptions fit;
+  fit.max_components = 3;
+  const ODistribution o_real(1.0 / 11.0, Gmm::FitWithAic(m_real, fit).value(),
+                             Gmm::FitWithAic(n_real, fit).value());
+  constexpr int kSamples = 130;
+  constexpr uint64_t kSeed = 0x15d0;
+  long evaluations = 0;
+  OSynTracker tracker(o_real, kSamples, kSeed, nullptr, nullptr,
+                      {&evaluations, nullptr});
+  std::vector<Vec> pos, neg;
+  for (int i = 0; i < 6; ++i) pos.push_back(NoisyVector(0.8, &rng));
+  for (int i = 0; i < 30; ++i) neg.push_back(NoisyVector(0.25, &rng));
+  tracker.AddWarmUp(pos.data(), pos.size(), neg.data(), neg.size());
+  tracker.FitWarmUp(GmmFitOptions{}, 3, 3);
+  ASSERT_TRUE(tracker.tracking());
+  auto expect_fresh = [&] {
+    EXPECT_TRUE(tracker.jsd() ==
+                EstimateJsd(tracker.Committed(), o_real, kSamples, kSeed))
+        << tracker.jsd();
+  };
+  expect_fresh();
+  int commits_both = 0, commits_stored = 0;
+  for (int attempt = 0; attempt < 120; ++attempt) {
+    const size_t num_pos = rng.UniformInt(3u) == 0 ? 1 + rng.UniformInt(2u)
+                                                   : 0;
+    const size_t num_neg = rng.UniformInt(5u) == 0 ? 0 : 1 + rng.UniformInt(6u);
+    pos.clear();
+    neg.clear();
+    for (size_t i = 0; i < num_pos; ++i) pos.push_back(NoisyVector(0.8, &rng));
+    for (size_t i = 0; i < num_neg; ++i) {
+      neg.push_back(NoisyVector(0.3, &rng));
+    }
+    OSynTracker::Preview preview =
+        tracker.PreviewWith(pos.data(), num_pos, neg.data(), num_neg);
+    if (rng.UniformInt(5u) < 2) continue;  // rejected
+    tracker.Commit(std::move(preview));
+    (num_pos > 0 && num_neg > 0 ? commits_both : commits_stored)++;
+    expect_fresh();
+  }
+  EXPECT_GT(commits_both, 5);
+  EXPECT_GT(commits_stored, 5);
+  // One estimate for the warm-up fit and one per attempt.
+  EXPECT_EQ(evaluations, 121);
+}
 
 TEST(SerdFitTest, RejectsWrongCorpusCount) {
   auto f = MakeFixture();

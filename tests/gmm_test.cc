@@ -5,7 +5,9 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "gmm/gmm.h"
 #include "gmm/incremental.h"
 #include "gmm/lse.h"
+#include "gmm/mixture_tile.h"
 #include "gmm/o_distribution.h"
 #include "runtime/sharded_rng.h"
 #include "runtime/thread_pool.h"
@@ -234,31 +237,60 @@ TEST(GaussianTest, RegularizesDegenerateCovariance) {
 }
 
 /// LogPdf spelled out with the common/matrix reference operations (Sub,
-/// ForwardSolve, Dot); LogPdf and LogPdfBatch must match it bit for bit.
+/// ForwardSolve, Dot); MultivariateGaussian::LogPdf and LogPdfBatch, and
+/// the component terms of EM's E-step, must match it bit for bit.
 double ReferenceLogPdf(const MultivariateGaussian& g, const Vec& x) {
   Vec y = ForwardSolve(g.cholesky(), Sub(x, g.mean()));
   double d = static_cast<double>(g.dimension());
   return -0.5 * (d * 1.8378770664093453 + g.log_det() + Dot(y, y));
 }
 
+/// The fused mixture tile's component term spelled out per point:
+/// ReferenceLogPdf with each y_i multiplied by 1 / L_ii where
+/// ForwardSolve divides by L_ii.
+double ReciprocalLogPdf(const MultivariateGaussian& g, const Vec& x) {
+  const Matrix& l = g.cholesky();
+  const Vec b = Sub(x, g.mean());
+  Vec y(b.size());
+  for (size_t i = 0; i < b.size(); ++i) {
+    double s = b[i];
+    for (size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
+    y[i] = s * (1.0 / l(i, i));
+  }
+  double d = static_cast<double>(g.dimension());
+  return -0.5 * (d * 1.8378770664093453 + g.log_det() + Dot(y, y));
+}
+
 /// log-sum-exp over components with a std::vector of terms, log(weight)
-/// taken per call, reference component densities and the lse kernels'
-/// scalar references; Gmm::LogPdf and LogPdfBatch must match it bit for
-/// bit.
-double ReferenceLogPdf(const Gmm& gmm, const Vec& x) {
+/// taken per call, `component` densities and the lse kernels' scalar
+/// references.
+double MixtureLogPdf(const Gmm& gmm, const Vec& x,
+                     double (*component)(const MultivariateGaussian&,
+                                         const Vec&)) {
   const double inf = std::numeric_limits<double>::infinity();
   std::vector<double> terms(gmm.num_components());
   double max_term = -inf;
   for (size_t k = 0; k < terms.size(); ++k) {
     const double w = gmm.weights()[k];
-    terms[k] = (w > 0.0 ? std::log(w) : -inf) +
-               ReferenceLogPdf(gmm.component(k), x);
+    terms[k] = (w > 0.0 ? std::log(w) : -inf) + component(gmm.component(k), x);
     max_term = std::max(max_term, terms[k]);
   }
   if (!std::isfinite(max_term)) return max_term;
   double sum = 0.0;
   for (double t : terms) sum += lse::ReferenceExp(t - max_term);
   return max_term + lse::ReferenceLog(sum);
+}
+
+/// Gmm::LogPdf and LogPdfBatch (the fused tile) must match this bit for
+/// bit.
+double ReferenceLogPdf(const Gmm& gmm, const Vec& x) {
+  return MixtureLogPdf(gmm, x, ReciprocalLogPdf);
+}
+
+/// EM's log-densities (Gmm::EStepTile, the dividing solve) must match
+/// this bit for bit.
+double EStepLogPdf(const Gmm& gmm, const Vec& x) {
+  return MixtureLogPdf(gmm, x, ReferenceLogPdf);
 }
 
 /// ODistribution::LogPdf spelled out per point over the reference GMM
@@ -476,7 +508,7 @@ TEST(GmmTest, EStepTileMatchesPerPointReferencesBitwise) {
             EXPECT_TRUE(SameBits(gamma_only[j * g + k], want[k]));
             EXPECT_TRUE(SameBits(got[k], want[k])) << j << "," << k;
           }
-          EXPECT_TRUE(SameBits(log_pdf[j], ReferenceLogPdf(gmm, points[j])))
+          EXPECT_TRUE(SameBits(log_pdf[j], EStepLogPdf(gmm, points[j])))
               << "point " << j;
         }
       }
@@ -527,7 +559,7 @@ ReferenceEmRun ReferenceRunEmOnce(const std::vector<Vec>& data, int g,
         if (gammas != nullptr) {
           (*gammas)[i] = ReferenceResponsibilities(model, data[i]);
         }
-        part += ReferenceLogPdf(model, data[i]);
+        part += EStepLogPdf(model, data[i]);
       }
       acc = acc + part;
     }
@@ -918,6 +950,64 @@ TEST(IncrementalGmmTest, AdoptedAndEmptyPreviewsMatchRebuildBitwise) {
   }
 }
 
+TEST(IncrementalGmmTest, InPlacePreviewSequenceMatchesRebuildAndReplayBitwise) {
+  // 300 previews in a seeded order, each committed or dropped: every
+  // preview, built in reused buffers, equals the rebuilt PreviewModel; a
+  // twin committing deltas the reference way stays on the same bits; and
+  // an arm previewed unchanged, scored with log-densities cached by
+  // version as the S2 loop caches them, gives the estimate of the model
+  // itself, also right after a commit that handed back the object a
+  // stale cache entry was computed for.
+  Rng rng(79);
+  const std::vector<Vec> initial = TwoClusterData(40, &rng);
+  const Gmm fit = Gmm::FitEM(initial, 3, GmmFitOptions{}).value();
+  IncrementalGmm inc(fit, initial);
+  IncrementalGmm twin(fit, initial);
+  const ODistribution q(0.3, RandomMixture(2, 3, &rng),
+                        RandomMixture(2, 2, &rng));
+  const auto other = std::make_shared<const Gmm>(RandomMixture(2, 2, &rng));
+  const JsdEstimator estimator(q, 130, 0x15d0);
+  std::optional<uint64_t> cached_version;
+  std::vector<double> cached;
+  std::map<const Gmm*, uint64_t> committed_at;  // model address -> version
+  bool reused = false, stored_after_reuse = false;
+  int stored = 0, commits = 0;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    std::vector<Vec> points;
+    if (rng.UniformInt(3u) != 0) points = TwoClusterData(1 + rng.UniformInt(3u), &rng);
+    const Gmm want = inc.PreviewModel(inc.ComputeDelta(points));
+    IncrementalGmm::Update update = inc.Preview(points.data(), points.size());
+    ExpectSameGmmBits(*update.model, want);
+    if (update.unchanged) {
+      if (cached_version != inc.version()) {
+        estimator.StoredArmLogPdf(*update.model, &cached);
+        cached_version = inc.version();
+      }
+      const ODistribution p(0.4, update.model, other);
+      EXPECT_TRUE(SameBits(estimator.Estimate(p, cached.data()),
+                           estimator.Estimate(p)));
+      ++stored;
+      stored_after_reuse = stored_after_reuse || reused;
+    }
+    if (rng.UniformInt(2u) == 0) continue;  // dropped
+    inc.Commit(std::move(update));
+    twin.Commit(twin.ComputeDelta(points));
+    ++commits;
+    ExpectSameGmmBits(inc.model(), twin.model());
+    ASSERT_EQ(inc.num_points(), twin.num_points());
+    const auto [it, fresh] = committed_at.emplace(&inc.model(), inc.version());
+    if (!fresh && it->second != inc.version()) {
+      reused = true;
+      it->second = inc.version();
+    }
+  }
+  EXPECT_GT(stored, 20);
+  EXPECT_GT(commits, 100);
+  EXPECT_TRUE(reused);
+  EXPECT_TRUE(stored_after_reuse);
+}
+
 // --------------------------------------------------------- ODistribution
 
 ODistribution MakeODistribution(double pi, double m_center, double n_center) {
@@ -1015,6 +1105,177 @@ TEST(ODistributionTest, PosteriorMatchBatchMatchesPerPointReferenceBitwise) {
               << "point " << j;
           EXPECT_EQ(o.LabelAsMatch(points[j]), want >= 0.5) << "point " << j;
         }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------- mixture tile
+
+/// Bit-for-bit equality of two arrays.
+::testing::AssertionResult SameBitsArray(const std::vector<double>& got,
+                                         const std::vector<double>& want) {
+  for (size_t j = 0; j < want.size(); ++j) {
+    if (!SameBits(got[j], want[j])) {
+      return ::testing::AssertionFailure()
+             << "at " << j << ": " << got[j] << " != " << want[j];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MixtureTileTest, Avx2CloneMatchesScalarReferenceBitwise) {
+  // The host's kernels (the AVX2 clone where the host has AVX2) against
+  // the scalar reference: every call length 1-64 (a subset at d = 33,
+  // the heap scratch), arms of 1-4 and 17 components with a zero-weight
+  // component, pi at its edges, -inf points, and stored arms.
+  Rng rng(73);
+  constexpr size_t kPoints = 64;
+  const size_t arm_sizes[][2] = {{1, 2}, {2, 3}, {3, 4}, {4, 1},
+                                 {Gmm::kInlineComponents + 1, 3}};
+  for (size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{6},
+                   size_t{8}, MultivariateGaussian::kInlineDimension + 1}) {
+    std::vector<size_t> lengths;
+    if (d <= 8) {
+      for (size_t len = 1; len <= kPoints; ++len) lengths.push_back(len);
+    } else {
+      lengths = {1, 2, 3, 4, 5, 8, 63, 64};
+    }
+    const std::vector<double> xs = DimensionMajor(BatchPoints(d, kPoints, &rng));
+    for (const auto& sizes : arm_sizes) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " g=" + std::to_string(sizes[0]));
+      const Gmm m = RandomMixture(d, sizes[0], &rng);
+      const Gmm n = RandomMixture(d, sizes[1], &rng);
+      const ODistribution q(0.25, RandomMixture(d, 2, &rng),
+                            RandomMixture(d, 3, &rng));
+      std::vector<double> m_known(kPoints), n_known(kPoints), log_q(kPoints);
+      m.LogPdfBatch(xs.data(), kPoints, m_known.data());
+      n.LogPdfBatch(xs.data(), kPoints, n_known.data());
+      q.LogPdfBatch(xs.data(), kPoints, log_q.data());
+      const Gmm::TileView m_view(m);
+      const ODistribution::TileView q_view(q);
+      for (size_t len : lengths) {
+        std::vector<double> got(len), want(len);
+        mixture_tile::ArmLogPdf(m_view.arm(), d, xs.data(), kPoints, len,
+                                got.data());
+        mixture_tile::ArmLogPdf(m_view.arm(), d, xs.data(), kPoints, len,
+                                want.data(), /*reference=*/true);
+        ASSERT_TRUE(SameBitsArray(got, want)) << "arm, len " << len;
+      }
+      for (double pi : {0.0, 1.0 / 11.0, 0.5, 1.0}) {
+        const ODistribution o(pi, m, n);
+        for (bool stored : {false, true}) {
+          SCOPED_TRACE("pi=" + std::to_string(pi) +
+                       (stored ? " stored" : ""));
+          const ODistribution::TileView view(
+              o, stored ? m_known.data() : nullptr,
+              stored ? n_known.data() : nullptr);
+          for (size_t len : lengths) {
+            SCOPED_TRACE("len=" + std::to_string(len));
+            std::vector<double> got(len), want(len);
+            mixture_tile::OLogPdf(view.arms(), d, xs.data(), kPoints, len,
+                                  got.data());
+            mixture_tile::OLogPdf(view.arms(), d, xs.data(), kPoints, len,
+                                  want.data(), true);
+            ASSERT_TRUE(SameBitsArray(got, want));
+            if (pi > 0.0 && pi < 1.0) {
+              mixture_tile::Posterior(view.arms(), d, xs.data(), kPoints, len,
+                                      got.data());
+              mixture_tile::Posterior(view.arms(), d, xs.data(), kPoints, len,
+                                      want.data(), true);
+              ASSERT_TRUE(SameBitsArray(got, want));
+            }
+            for (bool side_p : {true, false}) {
+              const double* known_q[] = {nullptr, log_q.data()};
+              for (const double* lq : known_q) {
+                ASSERT_TRUE(SameBits(
+                    mixture_tile::KlSum(view.arms(), q_view.arms(), lq, side_p,
+                                        d, xs.data(), kPoints, len),
+                    mixture_tile::KlSum(view.arms(), q_view.arms(), lq, side_p,
+                                        d, xs.data(), kPoints, len, true)));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Q diag(s, ..., s / cond) Q^T, eigenvalues spaced geometrically, Q an
+/// orthonormal basis from Gram-Schmidt on a random matrix.
+Matrix ConditionedSpd(size_t d, double cond, double s, Rng* rng) {
+  std::vector<Vec> q;
+  while (q.size() < d) {
+    Vec v = RandomPoint(d, 1.0, rng);
+    for (const Vec& u : q) {
+      const double dot = Dot(u, v);
+      for (size_t i = 0; i < d; ++i) v[i] -= dot * u[i];
+    }
+    const double norm = Norm(v);
+    if (norm < 1e-3) continue;
+    for (double& x : v) x /= norm;
+    q.push_back(v);
+  }
+  Matrix a(d, d);
+  for (size_t k = 0; k < d; ++k) {
+    const double lambda =
+        d == 1 ? s : s * std::pow(cond, -static_cast<double>(k) / (d - 1));
+    for (size_t i = 0; i < d; ++i) {
+      for (size_t j = 0; j < d; ++j) a(i, j) += lambda * q[k][i] * q[k][j];
+    }
+  }
+  return a;
+}
+
+TEST(MixtureTileTest, ScalarReferenceAgreesWithDividingSolve) {
+  // Multiplying by the reciprocal diagonal moves a log-density by ulps of
+  // the solve: within 1e-11 of max(1, |log p|) of the per-point
+  // ForwardSolve/Dot form, on covariances of condition number up to 1e4,
+  // for points near and far (1, 3 and 10 sigma).
+  Rng rng(83);
+  for (size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{6},
+                   size_t{8}}) {
+    for (double cond : {1.0, 10.0, 1e2, 1e4}) {
+      SCOPED_TRACE("d=" + std::to_string(d) + " cond=" + std::to_string(cond));
+      std::vector<double> weights;
+      std::vector<MultivariateGaussian> comps;
+      for (size_t k = 0; k < 3; ++k) {
+        weights.push_back(rng.Uniform(0.2, 1.0));
+        comps.emplace_back(RandomPoint(d, 1.0, &rng),
+                           ConditionedSpd(d, cond, 0.01, &rng), 0.0);
+      }
+      const Gmm gmm(weights, comps);
+      const ODistribution o(0.3, gmm, Gmm({1.0}, {comps[1]}));
+      std::vector<Vec> points;
+      for (double spread : {1.0, 3.0, 10.0}) {
+        for (int j = 0; j < 40; ++j) {
+          Vec z(d);
+          for (double& v : z) v = spread * rng.Gaussian();
+          Vec x(d);
+          comps[j % 3].TransformInto(z.data(), x.data(), 1);
+          points.push_back(x);
+        }
+      }
+      const std::vector<double> xs = DimensionMajor(points);
+      const size_t count = points.size();
+      std::vector<double> arm(count), mixture(count);
+      const Gmm::TileView view(gmm);
+      mixture_tile::ArmLogPdf(view.arm(), d, xs.data(), count, count,
+                              arm.data(), /*reference=*/true);
+      mixture_tile::OLogPdf(ODistribution::TileView(o).arms(), d, xs.data(),
+                            count, count, mixture.data(), true);
+      for (size_t j = 0; j < count; ++j) {
+        const double want = EStepLogPdf(gmm, points[j]);
+        EXPECT_NEAR(arm[j], want, 1e-11 * std::max(1.0, std::fabs(want)))
+            << "point " << j;
+        const double lm = std::log(0.3) + want;
+        const double ln = std::log(0.7) + ReferenceLogPdf(comps[1], points[j]);
+        const double hi = std::max(lm, ln);
+        const double want_o =
+            hi + std::log(std::exp(lm - hi) + std::exp(ln - hi));
+        EXPECT_NEAR(mixture[j], want_o, 1e-11 * std::max(1.0, std::fabs(want_o)))
+            << "point " << j;
       }
     }
   }
